@@ -34,14 +34,9 @@ from .architectures import (
     UnitGraph,
     check_oriented,
     check_oriented_table,
-    choose_act,
-    choose_act_traced,
     detect_redundancy,
     splitmix64,
-    step_positional,
-    step_random,
-    step_sensitive,
-    step_sensitive_traced,
+    step,
     success_rates,
     unit_draw,
     update_learning,
@@ -78,12 +73,10 @@ from .harness import (
     HarnessError,
     MissingAgentKind,
     RunRecord,
-    TraceRecord,
     derive_seed,
     run_experiment,
     run_experiment_from_document,
     run_trajectory,
-    run_trajectory_traced,
     write_csv,
 )
 from .metrics import (
@@ -110,7 +103,6 @@ from .representation import (
     UnknownActToken,
     UnrepresentedFormula,
     interpret_act,
-    represent,
 )
 from .stats import rank_sum_test
 from .universe import (

@@ -18,6 +18,11 @@ Every generated sequence is collapsed to a single act by a fixed
 projection index (1-based); an empty generation falls back to the
 universe's neutral act, which is what makes unrepresented states safe
 to encounter but expensive to linger in.
+
+``step`` is the one stepping function: it dispatches on the agent's
+kind and returns a ``StepTrace`` of what the agent perceived, generated
+and chose. The harness copies each trace into ``Trajectory.steps``, so
+a finished run carries its perception and generation step by step.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .universe import ActId, StateId, Universe, Violation
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_BELOW_ONE = 1.0 - 2.0**-53  # the largest float below 1
 
 
 def splitmix64(x: int) -> int:
@@ -49,7 +55,9 @@ def unit_draw(seed: int, t: int) -> float:
     Addressable by position: the stream never needs to be replayed from
     the start to know its value at step t.
     """
-    return splitmix64((seed + t * _GOLDEN) & _MASK64) / 2**64
+    u = splitmix64((seed + t * _GOLDEN) & _MASK64) / 2**64
+    # The top 2**10 outputs round up to 1.0; keep them inside the range.
+    return u if u < 1.0 else _BELOW_ONE
 
 
 class ArchitectureError(Exception):
@@ -254,40 +262,27 @@ def via_class(agent: AgentArchitecture) -> int:
 
 @dataclass(frozen=True)
 class StepTrace:
-    """What one sensitive step perceived, generated, and chose."""
+    """What one step perceived, generated, and chose.
+
+    Elementary kinds perceive and generate nothing: formula and sequence
+    are None.
+    """
 
     formula: Formula | None
     sequence: tuple[ActId, ...] | None
     act: ActId
 
 
-def step_random(fasa: RandomFasa, t: int) -> ActId:
-    return fasa.act_at(t)
-
-
-def step_positional(fasa: PositionalFasa, t: int) -> ActId:
-    return fasa.act_at(t)
-
-
 def _generate(agent: AgentArchitecture, formula: Formula) -> tuple[ActId, ...] | None:
-    kind = agent.kind
-    if kind is ArchitectureKind.AFS1:
+    if agent.kind is ArchitectureKind.AFS1:
         act = agent.reaction.act(formula) if agent.reaction else None
         return None if act is None else (act,)
-    if kind is ArchitectureKind.AFS2A:
-        if agent.routes is None or agent.goal is None:
-            return None
-        return agent.routes.sequence(formula, agent.goal)
-    if kind is ArchitectureKind.AFS2B:
-        if agent.routes is None or agent.memory is None:
-            return None
-        return agent.routes.sequence(formula, agent.memory)
-    if kind is ArchitectureKind.AFS3A:
-        table = agent.active_routes()
-        if table is None or agent.goal is None:
-            return None
-        return table.sequence(formula, agent.goal)
-    raise NotSensitive(f"agent {agent.name!r} is {kind.value}, not sensitive")
+    # afs2b routes toward its memory; afs2a and afs3a toward the fixed goal.
+    target = agent.memory if agent.kind is ArchitectureKind.AFS2B else agent.goal
+    table = agent.active_routes()
+    if table is None or target is None:
+        return None
+    return table.sequence(formula, target)
 
 
 def _resolve_episode(agent: AgentArchitecture, formula: Formula | None) -> None:
@@ -303,24 +298,31 @@ def _resolve_episode(agent: AgentArchitecture, formula: Formula | None) -> None:
         update_learning(agent, ep.observed, False, table_index=ep.table_index)
 
 
-def step_sensitive_traced(
-    agent: AgentArchitecture, universe: Universe, state: StateId
+def step(
+    agent: AgentArchitecture, universe: Universe, state: StateId, t: int
 ) -> StepTrace:
-    """One sensitive step: perceive, generate, project, fall back.
+    """One step of any architecture kind at step index t.
 
-    Returns the full trace; step_sensitive returns just the act.
+    Random and positional agents read act t off their stream. Sensitive
+    agents perceive the state, let afs3a score its pending episode,
+    generate, open a new afs3a episode, let afs2b recall what it just
+    saw, project the generation to one act, and fall back to the neutral
+    act when nothing was generated.
     """
-    if not agent.kind.is_sensitive:
-        raise NotSensitive(f"agent {agent.name!r} is {agent.kind.value}, not sensitive")
+    kind = agent.kind
+    if kind is ArchitectureKind.RANDOM:
+        return StepTrace(None, None, agent.random_fasa.act_at(t))
+    if kind is ArchitectureKind.POSITIONAL:
+        return StepTrace(None, None, agent.positional_fasa.act_at(t))
     formula = (
         agent.representation.formula_for(state)
         if agent.representation is not None
         else None
     )
-    if agent.kind is ArchitectureKind.AFS3A:
+    if kind is ArchitectureKind.AFS3A:
         _resolve_episode(agent, formula)
     sequence = None if formula is None else _generate(agent, formula)
-    if agent.kind is ArchitectureKind.AFS3A and sequence and agent._episode is None:
+    if kind is ArchitectureKind.AFS3A and sequence and agent._episode is None:
         table = agent.active_routes()
         agent._episode = _Episode(
             observed=formula,
@@ -328,7 +330,7 @@ def step_sensitive_traced(
             goal=agent.goal,
             limit=table.depth_max,
         )
-    if agent.kind is ArchitectureKind.AFS2B:
+    if kind is ArchitectureKind.AFS2B:
         # One-step recall: next step routes toward what was just seen.
         agent.memory = formula
     if not sequence:
@@ -340,29 +342,6 @@ def step_sensitive_traced(
         )
     act = interpret_act(universe, sequence[c - 1])
     return StepTrace(formula, sequence, act)
-
-
-def step_sensitive(agent: AgentArchitecture, universe: Universe, state: StateId) -> ActId:
-    return step_sensitive_traced(agent, universe, state).act
-
-
-def choose_act(
-    agent: AgentArchitecture, universe: Universe, state: StateId, t: int
-) -> ActId:
-    """Dispatch one step of any architecture kind."""
-    if agent.kind is ArchitectureKind.RANDOM:
-        return step_random(agent.random_fasa, t)
-    if agent.kind is ArchitectureKind.POSITIONAL:
-        return step_positional(agent.positional_fasa, t)
-    return step_sensitive(agent, universe, state)
-
-
-def choose_act_traced(
-    agent: AgentArchitecture, universe: Universe, state: StateId, t: int
-) -> StepTrace:
-    if agent.kind.is_sensitive:
-        return step_sensitive_traced(agent, universe, state)
-    return StepTrace(None, None, choose_act(agent, universe, state, t))
 
 
 def success_rates(agent: AgentArchitecture) -> list[Fraction]:

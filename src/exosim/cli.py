@@ -20,7 +20,7 @@ from pathlib import Path
 from .architectures import ArchitectureError
 from .digits import DigitError
 from .dsl import SpecInvalid, parse_file
-from .harness import ExperimentConfig, HarnessError, run_experiment, run_trajectory_traced
+from .harness import ExperimentConfig, HarnessError, run_experiment, run_trajectory
 from .metrics import MetricsError, derive_objectives, persistence_truth_table, stability_report
 from .representation import RepresentationError
 from .universe import UniverseError
@@ -148,12 +148,12 @@ def _cmd_trace(args, out) -> int:
         agent, universe = doc.build_agent(args.agent)
     except KeyError:
         raise CliError(f"no agent named {args.agent!r} in {args.file}") from None
-    trajectory, traces = run_trajectory_traced(universe, agent, args.steps, args.seed)
-    for rec in traces:
+    trajectory = run_trajectory(universe, agent, args.steps, args.seed)
+    for rec in trajectory.steps:
         formula = rec.formula if rec.formula is not None else "-"
         sequence = " ".join(rec.sequence) if rec.sequence else "-"
         print(
-            f"t={rec.t} state={rec.state} formula={formula} "
+            f"t={rec.t} state={rec.state_before} formula={formula} "
             f"sequence=[{sequence}] act={rec.act} energy={rec.energy_after}",
             file=out,
         )

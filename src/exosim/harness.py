@@ -19,17 +19,10 @@ import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
-from .architectures import AgentArchitecture, ArchitectureKind, choose_act_traced, splitmix64
+from .architectures import AgentArchitecture, ArchitectureKind, splitmix64, step
 from .dsl import SpecDocument, load_document
-from .representation import Formula
 from .stats import rank_sum_test
-from .universe import (
-    ActId,
-    TerminalReason,
-    Trajectory,
-    TrajectoryStep,
-    Universe,
-)
+from .universe import TerminalReason, Trajectory, TrajectoryStep, Universe
 
 CSV_HEADER = ("run_id", "agent", "kind", "seed", "persistence_steps", "terminal_reason")
 
@@ -47,36 +40,15 @@ def derive_seed(master_seed: int, k: int) -> int:
     return splitmix64(splitmix64(master_seed) + k)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One step as the agent saw it: perception, generation, choice."""
-
-    t: int
-    state: str
-    formula: Formula | None
-    sequence: tuple[ActId, ...] | None
-    act: ActId
-    energy_after: int
-
-
 def run_trajectory(
     universe: Universe,
     agent: AgentArchitecture,
     max_steps: int,
     seed: int | None = None,
 ) -> Trajectory:
-    trajectory, _ = run_trajectory_traced(universe, agent, max_steps, seed)
-    return trajectory
-
-
-def run_trajectory_traced(
-    universe: Universe,
-    agent: AgentArchitecture,
-    max_steps: int,
-    seed: int | None = None,
-) -> tuple[Trajectory, tuple[TraceRecord, ...]]:
-    """Run one agent from the initial state; returns the trajectory and
-    one trace record per step.
+    """Run one agent from the initial state until it goes exoinactive or
+    takes max_steps steps; each step records what the agent perceived,
+    generated and chose.
 
     The agent is cloned first, so repeated calls with the same inputs
     replay the same run regardless of what earlier runs did.
@@ -85,27 +57,24 @@ def run_trajectory_traced(
     state = universe.initial
     energy = universe.energy.initial_energy
     steps: list[TrajectoryStep] = []
-    traces: list[TraceRecord] = []
     reason = TerminalReason.STEP_LIMIT
     for t in range(max_steps):
-        trace = choose_act_traced(runner, universe, state, t)
+        trace = step(runner, universe, state, t)
         nxt, energy, exoactive = universe.advance(state, trace.act, energy)
-        steps.append(TrajectoryStep(t, state, trace.act, nxt, energy))
-        traces.append(
-            TraceRecord(t, state, trace.formula, trace.sequence, trace.act, energy)
+        steps.append(
+            TrajectoryStep(
+                t, state, trace.formula, trace.sequence, trace.act, nxt, energy
+            )
         )
         state = nxt
         if not exoactive:
             reason = TerminalReason.EXOINACTIVE
             break
-    return (
-        Trajectory(
-            initial_state=universe.initial,
-            initial_energy=universe.energy.initial_energy,
-            steps=tuple(steps),
-            terminal_reason=reason,
-        ),
-        tuple(traces),
+    return Trajectory(
+        initial_state=universe.initial,
+        initial_energy=universe.energy.initial_energy,
+        steps=tuple(steps),
+        terminal_reason=reason,
     )
 
 

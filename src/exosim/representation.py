@@ -113,11 +113,6 @@ class RepresentationMap:
         return out
 
 
-def represent(rmap: RepresentationMap, state: StateId) -> Formula | None:
-    """Formula the entity perceives in a state; None where it is blind."""
-    return rmap.formula_for(state)
-
-
 def interpret_act(universe: Universe, token: ActId) -> ActId:
     """Resolve an act token from a generated sequence to a universe act."""
     if token not in universe.acts:

@@ -209,8 +209,18 @@ class TerminalReason(Enum):
 
 @dataclass(frozen=True)
 class TrajectoryStep:
+    """One step as the agent saw it: perception, generation, choice,
+    and where the step left it.
+
+    formula is the perceived formula and sequence the generated acts;
+    both are None for elementary kinds, and formula is None on a blind
+    spot.
+    """
+
     t: int
     state_before: StateId
+    formula: str | None
+    sequence: tuple[ActId, ...] | None
     act: ActId
     state_after: StateId
     energy_after: int

@@ -22,11 +22,10 @@ from exosim import (
     parse_file,
     persistence_truth_table,
     run_experiment,
-    run_trajectory_traced,
+    run_trajectory,
     serialize,
     stability_report,
-    step_positional,
-    step_random,
+    step,
     ExperimentConfig,
 )
 from exosim.cli import run as cli_run
@@ -117,25 +116,27 @@ def test_criterion_3_stability_matches_oracle_on_500_universes():
 def test_criterion_4_generator_semantics(reference_doc):
     # Random: near-uniform frequencies and exact reproducibility.
     wanderer, universe = reference_doc.build_agent("wanderer")
-    draws = [step_random(wanderer.random_fasa, t) for t in range(1000)]
+    draws = [step(wanderer, universe, universe.initial, t).act for t in range(1000)]
     counts = [draws.count(a) for a in wanderer.random_fasa.act_order]
     stat = oracles.chi_square_statistic(counts)
     bound = oracles.chi_square_bound_4_sigma(len(counts))
     assert stat <= bound, f"chi-square {stat:.2f} above {bound:.2f}"
-    assert draws == [step_random(wanderer.random_fasa, t) for t in range(1000)]
+    assert draws == [
+        step(wanderer, universe, universe.initial, t).act for t in range(1000)
+    ]
 
     # Positional: acts replay certified digits through the sorted alphabet.
     metronome, _ = reference_doc.build_agent("metronome")
     order = metronome.positional_fasa.act_order
     assert order == tuple(sorted(universe.acts))
     digits = oracles.certified_constant_digits("pi", len(order), 1000)
-    acts = [step_positional(metronome.positional_fasa, t) for t in range(1000)]
+    acts = [step(metronome, universe, universe.initial, t).act for t in range(1000)]
     assert acts == [order[d] for d in digits]
 
     # Sensitive: the issued act is always the projected element of the
     # generated sequence.
     pathfinder, universe = reference_doc.build_agent("pathfinder")
-    _, traces = run_trajectory_traced(universe, pathfinder, max_steps=1000)
+    traces = run_trajectory(universe, pathfinder, max_steps=1000).steps
     assert len(traces) == 1000
     c = pathfinder.projection_index
     for record in traces:

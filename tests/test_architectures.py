@@ -30,14 +30,9 @@ from exosim import (
     UnitGraph,
     check_oriented,
     check_oriented_table,
-    choose_act,
-    choose_act_traced,
     detect_redundancy,
     splitmix64,
-    step_positional,
-    step_random,
-    step_sensitive,
-    step_sensitive_traced,
+    step,
     success_rates,
     unit_draw,
     update_learning,
@@ -83,6 +78,9 @@ class TestSplitmix:
     def test_unit_draw_range_and_addressability(self):
         values = [unit_draw(9, t) for t in range(100)]
         assert all(0.0 <= v < 1.0 for v in values)
+        # Step 0 of this seed is a splitmix64 output that rounds to 1.0
+        # when divided by 2**64; the draw must still stay below 1.
+        assert 0.0 <= unit_draw(3558559446808474027, 0) < 1.0
         # Position t can be read without replaying 0..t-1.
         assert unit_draw(9, 73) == values[73]
 
@@ -142,7 +140,7 @@ class TestPositionalFasa:
 
     def test_exhaustion_propagates(self):
         fasa = PositionalFasa(ExplicitDigits((1,), 2), ("a", "b"))
-        assert step_positional(fasa, 0) == "b"
+        assert fasa.act_at(0) == "b"
         with pytest.raises(DigitSourceExhausted):
             fasa.act_at(1)
 
@@ -213,35 +211,26 @@ class TestReactive:
         )
 
     def test_reacts_to_known_formula(self):
-        trace = step_sensitive_traced(self.agent(), micro3(), "x0")
+        trace = step(self.agent(), micro3(), "x0", 0)
         assert trace.formula == "r0"
         assert trace.sequence == ("go",)
         assert trace.act == "go"
 
     def test_unlisted_formula_falls_back_to_neutral(self):
-        trace = step_sensitive_traced(self.agent(), micro3(), "x1")
+        trace = step(self.agent(), micro3(), "x1", 0)
         assert trace.formula == "r1"
         assert trace.sequence is None
         assert trace.act == "sit"
 
     def test_blind_spot_falls_back_to_neutral(self):
         # gg has no formula: generation is empty, neutral act covers it.
-        trace = step_sensitive_traced(self.agent(), micro3(), "gg")
+        trace = step(self.agent(), micro3(), "gg", 0)
         assert trace.formula is None
         assert trace.act == "sit"
 
     def test_projection_past_single_act_raises(self):
         with pytest.raises(ProjectionOutOfRange):
-            step_sensitive(self.agent(projection=2), micro3(), "x0")
-
-    def test_elementary_agent_rejected(self):
-        agent = AgentArchitecture(
-            name="r",
-            kind=ArchitectureKind.RANDOM,
-            random_fasa=RandomFasa(1, ("go", "sit")),
-        )
-        with pytest.raises(NotSensitive):
-            step_sensitive(agent, micro3(), "x0")
+            step(self.agent(projection=2), micro3(), "x0", 0)
 
 
 class TestRouted:
@@ -259,7 +248,7 @@ class TestRouted:
         )
 
     def test_routes_toward_fixed_goal(self):
-        trace = step_sensitive_traced(self.agent(), micro3(), "x0")
+        trace = step(self.agent(), micro3(), "x0", 0)
         assert trace.sequence == ("go", "go")
         assert trace.act == "go"
 
@@ -272,18 +261,18 @@ class TestRouted:
             routes=RouteTable({("r0", "rg"): ("go", "sit")}, depth_max=2),
             goal="rg",
         )
-        assert step_sensitive(agent, micro3(), "x0") == "sit"
+        assert step(agent, micro3(), "x0", 0).act == "sit"
 
     def test_missing_route_falls_back(self):
         # rg -> rg is not in the table.
-        assert step_sensitive(self.agent(), micro3(), "gg") == "sit"
+        assert step(self.agent(), micro3(), "gg", 0).act == "sit"
 
     def test_full_walk_reaches_goal(self):
         u = micro3()
         agent = self.agent()
         state = "x0"
-        for _ in range(2):
-            state = u.successor(state, step_sensitive(agent, u, state))
+        for t in range(2):
+            state = u.successor(state, step(agent, u, state, t).act)
         assert state == "gg"
 
 
@@ -310,11 +299,11 @@ class TestRecall:
         u = micro3()
         agent = self.agent()
         # Step 1 at x0: memory holds the goal, route (r0, rg) fires.
-        t1 = step_sensitive_traced(agent, u, "x0")
+        t1 = step(agent, u, "x0", 0)
         assert t1.sequence == ("go", "go")
         assert agent.memory == "r0"
         # Step 2 at x1: routes toward the remembered r0.
-        t2 = step_sensitive_traced(agent, u, "x1")
+        t2 = step(agent, u, "x1", 1)
         assert t2.sequence == ("sit",)
         assert t2.act == "sit"
         assert agent.memory == "r1"
@@ -322,12 +311,12 @@ class TestRecall:
     def test_blind_spot_clears_memory(self):
         u = micro3()
         agent = self.agent()
-        t1 = step_sensitive_traced(agent, u, "gg")
+        t1 = step(agent, u, "gg", 0)
         assert t1.formula is None
         assert t1.act == "sit"
         assert agent.memory is None
         # With no remembered formula there is nothing to route toward.
-        t2 = step_sensitive_traced(agent, u, "x0")
+        t2 = step(agent, u, "x0", 1)
         assert t2.sequence is None
         assert t2.act == "sit"
         assert agent.memory == "r0"
@@ -416,8 +405,8 @@ class TestLearningEpisodes:
     def drive(self, agent, steps):
         u = micro3()
         state = "x0"
-        for _ in range(steps):
-            state = u.successor(state, step_sensitive(agent, u, state))
+        for t in range(steps):
+            state = u.successor(state, step(agent, u, state, t).act)
         return state
 
     def test_successful_predictions_enter_history(self):
@@ -456,7 +445,7 @@ class TestLearningEpisodes:
         update_learning(agent, "r0", True, table_index=1)
         assert agent.active_index == 1
         # The better table now steers: the agent moves instead of sitting.
-        trace = step_sensitive_traced(agent, micro3(), "x0")
+        trace = step(agent, micro3(), "x0", 3)
         assert trace.sequence == ("go", "go")
         assert trace.act == "go"
 
@@ -465,7 +454,7 @@ class TestCloneForRun:
     def test_learning_state_reset(self):
         agent = learner([SIT_ROUTES, GOOD_ROUTES])
         update_learning(agent, "r0", True, table_index=1)
-        step_sensitive(agent, micro3(), "x0")
+        step(agent, micro3(), "x0", 0)
         clone = agent.clone_for_run()
         assert clone.history == []
         assert clone.active_index == 0
@@ -486,7 +475,7 @@ class TestCloneForRun:
             goal="rg",
         )
         agent = base.clone_for_run()
-        step_sensitive(agent, micro3(), "x0")
+        step(agent, micro3(), "x0", 0)
         assert agent.memory == "r0"
         assert agent.clone_for_run().memory == "rg"
 
@@ -502,7 +491,7 @@ class TestCloneForRun:
         assert base.clone_for_run().random_fasa.seed == 7
 
 
-class TestChooseAct:
+class TestStep:
     def test_dispatch_matches_kind(self):
         u = micro3()
         rand = AgentArchitecture(
@@ -522,18 +511,18 @@ class TestChooseAct:
             routes=GOOD_ROUTES,
             goal="rg",
         )
-        assert choose_act(rand, u, "x0", 4) == step_random(rand.random_fasa, 4)
-        assert choose_act(pos, u, "x0", 1) == "go"
-        assert choose_act(routed, u, "x0", 0) == "go"
+        assert step(rand, u, "x0", 4).act == rand.random_fasa.act_at(4)
+        assert step(pos, u, "x0", 1).act == "go"
+        assert step(routed, u, "x0", 0).act == "go"
 
-    def test_traced_elementary_has_no_perception(self):
+    def test_elementary_has_no_perception(self):
         u = micro3()
         pos = AgentArchitecture(
             name="p",
             kind=ArchitectureKind.POSITIONAL,
             positional_fasa=PositionalFasa(ExplicitDigits((1,), 2), ("go", "sit")),
         )
-        trace = choose_act_traced(pos, u, "x0", 0)
+        trace = step(pos, u, "x0", 0)
         assert trace.formula is None
         assert trace.sequence is None
         assert trace.act == "sit"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import subprocess
@@ -117,6 +118,140 @@ class TestMetrics:
         assert code == 2
 
 
+# One agent of every kind on a seven-state ring. reflex (afs1) has no
+# reaction for A3 and idles there; echo (afs2b) is blind at a2 and its
+# recall empties there; learner (afs3a) scores episodes that succeed on
+# the way up and fail on the lap that leaves home by `back`.
+SIX_KINDS = """
+universe "ring" {
+  states: a0 a1 a2 a3 a4 home pit;
+  acts: back fwd rest;
+  initial: a0;
+  neutral_act: rest;
+  classify positive: home;
+  classify neutral: a0 a1 a2 a3 a4;
+  classify negative: pit;
+  transition a0 fwd a1;
+  transition a1 fwd a2;
+  transition a2 fwd a3;
+  transition a3 fwd a4;
+  transition a4 fwd home;
+  transition home fwd a0;
+  transition pit fwd a3;
+  transition a0 back a0;
+  transition a1 back a0;
+  transition a2 back pit;
+  transition a3 back a2;
+  transition a4 back a3;
+  transition home back a0;
+  transition pit back pit;
+  transition a0 rest a0;
+  transition a1 rest a1;
+  transition a2 rest a3;
+  transition a3 rest a3;
+  transition a4 rest a4;
+  transition home rest home;
+  transition pit rest pit;
+  energy {
+    initial: 20;
+    per_step: 1;
+    negative_penalty: 2;
+    positive_reward: 6;
+    cap: 30;
+  }
+}
+
+agent "drifter" in "ring" {
+  architecture: random;
+  seed: 11;
+}
+
+agent "replayer" in "ring" {
+  architecture: positional;
+  constant: e;
+}
+
+agent "reflex" in "ring" {
+  architecture: afs1;
+  represents a0 -> "A0";
+  represents a1 -> "A1";
+  represents a2 -> "A2";
+  represents a3 -> "A3";
+  represents home -> "H";
+  represents pit -> "P";
+  react "A0" : fwd;
+  react "A1" : fwd;
+  react "A2" : back;
+  react "P" : fwd;
+  react "H" : fwd;
+}
+
+agent "homing" in "ring" {
+  architecture: afs2a;
+  depth: 6;
+  goal: "H";
+  represents a0 -> "A0";
+  represents a1 -> "A1";
+  represents a2 -> "A2";
+  represents a3 -> "A3";
+  represents a4 -> "A4";
+  represents home -> "H";
+  predict "A0" -> "H" : fwd fwd fwd fwd fwd;
+  predict "A1" -> "H" : fwd fwd fwd fwd;
+  predict "A2" -> "H" : fwd fwd fwd;
+  predict "A3" -> "H" : fwd fwd;
+  predict "A4" -> "H" : fwd;
+  predict "H" -> "H" : fwd fwd fwd fwd fwd fwd;
+}
+
+agent "echo" in "ring" {
+  architecture: afs2b;
+  depth: 2;
+  goal: "H";
+  represents a0 -> "A0";
+  represents a1 -> "A1";
+  represents a3 -> "A3";
+  represents a4 -> "A4";
+  represents home -> "H";
+  predict "A0" -> "H" : fwd fwd;
+  predict "A1" -> "A0" : fwd;
+  predict "A3" -> "A3" : fwd;
+  predict "A4" -> "A3" : fwd;
+  predict "H" -> "A4" : fwd;
+}
+
+agent "learner" in "ring" {
+  architecture: afs3a;
+  depth: 5;
+  goal: "H";
+  represents a0 -> "A0";
+  represents a1 -> "A1";
+  represents a2 -> "A2";
+  represents a3 -> "A3";
+  represents a4 -> "A4";
+  represents home -> "H";
+  pool 0 predict "A0" -> "H" : fwd fwd fwd fwd fwd;
+  pool 0 predict "A1" -> "H" : fwd fwd fwd fwd;
+  pool 0 predict "A2" -> "H" : fwd fwd fwd;
+  pool 0 predict "A3" -> "H" : fwd fwd;
+  pool 0 predict "A4" -> "H" : fwd;
+  pool 0 predict "H" -> "H" : back;
+  pool 1 predict "A0" -> "H" : fwd;
+  pool 1 predict "H" -> "H" : rest;
+}
+"""
+
+# sha256 of the full `trace --steps 300 --seed 5` stdout of each agent.
+SIX_KIND_TRACES = {
+    "drifter": "997623c7fdc3b0d8fa539c550ba026a61df9a1eeb8c8b0dca3782257918e0a65",
+    "replayer": "8c2e3d1b3902f68c57c6fe568e5c628aa99b8c7afbb7ade9495ac8127fb872dc",
+    "reflex": "328b1fe57bc89e64775d9756db1ccc411afd5d332384213dd69409bf98350414",
+    "homing": "00b78369473da78bc0d7f959acae36a3777373715e0936fb66daa0b56d03cbbb",
+    "echo": "1493791a144ca0f51963c4602f7b5a37ad7dfa95a29814ec34a02a2718e92a4c",
+    "learner": "9cda48e201a835e5b8cb27648579bf2ca069cb70885560046e7bbf929f6069a5",
+}
+
+
 class TestTrace:
     def test_pathfinder_trace(self, reference_path):
         code, text = cli(
@@ -151,6 +286,26 @@ class TestTrace:
                 "--steps", "10", "--seed", "5")
         assert cli(*args) == cli(*args)
 
+    def test_draw_rounding_to_one_stays_in_range(self, reference_path):
+        # This seed's first draw rounds to 1.0 unless unit_draw clamps it.
+        code, text = cli(
+            "trace", str(reference_path), "--agent", "wanderer",
+            "--steps", "2", "--seed", "3558559446808474027",
+        )
+        assert code == 0
+        assert text.splitlines()[-1] == "persistence 2 (StepLimit)"
+
+    @pytest.mark.parametrize("agent", sorted(SIX_KIND_TRACES))
+    def test_every_kind_trace_pinned(self, agent, tmp_path):
+        path = tmp_path / "six.exo"
+        path.write_text(SIX_KINDS, encoding="utf-8")
+        code, text = cli(
+            "trace", str(path), "--agent", agent, "--steps", "300", "--seed", "5"
+        )
+        assert code == 0
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == SIX_KIND_TRACES[agent]
+
 
 class TestExperiment:
     def test_writes_csv_and_summary(self, reference_path, tmp_path):
@@ -167,6 +322,28 @@ class TestExperiment:
         assert "sensitive vs positional:" in text
         header = out_csv.read_text(encoding="utf-8").splitlines()[0]
         assert header == "run_id,agent,kind,seed,persistence_steps,terminal_reason"
+
+    def test_reference_anchor_bytes(self, reference_path, tmp_path):
+        out_csv = tmp_path / "runs.csv"
+        code, text = cli(
+            "experiment", str(reference_path),
+            "--runs", "100", "--max-steps", "500", "--seed", "1",
+            "--out", str(out_csv),
+        )
+        assert code == 0
+        digest = hashlib.sha256(out_csv.read_bytes()).hexdigest()
+        assert digest == (
+            "65e72fbd46491fafaf4dda8ea189fbd70517ba070ddf791db190003dde458448"
+        )
+        # The summary the README shows for this command.
+        assert text.splitlines() == [
+            f"wrote 300 rows to {out_csv}",
+            "agent wanderer (random): mean 3.31 median 3.0 min 3 max 5",
+            "agent metronome (positional): mean 3.00 median 3.0 min 3 max 3",
+            "agent pathfinder (afs2a): mean 500.00 median 500.0 min 500 max 500",
+            "sensitive vs random: U=10000.0 p=3.57e-41 (means 500.00 vs 3.31)",
+            "sensitive vs positional: U=10000.0 p=3.45e-45 (means 500.00 vs 3.00)",
+        ]
 
     def test_zero_runs_rejected(self, reference_path, tmp_path):
         code, _ = cli(

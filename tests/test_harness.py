@@ -19,7 +19,6 @@ from exosim import (
     run_experiment,
     run_experiment_from_document,
     run_trajectory,
-    run_trajectory_traced,
     write_csv,
 )
 
@@ -50,7 +49,9 @@ class TestRunTrajectory:
         trajectory = run_trajectory(universe, agent, max_steps=40)
         assert trajectory.persistence == 40
         assert trajectory.terminal_reason is TerminalReason.STEP_LIMIT
-        assert trajectory.steps[0] == TrajectoryStep(0, "c0", "move", "c1", 11)
+        assert trajectory.steps[0] == TrajectoryStep(
+            0, "c0", "at_c0", ("move",) * 5, "move", "c1", 11
+        )
 
     def test_zero_steps(self, pathfinder_pair):
         agent, universe = pathfinder_pair
@@ -71,15 +72,16 @@ class TestRunTrajectory:
 
     def test_trace_records_align_with_steps(self, pathfinder_pair):
         agent, universe = pathfinder_pair
-        trajectory, traces = run_trajectory_traced(universe, agent, max_steps=10)
-        assert len(traces) == len(trajectory.steps)
-        for step, record in zip(trajectory.steps, traces):
-            assert record.t == step.t
-            assert record.state == step.state_before
-            assert record.act == step.act
-            assert record.energy_after == step.energy_after
-        assert traces[0].formula == "at_c0"
-        assert traces[0].sequence == ("move",) * 5
+        steps = run_trajectory(universe, agent, max_steps=10).steps
+        assert len(steps) == 10
+        for record in steps:
+            # pathfinder always generates, so every act is the projection.
+            assert record.act == record.sequence[agent.projection_index - 1]
+            assert record.formula == agent.representation.formula_for(
+                record.state_before
+            )
+        assert steps[0].formula == "at_c0"
+        assert steps[0].sequence == ("move",) * 5
 
     def test_runs_are_deterministic(self, pathfinder_pair):
         agent, universe = pathfinder_pair
@@ -89,9 +91,9 @@ class TestRunTrajectory:
 
     def test_seed_override_steers_random_agent(self):
         u = tiny_universe(energy=EnergyRules(30, 1, 0, 0, 30))
-        same1 = run_trajectory_traced(u, drifter(), 20, seed=8)[1]
-        same2 = run_trajectory_traced(u, drifter(), 20, seed=8)[1]
-        other = run_trajectory_traced(u, drifter(), 20, seed=9)[1]
+        same1 = run_trajectory(u, drifter(), 20, seed=8).steps
+        same2 = run_trajectory(u, drifter(), 20, seed=8).steps
+        other = run_trajectory(u, drifter(), 20, seed=9).steps
         assert same1 == same2
         acts = lambda traces: [r.act for r in traces]
         assert acts(same1) != acts(other)
@@ -115,7 +117,7 @@ class TestRunTrajectory:
     def test_learning_happens_inside_the_run(self):
         # Same scenario driven through the harness: the routes fire, so
         # the trace shows goal-directed movement from the first step.
-        _, traces = run_trajectory_traced(micro3(), learner([GOOD_ROUTES]), 4)
+        traces = run_trajectory(micro3(), learner([GOOD_ROUTES]), 4).steps
         assert [r.act for r in traces] == ["go", "go", "go", "go"]
         assert traces[2].formula == "rg"
 

@@ -9,7 +9,6 @@ from exosim import (
     UnknownActToken,
     UnrepresentedFormula,
     interpret_act,
-    represent,
 )
 
 from test_universe import tiny_universe
@@ -20,7 +19,6 @@ class TestLookup:
         rmap = RepresentationMap({"x": "seen"})
         assert rmap.formula_for("x") == "seen"
         assert rmap.formula_for("y") is None
-        assert represent(rmap, "y") is None
 
     def test_states_for_collects_preimage(self):
         rmap = RepresentationMap({"a": "f", "b": "f", "c": "g"})
