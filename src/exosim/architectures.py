@@ -78,27 +78,13 @@ class InconsistentMetadata(ArchitectureError):
 
 @dataclass
 class RandomFasa:
-    """Seeded random act generation over a fixed act order.
-
-    weights, when given, must align with act_order; the default is a
-    uniform draw.
-    """
+    """Seeded uniform random act generation over a fixed act order."""
 
     seed: int
     act_order: tuple[ActId, ...]
-    weights: tuple[float, ...] | None = None
 
     def act_at(self, t: int) -> ActId:
-        u = unit_draw(self.seed, t)
-        if self.weights is None:
-            return self.act_order[int(u * len(self.act_order))]
-        total = sum(self.weights)
-        acc = 0.0
-        for act, w in zip(self.act_order, self.weights):
-            acc += w / total
-            if u < acc:
-                return act
-        return self.act_order[-1]
+        return self.act_order[int(unit_draw(self.seed, t) * len(self.act_order))]
 
 
 @dataclass

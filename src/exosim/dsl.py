@@ -7,15 +7,24 @@ line and column positions, recovering at item boundaries so one mistake
 does not hide the rest. A document containing any error is withheld;
 callers only ever receive fully checked declarations.
 
+Diagnostics come in this order: lexical errors; then, in document order,
+each item's parse errors, with a universe's checks after its block; then
+each agent's checks in declaration order. One agent's checks give first an
+"is ignored" warning for each item its kind does not read (see _USES), in
+document order, then the checks on its representation rows, then the
+checks of its kind.
+
 serialize() emits a canonical form (sorted lists, fully explicit
 defaults), and parsing a serialized document reproduces it structurally.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .architectures import (
     AgentArchitecture,
@@ -36,6 +45,24 @@ _CLASS_WORDS = {
     "negative": StateClass.NEGATIVE,
 }
 _KIND_WORDS = {k.value: k for k in ArchitectureKind}
+# Items each kind reads besides its architecture; any other item present
+# draws an "is ignored" warning. afs3a reads predict rows only to reject
+# them, since its routes must carry a pool index.
+_USES: dict[ArchitectureKind, set[str]] = {
+    ArchitectureKind.RANDOM: {"seed"},
+    ArchitectureKind.POSITIONAL: {"constant"},
+    ArchitectureKind.AFS1: {"represents", "projection", "react"},
+    ArchitectureKind.AFS2A: {"represents", "projection", "goal", "depth", "predict"},
+    ArchitectureKind.AFS2B: {"represents", "projection", "goal", "depth", "predict"},
+    ArchitectureKind.AFS3A: {"represents", "projection", "goal", "depth", "predict", "pool"},
+}
+_ROWS_IGNORED = {
+    "represents": "representation is",
+    "react": "react rows are",
+    "predict": "predict rows are",
+    "pool": "pool rows are",
+}
+_EXPECTED = {"id": "an identifier", "string": "a quoted string", "int": "an integer"}
 
 
 class Severity(Enum):
@@ -186,106 +213,51 @@ class ParseResult:
 # Lexer
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # id, string, int, punct, eof
-    value: str
+    value: str | int  # expect() returns int tokens with an int value
     line: int
     column: int
 
 
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<newline>\n)
+    | (?P<space>[\ \t\r]+|\#[^\n]*)
+    | (?P<string>"(?P<body>(?:\\["\\]|[^"\n])*)(?P<end>"?))
+    | (?P<int>\d+)
+    | (?P<id>[^\W\d]\w*)
+    | (?P<punct>->|[{};:])
+    | (?P<other>.)
+    """,
+    re.VERBOSE,
+)
+_ESCAPE_RE = re.compile(r'\\(["\\])')
+
+
 def _lex(text: str, diags: list[ParseDiagnostic]) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def bump(ch: str) -> None:
-        nonlocal line, col
-        if ch == "\n":
-            line += 1
-            col = 1
-        else:
-            col += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            bump(ch)
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                bump(text[i])
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            bump(ch)
-            i += 1
-            buf = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == "\n":
-                    break
-                bump(c)
-                i += 1
-                if c == '"':
-                    closed = True
-                    break
-                if c == "\\" and i < n and text[i] in ('"', "\\"):
-                    buf.append(text[i])
-                    bump(text[i])
-                    i += 1
-                else:
-                    buf.append(c)
-            if not closed:
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        column = m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "string":
+            if not m["end"]:
                 diags.append(
-                    ParseDiagnostic(
-                        Severity.ERROR, "unterminated string", start_line, start_col
-                    )
+                    ParseDiagnostic(Severity.ERROR, "unterminated string", line, column)
                 )
-            tokens.append(_Token("string", "".join(buf), start_line, start_col))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            value = text[i:j]
-            for c in value:
-                bump(c)
-            i = j
-            tokens.append(_Token("int", value, start_line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            value = text[i:j]
-            for c in value:
-                bump(c)
-            i = j
-            tokens.append(_Token("id", value, start_line, start_col))
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            bump("-")
-            bump(">")
-            i += 2
-            tokens.append(_Token("punct", "->", start_line, start_col))
-            continue
-        if ch in "{};:":
-            bump(ch)
-            i += 1
-            tokens.append(_Token("punct", ch, start_line, start_col))
-            continue
-        diags.append(
-            ParseDiagnostic(
-                Severity.ERROR, f"unexpected character {ch!r}", start_line, start_col
+            tokens.append(_Token(kind, _ESCAPE_RE.sub(r"\1", m["body"]), line, column))
+        elif kind == "other":
+            diags.append(
+                ParseDiagnostic(
+                    Severity.ERROR, f"unexpected character {value!r}", line, column
+                )
             )
-        )
-        bump(ch)
-        i += 1
-    tokens.append(_Token("eof", "", line, col))
+        elif kind != "space":
+            tokens.append(_Token(kind, value, line, column))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -342,23 +314,19 @@ class _Parser:
             self.fail(f"expected {value!r}, found {self._describe(tok)}", tok)
         return self.advance()
 
-    def expect_id(self) -> _Token:
-        if self.peek().kind != "id":
-            tok = self.peek()
-            self.fail(f"expected an identifier, found {self._describe(tok)}", tok)
-        return self.advance()
-
-    def expect_string(self) -> _Token:
-        if self.peek().kind != "string":
-            tok = self.peek()
-            self.fail(f"expected a quoted string, found {self._describe(tok)}", tok)
-        return self.advance()
-
-    def expect_int(self) -> int:
-        if self.peek().kind != "int":
-            tok = self.peek()
-            self.fail(f"expected an integer, found {self._describe(tok)}", tok)
-        return int(self.advance().value)
+    def expect(self, kind: str) -> _Token:
+        """Consume a token of kind id, string or int. An int token comes
+        back with its value converted to int."""
+        tok = self.peek()
+        if tok.kind != kind:
+            self.fail(f"expected {_EXPECTED[kind]}, found {self._describe(tok)}", tok)
+        if kind == "int":
+            try:
+                tok = tok._replace(value=int(tok.value))
+            except ValueError:  # longer than sys.get_int_max_str_digits()
+                self.fail(f"integer of {len(tok.value)} digits is too long", tok)
+        self.advance()
+        return tok
 
     @staticmethod
     def _describe(tok: _Token) -> str:
@@ -398,15 +366,8 @@ class _Parser:
                 decl = self._parse_universe(spans)
                 if decl is not None:
                     if any(u.name == decl.name for u in universes):
-                        line, col = spans[("universe", decl.name)]
-                        self.diags.append(
-                            ParseDiagnostic(
-                                Severity.ERROR,
-                                f"duplicate universe {decl.name!r}",
-                                line,
-                                col,
-                            )
-                        )
+                        at = _Token("id", "universe", *spans[("universe", decl.name)])
+                        self.error(f"duplicate universe {decl.name!r}", at)
                     else:
                         universes.append(decl)
             elif self.at_id("agent"):
@@ -429,14 +390,8 @@ class _Parser:
             if decl is None:
                 continue
             if decl.name in seen:
-                self.diags.append(
-                    ParseDiagnostic(
-                        Severity.ERROR,
-                        f"duplicate agent {decl.name!r}",
-                        raw.line,
-                        raw.column,
-                    )
-                )
+                at = _Token("id", "agent", raw.line, raw.column)
+                self.error(f"duplicate agent {decl.name!r}", at)
                 continue
             seen.add(decl.name)
             spans[("agent", decl.name)] = (raw.line, raw.column)
@@ -451,7 +406,7 @@ class _Parser:
     def _parse_universe(self, spans: dict) -> UniverseDecl | None:
         keyword = self.advance()
         try:
-            name = self.expect_string().value
+            name = self.expect("string").value
             self.expect_punct("{")
         except _ItemError:
             self.skip_item()
@@ -509,13 +464,13 @@ class _Parser:
             self.end_item()
         elif head.value in ("initial", "neutral_act"):
             self.expect_punct(":")
-            ident = self.expect_id()
+            ident = self.expect("id")
             if head.value in singles:
                 self.fail(f"duplicate {head.value!r} item", head)
             singles[head.value] = (ident.value, ident)
             self.end_item()
         elif head.value == "classify":
-            word = self.expect_id()
+            word = self.expect("id")
             if word.value not in _CLASS_WORDS:
                 self.fail(
                     f"expected 'positive', 'neutral' or 'negative', found {word.value!r}",
@@ -534,9 +489,9 @@ class _Parser:
                     classes[ident] = (word.value, id_tok)
             self.end_item()
         elif head.value == "transition":
-            src = self.expect_id()
-            act = self.expect_id()
-            dst = self.expect_id()
+            src = self.expect("id")
+            act = self.expect("id")
+            dst = self.expect("id")
             key = (src.value, act.value)
             if key in transitions and transitions[key][0] != dst.value:
                 self.error(
@@ -568,7 +523,7 @@ class _Parser:
         self.expect_punct("{")
         values = []
         for expected in _ENERGY_FIELDS:
-            label = self.expect_id()
+            label = self.expect("id")
             if label.value != expected:
                 # The field order is part of the format.
                 self.error(
@@ -576,7 +531,7 @@ class _Parser:
                     label,
                 )
             self.expect_punct(":")
-            values.append(self.expect_int())
+            values.append(self.expect("int").value)
             self.end_item()
         self.expect_punct("}")
         return tuple(values)
@@ -592,33 +547,33 @@ class _Parser:
         transitions: dict[tuple[StateId, ActId], tuple[StateId, _Token]],
         energy: tuple[int, ...] | None,
     ) -> UniverseDecl | None:
-        ok = True
+        rejected = False
+
+        def error(message: str, tok: _Token = keyword) -> None:
+            nonlocal rejected
+            rejected = True
+            self.error(message, tok)
+
         for item in ("states", "acts"):
             if not (states if item == "states" else acts):
-                self.error(f"universe {name!r} declares no {item}", keyword)
-                ok = False
+                error(f"universe {name!r} declares no {item}")
         for item in ("initial", "neutral_act"):
             if item not in singles:
-                self.error(f"universe {name!r} is missing the {item!r} item", keyword)
-                ok = False
+                error(f"universe {name!r} is missing the {item!r} item")
         if energy is None:
-            self.error(f"universe {name!r} is missing its energy block", keyword)
-            ok = False
+            error(f"universe {name!r} is missing its energy block")
         state_set, act_set = set(states), set(acts)
         if "initial" in singles:
             value, tok = singles["initial"]
             if value not in state_set:
-                self.error(f"initial state {value!r} is not a declared state", tok)
-                ok = False
+                error(f"initial state {value!r} is not a declared state", tok)
         if "neutral_act" in singles:
             value, tok = singles["neutral_act"]
             if value not in act_set:
-                self.error(f"neutral act {value!r} is not a declared act", tok)
-                ok = False
+                error(f"neutral act {value!r} is not a declared act", tok)
         for ident, (word, tok) in sorted(classes.items()):
             if ident not in state_set:
-                self.error(f"classified id {ident!r} is not a declared state", tok)
-                ok = False
+                error(f"classified id {ident!r} is not a declared state", tok)
         for (src, act), (dst, tok) in sorted(transitions.items()):
             for ident, pool, what in (
                 (src, state_set, "state"),
@@ -626,27 +581,18 @@ class _Parser:
                 (dst, state_set, "state"),
             ):
                 if ident not in pool:
-                    self.error(f"transition uses undeclared {what} {ident!r}", tok)
-                    ok = False
-        missing = [
-            (s, a)
-            for s in sorted(state_set)
-            for a in sorted(act_set)
-            if (s, a) not in transitions
-        ]
-        for s, a in missing:
-            self.error(f"no transition declared for ({s!r}, {a!r})", keyword)
-        if missing:
-            ok = False
+                    error(f"transition uses undeclared {what} {ident!r}", tok)
+        for s in sorted(state_set):
+            for a in sorted(act_set):
+                if (s, a) not in transitions:
+                    error(f"no transition declared for ({s!r}, {a!r})")
         if energy is not None:
             initial, per_step, penalty, reward, cap = energy
             if initial <= 0:
-                self.error("energy initial must be positive", keyword)
-                ok = False
+                error("energy initial must be positive")
             if cap < initial:
-                self.error("energy cap must be at least the initial energy", keyword)
-                ok = False
-        if not ok:
+                error("energy cap must be at least the initial energy")
+        if rejected:
             return None
         full_classes = tuple(
             (s, classes[s][0] if s in classes else "neutral") for s in sorted(state_set)
@@ -669,11 +615,11 @@ class _Parser:
     def _parse_agent(self) -> _RawAgent | None:
         keyword = self.advance()
         try:
-            name = self.expect_string().value
-            in_tok = self.expect_id()
+            name = self.expect("string").value
+            in_tok = self.expect("id")
             if in_tok.value != "in":
                 self.fail(f"expected 'in', found {in_tok.value!r}", in_tok)
-            universe_name = self.expect_string().value
+            universe_name = self.expect("string").value
             self.expect_punct("{")
         except _ItemError:
             self.skip_item()
@@ -697,49 +643,49 @@ class _Parser:
         head = self.advance()
         if head.value == "architecture":
             self.expect_punct(":")
-            word = self.expect_id()
+            word = self.expect("id")
             if word.value not in _KIND_WORDS:
                 self.fail(f"unknown architecture {word.value!r}", word)
             self._set_single(raw, "architecture", word.value, head)
             self.end_item()
         elif head.value in ("seed", "depth", "projection"):
             self.expect_punct(":")
-            value = self.expect_int()
+            value = self.expect("int").value
             self._set_single(raw, head.value, value, head)
             self.end_item()
         elif head.value == "constant":
             self.expect_punct(":")
-            word = self.expect_id()
+            word = self.expect("id")
             if word.value in ("pi", "e"):
                 value: tuple[str, str | None] = (word.value, None)
             elif word.value == "digits":
-                value = ("digits", self.expect_string().value)
+                value = ("digits", self.expect("string").value)
             else:
                 self.fail(f"expected 'pi', 'e' or 'digits', found {word.value!r}", word)
             self._set_single(raw, "constant", value, head)
             self.end_item()
         elif head.value == "goal":
             self.expect_punct(":")
-            value = self.expect_string().value
+            value = self.expect("string").value
             self._set_single(raw, "goal", value, head)
             self.end_item()
         elif head.value == "represents":
-            state = self.expect_id()
+            state = self.expect("id")
             self.expect_punct("->")
-            formula = self.expect_string()
-            raw.represents.append((state.value, formula.value, state))
+            formula = self.expect("string")
+            raw.rows["represents"].append((state.value, formula.value, state))
             self.end_item()
         elif head.value == "react":
-            formula = self.expect_string()
+            formula = self.expect("string")
             self.expect_punct(":")
-            act = self.expect_id()
-            raw.react.append((formula.value, act.value, head))
+            act = self.expect("id")
+            raw.rows["react"].append((formula.value, act.value, head))
             self.end_item()
         elif head.value == "predict":
             self._parse_predict_tail(raw, None, head)
         elif head.value == "pool":
-            index = self.expect_int()
-            word = self.expect_id()
+            index = self.expect("int").value
+            word = self.expect("id")
             if word.value != "predict":
                 self.fail(f"expected 'predict' after pool index, found {word.value!r}", word)
             self._parse_predict_tail(raw, index, head)
@@ -749,16 +695,16 @@ class _Parser:
     def _parse_predict_tail(
         self, raw: _RawAgent, pool_index: int | None, head: _Token
     ) -> None:
-        source = self.expect_string()
+        source = self.expect("string")
         self.expect_punct("->")
-        goal = self.expect_string()
+        goal = self.expect("string")
         self.expect_punct(":")
         acts = self._id_list("predicted act sequence")
         row = (source.value, goal.value, tuple(a for a, _ in acts), head)
         if pool_index is None:
-            raw.predict.append(row)
+            raw.rows["predict"].append(row)
         else:
-            raw.pool.append((pool_index, *row))
+            raw.rows["pool"].append((pool_index, *row))
         self.end_item()
 
     def _set_single(self, raw: _RawAgent, key: str, value, tok: _Token) -> None:
@@ -783,273 +729,162 @@ class _Parser:
             self.error(f"agent {raw.name!r} declares no architecture", at)
             return None
         kind = _KIND_WORDS[raw.singles["architecture"][0]]
-        ok = True
+        rejected = False
+
+        def error(message: str, tok: _Token = at) -> None:
+            nonlocal rejected
+            rejected = True
+            self.error(message, tok)
 
         def single(key: str):
             return raw.singles[key][0] if key in raw.singles else None
 
-        def reject_irrelevant(*keys: str) -> None:
-            for key in keys:
-                if key in raw.singles:
-                    self.warn(
-                        f"item {key!r} is ignored for {kind.value} agents",
-                        raw.singles[key][1],
-                    )
+        def single_tok(key: str) -> _Token:
+            return raw.singles[key][1]
+
+        def decl(**fields) -> AgentDecl | None:
+            return None if rejected else AgentDecl(raw.name, raw.universe_name, kind, **fields)
+
+        firsts = {key: tok for key, (_, tok) in raw.singles.items() if key != "architecture"}
+        firsts.update((key, rows[0][-1]) for key, rows in raw.rows.items() if rows)
+        for key, tok in sorted(firsts.items(), key=lambda kv: (kv[1].line, kv[1].column)):
+            if key not in _USES[kind]:
+                what = _ROWS_IGNORED.get(key, f"item {key!r} is")
+                self.warn(f"{what} ignored for {kind.value} agents", tok)
 
         state_set = set(universe.states)
         act_set = set(universe.acts)
-
         representation: dict[StateId, Formula] = {}
-        for state, formula, tok in raw.represents:
+        for state, formula, tok in raw.rows["represents"]:
             if state not in state_set:
-                self.error(f"represented id {state!r} is not a state", tok)
-                ok = False
+                error(f"represented id {state!r} is not a state", tok)
             elif state in representation and representation[state] != formula:
-                self.error(f"state {state!r} represented by two formulas", tok)
-                ok = False
+                error(f"state {state!r} represented by two formulas", tok)
             elif state in representation:
                 self.warn(f"state {state!r} represented twice", tok)
             elif not formula:
-                self.error(f"state {state!r} represented by an empty formula", tok)
-                ok = False
+                error(f"state {state!r} represented by an empty formula", tok)
             else:
                 representation[state] = formula
         image = set(representation.values())
 
-        def check_formula(formula: str, tok: _Token, what: str) -> None:
-            nonlocal ok
-            if formula not in image:
-                self.error(
-                    f"{what} {formula!r} is outside the representation image", tok
-                )
-                ok = False
-
-        def check_acts(tokens: tuple[str, ...], tok: _Token) -> None:
-            nonlocal ok
-            for act in tokens:
-                if act not in act_set:
-                    self.error(f"sequence uses undeclared act {act!r}", tok)
-                    ok = False
-
-        if not kind.is_sensitive:
-            if raw.represents:
-                self.warn(
-                    f"representation is ignored for {kind.value} agents",
-                    raw.represents[0][2],
-                )
-            for rows, label in ((raw.react, "react"), (raw.predict, "predict")):
-                if rows:
-                    self.warn(
-                        f"{label} rows are ignored for {kind.value} agents", rows[0][-1]
-                    )
-            if raw.pool:
-                self.warn(
-                    f"pool rows are ignored for {kind.value} agents", raw.pool[0][-1]
-                )
-            reject_irrelevant("depth", "projection", "goal")
-            if kind is ArchitectureKind.RANDOM:
-                reject_irrelevant("constant")
-                return None if not ok else AgentDecl(
-                    name=raw.name,
-                    universe_name=raw.universe_name,
-                    kind=kind,
-                    seed=single("seed") or 0,
-                )
-            reject_irrelevant("seed")
+        if kind is ArchitectureKind.RANDOM:
+            return decl(seed=single("seed") or 0)
+        if kind is ArchitectureKind.POSITIONAL:
             constant = single("constant") or ("pi", None)
             if constant[0] == "digits":
                 if not constant[1]:
-                    self.error("digit list must not be empty", raw.singles["constant"][1])
-                    ok = False
-                for i, ch in enumerate(constant[1]):
+                    error("digit list must not be empty", single_tok("constant"))
+                for ch in constant[1]:
                     try:
                         value = int(ch, 36)
                     except ValueError:
                         value = -1
                     if not 0 <= value < len(act_set):
-                        self.error(
+                        error(
                             f"digit {ch!r} does not fit base {len(act_set)}",
-                            raw.singles["constant"][1],
+                            single_tok("constant"),
                         )
-                        ok = False
                         break
-            return None if not ok else AgentDecl(
-                name=raw.name,
-                universe_name=raw.universe_name,
-                kind=kind,
-                constant=constant,
-            )
+            return decl(constant=constant)
 
         # Sensitive kinds share representation and projection handling.
-        reject_irrelevant("seed", "constant")
         if not representation:
-            self.error(f"sensitive agent {raw.name!r} declares no representation", at)
-            ok = False
+            error(f"sensitive agent {raw.name!r} declares no representation")
         elif len(image) < 2:
-            self.error(
-                f"representation of {raw.name!r} must use at least two formulas", at
-            )
-            ok = False
+            error(f"representation of {raw.name!r} must use at least two formulas")
         projection = single("projection")
         if projection is not None and projection < 1:
-            self.error("projection must be at least 1", raw.singles["projection"][1])
-            ok = False
+            error("projection must be at least 1", single_tok("projection"))
         projection = projection or 1
-        goal = single("goal")
-        if goal is not None and kind is not ArchitectureKind.AFS1:
-            check_formula(goal, raw.singles["goal"][1], "goal")
+        represented = tuple(sorted(representation.items()))
+
+        def check_formula(formula: str, tok: _Token, what: str) -> None:
+            if formula not in image:
+                error(f"{what} {formula!r} is outside the representation image", tok)
 
         if kind is ArchitectureKind.AFS1:
-            reject_irrelevant("depth", "goal")
-            if raw.predict:
-                self.warn("predict rows are ignored for afs1 agents", raw.predict[0][-1])
-            if raw.pool:
-                self.warn("pool rows are ignored for afs1 agents", raw.pool[0][-1])
             if projection != 1:
-                self.error(
+                error(
                     "afs1 generates single acts; projection must be 1",
-                    raw.singles["projection"][1],
+                    single_tok("projection"),
                 )
-                ok = False
             react: dict[Formula, ActId] = {}
-            for formula, act, tok in raw.react:
+            for formula, act, tok in raw.rows["react"]:
                 check_formula(formula, tok, "react formula")
                 if act not in act_set:
-                    self.error(f"react act {act!r} is not a declared act", tok)
-                    ok = False
+                    error(f"react act {act!r} is not a declared act", tok)
                 if formula in react and react[formula] != act:
-                    self.error(f"formula {formula!r} reacts with two acts", tok)
-                    ok = False
+                    error(f"formula {formula!r} reacts with two acts", tok)
                 elif formula in react:
                     self.warn(f"react row for {formula!r} declared twice", tok)
                 else:
                     react[formula] = act
-            return None if not ok else AgentDecl(
-                name=raw.name,
-                universe_name=raw.universe_name,
-                kind=kind,
+            return decl(
                 projection=1,
-                representation=tuple(sorted(representation.items())),
+                representation=represented,
                 react_rows=tuple(sorted(react.items())),
             )
 
-        if raw.react:
-            self.warn(
-                f"react rows are ignored for {kind.value} agents", raw.react[0][-1]
-            )
-
-        def gather_routes(
-            rows: list, with_index: bool
-        ) -> tuple[dict, int]:
-            routes: dict = {}
-            longest = 1
-            for row in rows:
-                if with_index:
-                    index, source, target, seq, tok = row
-                    key = (index, source, target)
-                else:
-                    source, target, seq, tok = row
-                    key = (source, target)
-                check_formula(source, tok, "route source")
-                check_formula(target, tok, "route goal")
-                check_acts(seq, tok)
-                if key in routes and routes[key] != seq:
-                    self.error(f"conflicting route for {key}", tok)
-                elif key in routes:
-                    self.warn(f"route {key} declared twice", tok)
-                else:
-                    routes[key] = seq
-                    longest = max(longest, len(seq))
-            return routes, longest
-
-        if kind in (ArchitectureKind.AFS2A, ArchitectureKind.AFS2B):
-            if raw.pool:
-                self.warn(
-                    f"pool rows are ignored for {kind.value} agents", raw.pool[0][-1]
-                )
-            if kind is ArchitectureKind.AFS2A and goal is None:
-                self.error(f"afs2a agent {raw.name!r} declares no goal", at)
-                ok = False
-            routes, longest = gather_routes(raw.predict, with_index=False)
-            depth = single("depth")
-            if depth is not None and depth < 1:
-                self.error("depth must be at least 1", raw.singles["depth"][1])
-                ok = False
-            depth = depth if depth and depth >= 1 else longest
-            too_long = [k for k, seq in routes.items() if len(seq) > depth]
-            for key in sorted(too_long):
-                self.error(
-                    f"route {key} is longer than the declared depth {depth}",
-                    raw.singles["depth"][1],
-                )
-                ok = False
-            if projection > depth:
-                self.error(
-                    f"projection {projection} exceeds the depth bound {depth}",
-                    raw.singles["projection"][1],
-                )
-                ok = False
-            return None if not ok else AgentDecl(
-                name=raw.name,
-                universe_name=raw.universe_name,
-                kind=kind,
-                depth=depth,
-                projection=projection,
-                goal=goal,
-                representation=tuple(sorted(representation.items())),
-                predict_rows=tuple(
-                    (s, g, seq) for (s, g), seq in sorted(routes.items())
-                ),
-            )
-
-        # AFS-IIIA: candidate pool of route tables.
-        if raw.predict:
-            self.error(
+        # afs2a and afs2b read predict rows; afs3a reads pool rows, whose
+        # route keys lead with the pool index.
+        pooled = kind is ArchitectureKind.AFS3A
+        if pooled and raw.rows["predict"]:
+            error(
                 "afs3a routes must carry a pool index (pool N predict ...)",
-                raw.predict[0][-1],
+                raw.rows["predict"][0][-1],
             )
-            ok = False
-        if goal is None:
-            self.error(f"afs3a agent {raw.name!r} declares no goal", at)
-            ok = False
-        routes, longest = gather_routes(raw.pool, with_index=True)
-        indices = {i for (i, _, _) in routes}
-        if not indices:
-            self.error(f"afs3a agent {raw.name!r} declares an empty pool", at)
-            ok = False
-        elif sorted(indices) != list(range(len(indices))):
-            self.error(
-                f"pool indices must be contiguous from 0, found {sorted(indices)}", at
-            )
-            ok = False
+        goal = single("goal")
+        if goal is not None:
+            check_formula(goal, single_tok("goal"), "goal")
+        elif kind is not ArchitectureKind.AFS2B:
+            error(f"{kind.value} agent {raw.name!r} declares no goal")
+        routes: dict = {}
+        longest = 1
+        for row in raw.rows["pool" if pooled else "predict"]:
+            key, (source, target, seq, tok) = row[:-2], row[-4:]
+            check_formula(source, tok, "route source")
+            check_formula(target, tok, "route goal")
+            for act in seq:
+                if act not in act_set:
+                    error(f"sequence uses undeclared act {act!r}", tok)
+            if key in routes and routes[key] != seq:
+                # Reported without rejecting the agent, so a duplicate
+                # agent name is still reported.
+                self.error(f"conflicting route for {key}", tok)
+            elif key in routes:
+                self.warn(f"route {key} declared twice", tok)
+            else:
+                routes[key] = seq
+                longest = max(longest, len(seq))
+        if pooled:
+            indices = sorted({key[0] for key in routes})
+            if not indices:
+                error(f"afs3a agent {raw.name!r} declares an empty pool")
+            elif indices != list(range(len(indices))):
+                error(f"pool indices must be contiguous from 0, found {indices}")
         depth = single("depth")
         if depth is not None and depth < 1:
-            self.error("depth must be at least 1", raw.singles["depth"][1])
-            ok = False
-        depth = depth if depth and depth >= 1 else longest
+            error("depth must be at least 1", single_tok("depth"))
+        depth = depth or longest
         for key in sorted(k for k, seq in routes.items() if len(seq) > depth):
-            self.error(
+            error(
                 f"route {key} is longer than the declared depth {depth}",
-                raw.singles["depth"][1],
+                single_tok("depth"),
             )
-            ok = False
         if projection > depth:
-            self.error(
+            error(
                 f"projection {projection} exceeds the depth bound {depth}",
-                raw.singles["projection"][1],
+                single_tok("projection"),
             )
-            ok = False
-        return None if not ok else AgentDecl(
-            name=raw.name,
-            universe_name=raw.universe_name,
-            kind=kind,
+        rows = tuple((*key, seq) for key, seq in sorted(routes.items()))
+        return decl(
             depth=depth,
             projection=projection,
             goal=goal,
-            representation=tuple(sorted(representation.items())),
-            pool_rows=tuple(
-                (i, s, g, seq) for (i, s, g), seq in sorted(routes.items())
-            ),
+            representation=represented,
+            predict_rows=() if pooled else rows,
+            pool_rows=rows if pooled else (),
         )
 
 
@@ -1060,10 +895,10 @@ class _RawAgent:
     line: int
     column: int
     singles: dict[str, tuple[object, _Token]] = field(default_factory=dict)
-    represents: list[tuple[str, str, _Token]] = field(default_factory=list)
-    react: list[tuple[str, str, _Token]] = field(default_factory=list)
-    predict: list[tuple[str, str, tuple[str, ...], _Token]] = field(default_factory=list)
-    pool: list[tuple[int, str, str, tuple[str, ...], _Token]] = field(default_factory=list)
+    # Item name -> rows in document order; each row ends with its token.
+    rows: dict[str, list[tuple]] = field(
+        default_factory=lambda: {item: [] for item in _ROWS_IGNORED}
+    )
 
 
 # ---------------------------------------------------------------------------

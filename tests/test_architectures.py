@@ -113,18 +113,6 @@ class TestRandomFasa:
         assert run1 == run2
         assert run1 != run3
 
-    def test_degenerate_weights_pin_one_act(self):
-        order = ("a", "b", "c")
-        always_a = RandomFasa(3, order, weights=(1.0, 0.0, 0.0))
-        always_c = RandomFasa(3, order, weights=(0.0, 0.0, 1.0))
-        assert {always_a.act_at(t) for t in range(100)} == {"a"}
-        assert {always_c.act_at(t) for t in range(100)} == {"c"}
-
-    def test_skewed_weights_skew_counts(self):
-        fasa = RandomFasa(11, ("x", "y"), weights=(3.0, 1.0))
-        counts = collections.Counter(fasa.act_at(t) for t in range(2000))
-        assert counts["x"] > counts["y"] > 0
-
 
 class TestPositionalFasa:
     def test_explicit_zeros_replay_first_act(self):

@@ -10,7 +10,7 @@ import pytest
 
 from exosim.cli import run
 
-from test_dsl import MINI, agent_block
+from test_dsl import INT_DIGIT_LIMIT, MINI, agent_block, needs_int_digit_limit
 
 
 def cli(*argv) -> tuple[int, str]:
@@ -48,6 +48,22 @@ class TestValidate:
         assert code == 0
         assert "warning:" in text
         assert "ok (1 universes, 1 agents)" in text
+
+    def test_non_decimal_digit_is_invalid_spec(self, tmp_path):
+        path = tmp_path / "digit.exo"
+        path.write_text(MINI.replace("initial: 5;", "initial: ²;"), encoding="utf-8")
+        code, text = cli("validate", str(path))
+        assert code == 2
+        assert "12:14: error: expected an integer, found '²'" in text
+
+    @needs_int_digit_limit
+    def test_over_long_integer_is_invalid_spec(self, tmp_path):
+        path = tmp_path / "long.exo"
+        digits = "7" * (INT_DIGIT_LIMIT + 1)
+        path.write_text(MINI.replace("cap: 9;", f"cap: {digits};"), encoding="utf-8")
+        code, text = cli("validate", str(path))
+        assert code == 2
+        assert f"16:10: error: integer of {len(digits)} digits is too long" in text
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         code, _ = cli("validate", str(tmp_path / "nope.exo"))

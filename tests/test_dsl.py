@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exosim import (
     ArchitectureKind,
@@ -36,6 +39,13 @@ universe "mini" {
   }
 }
 """
+
+
+# Python's limit on int() of a digit string; 0 where there is none.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_digit_limit = pytest.mark.skipif(
+    not INT_DIGIT_LIMIT, reason="this interpreter has no limit on integer string length"
+)
 
 
 def agent_block(body: str, name: str = "crew", universe: str = "mini") -> str:
@@ -508,6 +518,90 @@ class TestRecovery:
         assert len(result.errors) == 1
 
 
+class TestDiagnosticOrder:
+    # One agent of each kind; each carries items its kind ignores and at
+    # least one error.
+    EVERY_KIND = MINI + "".join(
+        [
+            agent_block(
+                '  architecture: random;\n  goal: "fa";\n  seed: 3;\n'
+                '  represents zz -> "fa";\n  react "fa" : hop;\n  depth: 2;',
+                "drifter",
+            ),
+            agent_block(
+                '  architecture: positional;\n  constant: digits "012";\n  seed: 4;\n'
+                '  pool 0 predict "fa" -> "fb" : hop;\n  projection: 2;',
+                "replayer",
+            ),
+            agent_block(
+                '  architecture: afs1;\n  depth: 2;\n'
+                '  represents a -> "fa";\n  represents b -> "fb";\n'
+                '  predict "fa" -> "fb" : hop;\n  react "fa" : fly;\n'
+                '  goal: "fb";\n  constant: pi;',
+                "reflex",
+            ),
+            agent_block(
+                '  architecture: afs2a;\n  seed: 1;\n'
+                '  represents a -> "fa";\n  represents b -> "fb";\n'
+                '  react "fa" : hop;\n  pool 0 predict "fa" -> "fb" : hop;\n'
+                '  depth: 1;\n  predict "fa" -> "fb" : hop hop;',
+                "homing",
+            ),
+            agent_block(
+                '  architecture: afs2b;\n  constant: e;\n'
+                '  represents a -> "fa";\n  represents b -> "fb";\n  goal: "far";\n'
+                '  pool 1 predict "fa" -> "fb" : hop;\n  predict "fa" -> "fb" : fly;',
+                "echo",
+            ),
+            agent_block(
+                '  architecture: afs3a;\n  react "fb" : stay;\n  seed: 9;\n'
+                '  represents a -> "fa";\n  represents b -> "fb";\n  goal: "fb";\n'
+                '  predict "fa" -> "fb" : hop;\n'
+                '  pool 1 predict "fa" -> "fb" : hop;\n  projection: 2;',
+                "learner",
+            ),
+        ]
+    )
+    # Per agent: "is ignored" warnings in document order, then the checks
+    # on its representation rows, then the checks of its kind.
+    EXPECTED = [
+        ("WARNING", "item 'goal' is ignored for random agents", 21, 3),
+        ("WARNING", "representation is ignored for random agents", 23, 14),
+        ("WARNING", "react rows are ignored for random agents", 24, 3),
+        ("WARNING", "item 'depth' is ignored for random agents", 25, 3),
+        ("ERROR", "represented id 'zz' is not a state", 23, 14),
+        ("WARNING", "item 'seed' is ignored for positional agents", 30, 3),
+        ("WARNING", "pool rows are ignored for positional agents", 31, 3),
+        ("WARNING", "item 'projection' is ignored for positional agents", 32, 3),
+        ("ERROR", "digit '2' does not fit base 2", 29, 3),
+        ("WARNING", "item 'depth' is ignored for afs1 agents", 36, 3),
+        ("WARNING", "predict rows are ignored for afs1 agents", 39, 3),
+        ("WARNING", "item 'goal' is ignored for afs1 agents", 41, 3),
+        ("WARNING", "item 'constant' is ignored for afs1 agents", 42, 3),
+        ("ERROR", "react act 'fly' is not a declared act", 40, 3),
+        ("WARNING", "item 'seed' is ignored for afs2a agents", 46, 3),
+        ("WARNING", "react rows are ignored for afs2a agents", 49, 3),
+        ("WARNING", "pool rows are ignored for afs2a agents", 50, 3),
+        ("ERROR", "afs2a agent 'homing' declares no goal", 44, 1),
+        ("ERROR", "route ('fa', 'fb') is longer than the declared depth 1", 51, 3),
+        ("WARNING", "item 'constant' is ignored for afs2b agents", 56, 3),
+        ("WARNING", "pool rows are ignored for afs2b agents", 60, 3),
+        ("ERROR", "goal 'far' is outside the representation image", 59, 3),
+        ("ERROR", "sequence uses undeclared act 'fly'", 61, 3),
+        ("WARNING", "react rows are ignored for afs3a agents", 65, 3),
+        ("WARNING", "item 'seed' is ignored for afs3a agents", 66, 3),
+        ("ERROR", "afs3a routes must carry a pool index (pool N predict ...)", 70, 3),
+        ("ERROR", "pool indices must be contiguous from 0, found [1]", 63, 1),
+        ("ERROR", "projection 2 exceeds the depth bound 1", 72, 3),
+    ]
+
+    def test_full_diagnostic_list(self):
+        result = parse(self.EVERY_KIND)
+        assert result.document is None
+        got = [(d.severity, d.message, d.line, d.column) for d in result.diagnostics]
+        assert got == [(Severity[s], m, line, col) for s, m, line, col in self.EXPECTED]
+
+
 def result_messages(result) -> list[str]:
     return [d.message for d in result.errors]
 
@@ -537,6 +631,22 @@ class TestLexical:
         assert again == doc
 
 
+    def test_non_decimal_digit_is_not_an_integer(self):
+        result = parse(MINI.replace("initial: 5;", "initial: ²;"))
+        assert result.document is None
+        assert result.errors[0].message == "expected an integer, found '²'"
+        assert (result.errors[0].line, result.errors[0].column) == (12, 14)
+
+    @needs_int_digit_limit
+    def test_over_long_integer_is_a_diagnostic(self):
+        digits = "7" * (INT_DIGIT_LIMIT + 1)
+        result = parse(MINI.replace("cap: 9;", f"cap: {digits};"))
+        assert result.document is None
+        first = result.errors[0]
+        assert first.message == f"integer of {len(digits)} digits is too long"
+        assert (first.line, first.column) == (16, 10)
+
+
 class TestRoundTrip:
     def test_fixtures_round_trip(self, ejemplo5_path, reference_path):
         for path in (ejemplo5_path, reference_path):
@@ -561,6 +671,23 @@ class TestRoundTrip:
         assert serialize(ejemplo5_doc) == serialize(ejemplo5_doc)
 
 
+# Letters, keywords, digits (decimal and not) and every character the
+# format gives a meaning to.
+_PIECES = [
+    *"abxz_0123456789",
+    "universe", "agent", "in", "energy", "cap", "architecture", "afs3a",
+    "pool", "predict", "represents", "digits",
+    "²", "٣", '"', "\\", "#", "->", "{", "}", ";", ":", " ", "\n",
+]
+# Prefixes that put the random tail inside a universe's energy block or
+# inside an agent block.
+_PREFIXES = [
+    "",
+    'universe "u" {\n  energy {\n    initial: ',
+    MINI + 'agent "x" in "mini" {\n  architecture: afs3a;\n  ',
+]
+
+
 class TestFuzz:
     def test_mutations_never_crash(self, ejemplo5_path, reference_path):
         bases = [
@@ -577,6 +704,16 @@ class TestFuzz:
                 assert (result.document is None) == bool(result.errors)
                 tried += 1
         assert tried == 150
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(_PREFIXES),
+        st.lists(st.sampled_from(_PIECES), max_size=60).map("".join),
+    )
+    def test_parse_never_raises(self, prefix, tail):
+        text = prefix + tail
+        result = parse(text)
+        assert (result.document is None) == bool(result.errors)
 
 
 class TestLoadDocument:
