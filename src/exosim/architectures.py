@@ -425,12 +425,6 @@ class UnitGraph:
     units: tuple[FunctionalUnit, ...]
     edges: frozenset[tuple[str, str]]
 
-    def unit(self, unit_id: str) -> FunctionalUnit:
-        for u in self.units:
-            if u.id == unit_id:
-                return u
-        raise InconsistentMetadata(f"edge references unknown unit {unit_id!r}")
-
 
 def detect_redundancy(graph: UnitGraph) -> list[tuple[str, str, str]]:
     """Find compositions g(f_inv(f(x))) that collapse to g(x).

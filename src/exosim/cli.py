@@ -71,23 +71,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_checked(path: Path, out):
+    """Parse a document and print its warnings. An invalid one raises
+    SpecInvalid, whose diagnostics run() prints."""
     result = parse_file(path)
-    for diag in result.diagnostics:
-        print(diag.render(str(path)), file=out)
     if result.document is None:
         raise SpecInvalid(str(path), result.diagnostics)
+    for diag in result.diagnostics:
+        print(diag.render(str(path)), file=out)
     return result.document
 
 
 def _cmd_validate(args, out) -> int:
-    result = parse_file(args.file)
-    for diag in result.diagnostics:
-        print(diag.render(str(args.file)), file=out)
-    if result.document is None:
-        return EXIT_INVALID_SPEC
+    doc = _load_checked(args.file, out)
     print(
-        f"{args.file}: ok "
-        f"({len(result.document.universes)} universes, {len(result.document.agents)} agents)",
+        f"{args.file}: ok ({len(doc.universes)} universes, {len(doc.agents)} agents)",
         file=out,
     )
     return EXIT_OK
@@ -239,7 +236,9 @@ def run(argv: list[str] | None = None, out=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args, out)
-    except SpecInvalid:
+    except SpecInvalid as exc:
+        for diag in exc.diagnostics:
+            print(diag.render(exc.filename), file=out)
         return EXIT_INVALID_SPEC
     except (
         CliError,

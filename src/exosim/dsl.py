@@ -4,8 +4,9 @@ A document declares universes and the agents that inhabit them. The
 format is line-oriented UTF-8 with `#` comments and semicolon-terminated
 items. Parsing never throws on bad input: it returns diagnostics with
 line and column positions, recovering at item boundaries so one mistake
-does not hide the rest. A document containing any error is withheld;
-callers only ever receive fully checked declarations.
+does not hide the rest; the fields of an energy block recover one by one,
+like items. A document containing any error is withheld; callers only
+ever receive fully checked declarations.
 
 Diagnostics come in this order: lexical errors; then, in document order,
 each item's parse errors, with a universe's checks after its block; then
@@ -269,6 +270,19 @@ class _ItemError(Exception):
     """Internal: abandon the current item and resynchronize."""
 
 
+@dataclass
+class _Block:
+    """A universe or agent block as read, before its checks. Rows are lists
+    in document order, each agent row ending with its token; a universe keys
+    its classify and transition rows, so repeats are reported as read."""
+
+    keyword: _Token  # 'universe' or 'agent'; block-level checks point here
+    name: str
+    universe_name: str | None  # agents only
+    rows: dict[str, list | dict]
+    singles: dict[str, tuple[object, _Token]] = field(default_factory=dict)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.diags: list[ParseDiagnostic] = []
@@ -290,19 +304,16 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "punct" and tok.value == value
 
-    def at_id(self, value: str | None = None) -> bool:
+    def at_id(self, value: str) -> bool:
         tok = self.peek()
-        return tok.kind == "id" and (value is None or tok.value == value)
+        return tok.kind == "id" and tok.value == value
 
     def error(self, message: str, tok: _Token | None = None) -> None:
         tok = tok or self.peek()
         self.diags.append(ParseDiagnostic(Severity.ERROR, message, tok.line, tok.column))
 
-    def warn(self, message: str, tok: _Token | None = None) -> None:
-        tok = tok or self.peek()
-        self.diags.append(
-            ParseDiagnostic(Severity.WARNING, message, tok.line, tok.column)
-        )
+    def warn(self, message: str, tok: _Token) -> None:
+        self.diags.append(ParseDiagnostic(Severity.WARNING, message, tok.line, tok.column))
 
     def fail(self, message: str, tok: _Token | None = None) -> None:
         self.error(message, tok)
@@ -352,28 +363,28 @@ class _Parser:
             if tok.kind == "punct" and tok.value == ";":
                 return
 
-    def end_item(self) -> None:
-        self.expect_punct(";")
-
     # -- document ----------------------------------------------------------
 
     def parse_document(self) -> tuple[SpecDocument | None, list[ParseDiagnostic]]:
         universes: list[UniverseDecl] = []
-        agents: list[_RawAgent] = []
+        agents: list[_Block] = []
         spans: dict = {}
         while self.peek().kind != "eof":
-            if self.at_id("universe"):
-                decl = self._parse_universe(spans)
-                if decl is not None:
-                    if any(u.name == decl.name for u in universes):
-                        at = _Token("id", "universe", *spans[("universe", decl.name)])
-                        self.error(f"duplicate universe {decl.name!r}", at)
-                    else:
-                        universes.append(decl)
-            elif self.at_id("agent"):
-                raw = self._parse_agent()
-                if raw is not None:
-                    agents.append(raw)
+            if self.at_id("universe") or self.at_id("agent"):
+                block = self._parse_block()
+                if block is None:
+                    continue
+                if block.keyword.value == "agent":
+                    agents.append(block)
+                    continue
+                decl = self._resolve_universe(block)
+                if decl is None:
+                    continue
+                if any(u.name == decl.name for u in universes):
+                    self.error(f"duplicate universe {decl.name!r}", block.keyword)
+                else:
+                    universes.append(decl)
+                    spans[("universe", decl.name)] = (block.keyword.line, block.keyword.column)
             else:
                 self.error(
                     f"expected 'universe' or 'agent', found {self._describe(self.peek())}"
@@ -385,90 +396,77 @@ class _Parser:
                     self.advance()
         decls: list[AgentDecl] = []
         seen: set[str] = set()
-        for raw in agents:
-            decl = self._resolve_agent(raw, universes)
+        for block in agents:
+            decl = self._resolve_agent(block, universes)
             if decl is None:
                 continue
             if decl.name in seen:
-                at = _Token("id", "agent", raw.line, raw.column)
-                self.error(f"duplicate agent {decl.name!r}", at)
+                self.error(f"duplicate agent {decl.name!r}", block.keyword)
                 continue
             seen.add(decl.name)
-            spans[("agent", decl.name)] = (raw.line, raw.column)
+            spans[("agent", decl.name)] = (block.keyword.line, block.keyword.column)
             decls.append(decl)
         if any(d.severity is Severity.ERROR for d in self.diags):
             return None, self.diags
         doc = SpecDocument(tuple(universes), tuple(decls), spans)
         return doc, self.diags
 
-    # -- universe ----------------------------------------------------------
-
-    def _parse_universe(self, spans: dict) -> UniverseDecl | None:
+    def _parse_block(self) -> _Block | None:
+        """Read a universe or agent block: its header, then its items up to
+        the closing '}'. A bad header is skipped like a bad item."""
         keyword = self.advance()
+        universe_name = None
         try:
             name = self.expect("string").value
+            if keyword.value == "agent":
+                in_tok = self.expect("id")
+                if in_tok.value != "in":
+                    self.fail(f"expected 'in', found {in_tok.value!r}", in_tok)
+                universe_name = self.expect("string").value
             self.expect_punct("{")
         except _ItemError:
             self.skip_item()
             return None
-        spans[("universe", name)] = (keyword.line, keyword.column)
-        states: list[StateId] = []
-        acts: list[ActId] = []
-        singles: dict[str, tuple[str, _Token]] = {}
-        classes: dict[StateId, tuple[str, _Token]] = {}
-        transitions: dict[tuple[StateId, ActId], tuple[StateId, _Token]] = {}
-        energy: tuple[int, ...] | None = None
+        if keyword.value == "universe":
+            what, parse_item = "a universe item", self._parse_uitem
+            rows = {"states": [], "acts": [], "classify": {}, "transition": {}}
+        else:
+            what, parse_item = "an agent item", self._parse_aitem
+            rows = {item: [] for item in _ROWS_IGNORED}
+        block = _Block(keyword, name, universe_name, rows)
         while not self.at_punct("}") and self.peek().kind != "eof":
-            head = self.peek()
+            tok = self.peek()
             try:
-                parsed = self._parse_uitem(states, acts, singles, classes, transitions)
+                if tok.kind != "id":
+                    self.fail(f"expected {what}, found {self._describe(tok)}")
+                parse_item(block, self.advance())
             except _ItemError:
                 self.skip_item()
-                continue
-            if parsed is not None:
-                if energy is not None:
-                    self.error("duplicate energy block", head)
-                else:
-                    energy = parsed
         if self.peek().kind == "eof":
-            self.error("unterminated universe block: missing '}'")
+            self.error(f"unterminated {keyword.value} block: missing '}}'")
         else:
             self.advance()
-        return self._resolve_universe(
-            name, keyword, states, acts, singles, classes, transitions, energy
-        )
+        return block
 
-    def _parse_uitem(
-        self,
-        states: list[StateId],
-        acts: list[ActId],
-        singles: dict[str, tuple[str, _Token]],
-        classes: dict[StateId, tuple[str, _Token]],
-        transitions: dict[tuple[StateId, ActId], tuple[StateId, _Token]],
-    ) -> tuple[int, ...] | None:
-        """Parse one universe item; returns energy values for an energy
-        block, None for every other item kind."""
-        tok = self.peek()
-        if tok.kind != "id":
-            self.fail(f"expected a universe item, found {self._describe(tok)}")
-        head = self.advance()
+    # -- universe ----------------------------------------------------------
+
+    def _parse_uitem(self, block: _Block, head: _Token) -> None:
         if head.value in ("states", "acts"):
             self.expect_punct(":")
-            ids = self._id_list(head.value)
-            target = states if head.value == "states" else acts
-            for ident, id_tok in ids:
+            target = block.rows[head.value]
+            for ident, id_tok in self._id_list(head.value):
                 if ident in target:
                     self.warn(f"{head.value[:-1]} {ident!r} listed twice", id_tok)
                 else:
                     target.append(ident)
-            self.end_item()
+            self.expect_punct(";")
         elif head.value in ("initial", "neutral_act"):
             self.expect_punct(":")
             ident = self.expect("id")
-            if head.value in singles:
+            if head.value in block.singles:
                 self.fail(f"duplicate {head.value!r} item", head)
-            singles[head.value] = (ident.value, ident)
-            self.end_item()
+            block.singles[head.value] = (ident.value, ident)
+            self.expect_punct(";")
         elif head.value == "classify":
             word = self.expect("id")
             if word.value not in _CLASS_WORDS:
@@ -477,6 +475,7 @@ class _Parser:
                     word,
                 )
             self.expect_punct(":")
+            classes = block.rows["classify"]
             for ident, id_tok in self._id_list("classified states"):
                 if ident in classes and classes[ident][0] != word.value:
                     self.error(
@@ -487,12 +486,13 @@ class _Parser:
                     self.warn(f"state {ident!r} classified twice", id_tok)
                 else:
                     classes[ident] = (word.value, id_tok)
-            self.end_item()
+            self.expect_punct(";")
         elif head.value == "transition":
             src = self.expect("id")
             act = self.expect("id")
             dst = self.expect("id")
             key = (src.value, act.value)
+            transitions = block.rows["transition"]
             if key in transitions and transitions[key][0] != dst.value:
                 self.error(
                     f"conflicting transition for ({src.value!r}, {act.value!r})", src
@@ -503,12 +503,34 @@ class _Parser:
                 )
             else:
                 transitions[key] = (dst.value, src)
-            self.end_item()
+            self.expect_punct(";")
         elif head.value == "energy":
-            return self._parse_energy()
+            self.expect_punct("{")
+            values: list[int | None] = []
+            # Each field is an item of its own. Reading stops after the last
+            # field, so a missing '}' does not swallow the items after it.
+            while len(values) < len(_ENERGY_FIELDS) and self.peek().kind != "eof":
+                if self.at_punct("}"):
+                    break
+                try:
+                    self._energy_field(values)
+                except _ItemError:
+                    self.skip_item()
+            missing = _ENERGY_FIELDS[len(values) :]
+            if missing:
+                self.error(f"energy block is missing the {missing[0]!r} field", head)
+            if self.at_punct("}"):
+                self.advance()
+            else:
+                self.error(f"expected '}}', found {self._describe(self.peek())}")
+            if "energy" in block.singles:
+                self.error("duplicate energy block", head)
+            else:
+                # None stands for a block with a bad or missing field.
+                energy = None if missing or None in values else tuple(values)
+                block.singles["energy"] = (energy, head)
         else:
             self.fail(f"unknown universe item {head.value!r}", head)
-        return None
 
     def _id_list(self, what: str) -> list[tuple[str, _Token]]:
         ids = []
@@ -519,50 +541,39 @@ class _Parser:
             self.fail(f"expected at least one identifier in {what}")
         return ids
 
-    def _parse_energy(self) -> tuple[int, ...]:
-        self.expect_punct("{")
-        values = []
-        for expected in _ENERGY_FIELDS:
-            label = self.expect("id")
-            if label.value != expected:
-                # The field order is part of the format.
-                self.error(
-                    f"energy field {expected!r} expected here, found {label.value!r}",
-                    label,
-                )
-            self.expect_punct(":")
-            values.append(self.expect("int").value)
-            self.end_item()
-        self.expect_punct("}")
-        return tuple(values)
+    def _energy_field(self, values: list[int | None]) -> None:
+        """Parse the next 'label: value;' field of an energy block into
+        values; a bad field leaves None in its slot."""
+        values.append(None)
+        label = self.expect("id")
+        expected = _ENERGY_FIELDS[len(values) - 1]
+        if label.value != expected:
+            # The field order is part of the format.
+            self.fail(f"energy field {expected!r} expected here, found {label.value!r}", label)
+        self.expect_punct(":")
+        value = self.expect("int").value
+        self.expect_punct(";")
+        values[-1] = value
 
-    def _resolve_universe(
-        self,
-        name: str,
-        keyword: _Token,
-        states: list[StateId],
-        acts: list[ActId],
-        singles: dict[str, tuple[str, _Token]],
-        classes: dict[StateId, tuple[str, _Token]],
-        transitions: dict[tuple[StateId, ActId], tuple[StateId, _Token]],
-        energy: tuple[int, ...] | None,
-    ) -> UniverseDecl | None:
+    def _resolve_universe(self, block: _Block) -> UniverseDecl | None:
+        name, singles = block.name, block.singles
+        classes, transitions = block.rows["classify"], block.rows["transition"]
         rejected = False
 
-        def error(message: str, tok: _Token = keyword) -> None:
+        def error(message: str, tok: _Token = block.keyword) -> None:
             nonlocal rejected
             rejected = True
             self.error(message, tok)
 
         for item in ("states", "acts"):
-            if not (states if item == "states" else acts):
+            if not block.rows[item]:
                 error(f"universe {name!r} declares no {item}")
         for item in ("initial", "neutral_act"):
             if item not in singles:
                 error(f"universe {name!r} is missing the {item!r} item")
-        if energy is None:
+        if "energy" not in singles:
             error(f"universe {name!r} is missing its energy block")
-        state_set, act_set = set(states), set(acts)
+        state_set, act_set = set(block.rows["states"]), set(block.rows["acts"])
         if "initial" in singles:
             value, tok = singles["initial"]
             if value not in state_set:
@@ -586,13 +597,15 @@ class _Parser:
             for a in sorted(act_set):
                 if (s, a) not in transitions:
                     error(f"no transition declared for ({s!r}, {a!r})")
+        # A bad energy field was reported where it was read.
+        energy = singles.get("energy", (None,))[0]
         if energy is not None:
             initial, per_step, penalty, reward, cap = energy
             if initial <= 0:
                 error("energy initial must be positive")
             if cap < initial:
                 error("energy cap must be at least the initial energy")
-        if rejected:
+        if rejected or energy is None:
             return None
         full_classes = tuple(
             (s, classes[s][0] if s in classes else "neutral") for s in sorted(state_set)
@@ -607,52 +620,24 @@ class _Parser:
             transitions=tuple(
                 (s, a, transitions[(s, a)][0]) for (s, a) in sorted(transitions)
             ),
-            energy=tuple(energy),
+            energy=energy,
         )
 
     # -- agent ---------------------------------------------------------------
 
-    def _parse_agent(self) -> _RawAgent | None:
-        keyword = self.advance()
-        try:
-            name = self.expect("string").value
-            in_tok = self.expect("id")
-            if in_tok.value != "in":
-                self.fail(f"expected 'in', found {in_tok.value!r}", in_tok)
-            universe_name = self.expect("string").value
-            self.expect_punct("{")
-        except _ItemError:
-            self.skip_item()
-            return None
-        raw = _RawAgent(name, universe_name, keyword.line, keyword.column)
-        while not self.at_punct("}") and self.peek().kind != "eof":
-            try:
-                self._parse_aitem(raw)
-            except _ItemError:
-                self.skip_item()
-        if self.peek().kind == "eof":
-            self.error("unterminated agent block: missing '}'")
-        else:
-            self.advance()
-        return raw
-
-    def _parse_aitem(self, raw: _RawAgent) -> None:
-        tok = self.peek()
-        if tok.kind != "id":
-            self.fail(f"expected an agent item, found {self._describe(tok)}")
-        head = self.advance()
+    def _parse_aitem(self, block: _Block, head: _Token) -> None:
         if head.value == "architecture":
             self.expect_punct(":")
             word = self.expect("id")
             if word.value not in _KIND_WORDS:
                 self.fail(f"unknown architecture {word.value!r}", word)
-            self._set_single(raw, "architecture", word.value, head)
-            self.end_item()
+            self._set_single(block, "architecture", word.value, head)
+            self.expect_punct(";")
         elif head.value in ("seed", "depth", "projection"):
             self.expect_punct(":")
             value = self.expect("int").value
-            self._set_single(raw, head.value, value, head)
-            self.end_item()
+            self._set_single(block, head.value, value, head)
+            self.expect_punct(";")
         elif head.value == "constant":
             self.expect_punct(":")
             word = self.expect("id")
@@ -662,38 +647,38 @@ class _Parser:
                 value = ("digits", self.expect("string").value)
             else:
                 self.fail(f"expected 'pi', 'e' or 'digits', found {word.value!r}", word)
-            self._set_single(raw, "constant", value, head)
-            self.end_item()
+            self._set_single(block, "constant", value, head)
+            self.expect_punct(";")
         elif head.value == "goal":
             self.expect_punct(":")
             value = self.expect("string").value
-            self._set_single(raw, "goal", value, head)
-            self.end_item()
+            self._set_single(block, "goal", value, head)
+            self.expect_punct(";")
         elif head.value == "represents":
             state = self.expect("id")
             self.expect_punct("->")
             formula = self.expect("string")
-            raw.rows["represents"].append((state.value, formula.value, state))
-            self.end_item()
+            block.rows["represents"].append((state.value, formula.value, state))
+            self.expect_punct(";")
         elif head.value == "react":
             formula = self.expect("string")
             self.expect_punct(":")
             act = self.expect("id")
-            raw.rows["react"].append((formula.value, act.value, head))
-            self.end_item()
+            block.rows["react"].append((formula.value, act.value, head))
+            self.expect_punct(";")
         elif head.value == "predict":
-            self._parse_predict_tail(raw, None, head)
+            self._parse_predict_tail(block, None, head)
         elif head.value == "pool":
             index = self.expect("int").value
             word = self.expect("id")
             if word.value != "predict":
                 self.fail(f"expected 'predict' after pool index, found {word.value!r}", word)
-            self._parse_predict_tail(raw, index, head)
+            self._parse_predict_tail(block, index, head)
         else:
             self.fail(f"unknown agent item {head.value!r}", head)
 
     def _parse_predict_tail(
-        self, raw: _RawAgent, pool_index: int | None, head: _Token
+        self, block: _Block, pool_index: int | None, head: _Token
     ) -> None:
         source = self.expect("string")
         self.expect_punct("->")
@@ -702,51 +687,53 @@ class _Parser:
         acts = self._id_list("predicted act sequence")
         row = (source.value, goal.value, tuple(a for a, _ in acts), head)
         if pool_index is None:
-            raw.rows["predict"].append(row)
+            block.rows["predict"].append(row)
         else:
-            raw.rows["pool"].append((pool_index, *row))
-        self.end_item()
+            block.rows["pool"].append((pool_index, *row))
+        self.expect_punct(";")
 
-    def _set_single(self, raw: _RawAgent, key: str, value, tok: _Token) -> None:
-        if key in raw.singles:
+    def _set_single(self, block: _Block, key: str, value, tok: _Token) -> None:
+        if key in block.singles:
             self.error(f"duplicate {key!r} item", tok)
         else:
-            raw.singles[key] = (value, tok)
+            block.singles[key] = (value, tok)
 
     # -- agent resolution ------------------------------------------------------
 
     def _resolve_agent(
-        self, raw: _RawAgent, universes: list[UniverseDecl]
+        self, block: _Block, universes: list[UniverseDecl]
     ) -> AgentDecl | None:
-        at = _Token("id", "agent", raw.line, raw.column)
-        universe = next((u for u in universes if u.name == raw.universe_name), None)
+        universe = next((u for u in universes if u.name == block.universe_name), None)
         if universe is None:
             self.error(
-                f"agent {raw.name!r} inhabits unknown universe {raw.universe_name!r}", at
+                f"agent {block.name!r} inhabits unknown universe {block.universe_name!r}",
+                block.keyword,
             )
             return None
-        if "architecture" not in raw.singles:
-            self.error(f"agent {raw.name!r} declares no architecture", at)
+        if "architecture" not in block.singles:
+            self.error(f"agent {block.name!r} declares no architecture", block.keyword)
             return None
-        kind = _KIND_WORDS[raw.singles["architecture"][0]]
+        kind = _KIND_WORDS[block.singles["architecture"][0]]
         rejected = False
 
-        def error(message: str, tok: _Token = at) -> None:
+        def error(message: str, tok: _Token = block.keyword) -> None:
             nonlocal rejected
             rejected = True
             self.error(message, tok)
 
         def single(key: str):
-            return raw.singles[key][0] if key in raw.singles else None
+            return block.singles[key][0] if key in block.singles else None
 
         def single_tok(key: str) -> _Token:
-            return raw.singles[key][1]
+            return block.singles[key][1]
 
         def decl(**fields) -> AgentDecl | None:
-            return None if rejected else AgentDecl(raw.name, raw.universe_name, kind, **fields)
+            if rejected:
+                return None
+            return AgentDecl(block.name, block.universe_name, kind, **fields)
 
-        firsts = {key: tok for key, (_, tok) in raw.singles.items() if key != "architecture"}
-        firsts.update((key, rows[0][-1]) for key, rows in raw.rows.items() if rows)
+        firsts = {key: tok for key, (_, tok) in block.singles.items() if key != "architecture"}
+        firsts.update((key, rows[0][-1]) for key, rows in block.rows.items() if rows)
         for key, tok in sorted(firsts.items(), key=lambda kv: (kv[1].line, kv[1].column)):
             if key not in _USES[kind]:
                 what = _ROWS_IGNORED.get(key, f"item {key!r} is")
@@ -755,7 +742,7 @@ class _Parser:
         state_set = set(universe.states)
         act_set = set(universe.acts)
         representation: dict[StateId, Formula] = {}
-        for state, formula, tok in raw.rows["represents"]:
+        for state, formula, tok in block.rows["represents"]:
             if state not in state_set:
                 error(f"represented id {state!r} is not a state", tok)
             elif state in representation and representation[state] != formula:
@@ -790,9 +777,9 @@ class _Parser:
 
         # Sensitive kinds share representation and projection handling.
         if not representation:
-            error(f"sensitive agent {raw.name!r} declares no representation")
+            error(f"sensitive agent {block.name!r} declares no representation")
         elif len(image) < 2:
-            error(f"representation of {raw.name!r} must use at least two formulas")
+            error(f"representation of {block.name!r} must use at least two formulas")
         projection = single("projection")
         if projection is not None and projection < 1:
             error("projection must be at least 1", single_tok("projection"))
@@ -810,7 +797,7 @@ class _Parser:
                     single_tok("projection"),
                 )
             react: dict[Formula, ActId] = {}
-            for formula, act, tok in raw.rows["react"]:
+            for formula, act, tok in block.rows["react"]:
                 check_formula(formula, tok, "react formula")
                 if act not in act_set:
                     error(f"react act {act!r} is not a declared act", tok)
@@ -829,19 +816,20 @@ class _Parser:
         # afs2a and afs2b read predict rows; afs3a reads pool rows, whose
         # route keys lead with the pool index.
         pooled = kind is ArchitectureKind.AFS3A
-        if pooled and raw.rows["predict"]:
+        if pooled and block.rows["predict"]:
             error(
                 "afs3a routes must carry a pool index (pool N predict ...)",
-                raw.rows["predict"][0][-1],
+                block.rows["predict"][0][-1],
             )
         goal = single("goal")
         if goal is not None:
             check_formula(goal, single_tok("goal"), "goal")
         elif kind is not ArchitectureKind.AFS2B:
-            error(f"{kind.value} agent {raw.name!r} declares no goal")
+            error(f"{kind.value} agent {block.name!r} declares no goal")
         routes: dict = {}
+        short: dict = {}  # key -> row token, for routes shorter than the projection
         longest = 1
-        for row in raw.rows["pool" if pooled else "predict"]:
+        for row in block.rows["pool" if pooled else "predict"]:
             key, (source, target, seq, tok) = row[:-2], row[-4:]
             check_formula(source, tok, "route source")
             check_formula(target, tok, "route goal")
@@ -857,10 +845,12 @@ class _Parser:
             else:
                 routes[key] = seq
                 longest = max(longest, len(seq))
+                if len(seq) < projection:
+                    short[key] = tok
         if pooled:
             indices = sorted({key[0] for key in routes})
             if not indices:
-                error(f"afs3a agent {raw.name!r} declares an empty pool")
+                error(f"afs3a agent {block.name!r} declares an empty pool")
             elif indices != list(range(len(indices))):
                 error(f"pool indices must be contiguous from 0, found {indices}")
         depth = single("depth")
@@ -877,6 +867,9 @@ class _Parser:
                 f"projection {projection} exceeds the depth bound {depth}",
                 single_tok("projection"),
             )
+        else:
+            for key, tok in short.items():
+                error(f"route {key} is shorter than the projection {projection}", tok)
         rows = tuple((*key, seq) for key, seq in sorted(routes.items()))
         return decl(
             depth=depth,
@@ -886,19 +879,6 @@ class _Parser:
             predict_rows=() if pooled else rows,
             pool_rows=rows if pooled else (),
         )
-
-
-@dataclass
-class _RawAgent:
-    name: str
-    universe_name: str
-    line: int
-    column: int
-    singles: dict[str, tuple[object, _Token]] = field(default_factory=dict)
-    # Item name -> rows in document order; each row ends with its token.
-    rows: dict[str, list[tuple]] = field(
-        default_factory=lambda: {item: [] for item in _ROWS_IGNORED}
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -100,11 +100,13 @@ def _agent_items(rng: random.Random, shape: dict) -> list[str]:
                 items.append(f"react {_quote(formula)} : {rng.choice(acts)};")
         return items
     depth = rng.randint(1, 4)
+    projection = 1
     depth_declared = rng.random() < 0.8
     if depth_declared:
         items.append(f"depth: {depth};")
         if depth > 1 and rng.random() < 0.5:
-            items.append(f"projection: {rng.randint(1, depth)};")
+            projection = rng.randint(1, depth)
+            items.append(f"projection: {projection};")
     goal = rng.choice(image)
     needs_goal = kind in ("afs2a", "afs3a")
     if needs_goal or rng.random() < 0.6:
@@ -118,7 +120,8 @@ def _agent_items(rng: random.Random, shape: dict) -> list[str]:
             if (source, target) in pairs:
                 continue
             pairs.add((source, target))
-            seq = " ".join(rng.choice(acts) for _ in range(rng.randint(1, depth)))
+            length = rng.randint(projection, depth)
+            seq = " ".join(rng.choice(acts) for _ in range(length))
             rows.append(f"{prefix}predict {_quote(source)} -> {_quote(target)} : {seq};")
         return rows
 
@@ -128,7 +131,8 @@ def _agent_items(rng: random.Random, shape: dict) -> list[str]:
         for index in range(rng.randint(1, 3)):
             rows = route_rows(f"pool {index} ")
             if not rows:
-                seq = " ".join(rng.choice(acts) for _ in range(rng.randint(1, depth)))
+                length = rng.randint(projection, depth)
+                seq = " ".join(rng.choice(acts) for _ in range(length))
                 rows = [
                     f"pool {index} predict {_quote(image[0])} -> {_quote(goal)} : {seq};"
                 ]

@@ -361,6 +361,15 @@ class TestExperiment:
             "sensitive vs positional: U=10000.0 p=3.45e-45 (means 500.00 vs 3.00)",
         ]
 
+    def test_invalid_spec_prints_diagnostics(self, broken_spec, tmp_path):
+        code, text = cli(
+            "experiment", str(broken_spec),
+            "--runs", "2", "--max-steps", "5", "--seed", "1",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "error: initial state 'zz' is not a declared state" in text
+
     def test_zero_runs_rejected(self, reference_path, tmp_path):
         code, _ = cli(
             "experiment", str(reference_path),

@@ -307,6 +307,12 @@ class TestAgentErrors:
             "longer than the declared depth 1",
         ),
         (
+            '  architecture: afs2a;\n  goal: "fb";\n  depth: 2;\n  projection: 2;\n'
+            '  represents a -> "fa";\n  represents b -> "fb";\n'
+            '  predict "fa" -> "fb" : hop;',
+            "route ('fa', 'fb') is shorter than the projection 2",
+        ),
+        (
             '  architecture: afs3a;\n  goal: "fb";\n'
             '  represents a -> "fa";\n  represents b -> "fb";\n'
             '  pool 1 predict "fa" -> "fb" : hop;',
@@ -363,6 +369,7 @@ class TestAgentErrors:
             "afs1-projection",
             "projection-over-depth",
             "route-over-depth",
+            "route-under-projection",
             "pool-gap",
             "bare-predict",
             "empty-pool",
@@ -505,6 +512,33 @@ class TestRecovery:
         assert any("expected 'universe' or 'agent'" in m for m in result_messages(result))
         # Only the leading garbage is at fault.
         assert len(result.errors) == 1
+
+    @pytest.mark.parametrize(
+        "old,new,agents,expected",
+        [
+            ("per_step: 1;", "per_step: x;", "", [("expected an integer, found 'x'", 13, 15)]),
+            ("per_step: 1;", "per_step 1;", "", [("expected ':', found '1'", 13, 14)]),
+            ("cap: 9;", "", "", [("energy block is missing the 'cap' field", 11, 3)]),
+            (
+                "per_step: 1;",
+                "per_step: x;",
+                agent_block("  architecture: random;"),
+                [
+                    ("expected an integer, found 'x'", 13, 15),
+                    ("agent 'crew' inhabits unknown universe 'mini'", 19, 1),
+                ],
+            ),
+        ],
+        ids=["bad-value", "missing-colon", "missing-field", "agent-of-withheld"],
+    )
+    def test_energy_field_recovers_alone(self, old, new, agents, expected):
+        # Only the field is at fault: the fields after it are still read,
+        # the energy block's '}' still closes it, and the universe is
+        # withheld.
+        result = parse(MINI.replace(old, new) + agents)
+        assert result.document is None
+        got = [(d.message, d.line, d.column) for d in result.diagnostics]
+        assert got == expected
 
     def test_bad_item_does_not_eat_the_block(self):
         body = (

@@ -6,6 +6,7 @@ from exosim import (
     AgentArchitecture,
     ArchitectureKind,
     CSV_HEADER,
+    DigitSourceExhausted,
     EnergyRules,
     ExperimentConfig,
     ExperimentResult,
@@ -22,6 +23,7 @@ from exosim import (
     write_csv,
 )
 
+import docgen
 from test_universe import tiny_universe
 from test_architectures import GOOD_ROUTES, RMAP3, learner, micro3
 
@@ -120,6 +122,20 @@ class TestRunTrajectory:
         traces = run_trajectory(micro3(), learner([GOOD_ROUTES]), 4).steps
         assert [r.act for r in traces] == ["go", "go", "go", "go"]
         assert traces[2].formula == "rg"
+
+
+class TestGeneratedDocuments:
+    def test_every_accepted_agent_steps(self):
+        # Every agent of a checked document runs; only an explicit digit
+        # list, finite by design, may run out.
+        for seed in range(300):
+            doc = parse(docgen.random_document_text(seed)).document
+            for decl in doc.agents:
+                agent, universe = doc.build_agent(decl.name)
+                try:
+                    run_trajectory(universe, agent, 200)
+                except DigitSourceExhausted:
+                    pass
 
 
 class TestDeriveSeed:
