@@ -272,9 +272,10 @@ class _ItemError(Exception):
 
 @dataclass
 class _Block:
-    """A universe or agent block as read, before its checks. Rows are lists
-    in document order, each agent row ending with its token; a universe keys
-    its classify and transition rows, so repeats are reported as read."""
+    """A universe or agent block as read, before its checks. Agent rows are
+    lists in document order, each row ending with its token; a universe keys
+    its states, acts, classify and transition rows, so repeats are reported
+    as read."""
 
     keyword: _Token  # 'universe' or 'agent'; block-level checks point here
     name: str
@@ -429,7 +430,7 @@ class _Parser:
             return None
         if keyword.value == "universe":
             what, parse_item = "a universe item", self._parse_uitem
-            rows = {"states": [], "acts": [], "classify": {}, "transition": {}}
+            rows = {"states": {}, "acts": {}, "classify": {}, "transition": {}}
         else:
             what, parse_item = "an agent item", self._parse_aitem
             rows = {item: [] for item in _ROWS_IGNORED}
@@ -458,7 +459,7 @@ class _Parser:
                 if ident in target:
                     self.warn(f"{head.value[:-1]} {ident!r} listed twice", id_tok)
                 else:
-                    target.append(ident)
+                    target[ident] = id_tok
             self.expect_punct(";")
         elif head.value in ("initial", "neutral_act"):
             self.expect_punct(":")
@@ -552,8 +553,11 @@ class _Parser:
             self.fail(f"energy field {expected!r} expected here, found {label.value!r}", label)
         self.expect_punct(":")
         value = self.expect("int").value
-        self.expect_punct(";")
-        values[-1] = value
+        if self.peek().kind != "id":
+            self.expect_punct(";")
+            values[-1] = value
+        else:  # only the ';' is missing: the next field keeps its own slot
+            self.error(f"expected ';', found {self._describe(self.peek())}")
 
     def _resolve_universe(self, block: _Block) -> UniverseDecl | None:
         name, singles = block.name, block.singles

@@ -9,7 +9,9 @@ random and positional groups.
 
 Identical inputs reproduce identical output bytes: rows are emitted in
 run_id order and every random stream is positioned by its derived seed
-alone.
+alone. The seed reaches nothing but the random stream, so an agent
+without one is simulated once per experiment; its row repeats for
+every run, each with that run's id and derived seed.
 """
 
 from __future__ import annotations
@@ -149,10 +151,14 @@ def run_experiment_from_document(
     summaries: list[AgentSummary] = []
     for agent_index, (agent, universe, kind) in enumerate(agents):
         persistences: list[int] = []
+        trajectory: Trajectory | None = None
         for run_index in range(cfg.runs_per_agent):
             run_id = agent_index * cfg.runs_per_agent + run_index
             seed = derive_seed(cfg.master_seed, run_id)
-            trajectory = run_trajectory(universe, agent, cfg.max_steps, seed)
+            # The seed reaches only the random stream: any other agent
+            # replays its first run under every seed.
+            if trajectory is None or agent.random_fasa is not None:
+                trajectory = run_trajectory(universe, agent, cfg.max_steps, seed)
             rows.append(
                 RunRecord(
                     run_id=run_id,

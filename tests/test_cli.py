@@ -339,27 +339,54 @@ class TestExperiment:
         header = out_csv.read_text(encoding="utf-8").splitlines()[0]
         assert header == "run_id,agent,kind,seed,persistence_steps,terminal_reason"
 
-    def test_reference_anchor_bytes(self, reference_path, tmp_path):
+    @pytest.mark.parametrize(
+        "runs,max_steps,digest,size,summary",
+        [
+            (
+                100,
+                500,
+                "65e72fbd46491fafaf4dda8ea189fbd70517ba070ddf791db190003dde458448",
+                18073,
+                [
+                    "agent wanderer (random): mean 3.31 median 3.0 min 3 max 5",
+                    "agent metronome (positional): mean 3.00 median 3.0 min 3 max 3",
+                    "agent pathfinder (afs2a): mean 500.00 median 500.0 min 500 max 500",
+                    "sensitive vs random: U=10000.0 p=3.57e-41 (means 500.00 vs 3.31)",
+                    "sensitive vs positional: U=10000.0 p=3.45e-45 (means 500.00 vs 3.00)",
+                ],
+            ),
+            (
+                1000,
+                5000,
+                "067b51ceaf2c6b91a6bcfdd45232e97025375adac482902619dee6e9a45c1f3c",
+                184215,
+                [
+                    "agent wanderer (random): mean 3.26 median 3.0 min 3 max 6",
+                    "agent metronome (positional): mean 3.00 median 3.0 min 3 max 3",
+                    "agent pathfinder (afs2a): mean 5000.00 median 5000.0 min 5000 max 5000",
+                    "sensitive vs random: U=1000000.0 p=0 (means 5000.00 vs 3.26)",
+                    "sensitive vs positional: U=1000000.0 p=0 (means 5000.00 vs 3.00)",
+                ],
+            ),
+        ],
+        ids=["100x500", "1000x5000"],
+    )
+    def test_reference_anchor_bytes(
+        self, reference_path, tmp_path, runs, max_steps, digest, size, summary
+    ):
+        # The ROADMAP's seed-1 anchors; the 100x500 summary is the one the
+        # README shows.
         out_csv = tmp_path / "runs.csv"
         code, text = cli(
             "experiment", str(reference_path),
-            "--runs", "100", "--max-steps", "500", "--seed", "1",
+            "--runs", str(runs), "--max-steps", str(max_steps), "--seed", "1",
             "--out", str(out_csv),
         )
         assert code == 0
-        digest = hashlib.sha256(out_csv.read_bytes()).hexdigest()
-        assert digest == (
-            "65e72fbd46491fafaf4dda8ea189fbd70517ba070ddf791db190003dde458448"
-        )
-        # The summary the README shows for this command.
-        assert text.splitlines() == [
-            f"wrote 300 rows to {out_csv}",
-            "agent wanderer (random): mean 3.31 median 3.0 min 3 max 5",
-            "agent metronome (positional): mean 3.00 median 3.0 min 3 max 3",
-            "agent pathfinder (afs2a): mean 500.00 median 500.0 min 500 max 500",
-            "sensitive vs random: U=10000.0 p=3.57e-41 (means 500.00 vs 3.31)",
-            "sensitive vs positional: U=10000.0 p=3.45e-45 (means 500.00 vs 3.00)",
-        ]
+        data = out_csv.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        assert len(data) == size
+        assert text.splitlines() == [f"wrote {3 * runs} rows to {out_csv}", *summary]
 
     def test_invalid_spec_prints_diagnostics(self, broken_spec, tmp_path):
         code, text = cli(

@@ -412,6 +412,18 @@ class TestDuplicates:
         assert result.document is not None
         assert any("listed twice" in d.message for d in result.diagnostics)
 
+    def test_long_states_item_warns_once_at_the_repeat(self):
+        ids = [f"s{i}" for i in range(3000)]
+        ids.insert(2000, "s17")
+        result = parse('universe "big" {\n  states: ' + " ".join(ids) + ";\n}\n")
+        warnings = [
+            (d.message, d.line, d.column)
+            for d in result.diagnostics
+            if d.severity is Severity.WARNING
+        ]
+        column = len("  states: ") + sum(len(i) + 1 for i in ids[:2000]) + 1
+        assert warnings == [("state 's17' listed twice", 2, column)]
+
     def test_duplicate_universe_name(self):
         assert any("duplicate universe 'mini'" in m for m in messages(MINI + MINI))
 
@@ -520,6 +532,12 @@ class TestRecovery:
             ("per_step: 1;", "per_step 1;", "", [("expected ':', found '1'", 13, 14)]),
             ("cap: 9;", "", "", [("energy block is missing the 'cap' field", 11, 3)]),
             (
+                "initial: 5;",
+                "initial: 5",
+                "",
+                [("expected ';', found 'per_step'", 13, 5)],
+            ),
+            (
                 "per_step: 1;",
                 "per_step: x;",
                 agent_block("  architecture: random;"),
@@ -529,7 +547,13 @@ class TestRecovery:
                 ],
             ),
         ],
-        ids=["bad-value", "missing-colon", "missing-field", "agent-of-withheld"],
+        ids=[
+            "bad-value",
+            "missing-colon",
+            "missing-field",
+            "missing-semicolon",
+            "agent-of-withheld",
+        ],
     )
     def test_energy_field_recovers_alone(self, old, new, agents, expected):
         # Only the field is at fault: the fields after it are still read,

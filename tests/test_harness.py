@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import exosim.harness
 from exosim import (
     AgentArchitecture,
     ArchitectureKind,
@@ -26,6 +27,7 @@ from exosim import (
 import docgen
 from test_universe import tiny_universe
 from test_architectures import GOOD_ROUTES, RMAP3, learner, micro3
+from test_cli import SIX_KINDS
 
 
 def drifter(seed=1) -> AgentArchitecture:
@@ -243,6 +245,62 @@ class TestExperiment:
         assert "\r" not in text
         assert text.endswith("\n")
         assert len(text.splitlines()) == 1 + 12
+
+
+class TestSimulateOnce:
+    """An agent without a random stream is simulated once per experiment;
+    its rows must equal one plain run_trajectory call per row."""
+
+    def documents(self, reference_doc):
+        return {"reference": reference_doc, "six": parse(SIX_KINDS).document}
+
+    @staticmethod
+    def plain_rows(doc, cfg) -> tuple[RunRecord, ...]:
+        rows = []
+        for agent_index, decl in enumerate(doc.agents):
+            agent, universe = doc.build_agent(decl.name)
+            for run_index in range(cfg.runs_per_agent):
+                run_id = agent_index * cfg.runs_per_agent + run_index
+                seed = derive_seed(cfg.master_seed, run_id)
+                trajectory = run_trajectory(universe, agent, cfg.max_steps, seed)
+                rows.append(
+                    RunRecord(
+                        run_id,
+                        agent.name,
+                        decl.kind.value,
+                        seed,
+                        trajectory.persistence,
+                        trajectory.terminal_reason.value,
+                    )
+                )
+        return tuple(rows)
+
+    @pytest.mark.parametrize("master", [1, 3, 5])
+    def test_rows_match_a_run_per_row(self, reference_doc, tmp_path, master):
+        for name, doc in self.documents(reference_doc).items():
+            cfg = ExperimentConfig(None, 4, 300, master, tmp_path / "out.csv")
+            got = run_experiment_from_document(doc, cfg).rows
+            assert got == self.plain_rows(doc, cfg), name
+
+    def test_only_random_agents_run_per_seed(self, reference_doc, tmp_path, monkeypatch):
+        calls: dict[str, int] = {}
+        plain = exosim.harness.run_trajectory
+
+        def counting(universe, agent, max_steps, seed=None):
+            calls[agent.name] = calls.get(agent.name, 0) + 1
+            return plain(universe, agent, max_steps, seed)
+
+        monkeypatch.setattr(exosim.harness, "run_trajectory", counting)
+        runs = 6
+        for doc in self.documents(reference_doc).values():
+            calls.clear()
+            cfg = ExperimentConfig(None, runs, 50, 1, tmp_path / "out.csv")
+            run_experiment_from_document(doc, cfg)
+            expected = {
+                decl.name: runs if decl.kind is ArchitectureKind.RANDOM else 1
+                for decl in doc.agents
+            }
+            assert calls == expected
 
 
 class TestWriteCsv:
