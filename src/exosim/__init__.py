@@ -32,7 +32,6 @@ from .architectures import (
     RouteTable,
     StepTrace,
     UnitGraph,
-    check_oriented,
     check_oriented_table,
     detect_redundancy,
     splitmix64,
@@ -40,7 +39,6 @@ from .architectures import (
     success_rates,
     unit_draw,
     update_learning,
-    via_class,
 )
 from .digits import (
     ConstantDigits,

@@ -13,6 +13,9 @@ from a source formula toward a fixed goal formula. ``afs2b`` routes
 toward a remembered formula instead, recalling the previous step's
 perception. ``afs3a`` carries a pool of candidate route tables and
 learns which one to trust by scoring its predictions against outcomes.
+It keeps per-table tallies of attempts and successes beside its
+``history``, so each scored episode re-picks the active table in
+O(|pool|), however long the run.
 
 Every generated sequence is collapsed to a single act by a fixed
 projection index (1-based); an empty generation falls back to the
@@ -28,6 +31,7 @@ a finished run carries its perception and generation step by step.
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -197,7 +201,12 @@ class AgentArchitecture:
 
     Mutable fields (memory, history, active_index, episode bookkeeping)
     are per-run state; clone_for_run produces a fresh agent so runs never
-    contaminate each other.
+    contaminate each other. A learning agent also keeps, per candidate
+    table, the attempts and successes its history holds; they are folded
+    in from any history given at construction and kept up by
+    update_learning. So history may only grow through update_learning
+    (clone_for_run starts it empty): assigning or editing it directly
+    leaves success_rates and active_index reading the old tallies.
     """
 
     name: str
@@ -214,6 +223,21 @@ class AgentArchitecture:
     history: list[HistoryRecord] = field(default_factory=list)
     active_index: int = 0
     _episode: _Episode | None = field(default=None, repr=False)
+    _attempts: Counter = field(
+        default_factory=Counter, init=False, repr=False, compare=False
+    )
+    _successes: Counter = field(
+        default_factory=Counter, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        for rec in self.history:
+            self._tally(rec.table_index, rec.success)
+
+    def _tally(self, index: int, success: bool) -> None:
+        self._attempts[index] += 1
+        if success:
+            self._successes[index] += 1
 
     def clone_for_run(self, seed: int | None = None) -> AgentArchitecture:
         """Fresh copy with per-run state reset; seed overrides the random
@@ -221,6 +245,8 @@ class AgentArchitecture:
         clone = copy.copy(self)
         clone.history = []
         clone.active_index = 0
+        clone._attempts = Counter()
+        clone._successes = Counter()
         clone._episode = None
         if self.kind is ArchitectureKind.AFS2B:
             clone.memory = self.goal
@@ -236,14 +262,6 @@ class AgentArchitecture:
         if self.kind is ArchitectureKind.AFS3A:
             return self.candidate_pool[self.active_index]
         return self.routes
-
-
-def via_class(agent: AgentArchitecture) -> int:
-    """Which via the agent acts through: the 1-based projection index
-    selecting one act out of each generated sequence."""
-    if not agent.kind.is_sensitive:
-        raise NotSensitive(f"agent {agent.name!r} has no generation to project")
-    return agent.projection_index
 
 
 @dataclass(frozen=True)
@@ -332,12 +350,7 @@ def step(
 
 def success_rates(agent: AgentArchitecture) -> list[Fraction]:
     """Per-candidate empirical success rate; unattempted candidates are 0."""
-    attempts = [0] * len(agent.candidate_pool)
-    successes = [0] * len(agent.candidate_pool)
-    for rec in agent.history:
-        attempts[rec.table_index] += 1
-        if rec.success:
-            successes[rec.table_index] += 1
+    attempts, successes = agent._attempts, agent._successes
     return [
         Fraction(successes[i], attempts[i]) if attempts[i] else Fraction(0)
         for i in range(len(agent.candidate_pool))
@@ -353,7 +366,9 @@ def update_learning(
     """Record one scored prediction and re-pick the active candidate.
 
     The active candidate is the one with the highest empirical success
-    rate so far; ties go to the lowest index. Mutates and returns agent.
+    rate so far; ties go to the lowest index. The pick reads the tallies,
+    so it costs O(|pool|) whatever the length of history. Mutates and
+    returns agent.
     """
     if agent.kind is not ArchitectureKind.AFS3A:
         raise NotSensitive(f"agent {agent.name!r} is not a learning architecture")
@@ -363,8 +378,14 @@ def update_learning(
     if not 0 <= index < len(agent.candidate_pool):
         raise ArchitectureError(f"candidate index {index} out of range")
     agent.history.append(HistoryRecord(observed, index, success))
-    rates = success_rates(agent)
-    best = max(range(len(rates)), key=lambda i: (rates[i], -i))
+    agent._tally(index, success)
+    # Compare rates s/a exactly by cross-multiplying; an unattempted
+    # candidate counts as 0/1.
+    attempts, successes = agent._attempts, agent._successes
+    best = 0
+    for i in range(1, len(agent.candidate_pool)):
+        if successes[i] * (attempts[best] or 1) > successes[best] * (attempts[i] or 1):
+            best = i
     agent.active_index = best
     return agent
 
@@ -397,16 +418,6 @@ def check_oriented_table(
         if state != expected:
             out.append(OrientedViolation(source_f, goal_f, seq, state, expected))
     return out
-
-
-def check_oriented(agent: AgentArchitecture, universe: Universe) -> list[OrientedViolation]:
-    """check_oriented_table for the agent's steering route table."""
-    table = agent.active_routes()
-    if table is None:
-        raise ArchitectureError(f"agent {agent.name!r} has no route table to check")
-    if agent.representation is None:
-        raise ArchitectureError(f"agent {agent.name!r} has no representation")
-    return check_oriented_table(table, agent.representation, universe)
 
 
 @dataclass(frozen=True)

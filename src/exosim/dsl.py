@@ -5,7 +5,8 @@ format is line-oriented UTF-8 with `#` comments and semicolon-terminated
 items. Parsing never throws on bad input: it returns diagnostics with
 line and column positions, recovering at item boundaries so one mistake
 does not hide the rest; the fields of an energy block recover one by one,
-like items. A document containing any error is withheld; callers only
+like items, and a block that lost its '}' ends at the next `universe` or
+`agent` keyword. A document containing any error is withheld; callers only
 ever receive fully checked declarations.
 
 Diagnostics come in this order: lexical errors; then, in document order,
@@ -435,7 +436,14 @@ class _Parser:
             what, parse_item = "an agent item", self._parse_aitem
             rows = {item: [] for item in _ROWS_IGNORED}
         block = _Block(keyword, name, universe_name, rows)
-        while not self.at_punct("}") and self.peek().kind != "eof":
+        # A block keyword where an item should start means this block lost
+        # its '}': end it there, so the next block reads as a block.
+        while not (
+            self.at_punct("}")
+            or self.peek().kind == "eof"
+            or self.at_id("universe")
+            or self.at_id("agent")
+        ):
             tok = self.peek()
             try:
                 if tok.kind != "id":
@@ -443,10 +451,15 @@ class _Parser:
                 parse_item(block, self.advance())
             except _ItemError:
                 self.skip_item()
-        if self.peek().kind == "eof":
+        if self.at_punct("}"):
+            self.advance()
+        elif self.peek().kind == "eof":
             self.error(f"unterminated {keyword.value} block: missing '}}'")
         else:
-            self.advance()
+            self.error(
+                f"unterminated {keyword.value} block: missing '}}' before "
+                f"{self._describe(self.peek())}"
+            )
         return block
 
     # -- universe ----------------------------------------------------------

@@ -1,7 +1,8 @@
 """Independent oracles for the test suite.
 
 Everything in this module recomputes expected values from first
-principles: spigot series for constants, exhaustive set enumeration for
+principles: spigots and fixed-point series for constants, a rescan of
+the whole history for learning, exhaustive set enumeration for
 the stability metrics, breadth-first search for routes, and brute-force
 scans for redundancy patterns. Nothing here calls into exosim, so each
 test compares two independent routes to the same answer.
@@ -14,7 +15,7 @@ import random
 from collections import deque
 from fractions import Fraction
 
-# First 50 significant decimal digits, used to anchor the spigots.
+# First 50 significant decimal digits, used to anchor the spigots and series.
 PI_DIGITS_50 = "31415926535897932384626433832795028841971693993751"
 E_DIGITS_50 = "27182818284590452353602874713526624977572470936999"
 
@@ -59,41 +60,78 @@ def e_decimal_digits(count: int) -> list[int]:
     return out
 
 
+def _arctan_inverse(x: int, one: int) -> tuple[int, int]:
+    """arctan(1/x) * one by its Taylor series in fixed point, with a
+    bound on the error in units of one part: (value, error bound)."""
+    power = one // x
+    total = power
+    terms = 1
+    divisor = 3
+    while power:
+        power //= x * x
+        term = power // divisor
+        total += -term if terms % 2 else term
+        terms += 1
+        divisor += 2
+    # Each term is off by under 2 units, and the dropped tail is under 4.
+    return total, 2 * (terms + 2)
+
+
+def pi_fixed_point(scale: int) -> tuple[int, int]:
+    """Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239) at
+    10**scale: (N, err) with |pi * 10**scale - N| <= err."""
+    one = 10**scale
+    a, a_err = _arctan_inverse(5, one)
+    b, b_err = _arctan_inverse(239, one)
+    return 16 * a - 4 * b, 16 * a_err + 4 * b_err
+
+
+def e_fixed_point(scale: int) -> tuple[int, int]:
+    """e = sum of 1/k! at 10**scale: (N, err) with |e * 10**scale - N| <= err."""
+    term = 10**scale
+    total = 0
+    terms = 0
+    while term:
+        total += term
+        terms += 1
+        term //= terms
+    # Each term is off by under 2 units, and the dropped tail is under 4.
+    return total, 2 * (terms + 2)
+
+
 def _digits_from_scaled(scaled: int, scale: int, base: int, count: int) -> list[int]:
     """First count base-b digits of scaled / 10**scale (integer part first),
-    each fractional digit extracted positionally as floor(x * b^k) mod b."""
+    the fractional ones by repeated multiplication by the base."""
     modulus = 10**scale
     integer_part, frac = divmod(scaled, modulus)
-    width = 0
-    probe = integer_part
-    while probe:
-        probe //= base
-        width += 1
-    head = [(integer_part // base**k) % base for k in range(width - 1, -1, -1)]
-    out = head[:count]
-    k = 1
+    head = []
+    while integer_part:
+        integer_part, d = divmod(integer_part, base)
+        head.append(d)
+    out = head[::-1][:count]
     while len(out) < count:
-        out.append((frac * base**k // modulus) % base)
-        k += 1
+        d, frac = divmod(frac * base, modulus)
+        out.append(d)
     return out
 
 
 def certified_constant_digits(name: str, base: int, count: int) -> list[int]:
     """Base-b digits of pi or e, certified by interval agreement.
 
-    The spigot supplies exact decimal digits, giving the enclosure
-    [N, N+1] / 10**scale; a digit is certified when both endpoints agree
-    on it. Precision is raised until the whole prefix is certain.
+    A fixed-point series (Machin's formula for pi, the factorial series
+    for e) gives N and a bound err with the constant inside
+    [N - err, N + err] / 10**scale; a digit is certified when both
+    endpoints agree on it. Precision is raised until the whole prefix is
+    certain.
     """
     if base == 1:
         return [0] * count
-    source = pi_decimal_digits if name == "pi" else e_decimal_digits
+    source = pi_fixed_point if name == "pi" else e_fixed_point
     scale = int(count * math.log10(base)) + 8
     while True:
-        decimal = source(scale + 1)
-        scaled = int("".join(map(str, decimal)))
-        lo = _digits_from_scaled(scaled, scale, base, count)
-        hi = _digits_from_scaled(scaled + 1, scale, base, count)
+        scaled, err = source(scale)
+        lo = _digits_from_scaled(scaled - err, scale, base, count)
+        hi = _digits_from_scaled(scaled + err, scale, base, count)
         if lo == hi:
             return lo
         scale += 32
@@ -183,6 +221,32 @@ def stability_oracle(
         "instability": instability,
         "total": basic - instability,
     }
+
+
+# ---------------------------------------------------------------------------
+# Learning
+
+
+def success_rates(history, pool_size: int) -> list[Fraction]:
+    """Per-candidate success rate by rescanning a learner's whole history
+    (records with table_index and success); unattempted candidates are 0."""
+    attempts = [0] * pool_size
+    successes = [0] * pool_size
+    for rec in history:
+        attempts[rec.table_index] += 1
+        if rec.success:
+            successes[rec.table_index] += 1
+    return [
+        Fraction(successes[i], attempts[i]) if attempts[i] else Fraction(0)
+        for i in range(pool_size)
+    ]
+
+
+def active_index(history, pool_size: int) -> int:
+    """The candidate a learner should trust: highest rate, ties to the
+    lowest index."""
+    rates = success_rates(history, pool_size)
+    return max(range(pool_size), key=lambda i: (rates[i], -i))
 
 
 # ---------------------------------------------------------------------------

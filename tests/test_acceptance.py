@@ -15,7 +15,6 @@ import time
 
 from exosim import (
     RouteTable,
-    check_oriented,
     check_oriented_table,
     derive_objectives,
     parse,
@@ -151,7 +150,9 @@ def test_criterion_4_generator_semantics(reference_doc):
 
 def test_criterion_5_oriented_check(reference_doc):
     pathfinder, universe = reference_doc.build_agent("pathfinder")
-    assert check_oriented(pathfinder, universe) == []
+    assert check_oriented_table(
+        pathfinder.routes, pathfinder.representation, universe
+    ) == []
 
     entries = dict(pathfinder.routes.entries)
     entries[("at_c4", "at_oasis")] = ("probe",)

@@ -28,7 +28,6 @@ from exosim import (
     Universe,
     UnrepresentedFormula,
     UnitGraph,
-    check_oriented,
     check_oriented_table,
     detect_redundancy,
     splitmix64,
@@ -36,7 +35,6 @@ from exosim import (
     success_rates,
     unit_draw,
     update_learning,
-    via_class,
 )
 
 import oracles
@@ -167,25 +165,17 @@ class TestKinds:
             ArchitectureKind.AFS3A,
         }
 
-    def test_via_class_reports_projection(self):
+    def test_projection_index_selects_the_act(self):
         agent = AgentArchitecture(
             name="a",
             kind=ArchitectureKind.AFS2A,
             representation=RMAP3,
             projection_index=2,
-            routes=RouteTable({}, 3),
+            routes=RouteTable({("r0", "rg"): ("sit", "go")}, 3),
             goal="rg",
         )
-        assert via_class(agent) == 2
-
-    def test_via_class_rejects_elementary(self):
-        agent = AgentArchitecture(
-            name="r",
-            kind=ArchitectureKind.RANDOM,
-            random_fasa=RandomFasa(1, ("go", "sit")),
-        )
-        with pytest.raises(NotSensitive):
-            via_class(agent)
+        assert agent.projection_index == 2
+        assert step(agent, micro3(), "x0", 0).act == "go"
 
 
 class TestReactive:
@@ -386,6 +376,68 @@ class TestLearning:
             update_learning(agent, "r0", True, table_index=1)
 
 
+class _NoIteration(list):
+    def __iter__(self):
+        raise AssertionError("history was rescanned")
+
+
+class TestLearningTallies:
+    """The tallies behind success_rates and the active pick must always
+    agree with a rescan of the whole history."""
+
+    @given(
+        pool_size=st.integers(1, 4),
+        given_history=st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=8),
+        updates=st.lists(
+            st.tuples(st.one_of(st.none(), st.integers(0, 3)), st.booleans()),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tallies_match_history_rescan(self, pool_size, given_history, updates):
+        pool = [GOOD_ROUTES, SIT_ROUTES, GOOD_ROUTES, SIT_ROUTES][:pool_size]
+        history = [
+            HistoryRecord("r0", index % pool_size, success)
+            for index, success in given_history
+        ]
+        agent = AgentArchitecture(
+            name="learner",
+            kind=ArchitectureKind.AFS3A,
+            representation=RMAP3,
+            candidate_pool=tuple(pool),
+            goal="rg",
+            history=history,
+        )
+        assert success_rates(agent) == oracles.success_rates(agent.history, pool_size)
+        for index, success in updates:
+            table_index = None if index is None else index % pool_size
+            update_learning(agent, "r1", success, table_index=table_index)
+            assert success_rates(agent) == oracles.success_rates(agent.history, pool_size)
+            assert agent.active_index == oracles.active_index(agent.history, pool_size)
+
+    def test_clone_resets_tallies(self):
+        agent = learner([SIT_ROUTES, GOOD_ROUTES])
+        update_learning(agent, "r0", True, table_index=1)
+        update_learning(agent, "r0", False, table_index=0)
+        clone = agent.clone_for_run()
+        assert success_rates(clone) == [Fraction(0), Fraction(0)]
+        update_learning(clone, "r0", False, table_index=1)
+        assert success_rates(clone) == [Fraction(0), Fraction(0)]
+        assert clone.active_index == 0
+        # The original keeps its own tallies.
+        assert success_rates(agent) == [Fraction(0), Fraction(1)]
+        assert agent.active_index == 1
+
+    def test_update_never_rescans_history(self):
+        agent = learner([SIT_ROUTES, GOOD_ROUTES])
+        agent.history = _NoIteration()
+        for i in range(5):
+            update_learning(agent, "r0", i % 2 == 0, table_index=i % 2)
+        assert len(agent.history) == 5
+        assert success_rates(agent) == [Fraction(1), Fraction(0)]
+        assert agent.active_index == 0
+
+
 class TestLearningEpisodes:
     """Closed-loop runs: predictions issued while stepping get scored
     when the goal shows up in time, or when the step budget runs out."""
@@ -519,7 +571,7 @@ class TestStep:
 class TestOriented:
     def test_fixture_routes_are_oriented(self, pathfinder_pair):
         agent, universe = pathfinder_pair
-        assert check_oriented(agent, universe) == []
+        assert check_oriented_table(agent.routes, agent.representation, universe) == []
 
     def test_bfs_built_table_is_oriented(self, ejemplo5_doc):
         u = ejemplo5_doc.build_universe("ejemplo5")

@@ -13,6 +13,7 @@ from exosim import (
     parse_digit_string,
 )
 
+import exosim.digits as digits_module
 import oracles
 
 
@@ -52,15 +53,60 @@ class TestConstantDigits:
         assert constant_digits("pi", 10, 0) == []
 
     @pytest.mark.parametrize("name", ["pi", "e"])
-    @pytest.mark.parametrize("base", [2, 3, 4, 10, 16])
+    @pytest.mark.parametrize("base", [2, 3, 4, 5, 10, 16])
     def test_long_run_matches_certified_oracle(self, name, base):
-        want = oracles.certified_constant_digits(name, base, 1000)
-        assert constant_digits(name, base, 1000) == want
+        # 5000 digits are split eight levels deep before the conversion
+        # reaches its 32-digit leaves, in every base.
+        want = oracles.certified_constant_digits(name, base, 5000)
+        assert constant_digits(name, base, 5000) == want
 
     def test_digits_in_range(self):
         for base in (2, 3, 7, 12):
             for d in constant_digits("pi", base, 200):
                 assert 0 <= d < base
+
+
+class TestOracleSeries:
+    @pytest.mark.parametrize("name", ["pi", "e"])
+    def test_fixed_point_series_agree_with_spigot(self, name):
+        # The certified oracle reads the series; the spigots and the
+        # 50-digit anchors check the series.
+        series = oracles.pi_fixed_point if name == "pi" else oracles.e_fixed_point
+        spigot = oracles.pi_decimal_digits if name == "pi" else oracles.e_decimal_digits
+        anchor = oracles.PI_DIGITS_50 if name == "pi" else oracles.E_DIGITS_50
+        scaled, err = series(1010)
+        low, high = str(scaled - err)[:1000], str(scaled + err)[:1000]
+        assert low == high == "".join(map(str, spigot(1000)))
+        assert low.startswith(anchor)
+
+
+class TestConversion:
+    """The certified floor and the radix conversion, each against a plain
+    recomputation."""
+
+    @pytest.mark.parametrize("base", [3, 4, 10])
+    def test_thin_guard_still_certifies(self, monkeypatch, base):
+        # One guard bit leaves the floor in doubt at many widths, so the
+        # read is retried with more guard bits until both ends agree.
+        monkeypatch.setattr(digits_module, "_GUARD_BITS", 1)
+        for count in (1, 2, 7, 64, 301, 1000):
+            want = oracles.certified_constant_digits("e", base, count)
+            assert constant_digits("e", base, count) == want
+
+    @given(
+        base=st.integers(2, 40),
+        width=st.integers(0, 200),
+        data=st.data(),
+    )
+    @settings(max_examples=200)
+    def test_radix_conversion_pads_and_splits(self, base, width, data):
+        value = data.draw(st.integers(0, base**width - 1))
+        want = []
+        rest = value
+        for _ in range(width):
+            rest, d = divmod(rest, base)
+            want.append(d)
+        assert digits_module._radix_digits(value, base, width) == want[::-1]
 
 
 class TestLazyStream:
@@ -81,6 +127,21 @@ class TestLazyStream:
     def test_negative_position_rejected(self):
         with pytest.raises(DigitError):
             ConstantDigits("pi", 10).digit(-1)
+
+    @pytest.mark.parametrize("name,base", [("pi", 4), ("e", 3)])
+    def test_stream_across_doublings_equals_one_call(self, monkeypatch, name, base):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return constant_digits(*args)
+
+        # The stream must look constant_digits up through the module.
+        monkeypatch.setattr(digits_module, "constant_digits", counted)
+        stream = ConstantDigits(name, base)
+        read = [stream.digit(position) for position in range(5001)]
+        assert len(calls) >= 6
+        assert read == constant_digits(name, base, 5001)
 
 
 class TestExplicitDigits:

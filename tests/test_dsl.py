@@ -564,6 +564,33 @@ class TestRecovery:
         got = [(d.message, d.line, d.column) for d in result.diagnostics]
         assert got == expected
 
+    @pytest.mark.parametrize(
+        "old,new,expected",
+        [
+            (
+                "    cap: 24;\n  }\n}\n",
+                "    cap: 24;\n}\n",
+                [("unterminated universe block: missing '}' before 'agent'", 74, 1)],
+            ),
+            (
+                "  seed: 7;\n}\n",
+                "  seed: 7;\n",
+                [("unterminated agent block: missing '}' before 'agent'", 79, 1)],
+            ),
+        ],
+        ids=["energy-last-item", "agent"],
+    )
+    def test_lost_brace_ends_at_next_block(self, reference_path, old, new, expected):
+        # The energy block's '}' gone: the universe's own '}' closes the
+        # energy block, and the next agent keyword ends the universe with
+        # one error. Every later block still parses as a block.
+        text = reference_path.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        result = parse(text.replace(old, new))
+        assert result.document is None
+        got = [(d.message, d.line, d.column) for d in result.diagnostics]
+        assert got == expected
+
     def test_bad_item_does_not_eat_the_block(self):
         body = (
             "  architecture: afs1;\n"
