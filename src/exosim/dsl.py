@@ -222,15 +222,20 @@ class _Token(NamedTuple):
     column: int
 
 
+# Each match is one token with the blanks and comment before it. `eof`
+# matches at the end of the text, so trailing blanks never come back as
+# `other` tokens.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<newline>\n)
-    | (?P<space>[\ \t\r]+|\#[^\n]*)
-    | (?P<string>"(?P<body>(?:\\["\\]|[^"\n])*)(?P<end>"?))
-    | (?P<int>\d+)
-    | (?P<id>[^\W\d]\w*)
-    | (?P<punct>->|[{};:])
-    | (?P<other>.)
+    [\ \t\r]*(?:\#[^\n]*)?
+    (?: (?P<newline>\n)
+      | (?P<string>"(?P<body>(?:\\["\\]|[^"\n])*)(?P<end>"?))
+      | (?P<int>\d+)
+      | (?P<id>[^\W\d]\w*)
+      | (?P<punct>->|[{};:])
+      | (?P<other>[^\ \t\r\#\n])
+      | (?P<eof>\Z)
+    )
     """,
     re.VERBOSE,
 )
@@ -241,8 +246,8 @@ def _lex(text: str, diags: list[ParseDiagnostic]) -> list[_Token]:
     tokens: list[_Token] = []
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
-        kind, value = m.lastgroup, m.group()
-        column = m.start() - line_start + 1
+        kind = m.lastgroup
+        column = m.start(kind) - line_start + 1
         if kind == "newline":
             line, line_start = line + 1, m.end()
         elif kind == "string":
@@ -254,12 +259,13 @@ def _lex(text: str, diags: list[ParseDiagnostic]) -> list[_Token]:
         elif kind == "other":
             diags.append(
                 ParseDiagnostic(
-                    Severity.ERROR, f"unexpected character {value!r}", line, column
+                    Severity.ERROR, f"unexpected character {m[kind]!r}", line, column
                 )
             )
-        elif kind != "space":
-            tokens.append(_Token(kind, value, line, column))
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+        else:
+            tokens.append(_Token(kind, m[kind], line, column))
+            if kind == "eof":  # blanks before the end match it twice
+                break
     return tokens
 
 
@@ -310,6 +316,11 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "id" and tok.value == value
 
+    def at_block(self) -> bool:
+        """At a 'universe' or 'agent' keyword, where a block starts."""
+        tok = self.peek()
+        return tok.kind == "id" and tok.value in ("universe", "agent")
+
     def error(self, message: str, tok: _Token | None = None) -> None:
         tok = tok or self.peek()
         self.diags.append(ParseDiagnostic(Severity.ERROR, message, tok.line, tok.column))
@@ -351,14 +362,15 @@ class _Parser:
 
     def skip_item(self) -> None:
         """Resynchronize after an item error: consume through the next ';'
-        but stop short of a closing '}'. Always makes progress, so a
-        stray token can never wedge the block loop."""
+        but stop short of a closing '}' or a block keyword. Always makes
+        progress unless it stops there, and the block loop stops there too,
+        so a stray token can never wedge it."""
         first = True
         while True:
             tok = self.peek()
             if tok.kind == "eof" or (tok.kind == "punct" and tok.value == "}"):
                 return
-            if tok.kind == "punct" and tok.value == "{" and not first:
+            if self.at_block() or (tok.kind == "punct" and tok.value == "{" and not first):
                 return
             first = False
             self.advance()
@@ -372,7 +384,7 @@ class _Parser:
         agents: list[_Block] = []
         spans: dict = {}
         while self.peek().kind != "eof":
-            if self.at_id("universe") or self.at_id("agent"):
+            if self.at_block():
                 block = self._parse_block()
                 if block is None:
                     continue
@@ -392,9 +404,7 @@ class _Parser:
                     f"expected 'universe' or 'agent', found {self._describe(self.peek())}"
                 )
                 self.advance()
-                while self.peek().kind != "eof" and not (
-                    self.at_id("universe") or self.at_id("agent")
-                ):
+                while self.peek().kind != "eof" and not self.at_block():
                     self.advance()
         decls: list[AgentDecl] = []
         seen: set[str] = set()
@@ -438,12 +448,7 @@ class _Parser:
         block = _Block(keyword, name, universe_name, rows)
         # A block keyword where an item should start means this block lost
         # its '}': end it there, so the next block reads as a block.
-        while not (
-            self.at_punct("}")
-            or self.peek().kind == "eof"
-            or self.at_id("universe")
-            or self.at_id("agent")
-        ):
+        while not (self.at_punct("}") or self.peek().kind == "eof" or self.at_block()):
             tok = self.peek()
             try:
                 if tok.kind != "id":
@@ -522,9 +527,10 @@ class _Parser:
             self.expect_punct("{")
             values: list[int | None] = []
             # Each field is an item of its own. Reading stops after the last
-            # field, so a missing '}' does not swallow the items after it.
+            # field or at a block keyword, so a missing '}' does not swallow
+            # the items or blocks after it.
             while len(values) < len(_ENERGY_FIELDS) and self.peek().kind != "eof":
-                if self.at_punct("}"):
+                if self.at_punct("}") or self.at_block():
                     break
                 try:
                     self._energy_field(values)

@@ -7,6 +7,13 @@ is the mirror image (departures toward negative objectives, exits from
 positive states toward neutral ground). Both are exact rationals; total
 stability is their difference.
 
+stability_report groups the counts by goal in one pass over the routes:
+each route adds the universe states its source formula represents to
+its goal's tally, split by standing. A departure count is a goal's whole
+tally; an escape count toward a neutral state is the Negative or
+Positive part of its formula's tally. A report thus costs
+O(|states| + |routes|) lookups.
+
 With k positive objectives each covered from every state and every
 negative state holding an exit, basic stability reaches 1 + |E-|/|E|,
 so values above 1 are possible; 1 is the natural "fully steered toward
@@ -15,6 +22,7 @@ the positive" mark.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -96,32 +104,6 @@ def departure_set(
     )
 
 
-def _escapes(
-    table: RouteTable,
-    rmap: RepresentationMap,
-    universe: Universe,
-    from_class: StateClass,
-) -> dict[StateId, int]:
-    """Per neutral state j: how many states of from_class hold a route
-    toward j's formula. Unrepresented neutral states offer no target."""
-    sources = sorted(s for s in universe.states if universe.class_of(s) is from_class)
-    out: dict[StateId, int] = {}
-    for j in sorted(universe.states):
-        if universe.class_of(j) is not StateClass.NEUTRAL:
-            continue
-        formula_j = rmap.formula_for(j)
-        if formula_j is None:
-            out[j] = 0
-            continue
-        out[j] = sum(
-            1
-            for s in sources
-            if (f := rmap.formula_for(s)) is not None
-            and table.sequence(f, formula_j) is not None
-        )
-    return out
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Exact stability accounting for one table in one universe.
@@ -157,14 +139,29 @@ def stability_report(
     universe: Universe,
 ) -> StabilityReport:
     """Exact basic stability, instability, and their difference."""
-    n = len(universe.states)
+    classes = {s: universe.class_of(s) for s in universe.states}
+    n = len(classes)
+    # (goal formula, class) -> universe states of that class that hold a
+    # route toward the goal. Each route adds the states of its source.
+    tally: Counter[tuple[Formula, StateClass]] = Counter()
+    for source, goal in table.entries:
+        for state in rmap.states_for(source):
+            if state in classes:
+                tally[goal, classes[state]] += 1
     departures = {
-        f: len(departure_set(table, rmap, f, universe))
+        f: sum(tally[f, cls] for cls in StateClass)
         for f in sorted(objectives.objectives)
-        if f in rmap.image
+        if rmap.states_for(f)
     }
-    neg_escapes = _escapes(table, rmap, universe, StateClass.NEGATIVE)
-    pos_escapes = _escapes(table, rmap, universe, StateClass.POSITIVE)
+    # An escape toward neutral state j is a state with a route toward j's
+    # formula; an unrepresented neutral state offers no target.
+    neutral = {
+        j: rmap.formula_for(j) for j in sorted(classes) if classes[j] is StateClass.NEUTRAL
+    }
+    neg_escapes, pos_escapes = (
+        {j: 0 if f is None else tally[f, cls] for j, f in neutral.items()}
+        for cls in (StateClass.NEGATIVE, StateClass.POSITIVE)
+    )
 
     basic = StabilityReport._term_toward(departures, objectives.positive, n)
     if n:
@@ -176,7 +173,7 @@ def stability_report(
     context = (
         universe.name,
         tuple(sorted(universe.states)),
-        tuple(sorted((s, universe.class_of(s).value) for s in universe.states)),
+        tuple(sorted((s, cls.value) for s, cls in classes.items())),
         tuple(sorted(objectives.objectives)),
     )
     return StabilityReport(

@@ -367,3 +367,57 @@ def random_universe_case(rng: random.Random) -> dict:
         "table": table,
         "depth": depth,
     }
+
+
+
+def shared_formula_case(rng: random.Random) -> dict:
+    """One random stability case of the shapes random_universe_case never
+    draws: formulas shared by two or three states, route sources outside
+    the image, and represented ids outside the universe. Foreign ids sit
+    only behind formulas that no route targets, so every goal stands for
+    universe states of one standing, or for no state at all, and the
+    objectives stay decidable."""
+    n_states = rng.randint(2, 9)
+    n_acts = rng.randint(1, 3)
+    states = [f"s{i}" for i in range(n_states)]
+    acts = [f"a{i}" for i in range(n_acts)]
+    classes = {s: rng.choice(("positive", "neutral", "negative")) for s in states}
+    transitions = {(s, a): rng.choice(states) for s in states for a in acts}
+    covered = rng.sample(states, rng.randint(0, n_states))
+    rmap: dict[str, str] = {}
+    formulas: list[str] = []
+    while covered:
+        size = rng.choice((1, 2, 2, 3))
+        formulas.append(f"f{len(formulas)}")
+        rmap.update((s, formulas[-1]) for s in covered[:size])
+        covered = covered[size:]
+    # Foreign ids join an existing formula or get one of their own.
+    for i in range(rng.randint(0, 3)):
+        own = f"g{i}"
+        rmap[f"x{i}"] = rng.choice(formulas + [own]) if formulas else own
+    image = sorted(set(rmap.values()))
+
+    def goal_ready(formula: str) -> bool:
+        members = [s for s, f in rmap.items() if f == formula]
+        if not all(s in classes for s in members):
+            return False
+        return len({classes[s] for s in members}) == 1
+
+    goals = [f for f in image if goal_ready(f)] + ["nowhere"]
+    sources = image + ["elsewhere", "nowhere"]
+    table: dict[tuple[str, str], tuple[str, ...]] = {}
+    depth = rng.randint(1, 3)
+    for _ in range(rng.randint(0, 14)):
+        seq = tuple(rng.choice(acts) for _ in range(rng.randint(1, depth)))
+        table[(rng.choice(sources), rng.choice(goals))] = seq
+    return {
+        "states": states,
+        "acts": acts,
+        "classes": classes,
+        "transitions": transitions,
+        "initial": rng.choice(states),
+        "neutral_act": rng.choice(acts),
+        "rmap": rmap,
+        "table": table,
+        "depth": depth,
+    }

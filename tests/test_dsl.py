@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from exosim import (
     parse_file,
     serialize,
 )
+from exosim.dsl import _lex
 
 import docgen
 
@@ -591,6 +593,20 @@ class TestRecovery:
         got = [(d.message, d.line, d.column) for d in result.diagnostics]
         assert got == expected
 
+    def test_item_error_at_lost_brace_keeps_next_agent(self, reference_path):
+        # The item error stops at the next agent keyword instead of reading
+        # that agent's header as items of this block: metronome and
+        # pathfinder still parse as blocks, with no errors of their own.
+        text = reference_path.read_text(encoding="utf-8")
+        assert text.count("  seed: 7;\n}") == 1
+        result = parse(text.replace("  seed: 7;\n}", "  seed: 7"))
+        assert result.document is None
+        got = [(d.severity, d.message, d.line, d.column) for d in result.diagnostics]
+        assert got == [
+            (Severity.ERROR, "expected ';', found 'agent'", 79, 1),
+            (Severity.ERROR, "unterminated agent block: missing '}' before 'agent'", 79, 1),
+        ]
+
     def test_bad_item_does_not_eat_the_block(self):
         body = (
             "  architecture: afs1;\n"
@@ -715,6 +731,22 @@ class TestLexical:
         again = parse(serialize(doc)).document
         assert again == doc
 
+
+    def test_reference_tokens_match_pinned_list(self, reference_path):
+        # reference_tokens.txt: one "line:column kind value" row per token.
+        pinned = Path(__file__).with_name("reference_tokens.txt")
+        diags = []
+        tokens = _lex(reference_path.read_text(encoding="utf-8"), diags)
+        assert diags == []
+        got = [f"{t.line}:{t.column} {t.kind} {t.value!r}" for t in tokens]
+        assert got == pinned.read_text(encoding="utf-8").splitlines()
+
+    def test_trailing_blanks_and_comment_end_in_one_eof(self):
+        tokens = _lex("a \t# note", [])
+        assert [(t.kind, t.value, t.line, t.column) for t in tokens] == [
+            ("id", "a", 1, 1),
+            ("eof", "", 1, 10),
+        ]
 
     def test_non_decimal_digit_is_not_an_integer(self):
         result = parse(MINI.replace("initial: 5;", "initial: ²;"))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,33 @@ class TestOracleEquivalence:
             assert report.instability == want["instability"]
             assert report.total_stability == want["total"]
 
+    def test_shared_and_foreign_formulas_match_first_principles(self):
+        # Formulas shared by several states, sources outside the image and
+        # represented ids outside the universe: each shape must show up.
+        rng = random.Random(2718)
+        shapes = Counter()
+        for _ in range(400):
+            case = oracles.shared_formula_case(rng)
+            universe, rmap, table = build_case(case)
+            shapes["shared"] += not rmap.is_injective()
+            shapes["foreign"] += any(s not in universe.states for s in rmap.entries)
+            shapes["outside"] += any(src not in rmap.image for src, _ in table.entries)
+            want = oracles.stability_oracle(
+                case["states"], case["classes"], case["rmap"], case["table"]
+            )
+            sets = derive_objectives(table, rmap, universe)
+            assert sets.objectives == frozenset(want["objectives"])
+            assert sets.positive == frozenset(want["positive"])
+            assert sets.negative == frozenset(want["negative"])
+            report = stability_report(table, rmap, sets, universe)
+            assert dict(report.departures) == want["departures"]
+            assert dict(report.negative_escapes) == want["negative_escapes"]
+            assert dict(report.positive_escapes) == want["positive_escapes"]
+            assert report.basic_stability == want["basic"]
+            assert report.instability == want["instability"]
+            assert report.total_stability == want["total"]
+        assert min(shapes[k] for k in ("shared", "foreign", "outside")) >= 100, shapes
+
     def test_new_positive_route_never_lowers_basic(self):
         # Adding a route from an uncovered represented state toward an
         # already positive objective can only widen a departure set.
@@ -246,6 +274,51 @@ class TestOracleEquivalence:
             assert after.basic_stability >= before.basic_stability
             exercised += 1
         assert exercised >= 20
+
+
+class TestCostBound:
+    def test_lookups_grow_with_states_plus_routes(self, monkeypatch):
+        # About 3000 states and 3000 routes toward 30 goals. Scanning every
+        # state per objective, or every source per neutral state, costs
+        # millions of lookups; grouping routes by goal costs a few per
+        # state and route.
+        rng = random.Random(3000)
+        states = [f"q{i:04d}" for i in range(3000)]
+        universe = Universe(
+            name="large",
+            states=frozenset(states),
+            acts=frozenset(("go",)),
+            initial=states[0],
+            neutral_act="go",
+            transitions={(s, "go"): rng.choice(states) for s in states},
+            classes={s: rng.choice(list(StateClass)) for s in states},
+            energy=EnergyRules(5, 1, 0, 0, 10),
+        )
+        rmap = RepresentationMap({s: f"r{s}" for s in states})
+        table = RouteTable(
+            {
+                (f"r{src}", f"r{goal}"): ("go",)
+                for goal in rng.sample(states, 30)
+                for src in rng.sample(states, 100)
+            },
+            1,
+        )
+        sets = derive_objectives(table, rmap, universe)
+        calls = Counter()
+        for cls, name in (
+            (RepresentationMap, "formula_for"),
+            (RepresentationMap, "states_for"),
+            (RouteTable, "sequence"),
+        ):
+
+            def counted(*args, _name=name, _original=getattr(cls, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+        stability_report(table, rmap, sets, universe)
+        bound = 4 * (len(states) + len(table.entries))
+        assert sum(calls.values()) <= bound, (dict(calls), bound)
 
 
 def kleene_oracle(s: bool, r: bool, n: bool, rp: TriValue, np: TriValue) -> TriValue:
