@@ -30,12 +30,10 @@ from .architectures import (
     RandomFasa,
     ReactionTable,
     RouteTable,
-    StepTrace,
     UnitGraph,
     check_oriented_table,
     detect_redundancy,
     splitmix64,
-    step,
     success_rates,
     unit_draw,
     update_learning,

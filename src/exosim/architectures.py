@@ -22,10 +22,8 @@ projection index (1-based); an empty generation falls back to the
 universe's neutral act, which is what makes unrepresented states safe
 to encounter but expensive to linger in.
 
-``step`` is the one stepping function: it dispatches on the agent's
-kind and returns a ``StepTrace`` of what the agent perceived, generated
-and chose. The harness copies each trace into ``Trajectory.steps``, so
-a finished run carries its perception and generation step by step.
+``_choose`` is one sensitive choice: perception, generation, projection.
+The stepping loop that calls it is ``harness.run_trajectory``.
 """
 
 from __future__ import annotations
@@ -264,31 +262,6 @@ class AgentArchitecture:
         return self.routes
 
 
-@dataclass(frozen=True)
-class StepTrace:
-    """What one step perceived, generated, and chose.
-
-    Elementary kinds perceive and generate nothing: formula and sequence
-    are None.
-    """
-
-    formula: Formula | None
-    sequence: tuple[ActId, ...] | None
-    act: ActId
-
-
-def _generate(agent: AgentArchitecture, formula: Formula) -> tuple[ActId, ...] | None:
-    if agent.kind is ArchitectureKind.AFS1:
-        act = agent.reaction.act(formula) if agent.reaction else None
-        return None if act is None else (act,)
-    # afs2b routes toward its memory; afs2a and afs3a toward the fixed goal.
-    target = agent.memory if agent.kind is ArchitectureKind.AFS2B else agent.goal
-    table = agent.active_routes()
-    if table is None or target is None:
-        return None
-    return table.sequence(formula, target)
-
-
 def _resolve_episode(agent: AgentArchitecture, formula: Formula | None) -> None:
     ep = agent._episode
     if ep is None:
@@ -302,50 +275,42 @@ def _resolve_episode(agent: AgentArchitecture, formula: Formula | None) -> None:
         update_learning(agent, ep.observed, False, table_index=ep.table_index)
 
 
-def step(
-    agent: AgentArchitecture, universe: Universe, state: StateId, t: int
-) -> StepTrace:
-    """One step of any architecture kind at step index t.
+def _open_episode(agent: AgentArchitecture, formula: Formula) -> None:
+    """Score the active table's prediction at formula unless one is pending."""
+    if agent._episode is None:
+        i = agent.active_index
+        agent._episode = _Episode(formula, i, agent.goal, agent.candidate_pool[i].depth_max)
 
-    Random and positional agents read act t off their stream. Sensitive
-    agents perceive the state, let afs3a score its pending episode,
-    generate, open a new afs3a episode, let afs2b recall what it just
-    saw, project the generation to one act, and fall back to the neutral
-    act when nothing was generated.
+
+def _choose(
+    agent: AgentArchitecture, universe: Universe, state: StateId
+) -> tuple[Formula | None, tuple[ActId, ...] | None, ActId]:
+    """What a sensitive agent perceives at state, generates, and issues.
+
+    The generation is projected to one act, or falls back to the neutral
+    act when nothing was generated. The answer depends on the state, on
+    afs2b's memory and on afs3a's active table, and on nothing else.
     """
-    kind = agent.kind
-    if kind is ArchitectureKind.RANDOM:
-        return StepTrace(None, None, agent.random_fasa.act_at(t))
-    if kind is ArchitectureKind.POSITIONAL:
-        return StepTrace(None, None, agent.positional_fasa.act_at(t))
-    formula = (
-        agent.representation.formula_for(state)
-        if agent.representation is not None
-        else None
-    )
-    if kind is ArchitectureKind.AFS3A:
-        _resolve_episode(agent, formula)
-    sequence = None if formula is None else _generate(agent, formula)
-    if kind is ArchitectureKind.AFS3A and sequence and agent._episode is None:
+    rmap = agent.representation
+    formula = rmap.formula_for(state) if rmap is not None else None
+    if formula is None:
+        sequence = None
+    elif agent.kind is ArchitectureKind.AFS1:
+        act = agent.reaction.act(formula) if agent.reaction else None
+        sequence = None if act is None else (act,)
+    else:
+        # afs2b routes toward its memory; afs2a and afs3a toward the fixed goal.
+        target = agent.memory if agent.kind is ArchitectureKind.AFS2B else agent.goal
         table = agent.active_routes()
-        agent._episode = _Episode(
-            observed=formula,
-            table_index=agent.active_index,
-            goal=agent.goal,
-            limit=table.depth_max,
-        )
-    if kind is ArchitectureKind.AFS2B:
-        # One-step recall: next step routes toward what was just seen.
-        agent.memory = formula
+        sequence = None if table is None or target is None else table.sequence(formula, target)
     if not sequence:
-        return StepTrace(formula, sequence, universe.neutral_act)
+        return formula, sequence, universe.neutral_act
     c = agent.projection_index
     if c > len(sequence):
         raise ProjectionOutOfRange(
             f"projection index {c} exceeds generated sequence of length {len(sequence)}"
         )
-    act = interpret_act(universe, sequence[c - 1])
-    return StepTrace(formula, sequence, act)
+    return formula, sequence, interpret_act(universe, sequence[c - 1])
 
 
 def success_rates(agent: AgentArchitecture) -> list[Fraction]:

@@ -1,7 +1,9 @@
 """Trajectory runner and the persistence experiment.
 
 A trajectory steps one agent through its universe until it goes
-exoinactive or hits the step bound. The experiment repeats that for
+exoinactive or hits the step bound. ``run_trajectory`` is the only
+stepping loop: it records one ``TrajectoryStep`` per step and memoizes
+each sensitive choice for the run. The experiment repeats that for
 every agent in a document, derives one fresh seed per run from the
 master seed, and collects persistence times into a CSV plus per-agent
 summaries with rank-sum comparisons of the sensitive group against the
@@ -21,7 +23,8 @@ import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
-from .architectures import AgentArchitecture, ArchitectureKind, splitmix64, step
+from .architectures import AgentArchitecture, ArchitectureKind, splitmix64
+from .architectures import _choose, _open_episode, _resolve_episode
 from .dsl import SpecDocument, load_document
 from .stats import rank_sum_test
 from .universe import TerminalReason, Trajectory, TrajectoryStep, Universe
@@ -53,31 +56,58 @@ def run_trajectory(
     generated and chose.
 
     The agent is cloned first, so repeated calls with the same inputs
-    replay the same run regardless of what earlier runs did.
+    replay the same run regardless of what earlier runs did. Random and
+    positional agents read act t off their stream. A sensitive choice
+    depends only on the state, afs2b's memory and afs3a's active table
+    (read after its pending episode is scored), so each run memoizes the
+    choice and its landing under that key. A key's first step goes
+    through ``_choose`` and ``Universe.successor``, so every error is
+    raised at the first step that meets it.
     """
     runner = agent.clone_for_run(seed)
+    kind = runner.kind
+    elementary = not kind.is_sensitive
+    stream = runner.random_fasa if kind is ArchitectureKind.RANDOM else runner.positional_fasa
+    recall = kind is ArchitectureKind.AFS2B
+    learner = kind is ArchitectureKind.AFS3A
+    rmap = runner.representation
+    settle = universe.settle
+    memo: dict = {}
     state = universe.initial
     energy = universe.energy.initial_energy
     steps: list[TrajectoryStep] = []
     reason = TerminalReason.STEP_LIMIT
     for t in range(max_steps):
-        trace = step(runner, universe, state, t)
-        nxt, energy, exoactive = universe.advance(state, trace.act, energy)
-        steps.append(
-            TrajectoryStep(
-                t, state, trace.formula, trace.sequence, trace.act, nxt, energy
-            )
-        )
+        if elementary:
+            act = stream.act_at(t)
+            key = (state, act)
+        elif learner:
+            _resolve_episode(runner, rmap.formula_for(state) if rmap is not None else None)
+            key = (state, runner.active_index)
+        elif recall:
+            key = (state, runner.memory)
+        else:
+            key = state
+        choice = memo.get(key)
+        if choice is None:
+            formula = sequence = None
+            if not elementary:
+                formula, sequence, act = _choose(runner, universe, state)
+            nxt = universe.successor(state, act)
+            choice = memo[key] = (formula, sequence, act, nxt, universe.classes[nxt])
+        formula, sequence, act, nxt, landed = choice
+        if recall:
+            # One-step recall: next step routes toward what was just seen.
+            runner.memory = formula
+        elif learner and sequence:
+            _open_episode(runner, formula)
+        energy = settle(energy, landed)
+        steps.append(TrajectoryStep(t, state, formula, sequence, act, nxt, energy))
         state = nxt
-        if not exoactive:
+        if energy <= 0:
             reason = TerminalReason.EXOINACTIVE
             break
-    return Trajectory(
-        initial_state=universe.initial,
-        initial_energy=universe.energy.initial_energy,
-        steps=tuple(steps),
-        terminal_reason=reason,
-    )
+    return Trajectory(universe.initial, universe.energy.initial_energy, tuple(steps), reason)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 StateId = str
 ActId = str
@@ -89,22 +89,29 @@ class Universe:
             raise UnknownAct(f"unknown act {act!r} in universe {self.name!r}")
         return self.transitions[(state, act)]
 
-    def advance(self, state: StateId, act: ActId, energy: int) -> tuple[StateId, int, bool]:
-        """Take one step and settle its energy bill.
+    def settle(self, energy: int, landed: StateClass) -> int:
+        """The budget after one step that lands on a state of class landed.
 
         The step costs per_step_cost; landing on a Negative state costs
         negative_penalty more, landing on a Positive state refunds
-        positive_reward (clamped at energy_cap). Returns the successor
-        state, the new budget, and whether the entity is still exoactive
-        (budget strictly positive).
+        positive_reward (clamped at energy_cap).
+        """
+        e = self.energy
+        energy -= e.per_step_cost
+        if landed is StateClass.NEGATIVE:
+            return energy - e.negative_penalty
+        if landed is StateClass.POSITIVE:
+            return min(energy + e.positive_reward, e.energy_cap)
+        return energy
+
+    def advance(self, state: StateId, act: ActId, energy: int) -> tuple[StateId, int, bool]:
+        """Take one step and settle its energy bill.
+
+        Returns the successor state, the new budget, and whether the
+        entity is still exoactive (budget strictly positive).
         """
         nxt = self.successor(state, act)
-        new_energy = energy - self.energy.per_step_cost
-        cls = self.classes[nxt]
-        if cls is StateClass.NEGATIVE:
-            new_energy -= self.energy.negative_penalty
-        elif cls is StateClass.POSITIVE:
-            new_energy = min(new_energy + self.energy.positive_reward, self.energy.energy_cap)
+        new_energy = self.settle(energy, self.classes[nxt])
         return nxt, new_energy, new_energy > 0
 
     def validate(self) -> list[Violation]:
@@ -207,8 +214,7 @@ class TerminalReason(Enum):
     STEP_LIMIT = "StepLimit"
 
 
-@dataclass(frozen=True)
-class TrajectoryStep:
+class TrajectoryStep(NamedTuple):
     """One step as the agent saw it: perception, generation, choice,
     and where the step left it.
 

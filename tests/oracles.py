@@ -250,6 +250,105 @@ def active_index(history, pool_size: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Stepping
+
+
+class _Scored:
+    """One scored prediction, as oracles.active_index reads it."""
+
+    def __init__(self, table_index: int, success: bool) -> None:
+        self.table_index = table_index
+        self.success = success
+
+
+def _draw(seed: int, t: int) -> float:
+    """Step t of a seeded splitmix64 stream as a float in [0, 1)."""
+    mask = (1 << 64) - 1
+    golden = 0x9E3779B97F4A7C15
+    z = (seed + t * golden + golden) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    u = ((z ^ (z >> 31)) & mask) / 2**64
+    return u if u < 1.0 else 1.0 - 2.0**-53
+
+
+def reference_trajectory(universe, agent, max_steps: int, seed: int | None = None):
+    """Plain stepping from first principles: ([step tuples], reason).
+
+    Each step is (t, state_before, formula, sequence, act, state_after,
+    energy_after); reason is "ExoinactiveEnergy", "StepLimit", or
+    "DigitsExhausted" when an explicit digit list runs out before the
+    run ends. Every step perceives, generates and projects afresh by
+    reading the agent's and the universe's fields; a learner re-picks
+    its table by rescanning its whole history with active_index.
+    Models are assumed well formed.
+    """
+    kind = agent.kind.value
+    rmap = agent.representation.entries if agent.representation is not None else {}
+    e = universe.energy
+    if kind == "random":
+        order = agent.random_fasa.act_order
+        seed = agent.random_fasa.seed if seed is None else seed
+    elif kind == "positional":
+        order = agent.positional_fasa.act_order
+        source = agent.positional_fasa.source
+        if hasattr(source, "digits"):
+            digits = list(source.digits)
+        else:
+            digits = certified_constant_digits(source.name, source.base, max_steps)
+    memory = agent.goal
+    pool = agent.candidate_pool
+    history: list[_Scored] = []
+    active = 0
+    episode = None  # [observed, table index, limit, age]
+    state, energy = universe.initial, e.initial_energy
+    steps = []
+    for t in range(max_steps):
+        formula = sequence = None
+        if kind == "random":
+            act = order[int(_draw(seed, t) * len(order))]
+        elif kind == "positional":
+            if t >= len(digits):
+                return steps, "DigitsExhausted"
+            act = order[digits[t]]
+        else:
+            formula = rmap.get(state)
+            if kind == "afs3a" and episode is not None:
+                episode[3] += 1
+                hit = formula is not None and formula == agent.goal
+                if hit or episode[3] >= episode[2]:
+                    history.append(_Scored(episode[1], hit))
+                    active = active_index(history, len(pool))
+                    episode = None
+            if formula is not None:
+                if kind == "afs1":
+                    reaction = agent.reaction.entries if agent.reaction else {}
+                    sequence = (reaction[formula],) if formula in reaction else None
+                else:
+                    target = memory if kind == "afs2b" else agent.goal
+                    table = pool[active] if kind == "afs3a" else agent.routes
+                    if table is not None and target is not None:
+                        sequence = table.entries.get((formula, target))
+            if kind == "afs3a" and sequence and episode is None:
+                episode = [formula, active, pool[active].depth_max, 0]
+            if kind == "afs2b":
+                memory = formula
+            act = sequence[agent.projection_index - 1] if sequence else universe.neutral_act
+        nxt = universe.transitions[(state, act)]
+        energy -= e.per_step_cost
+        landed = universe.classes[nxt].value
+        if landed == "negative":
+            energy -= e.negative_penalty
+        elif landed == "positive":
+            energy = min(energy + e.positive_reward, e.energy_cap)
+        steps.append((t, state, formula, sequence, act, nxt, energy))
+        state = nxt
+        if energy <= 0:
+            return steps, "ExoinactiveEnergy"
+    return steps, "StepLimit"
+
+
+# ---------------------------------------------------------------------------
 # Route search
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -30,14 +31,16 @@ from exosim import (
     UnitGraph,
     check_oriented_table,
     detect_redundancy,
+    run_trajectory,
     splitmix64,
-    step,
     success_rates,
     unit_draw,
     update_learning,
 )
 
+import exosim.architectures
 import oracles
+from exosim.architectures import _open_episode
 
 
 def micro3() -> Universe:
@@ -64,6 +67,12 @@ def micro3() -> Universe:
 
 
 RMAP3 = RepresentationMap({"x0": "r0", "x1": "r1", "gg": "rg"})
+
+
+def run_from(state, agent, steps=1, universe=None):
+    """The steps of agent's run through micro3 (or universe) from state."""
+    start = replace(universe or micro3(), initial=state)
+    return run_trajectory(start, agent, steps).steps
 
 
 class TestSplitmix:
@@ -175,7 +184,7 @@ class TestKinds:
             goal="rg",
         )
         assert agent.projection_index == 2
-        assert step(agent, micro3(), "x0", 0).act == "go"
+        assert run_from("x0", agent)[0].act == "go"
 
 
 class TestReactive:
@@ -189,26 +198,26 @@ class TestReactive:
         )
 
     def test_reacts_to_known_formula(self):
-        trace = step(self.agent(), micro3(), "x0", 0)
+        trace = run_from("x0", self.agent())[0]
         assert trace.formula == "r0"
         assert trace.sequence == ("go",)
         assert trace.act == "go"
 
     def test_unlisted_formula_falls_back_to_neutral(self):
-        trace = step(self.agent(), micro3(), "x1", 0)
+        trace = run_from("x1", self.agent())[0]
         assert trace.formula == "r1"
         assert trace.sequence is None
         assert trace.act == "sit"
 
     def test_blind_spot_falls_back_to_neutral(self):
         # gg has no formula: generation is empty, neutral act covers it.
-        trace = step(self.agent(), micro3(), "gg", 0)
+        trace = run_from("gg", self.agent())[0]
         assert trace.formula is None
         assert trace.act == "sit"
 
     def test_projection_past_single_act_raises(self):
         with pytest.raises(ProjectionOutOfRange):
-            step(self.agent(projection=2), micro3(), "x0", 0)
+            run_from("x0", self.agent(projection=2))
 
 
 class TestRouted:
@@ -226,7 +235,7 @@ class TestRouted:
         )
 
     def test_routes_toward_fixed_goal(self):
-        trace = step(self.agent(), micro3(), "x0", 0)
+        trace = run_from("x0", self.agent())[0]
         assert trace.sequence == ("go", "go")
         assert trace.act == "go"
 
@@ -239,19 +248,15 @@ class TestRouted:
             routes=RouteTable({("r0", "rg"): ("go", "sit")}, depth_max=2),
             goal="rg",
         )
-        assert step(agent, micro3(), "x0", 0).act == "sit"
+        assert run_from("x0", agent)[0].act == "sit"
 
     def test_missing_route_falls_back(self):
         # rg -> rg is not in the table.
-        assert step(self.agent(), micro3(), "gg", 0).act == "sit"
+        assert run_from("gg", self.agent())[0].act == "sit"
 
     def test_full_walk_reaches_goal(self):
-        u = micro3()
-        agent = self.agent()
-        state = "x0"
-        for t in range(2):
-            state = u.successor(state, step(agent, u, state, t).act)
-        assert state == "gg"
+        walk = run_from("x0", self.agent(), 2)
+        assert [r.state_after for r in walk] == ["x1", "gg"]
 
 
 class TestRecall:
@@ -263,7 +268,13 @@ class TestRecall:
             kind=ArchitectureKind.AFS2B,
             representation=RepresentationMap({"x0": "r0", "x1": "r1"}),
             routes=RouteTable(
-                {("r0", "rg"): ("go", "go"), ("r1", "r0"): ("sit",)},
+                {
+                    ("r0", "rg"): ("go", "go"),
+                    ("r1", "r0"): ("sit",),
+                    # These two fire only when the memory holds r0 or r1.
+                    ("r0", "r0"): ("go",),
+                    ("r1", "r1"): ("go",),
+                },
                 depth_max=2,
             ),
             goal="rg",
@@ -274,30 +285,29 @@ class TestRecall:
         assert self.agent().memory == "rg"
 
     def test_memory_tracks_last_perception(self):
-        u = micro3()
-        agent = self.agent()
+        t1, t2, t3 = run_from("x0", self.agent(), 3)
         # Step 1 at x0: memory holds the goal, route (r0, rg) fires.
-        t1 = step(agent, u, "x0", 0)
         assert t1.sequence == ("go", "go")
-        assert agent.memory == "r0"
         # Step 2 at x1: routes toward the remembered r0.
-        t2 = step(agent, u, "x1", 1)
+        assert t2.state_before == "x1"
         assert t2.sequence == ("sit",)
         assert t2.act == "sit"
-        assert agent.memory == "r1"
+        # Step 3, still at x1: routes toward the remembered r1.
+        assert (t3.state_before, t3.sequence) == ("x1", ("go",))
 
     def test_blind_spot_clears_memory(self):
+        # gg idles back to x0, so the walk leaves the blind spot.
         u = micro3()
-        agent = self.agent()
-        t1 = step(agent, u, "gg", 0)
+        u = replace(u, transitions={**u.transitions, ("gg", "sit"): "x0"})
+        t1, t2, t3 = run_from("gg", self.agent(), 3, universe=u)
         assert t1.formula is None
         assert t1.act == "sit"
-        assert agent.memory is None
         # With no remembered formula there is nothing to route toward.
-        t2 = step(agent, u, "x0", 1)
+        assert t2.state_before == "x0"
         assert t2.sequence is None
         assert t2.act == "sit"
-        assert agent.memory == "r0"
+        # Then x0 is remembered: route (r0, r0) fires.
+        assert (t3.state_before, t3.sequence) == ("x0", ("go",))
 
 
 GOOD_ROUTES = RouteTable(
@@ -442,16 +452,23 @@ class TestLearningEpisodes:
     """Closed-loop runs: predictions issued while stepping get scored
     when the goal shows up in time, or when the step budget runs out."""
 
-    def drive(self, agent, steps):
-        u = micro3()
-        state = "x0"
-        for t in range(steps):
-            state = u.successor(state, step(agent, u, state, t).act)
-        return state
+    def drive(self, agent, steps, monkeypatch):
+        """Run agent through micro3 from x0; return the run's own learner,
+        caught at the update_learning calls that score its episodes."""
+        real = exosim.architectures.update_learning
+        seen = []
 
-    def test_successful_predictions_enter_history(self):
-        agent = learner([GOOD_ROUTES])
-        self.drive(agent, 4)
+        def catch(runner, observed, success, table_index=None):
+            seen.append(runner)
+            return real(runner, observed, success, table_index=table_index)
+
+        monkeypatch.setattr(exosim.architectures, "update_learning", catch)
+        run_trajectory(micro3(), agent, steps)
+        assert seen and all(runner is seen[0] for runner in seen)
+        return seen[0]
+
+    def test_successful_predictions_enter_history(self, monkeypatch):
+        agent = self.drive(learner([GOOD_ROUTES]), 4, monkeypatch)
         # x0 -> x1 -> gg resolves the first episode at step 3; the
         # episode issued at gg resolves one step later.
         assert agent.history == [
@@ -461,43 +478,49 @@ class TestLearningEpisodes:
         assert agent.active_index == 0
         assert success_rates(agent) == [Fraction(1)]
 
-    def test_failed_prediction_scored_at_depth(self):
-        agent = learner([SIT_ROUTES])
-        self.drive(agent, 3)
+    def test_failed_prediction_scored_at_depth(self, monkeypatch):
+        agent = self.drive(learner([SIT_ROUTES]), 3, monkeypatch)
         # sit keeps the agent at x0, so the goal never shows inside the
         # 2-step budget and the episode fails.
         assert agent.history == [HistoryRecord("r0", 0, False)]
         assert success_rates(agent) == [Fraction(0)]
 
-    def test_closed_loop_never_leaves_index_zero(self):
+    def test_closed_loop_never_leaves_index_zero(self, monkeypatch):
         # A failing candidate at rate 0 still ties the unattempted one,
         # and ties keep the lowest index active.
-        agent = learner([SIT_ROUTES, GOOD_ROUTES])
-        self.drive(agent, 9)
+        agent = self.drive(learner([SIT_ROUTES, GOOD_ROUTES]), 9, monkeypatch)
         assert agent.active_index == 0
         assert all(rec.table_index == 0 for rec in agent.history)
         assert all(not rec.success for rec in agent.history)
 
-    def test_external_score_switches_candidate(self):
-        agent = learner([SIT_ROUTES, GOOD_ROUTES])
-        self.drive(agent, 3)
-        assert agent.active_index == 0
-        update_learning(agent, "r0", True, table_index=1)
-        assert agent.active_index == 1
-        # The better table now steers: the agent moves instead of sitting.
-        trace = step(agent, micro3(), "x0", 3)
-        assert trace.sequence == ("go", "go")
-        assert trace.act == "go"
+    def test_external_score_switches_candidate(self, monkeypatch):
+        # Every scored episode also credits table 1 from outside, so the
+        # first score, at step 3, makes table 1 active mid-run.
+        real = exosim.architectures.update_learning
+
+        def credit_table_one(runner, observed, success, table_index=None):
+            real(runner, observed, success, table_index=table_index)
+            return real(runner, "r0", True, table_index=1)
+
+        monkeypatch.setattr(exosim.architectures, "update_learning", credit_table_one)
+        steps = run_from("x0", learner([SIT_ROUTES, GOOD_ROUTES]), 4)
+        # Table 0 sits at x0 until its episode fails; the better table
+        # then steers the revisit of x0: the agent moves instead of sitting.
+        assert [r.state_before for r in steps] == ["x0", "x0", "x0", "x1"]
+        assert [r.sequence for r in steps[:2]] == [("sit",), ("sit",)]
+        assert steps[2].sequence == ("go", "go")
+        assert steps[2].act == "go"
 
 
 class TestCloneForRun:
     def test_learning_state_reset(self):
         agent = learner([SIT_ROUTES, GOOD_ROUTES])
         update_learning(agent, "r0", True, table_index=1)
-        step(agent, micro3(), "x0", 0)
+        _open_episode(agent, "r0")
         clone = agent.clone_for_run()
         assert clone.history == []
         assert clone.active_index == 0
+        assert clone._episode is None
         assert agent.history != []
 
     def test_clones_do_not_share_history(self):
@@ -515,8 +538,7 @@ class TestCloneForRun:
             goal="rg",
         )
         agent = base.clone_for_run()
-        step(agent, micro3(), "x0", 0)
-        assert agent.memory == "r0"
+        agent.memory = "r0"
         assert agent.clone_for_run().memory == "rg"
 
     def test_seed_override_only_touches_clone(self):
@@ -551,9 +573,9 @@ class TestStep:
             routes=GOOD_ROUTES,
             goal="rg",
         )
-        assert step(rand, u, "x0", 4).act == rand.random_fasa.act_at(4)
-        assert step(pos, u, "x0", 1).act == "go"
-        assert step(routed, u, "x0", 0).act == "go"
+        assert run_trajectory(u, rand, 5).steps[4].act == rand.random_fasa.act_at(4)
+        assert run_trajectory(u, pos, 2).steps[1].act == "go"
+        assert run_trajectory(u, routed, 1).steps[0].act == "go"
 
     def test_elementary_has_no_perception(self):
         u = micro3()
@@ -562,7 +584,7 @@ class TestStep:
             kind=ArchitectureKind.POSITIONAL,
             positional_fasa=PositionalFasa(ExplicitDigits((1,), 2), ("go", "sit")),
         )
-        trace = step(pos, u, "x0", 0)
+        trace = run_trajectory(u, pos, 1).steps[0]
         assert trace.formula is None
         assert trace.sequence is None
         assert trace.act == "sit"

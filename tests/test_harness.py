@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import exosim.harness
@@ -12,10 +14,17 @@ from exosim import (
     ExperimentConfig,
     ExperimentResult,
     MissingAgentKind,
+    ProjectionOutOfRange,
     RandomFasa,
+    ReactionTable,
+    RepresentationMap,
+    RouteTable,
     RunRecord,
     TerminalReason,
     TrajectoryStep,
+    UnknownAct,
+    UnknownActToken,
+    UnknownState,
     derive_seed,
     parse,
     run_experiment,
@@ -25,6 +34,7 @@ from exosim import (
 )
 
 import docgen
+import oracles
 from test_universe import tiny_universe
 from test_architectures import GOOD_ROUTES, RMAP3, learner, micro3
 from test_cli import SIX_KINDS
@@ -138,6 +148,149 @@ class TestGeneratedDocuments:
                     run_trajectory(universe, agent, 200)
                 except DigitSourceExhausted:
                     pass
+
+
+def assert_matches_reference(universe, agent, max_steps, seed=None):
+    """run_trajectory agrees with the plain reference stepper step by
+    step, and on why the run ended; returns the reference steps."""
+    expected, reason = oracles.reference_trajectory(universe, agent, max_steps, seed)
+    if reason == "DigitsExhausted":
+        with pytest.raises(DigitSourceExhausted):
+            run_trajectory(universe, agent, max_steps, seed)
+        got = run_trajectory(universe, agent, len(expected), seed)
+        reason = "StepLimit"
+    else:
+        got = run_trajectory(universe, agent, max_steps, seed)
+    assert list(got.steps) == expected, agent.name
+    assert got.terminal_reason.value == reason, agent.name
+    return expected
+
+
+class TestReferenceStepper:
+    """run_trajectory memoizes choices within a run; the reference
+    stepper in tests/oracles.py perceives and generates afresh at every
+    step."""
+
+    def every_agent(self, doc):
+        for decl in doc.agents:
+            yield doc.build_agent(decl.name)
+
+    @pytest.mark.parametrize("seed", [1, 99])
+    def test_fixtures_and_six_kinds(self, reference_doc, ejemplo5_doc, seed):
+        for doc in (reference_doc, ejemplo5_doc, parse(SIX_KINDS).document):
+            for agent, universe in self.every_agent(doc):
+                assert_matches_reference(universe, agent, 400, seed)
+
+    @pytest.mark.parametrize("seed", [1, 99])
+    def test_generated_documents(self, seed):
+        runs = 0
+        for doc_seed in range(300):
+            doc = parse(docgen.random_document_text(doc_seed)).document
+            for agent, universe in self.every_agent(doc):
+                assert_matches_reference(universe, agent, 400, seed)
+                runs += 1
+        assert runs > 500
+
+    def test_recall_revisits_a_state_with_another_memory(self):
+        agent = AgentArchitecture(
+            name="recaller",
+            kind=ArchitectureKind.AFS2B,
+            representation=RepresentationMap({"x0": "r0", "x1": "r1"}),
+            routes=RouteTable(
+                {("r0", "rg"): ("go",), ("r1", "r0"): ("sit",), ("r1", "r1"): ("go",)},
+                depth_max=1,
+            ),
+            goal="rg",
+        )
+        steps = assert_matches_reference(micro3(), agent, 4)
+        # x1 is met twice, remembering r0 and then r1, and answers differently.
+        at_x1 = [(r[2], r[3]) for r in steps if r[1] == "x1"]
+        assert at_x1 == [("r1", ("sit",)), ("r1", ("go",))]
+
+
+def one_route_agent(route, projection=1):
+    """An afs2a agent on micro3 that walks x0 -> x1 by (r0, rg) and then
+    issues route (r1, rg)."""
+    return AgentArchitecture(
+        name="router",
+        kind=ArchitectureKind.AFS2A,
+        representation=RMAP3,
+        projection_index=projection,
+        routes=RouteTable({("r0", "rg"): ("go", "go"), ("r1", "rg"): route}, 2),
+        goal="rg",
+    )
+
+
+class TestExceptionParity:
+    """Library-built models the .exo checker would reject raise at the
+    first step that meets the bad entry, and not before."""
+
+    def test_random_order_with_an_undeclared_act(self):
+        agent = AgentArchitecture(
+            name="r",
+            kind=ArchitectureKind.RANDOM,
+            random_fasa=RandomFasa(4, ("go", "sit", "fly")),
+        )
+        acts = [agent.random_fasa.act_at(t) for t in range(40)]
+        first = acts.index("fly")
+        assert first > 0
+        with pytest.raises(UnknownAct):
+            run_trajectory(micro3(), agent, 40)
+        assert run_trajectory(micro3(), agent, first).persistence == first
+
+    def test_route_token_that_is_no_act(self):
+        agent = one_route_agent(("warp",))
+        with pytest.raises(UnknownActToken):
+            run_trajectory(micro3(), agent, 2)
+        assert run_trajectory(micro3(), agent, 1).steps[0].act == "go"
+
+    def test_projection_past_the_route_end(self):
+        agent = one_route_agent(("go",), projection=2)
+        with pytest.raises(ProjectionOutOfRange):
+            run_trajectory(micro3(), agent, 2)
+        assert run_trajectory(micro3(), agent, 1).steps[0].act == "go"
+
+    def test_initial_state_outside_the_universe(self):
+        outside = replace(micro3(), initial="zz")
+        for agent in (drifter(), one_route_agent(("go",))):
+            with pytest.raises(UnknownState):
+                run_trajectory(outside, agent, 1)
+            assert run_trajectory(outside, agent, 0).persistence == 0
+
+
+class TestCostBound:
+    """A sensitive agent generates once per memo key of a run, not once
+    per step (counted, not timed)."""
+
+    @pytest.fixture()
+    def generations(self, monkeypatch):
+        calls = {"n": 0}
+        for owner, name in ((RouteTable, "sequence"), (ReactionTable, "act")):
+            plain = getattr(owner, name)
+
+            def counting(self, *args, _plain=plain):
+                calls["n"] += 1
+                return _plain(self, *args)
+
+            monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_pathfinder_generates_at_most_once_per_state(self, pathfinder_pair, generations):
+        agent, universe = pathfinder_pair
+        assert run_trajectory(universe, agent, 5000).persistence == 5000
+        assert 0 < generations["n"] <= len(universe.states)
+
+    @pytest.mark.parametrize("name", ["reflex", "homing", "echo", "learner"])
+    def test_every_sensitive_kind_is_bounded_by_its_keys(self, name, generations):
+        agent, universe = parse(SIX_KINDS).document.build_agent(name)
+        run_trajectory(universe, agent, 5000)
+        # afs2b keys on the remembered formula (any formula, the goal or
+        # none); afs3a on the active table.
+        keys = {
+            ArchitectureKind.AFS2B: len(agent.representation.image) + 2,
+            ArchitectureKind.AFS3A: len(agent.candidate_pool),
+        }.get(agent.kind, 1)
+        assert 0 < generations["n"] <= len(universe.states) * keys
 
 
 class TestDeriveSeed:
