@@ -2,10 +2,12 @@
 
 Everything in this module recomputes expected values from first
 principles: spigots and fixed-point series for constants, a rescan of
-the whole history for learning, exhaustive set enumeration for
-the stability metrics, breadth-first search for routes, and brute-force
-scans for redundancy patterns. Nothing here calls into exosim, so each
-test compares two independent routes to the same answer.
+the whole history for learning, plain step-by-step stepping for runs,
+exhaustive set enumeration for the stability metrics, breadth-first
+search for routes, and brute-force scans for redundancy patterns.
+Nothing here calls into exosim (the stepper only reads the fields of
+the objects it is given), so each test compares two independent routes
+to the same answer.
 """
 
 from __future__ import annotations
@@ -272,7 +274,7 @@ def _draw(seed: int, t: int) -> float:
     return u if u < 1.0 else 1.0 - 2.0**-53
 
 
-def reference_trajectory(universe, agent, max_steps: int, seed: int | None = None):
+def reference_trajectory(universe, agent, max_steps: int, seed: int | None = None, credit=()):
     """Plain stepping from first principles: ([step tuples], reason).
 
     Each step is (t, state_before, formula, sequence, act, state_after,
@@ -281,6 +283,8 @@ def reference_trajectory(universe, agent, max_steps: int, seed: int | None = Non
     run ends. Every step perceives, generates and projects afresh by
     reading the agent's and the universe's fields; a learner re-picks
     its table by rescanning its whole history with active_index.
+    credit holds (table index, success) records that join the history
+    each time an episode is scored, as an outside scorer would add them.
     Models are assumed well formed.
     """
     kind = agent.kind.value
@@ -318,6 +322,7 @@ def reference_trajectory(universe, agent, max_steps: int, seed: int | None = Non
                 hit = formula is not None and formula == agent.goal
                 if hit or episode[3] >= episode[2]:
                     history.append(_Scored(episode[1], hit))
+                    history.extend(_Scored(i, ok) for i, ok in credit)
                     active = active_index(history, len(pool))
                     episode = None
             if formula is not None:

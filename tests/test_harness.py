@@ -36,7 +36,7 @@ from exosim import (
 import docgen
 import oracles
 from test_universe import tiny_universe
-from test_architectures import GOOD_ROUTES, RMAP3, learner, micro3
+from test_architectures import GOOD_ROUTES, RMAP3, SIT_ROUTES, learner, micro3
 from test_cli import SIX_KINDS
 
 
@@ -150,10 +150,10 @@ class TestGeneratedDocuments:
                     pass
 
 
-def assert_matches_reference(universe, agent, max_steps, seed=None):
+def assert_matches_reference(universe, agent, max_steps, seed=None, credit=()):
     """run_trajectory agrees with the plain reference stepper step by
     step, and on why the run ended; returns the reference steps."""
-    expected, reason = oracles.reference_trajectory(universe, agent, max_steps, seed)
+    expected, reason = oracles.reference_trajectory(universe, agent, max_steps, seed, credit)
     if reason == "DigitsExhausted":
         with pytest.raises(DigitSourceExhausted):
             run_trajectory(universe, agent, max_steps, seed)
@@ -206,6 +206,22 @@ class TestReferenceStepper:
         # x1 is met twice, remembering r0 and then r1, and answers differently.
         at_x1 = [(r[2], r[3]) for r in steps if r[1] == "x1"]
         assert at_x1 == [("r1", ("sit",)), ("r1", ("go",))]
+
+    def test_learner_switches_tables_and_revisits_a_state(self, monkeypatch):
+        # An outside scorer credits table 1 at every scored episode, so
+        # the first score, at step 3, makes table 1 active mid-run.
+        real = exosim.architectures.update_learning
+
+        def credit_table_one(runner, observed, success, table_index=None):
+            real(runner, observed, success, table_index=table_index)
+            return real(runner, observed, True, table_index=1)
+
+        monkeypatch.setattr(exosim.architectures, "update_learning", credit_table_one)
+        agent = learner([SIT_ROUTES, GOOD_ROUTES])
+        steps = assert_matches_reference(micro3(), agent, 5, credit=[(1, True)])
+        # x0 is met under table 0, which sits, and again under table 1.
+        at_x0 = [r[3] for r in steps if r[1] == "x0"]
+        assert at_x0 == [("sit",), ("sit",), ("go", "go")]
 
 
 def one_route_agent(route, projection=1):
