@@ -113,7 +113,6 @@ from .universe import (
     UniverseError,
     UnknownAct,
     UnknownState,
-    Violation,
 )
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .representation import Formula, RepresentationMap, interpret_act
-from .universe import ActId, StateId, Universe, Violation
+from .universe import ActId, StateId, Universe
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -123,35 +123,6 @@ class RouteTable:
 
     def sequence(self, source: Formula, goal: Formula) -> tuple[ActId, ...] | None:
         return self.entries.get((source, goal))
-
-    def validate(self) -> list[Violation]:
-        out: list[Violation] = []
-        if self.depth_max < 1:
-            out.append(
-                Violation(
-                    "NonPositiveDepth",
-                    (str(self.depth_max),),
-                    "route depth bound must be at least 1",
-                )
-            )
-        for (source, goal), seq in sorted(self.entries.items()):
-            if not seq:
-                out.append(
-                    Violation(
-                        "EmptyRoute",
-                        (source, goal),
-                        f"route ({source!r}, {goal!r}) has an empty sequence",
-                    )
-                )
-            elif len(seq) > self.depth_max:
-                out.append(
-                    Violation(
-                        "RouteTooLong",
-                        (source, goal),
-                        f"route ({source!r}, {goal!r}) is longer than depth {self.depth_max}",
-                    )
-                )
-        return out
 
 
 class ArchitectureKind(Enum):

@@ -61,8 +61,8 @@ def run_trajectory(
     depends only on the state, afs2b's memory and afs3a's active table
     (read after its pending episode is scored), so each run memoizes the
     choice and its landing under that key. A key's first step goes
-    through ``_choose`` and ``Universe.successor``, so every error is
-    raised at the first step that meets it.
+    through ``_choose``, ``Universe.successor`` and ``Universe.class_of``,
+    so every error is raised at the first step that meets it.
     """
     runner = agent.clone_for_run(seed)
     kind = runner.kind
@@ -94,7 +94,7 @@ def run_trajectory(
             if not elementary:
                 formula, sequence, act = _choose(runner, universe, state)
             nxt = universe.successor(state, act)
-            choice = memo[key] = (formula, sequence, act, nxt, universe.classes[nxt])
+            choice = memo[key] = (formula, sequence, act, nxt, universe.class_of(nxt))
         formula, sequence, act, nxt, landed = choice
         if recall:
             # One-step recall: next step routes toward what was just seen.

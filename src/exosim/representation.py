@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .universe import StateId, ActId, Universe, UnknownAct, Violation
+from .universe import StateId, ActId, Universe, UnknownAct
 
 Formula = str
 
@@ -80,37 +80,6 @@ class RepresentationMap:
 
     def __iter__(self) -> Iterator[tuple[StateId, Formula]]:
         return iter(sorted(self.entries.items()))
-
-    def validate(self, universe: Universe) -> list[Violation]:
-        """Representation invariants against the universe it describes."""
-        out: list[Violation] = []
-        for state in sorted(self.entries):
-            if state not in universe.states:
-                out.append(
-                    Violation(
-                        "ForeignRepresentedState",
-                        (state,),
-                        f"represented id {state!r} is not a state of {universe.name!r}",
-                    )
-                )
-        for state, formula in sorted(self.entries.items()):
-            if not formula:
-                out.append(
-                    Violation(
-                        "EmptyFormula",
-                        (state,),
-                        f"state {state!r} is represented by the empty formula",
-                    )
-                )
-        if len(self.image) < 2:
-            out.append(
-                Violation(
-                    "DegenerateRepresentation",
-                    tuple(sorted(self.image)),
-                    "a representation must distinguish at least two formulas",
-                )
-            )
-        return out
 
 
 def interpret_act(universe: Universe, token: ActId) -> ActId:

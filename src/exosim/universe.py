@@ -25,7 +25,7 @@ class StateClass(Enum):
 
 
 class UniverseError(Exception):
-    """Raised when an operation is applied to ids the universe lacks."""
+    """Raised when an operation meets an id or entry the universe lacks."""
 
 
 class UnknownState(UniverseError):
@@ -53,19 +53,6 @@ class EnergyRules:
 
 
 @dataclass(frozen=True)
-class Violation:
-    """One structural defect found by Universe.validate.
-
-    code is a stable machine-readable name (e.g. "MissingTransition");
-    subject identifies the offending ids; message is human-readable.
-    """
-
-    code: str
-    subject: tuple[str, ...]
-    message: str
-
-
-@dataclass(frozen=True)
 class Universe:
     name: str
     states: frozenset[StateId]
@@ -79,7 +66,12 @@ class Universe:
     def class_of(self, state: StateId) -> StateClass:
         if state not in self.states:
             raise UnknownState(f"unknown state {state!r} in universe {self.name!r}")
-        return self.classes[state]
+        try:
+            return self.classes[state]
+        except KeyError:
+            raise UniverseError(
+                f"state {state!r} has no standing in universe {self.name!r}"
+            ) from None
 
     def successor(self, state: StateId, act: ActId) -> StateId:
         """Next state under a total deterministic transition table."""
@@ -87,7 +79,12 @@ class Universe:
             raise UnknownState(f"unknown state {state!r} in universe {self.name!r}")
         if act not in self.acts:
             raise UnknownAct(f"unknown act {act!r} in universe {self.name!r}")
-        return self.transitions[(state, act)]
+        try:
+            return self.transitions[(state, act)]
+        except KeyError:
+            raise UniverseError(
+                f"no transition declared for ({state!r}, {act!r}) in universe {self.name!r}"
+            ) from None
 
     def settle(self, energy: int, landed: StateClass) -> int:
         """The budget after one step that lands on a state of class landed.
@@ -113,98 +110,6 @@ class Universe:
         nxt = self.successor(state, act)
         new_energy = self.settle(energy, self.classes[nxt])
         return nxt, new_energy, new_energy > 0
-
-    def validate(self) -> list[Violation]:
-        """Check structural invariants; an empty list means well-formed."""
-        out: list[Violation] = []
-        if not self.states:
-            out.append(Violation("EmptyStates", (self.name,), "universe has no states"))
-        if not self.acts:
-            out.append(Violation("EmptyActs", (self.name,), "universe has no acts"))
-        if self.initial not in self.states:
-            out.append(
-                Violation(
-                    "UnknownInitial",
-                    (self.initial,),
-                    f"initial state {self.initial!r} is not a declared state",
-                )
-            )
-        if self.neutral_act not in self.acts:
-            out.append(
-                Violation(
-                    "UnknownNeutralAct",
-                    (self.neutral_act,),
-                    f"neutral act {self.neutral_act!r} is not a declared act",
-                )
-            )
-        for state in sorted(self.states):
-            if state not in self.classes:
-                out.append(
-                    Violation(
-                        "UnclassifiedState",
-                        (state,),
-                        f"state {state!r} has no standing",
-                    )
-                )
-        for state in sorted(self.classes):
-            if state not in self.states:
-                out.append(
-                    Violation(
-                        "ForeignClassKey",
-                        (state,),
-                        f"classified id {state!r} is not a declared state",
-                    )
-                )
-        for state in sorted(self.states):
-            for act in sorted(self.acts):
-                if (state, act) not in self.transitions:
-                    out.append(
-                        Violation(
-                            "MissingTransition",
-                            (state, act),
-                            f"no transition declared for ({state!r}, {act!r})",
-                        )
-                    )
-        for (state, act), target in sorted(self.transitions.items()):
-            if state not in self.states or act not in self.acts or target not in self.states:
-                out.append(
-                    Violation(
-                        "ForeignTransition",
-                        (state, act, target),
-                        f"transition ({state!r}, {act!r}) -> {target!r} uses undeclared ids",
-                    )
-                )
-        e = self.energy
-        if e.initial_energy <= 0:
-            out.append(
-                Violation(
-                    "NonPositiveInitialEnergy",
-                    (str(e.initial_energy),),
-                    "initial energy must be positive",
-                )
-            )
-        for label, value in (
-            ("per_step", e.per_step_cost),
-            ("negative_penalty", e.negative_penalty),
-            ("positive_reward", e.positive_reward),
-        ):
-            if value < 0:
-                out.append(
-                    Violation(
-                        "NegativeEnergyField",
-                        (label, str(value)),
-                        f"energy field {label} must be non-negative",
-                    )
-                )
-        if e.energy_cap < e.initial_energy:
-            out.append(
-                Violation(
-                    "CapBelowInitial",
-                    (str(e.energy_cap), str(e.initial_energy)),
-                    "energy cap must be at least the initial energy",
-                )
-            )
-        return out
 
 
 class TerminalReason(Enum):

@@ -151,18 +151,6 @@ class TestTables:
         assert table.sequence("a", "b") == ("go", "go")
         assert table.sequence("b", "a") is None
 
-    def test_route_validate_clean(self):
-        table = RouteTable({("a", "b"): ("go",)}, depth_max=1)
-        assert table.validate() == []
-
-    def test_route_validate_violations(self):
-        table = RouteTable(
-            {("a", "b"): (), ("b", "a"): ("go", "go", "go")},
-            depth_max=0,
-        )
-        codes = [v.code for v in table.validate()]
-        assert codes == ["NonPositiveDepth", "EmptyRoute", "RouteTooLong"]
-
 
 class TestKinds:
     def test_sensitivity_split(self):

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from exosim import (
     ArchitectureKind,
+    DigitSourceExhausted,
     SpecInvalid,
     StateClass,
     Severity,
     load_document,
     parse,
     parse_file,
+    run_trajectory,
     serialize,
 )
 from exosim.dsl import _lex
@@ -85,10 +87,6 @@ class TestFixtures:
         doc = parse_file(ejemplo5_path).document
         assert doc.source_spans[("universe", "ejemplo5")] == (6, 1)
         assert doc.source_spans[("agent", "ejemplo")] == (38, 1)
-
-    def test_built_universes_validate_clean(self, ejemplo5_doc, reference_doc):
-        for doc, name in ((ejemplo5_doc, "ejemplo5"), (reference_doc, "reference")):
-            assert doc.build_universe(name).validate() == []
 
 
 class TestBuild:
@@ -230,6 +228,14 @@ class TestUniverseErrors:
                 lambda t: t.replace("cap: 9;", "cap: 2;"),
                 "energy cap must be at least the initial energy",
             ),
+            (
+                lambda t: t.replace("  states: a b;\n", ""),
+                "universe 'mini' declares no states",
+            ),
+            (
+                lambda t: t.replace("  acts: stay hop;\n", ""),
+                "universe 'mini' declares no acts",
+            ),
         ],
         ids=[
             "foreign-act",
@@ -240,6 +246,8 @@ class TestUniverseErrors:
             "missing-transition",
             "zero-energy",
             "low-cap",
+            "no-states",
+            "no-acts",
         ],
     )
     def test_referential_checks(self, mangle, needle):
@@ -356,6 +364,12 @@ class TestAgentErrors:
             '  predict "fa" -> "fb" : fly;',
             "sequence uses undeclared act 'fly'",
         ),
+        (
+            '  architecture: afs2a;\n  goal: "fb";\n  depth: 0;\n'
+            '  represents a -> "fa";\n  represents b -> "fb";\n'
+            '  predict "fa" -> "fb" : hop;',
+            "depth must be at least 1",
+        ),
     ]
 
     @pytest.mark.parametrize(
@@ -380,6 +394,7 @@ class TestAgentErrors:
             "zero-projection",
             "empty-formula",
             "foreign-sequence-act",
+            "zero-depth",
         ],
     )
     def test_agent_checks(self, body, needle):
@@ -767,7 +782,9 @@ class TestLexical:
 class TestRoundTrip:
     def test_fixtures_round_trip(self, ejemplo5_path, reference_path):
         for path in (ejemplo5_path, reference_path):
-            doc = parse_file(path).document
+            result = parse_file(path)
+            assert result.diagnostics == []
+            doc = result.document
             text = serialize(doc)
             again = parse(text)
             assert again.diagnostics == []
@@ -812,15 +829,26 @@ class TestFuzz:
             reference_path.read_text(encoding="utf-8"),
         ]
         bases += [docgen.random_document_text(seed) for seed in range(8)]
-        tried = 0
+        tried = ran = 0
         for base_i, base in enumerate(bases):
             for seed in range(15):
                 mutated = docgen.mutate_text(base, seed * 31 + base_i)
                 result = parse(mutated)
                 # Withholding is exactly synchronized with errors.
                 assert (result.document is None) == bool(result.errors)
+                if result.document is not None:
+                    # An accepted document is runnable: the checker is the
+                    # one definition of a well-formed model.
+                    for decl in result.document.agents:
+                        agent, universe = result.document.build_agent(decl.name)
+                        try:
+                            run_trajectory(universe, agent, 100, seed=1)
+                        except DigitSourceExhausted:
+                            pass
+                        ran += 1
                 tried += 1
         assert tried == 150
+        assert ran > 0
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -63,37 +63,6 @@ class TestLookup:
             assert rmap.formula_for(state) == formula
 
 
-class TestValidate:
-    def test_clean_on_fixture(self, pathfinder_pair):
-        agent, universe = pathfinder_pair
-        assert agent.representation.validate(universe) == []
-
-    def test_foreign_state(self):
-        u = tiny_universe()
-        rmap = RepresentationMap({"x": "f", "mars": "g"})
-        violations = rmap.validate(u)
-        assert [v.code for v in violations] == ["ForeignRepresentedState"]
-        assert violations[0].subject == ("mars",)
-
-    def test_empty_formula(self):
-        u = tiny_universe()
-        rmap = RepresentationMap({"x": ""})
-        assert "EmptyFormula" in [v.code for v in rmap.validate(u)]
-
-    def test_degenerate_single_formula_image(self):
-        # A representation that cannot distinguish two formulas carries no
-        # information, whether it covers every state or only some.
-        u = tiny_universe()
-        for entries in ({"x": "same", "y": "same"}, {"x": "same"}):
-            rmap = RepresentationMap(entries)
-            assert "DegenerateRepresentation" in [v.code for v in rmap.validate(u)]
-
-    def test_two_formula_partial_map_is_allowed(self):
-        u = tiny_universe(states=("x", "y", "z"), acts=("stay",))
-        rmap = RepresentationMap({"x": "f1", "y": "f2"})
-        assert rmap.validate(u) == []
-
-
 class TestInterpretAct:
     def test_known_token(self):
         u = tiny_universe()

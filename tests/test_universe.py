@@ -1,16 +1,23 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from exosim import (
+    AgentArchitecture,
+    ArchitectureKind,
     EnergyRules,
+    ExplicitDigits,
+    PositionalFasa,
     StateClass,
     Universe,
+    UniverseError,
     UnknownAct,
     UnknownState,
+    run_trajectory,
 )
 
 
@@ -94,80 +101,38 @@ class TestAdvance:
         assert new_energy <= u.energy.energy_cap
 
 
-class TestValidate:
-    def test_fixtures_are_clean(self, ejemplo5_doc, reference_doc):
-        assert ejemplo5_doc.build_universe("ejemplo5").validate() == []
-        assert reference_doc.build_universe("reference").validate() == []
+_TINY_TRANSITIONS = tiny_universe().transitions
 
-    def test_missing_transition(self):
-        u = tiny_universe()
-        transitions = dict(u.transitions)
-        del transitions[("y", "hop")]
-        broken = Universe(
-            name=u.name,
-            states=u.states,
-            acts=u.acts,
-            initial=u.initial,
-            neutral_act=u.neutral_act,
-            transitions=transitions,
-            classes=u.classes,
-            energy=u.energy,
+
+class TestLibraryBuiltErrors:
+    """A universe built in Python is not checked up front: a bad entry
+    raises a UniverseError at the first step that meets it."""
+
+    @pytest.mark.parametrize(
+        "change,needle",
+        [
+            (
+                {"transitions": {k: v for k, v in _TINY_TRANSITIONS.items() if k != ("x", "hop")}},
+                r"no transition declared for \('x', 'hop'\)",
+            ),
+            ({"classes": {"x": StateClass.NEUTRAL}}, "state 'y' has no standing"),
+            (
+                {"transitions": {**_TINY_TRANSITIONS, ("x", "hop"): "ghost"}},
+                "unknown state 'ghost'",
+            ),
+        ],
+        ids=["missing-transition", "no-standing", "undeclared-target"],
+    )
+    def test_run_raises_universe_error(self, change, needle):
+        broken = replace(tiny_universe(), **change)
+        # One hop from x: every broken entry sits on that step.
+        hopper = AgentArchitecture(
+            "hopper",
+            ArchitectureKind.POSITIONAL,
+            positional_fasa=PositionalFasa(ExplicitDigits((1,), 2), ("stay", "hop")),
         )
-        violations = broken.validate()
-        assert [v.code for v in violations] == ["MissingTransition"]
-        assert violations[0].subject == ("y", "hop")
-
-    def test_unknown_initial(self):
-        u = tiny_universe()
-        broken = Universe(
-            name=u.name,
-            states=u.states,
-            acts=u.acts,
-            initial="nowhere",
-            neutral_act=u.neutral_act,
-            transitions=u.transitions,
-            classes=u.classes,
-            energy=u.energy,
-        )
-        assert "UnknownInitial" in [v.code for v in broken.validate()]
-
-    def test_unclassified_and_foreign_class(self):
-        u = tiny_universe()
-        classes = {"x": StateClass.NEUTRAL, "ghost": StateClass.POSITIVE}
-        broken = Universe(
-            name=u.name,
-            states=u.states,
-            acts=u.acts,
-            initial=u.initial,
-            neutral_act=u.neutral_act,
-            transitions=u.transitions,
-            classes=classes,
-            energy=u.energy,
-        )
-        codes = {v.code for v in broken.validate()}
-        assert "UnclassifiedState" in codes
-        assert "ForeignClassKey" in codes
-
-    def test_energy_rules_checked(self):
-        u = tiny_universe(energy=EnergyRules(0, -1, 0, 0, -2))
-        codes = [v.code for v in u.validate()]
-        assert "NonPositiveInitialEnergy" in codes
-        assert "NegativeEnergyField" in codes
-        assert "CapBelowInitial" in codes
-
-    def test_unknown_neutral_act(self):
-        u = tiny_universe()
-        broken = Universe(
-            name=u.name,
-            states=u.states,
-            acts=u.acts,
-            initial=u.initial,
-            neutral_act="dance",
-            transitions=u.transitions,
-            classes=u.classes,
-            energy=u.energy,
-        )
-        assert "UnknownNeutralAct" in [v.code for v in broken.validate()]
+        with pytest.raises(UniverseError, match=needle):
+            run_trajectory(broken, hopper, 1)
 
 
 class TestEnergyLaws:
