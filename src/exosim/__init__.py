@@ -21,9 +21,7 @@ from .architectures import (
     ArchitectureError,
     ArchitectureKind,
     FunctionalUnit,
-    HistoryRecord,
     InconsistentMetadata,
-    NotSensitive,
     OrientedViolation,
     PositionalFasa,
     ProjectionOutOfRange,
@@ -34,7 +32,6 @@ from .architectures import (
     check_oriented_table,
     detect_redundancy,
     splitmix64,
-    success_rates,
     unit_draw,
     update_learning,
 )

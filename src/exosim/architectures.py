@@ -12,10 +12,9 @@ formula directly with one act. ``afs2a`` keeps routes (act sequences)
 from a source formula toward a fixed goal formula. ``afs2b`` routes
 toward a remembered formula instead, recalling the previous step's
 perception. ``afs3a`` carries a pool of candidate route tables and
-learns which one to trust by scoring its predictions against outcomes.
-It keeps per-table tallies of attempts and successes beside its
-``history``, so each scored episode re-picks the active table in
-O(|pool|), however long the run.
+learns which one to trust by scoring its predictions against outcomes:
+``update_learning`` re-picks the table from per-table tallies of
+attempts and successes, in O(|pool|) however long the run.
 
 Every generated sequence is collapsed to a single act by a fixed
 projection index (1-based); an empty generation falls back to the
@@ -23,17 +22,15 @@ universe's neutral act, which is what makes unrepresented states safe
 to encounter but expensive to linger in.
 
 ``_choose`` is one sensitive choice: perception, generation, projection.
-The stepping loop that calls it is ``harness.run_trajectory``.
+The stepping loop that calls it, ``harness.run_trajectory``, holds
+every piece of a run's state; an ``AgentArchitecture`` is only read.
 """
 
 from __future__ import annotations
 
-import copy
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .representation import Formula, RepresentationMap, interpret_act
 from .universe import ActId, StateId, Universe
@@ -64,10 +61,6 @@ def unit_draw(seed: int, t: int) -> float:
 
 class ArchitectureError(Exception):
     pass
-
-
-class NotSensitive(ArchitectureError):
-    """A sensitive-only operation was applied to an elementary agent."""
 
 
 class ProjectionOutOfRange(ArchitectureError):
@@ -144,38 +137,13 @@ class ArchitectureKind(Enum):
 
 
 @dataclass(frozen=True)
-class HistoryRecord:
-    """One resolved prediction episode of a learning agent."""
-
-    observed: Formula
-    table_index: int
-    success: bool
-
-
-@dataclass
-class _Episode:
-    """A pending prediction being scored: resolved by reaching the goal
-    within limit steps of issuance, or by running out of steps."""
-
-    observed: Formula
-    table_index: int
-    goal: Formula
-    limit: int
-    age: int = 0
-
-
-@dataclass
 class AgentArchitecture:
     """One agent: an architecture kind plus the tables that kind needs.
 
-    Mutable fields (memory, history, active_index, episode bookkeeping)
-    are per-run state; clone_for_run produces a fresh agent so runs never
-    contaminate each other. A learning agent also keeps, per candidate
-    table, the attempts and successes its history holds; they are folded
-    in from any history given at construction and kept up by
-    update_learning. So history may only grow through update_learning
-    (clone_for_run starts it empty): assigning or editing it directly
-    leaves success_rates and active_index reading the old tallies.
+    A fixed description that no run changes. A run's own state (afs2b's
+    remembered formula, afs3a's active table, pending episode and
+    tallies) lives in ``harness.run_trajectory``, which only reads the
+    agent.
     """
 
     name: str
@@ -187,80 +155,22 @@ class AgentArchitecture:
     reaction: ReactionTable | None = None
     routes: RouteTable | None = None
     goal: Formula | None = None
-    memory: Formula | None = None
     candidate_pool: tuple[RouteTable, ...] = ()
-    history: list[HistoryRecord] = field(default_factory=list)
-    active_index: int = 0
-    _episode: _Episode | None = field(default=None, repr=False)
-    _attempts: Counter = field(
-        default_factory=Counter, init=False, repr=False, compare=False
-    )
-    _successes: Counter = field(
-        default_factory=Counter, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        for rec in self.history:
-            self._tally(rec.table_index, rec.success)
-
-    def _tally(self, index: int, success: bool) -> None:
-        self._attempts[index] += 1
-        if success:
-            self._successes[index] += 1
-
-    def clone_for_run(self, seed: int | None = None) -> AgentArchitecture:
-        """Fresh copy with per-run state reset; seed overrides the random
-        stream when given."""
-        clone = copy.copy(self)
-        clone.history = []
-        clone.active_index = 0
-        clone._attempts = Counter()
-        clone._successes = Counter()
-        clone._episode = None
-        if self.kind is ArchitectureKind.AFS2B:
-            clone.memory = self.goal
-        if self.random_fasa is not None:
-            clone.random_fasa = replace(
-                self.random_fasa,
-                seed=self.random_fasa.seed if seed is None else seed,
-            )
-        return clone
-
-    def active_routes(self) -> RouteTable | None:
-        """The route table currently steering the agent, if any."""
-        if self.kind is ArchitectureKind.AFS3A:
-            return self.candidate_pool[self.active_index]
-        return self.routes
-
-
-def _resolve_episode(agent: AgentArchitecture, formula: Formula | None) -> None:
-    ep = agent._episode
-    if ep is None:
-        return
-    ep.age += 1
-    if formula is not None and formula == ep.goal:
-        agent._episode = None
-        update_learning(agent, ep.observed, True, table_index=ep.table_index)
-    elif ep.age >= ep.limit:
-        agent._episode = None
-        update_learning(agent, ep.observed, False, table_index=ep.table_index)
-
-
-def _open_episode(agent: AgentArchitecture, formula: Formula) -> None:
-    """Score the active table's prediction at formula unless one is pending."""
-    if agent._episode is None:
-        i = agent.active_index
-        agent._episode = _Episode(formula, i, agent.goal, agent.candidate_pool[i].depth_max)
 
 
 def _choose(
-    agent: AgentArchitecture, universe: Universe, state: StateId
+    agent: AgentArchitecture,
+    universe: Universe,
+    state: StateId,
+    table: RouteTable | None,
+    target: Formula | None,
 ) -> tuple[Formula | None, tuple[ActId, ...] | None, ActId]:
     """What a sensitive agent perceives at state, generates, and issues.
 
-    The generation is projected to one act, or falls back to the neutral
-    act when nothing was generated. The answer depends on the state, on
-    afs2b's memory and on afs3a's active table, and on nothing else.
+    afs1 reacts to the formula; the routed kinds look up the route from
+    it toward target in table, both given by the run. The generation is
+    projected to one act, or falls back to the neutral act when nothing
+    was generated.
     """
     rmap = agent.representation
     formula = rmap.formula_for(state) if rmap is not None else None
@@ -270,9 +180,6 @@ def _choose(
         act = agent.reaction.act(formula) if agent.reaction else None
         sequence = None if act is None else (act,)
     else:
-        # afs2b routes toward its memory; afs2a and afs3a toward the fixed goal.
-        target = agent.memory if agent.kind is ArchitectureKind.AFS2B else agent.goal
-        table = agent.active_routes()
         sequence = None if table is None or target is None else table.sequence(formula, target)
     if not sequence:
         return formula, sequence, universe.neutral_act
@@ -284,46 +191,29 @@ def _choose(
     return formula, sequence, interpret_act(universe, sequence[c - 1])
 
 
-def success_rates(agent: AgentArchitecture) -> list[Fraction]:
-    """Per-candidate empirical success rate; unattempted candidates are 0."""
-    attempts, successes = agent._attempts, agent._successes
-    return [
-        Fraction(successes[i], attempts[i]) if attempts[i] else Fraction(0)
-        for i in range(len(agent.candidate_pool))
-    ]
-
-
 def update_learning(
-    agent: AgentArchitecture,
-    observed: Formula,
-    success: bool,
-    table_index: int | None = None,
-) -> AgentArchitecture:
-    """Record one scored prediction and re-pick the active candidate.
+    attempts: list[int], successes: list[int], index: int, success: bool
+) -> int:
+    """Score one prediction of candidate table index; return the index
+    of the table to trust next.
 
-    The active candidate is the one with the highest empirical success
-    rate so far; ties go to the lowest index. The pick reads the tallies,
-    so it costs O(|pool|) whatever the length of history. Mutates and
-    returns agent.
+    attempts and successes are per-table tallies, bumped in place. The
+    pick is the highest success rate so far, ties going to the lowest
+    index; it reads only the tallies, so it costs O(|pool|) however long
+    the run.
     """
-    if agent.kind is not ArchitectureKind.AFS3A:
-        raise NotSensitive(f"agent {agent.name!r} is not a learning architecture")
-    if not agent.candidate_pool:
-        raise ArchitectureError(f"agent {agent.name!r} has an empty candidate pool")
-    index = agent.active_index if table_index is None else table_index
-    if not 0 <= index < len(agent.candidate_pool):
+    if not 0 <= index < len(attempts):
         raise ArchitectureError(f"candidate index {index} out of range")
-    agent.history.append(HistoryRecord(observed, index, success))
-    agent._tally(index, success)
+    attempts[index] += 1
+    if success:
+        successes[index] += 1
     # Compare rates s/a exactly by cross-multiplying; an unattempted
-    # candidate counts as 0/1.
-    attempts, successes = agent._attempts, agent._successes
+    # table counts as 0/1.
     best = 0
-    for i in range(1, len(agent.candidate_pool)):
+    for i in range(1, len(attempts)):
         if successes[i] * (attempts[best] or 1) > successes[best] * (attempts[i] or 1):
             best = i
-    agent.active_index = best
-    return agent
+    return best
 
 
 @dataclass(frozen=True)

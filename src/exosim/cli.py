@@ -100,7 +100,8 @@ def _cmd_metrics(args, out) -> int:
         agent, universe = doc.build_agent(args.agent)
     except KeyError:
         raise CliError(f"no agent named {args.agent!r} in {args.file}") from None
-    table = agent.active_routes()
+    # A learner's run starts on pool table 0.
+    table = agent.candidate_pool[0] if agent.candidate_pool else agent.routes
     if table is None or agent.representation is None:
         raise CliError(
             f"agent {args.agent!r} is {agent.kind.value}; metrics need a route table"

@@ -139,39 +139,44 @@ class AgentDecl:
 
     def build(self, universe: Universe) -> AgentArchitecture:
         act_order = tuple(sorted(universe.acts))
-        agent = AgentArchitecture(name=self.name, kind=self.kind)
         if self.kind is ArchitectureKind.RANDOM:
-            agent.random_fasa = RandomFasa(seed=self.seed or 0, act_order=act_order)
-            return agent
+            fasa = RandomFasa(seed=self.seed or 0, act_order=act_order)
+            return AgentArchitecture(name=self.name, kind=self.kind, random_fasa=fasa)
         if self.kind is ArchitectureKind.POSITIONAL:
             kind, payload = self.constant or ("pi", None)
             if kind == "digits":
                 source = parse_digit_string(payload or "", len(act_order))
             else:
                 source = ConstantDigits(kind, len(act_order))
-            agent.positional_fasa = PositionalFasa(source=source, act_order=act_order)
-            return agent
-        agent.representation = RepresentationMap(dict(self.representation))
-        agent.projection_index = self.projection or 1
-        agent.goal = self.goal
+            fasa = PositionalFasa(source=source, act_order=act_order)
+            return AgentArchitecture(name=self.name, kind=self.kind, positional_fasa=fasa)
+        reaction = routes = None
+        pool: tuple[RouteTable, ...] = ()
         if self.kind is ArchitectureKind.AFS1:
-            agent.reaction = ReactionTable(dict(self.react_rows))
+            reaction = ReactionTable(dict(self.react_rows))
         elif self.kind in (ArchitectureKind.AFS2A, ArchitectureKind.AFS2B):
-            agent.routes = RouteTable(
+            routes = RouteTable(
                 {(s, g): seq for s, g, seq in self.predict_rows},
                 depth_max=self.depth or 1,
             )
-            if self.kind is ArchitectureKind.AFS2B:
-                agent.memory = self.goal
         else:
-            tables = []
-            for index in range(max((i for i, *_ in self.pool_rows), default=-1) + 1):
-                entries = {
-                    (s, g): seq for i, s, g, seq in self.pool_rows if i == index
-                }
-                tables.append(RouteTable(entries, depth_max=self.depth or 1))
-            agent.candidate_pool = tuple(tables)
-        return agent
+            pool = tuple(
+                RouteTable(
+                    {(s, g): seq for i, s, g, seq in self.pool_rows if i == index},
+                    depth_max=self.depth or 1,
+                )
+                for index in range(max((i for i, *_ in self.pool_rows), default=-1) + 1)
+            )
+        return AgentArchitecture(
+            name=self.name,
+            kind=self.kind,
+            representation=RepresentationMap(dict(self.representation)),
+            projection_index=self.projection or 1,
+            reaction=reaction,
+            routes=routes,
+            goal=self.goal,
+            candidate_pool=pool,
+        )
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,12 @@
 
 A trajectory steps one agent through its universe until it goes
 exoinactive or hits the step bound. ``run_trajectory`` is the only
-stepping loop: it records one ``TrajectoryStep`` per step and memoizes
-each sensitive choice for the run. The experiment repeats that for
-every agent in a document, derives one fresh seed per run from the
-master seed, and collects persistence times into a CSV plus per-agent
-summaries with rank-sum comparisons of the sensitive group against the
-random and positional groups.
+stepping loop: it owns every piece of a run's state, records one
+``TrajectoryStep`` per step and memoizes each sensitive choice for the
+run. The experiment repeats that for every agent in a document, derives
+one fresh seed per run from the master seed, and collects persistence
+times into a CSV plus per-agent summaries with rank-sum comparisons of
+the sensitive group against the random and positional groups.
 
 Identical inputs reproduce identical output bytes: rows are emitted in
 run_id order and every random stream is positioned by its derived seed
@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .architectures import AgentArchitecture, ArchitectureKind, splitmix64
-from .architectures import _choose, _open_episode, _resolve_episode
+from . import architectures
+from .architectures import AgentArchitecture, ArchitectureError, ArchitectureKind
+from .architectures import _choose, splitmix64
 from .dsl import SpecDocument, load_document
 from .stats import rank_sum_test
 from .universe import TerminalReason, Trajectory, TrajectoryStep, Universe
@@ -55,22 +56,36 @@ def run_trajectory(
     takes max_steps steps; each step records what the agent perceived,
     generated and chose.
 
-    The agent is cloned first, so repeated calls with the same inputs
-    replay the same run regardless of what earlier runs did. Random and
-    positional agents read act t off their stream. A sensitive choice
-    depends only on the state, afs2b's memory and afs3a's active table
-    (read after its pending episode is scored), so each run memoizes the
-    choice and its landing under that key. A key's first step goes
-    through ``_choose``, ``Universe.successor`` and ``Universe.class_of``,
-    so every error is raised at the first step that meets it.
+    The agent is only read, and seed, when given, replaces its random
+    stream's seed, so the same inputs replay the same run. A run's state
+    is local: afs2b's target (the goal, then the formula perceived at the
+    previous step), and afs3a's active table, pending episode (table
+    index, age) and per-table tallies. An episode opens when the active
+    table generates and none is pending, and succeeds if the goal is
+    perceived within depth_max steps.
+
+    A sensitive choice depends only on the state, afs2b's target and
+    afs3a's active table (read after its pending episode is scored), so
+    the run memoizes it and its landing under that key. A key's first
+    step goes through ``_choose``, ``Universe.successor`` and
+    ``Universe.class_of``, so every error is raised at the first step
+    that meets it.
     """
-    runner = agent.clone_for_run(seed)
-    kind = runner.kind
+    kind = agent.kind
     elementary = not kind.is_sensitive
-    stream = runner.random_fasa if kind is ArchitectureKind.RANDOM else runner.positional_fasa
     recall = kind is ArchitectureKind.AFS2B
     learner = kind is ArchitectureKind.AFS3A
-    rmap = runner.representation
+    stream = agent.random_fasa if kind is ArchitectureKind.RANDOM else agent.positional_fasa
+    if seed is not None and kind is ArchitectureKind.RANDOM and stream is not None:
+        stream = replace(stream, seed=seed)
+    rmap, goal, pool = agent.representation, agent.goal, agent.candidate_pool
+    if learner and not pool and max_steps > 0:
+        raise ArchitectureError(f"agent {agent.name!r} has an empty candidate pool")
+    target = goal
+    active = 0
+    pending: tuple[int, int] | None = None
+    attempts = [0] * len(pool)
+    successes = [0] * len(pool)
     settle = universe.settle
     memo: dict = {}
     state = universe.initial
@@ -82,25 +97,35 @@ def run_trajectory(
             act = stream.act_at(t)
             key = (state, act)
         elif learner:
-            _resolve_episode(runner, rmap.formula_for(state) if rmap is not None else None)
-            key = (state, runner.active_index)
+            if pending is not None:
+                index, age = pending
+                formula = rmap.formula_for(state) if rmap is not None else None
+                hit = formula is not None and formula == goal
+                if hit or age + 1 >= pool[index].depth_max:
+                    # Read off the module, so a wrapper of update_learning sees every score.
+                    active = architectures.update_learning(attempts, successes, index, hit)
+                    pending = None
+                else:
+                    pending = (index, age + 1)
+            key = (state, active)
         elif recall:
-            key = (state, runner.memory)
+            key = (state, target)
         else:
             key = state
         choice = memo.get(key)
         if choice is None:
             formula = sequence = None
             if not elementary:
-                formula, sequence, act = _choose(runner, universe, state)
+                table = pool[active] if learner else agent.routes
+                formula, sequence, act = _choose(agent, universe, state, table, target)
             nxt = universe.successor(state, act)
             choice = memo[key] = (formula, sequence, act, nxt, universe.class_of(nxt))
         formula, sequence, act, nxt, landed = choice
         if recall:
             # One-step recall: next step routes toward what was just seen.
-            runner.memory = formula
-        elif learner and sequence:
-            _open_episode(runner, formula)
+            target = formula
+        elif learner and sequence and pending is None:
+            pending = (active, 0)
         energy = settle(energy, landed)
         steps.append(TrajectoryStep(t, state, formula, sequence, act, nxt, energy))
         state = nxt

@@ -108,7 +108,7 @@ class Universe:
         entity is still exoactive (budget strictly positive).
         """
         nxt = self.successor(state, act)
-        new_energy = self.settle(energy, self.classes[nxt])
+        new_energy = self.settle(energy, self.class_of(nxt))
         return nxt, new_energy, new_energy > 0
 
 

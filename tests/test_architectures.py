@@ -16,9 +16,7 @@ from exosim import (
     EnergyRules,
     ExplicitDigits,
     FunctionalUnit,
-    HistoryRecord,
     InconsistentMetadata,
-    NotSensitive,
     PositionalFasa,
     ProjectionOutOfRange,
     RandomFasa,
@@ -33,14 +31,12 @@ from exosim import (
     detect_redundancy,
     run_trajectory,
     splitmix64,
-    success_rates,
     unit_draw,
     update_learning,
 )
 
 import exosim.architectures
 import oracles
-from exosim.architectures import _open_episode
 
 
 def micro3() -> Universe:
@@ -251,7 +247,7 @@ class TestRecall:
     """AFS2B routes toward the formula remembered from the previous step."""
 
     def agent(self):
-        base = AgentArchitecture(
+        return AgentArchitecture(
             name="recaller",
             kind=ArchitectureKind.AFS2B,
             representation=RepresentationMap({"x0": "r0", "x1": "r1"}),
@@ -267,10 +263,10 @@ class TestRecall:
             ),
             goal="rg",
         )
-        return base.clone_for_run()
 
     def test_initial_memory_is_goal(self):
-        assert self.agent().memory == "rg"
+        # Step 1 at x0 routes toward the goal: (r0, rg), not (r0, r0).
+        assert run_from("x0", self.agent())[0].sequence == ("go", "go")
 
     def test_memory_tracks_last_perception(self):
         t1, t2, t3 = run_from("x0", self.agent(), 3)
@@ -313,127 +309,71 @@ SIT_ROUTES = RouteTable(
 
 
 def learner(pool, name="learner"):
-    agent = AgentArchitecture(
+    return AgentArchitecture(
         name=name,
         kind=ArchitectureKind.AFS3A,
         representation=RMAP3,
         candidate_pool=tuple(pool),
         goal="rg",
     )
-    return agent.clone_for_run()
 
 
 class TestLearning:
     def test_empty_history_rates_are_zero(self):
-        agent = learner([GOOD_ROUTES, SIT_ROUTES])
-        assert success_rates(agent) == [Fraction(0), Fraction(0)]
-        assert agent.active_index == 0
+        # From zero tallies, a failure of table 1 leaves both tables at a
+        # rate of 0, and the tie picks table 0.
+        attempts, successes = [0, 0], [0, 0]
+        assert update_learning(attempts, successes, 1, False) == 0
+        assert (attempts, successes) == ([0, 1], [0, 0])
 
     def test_update_picks_highest_rate(self):
-        agent = learner([GOOD_ROUTES, SIT_ROUTES])
-        update_learning(agent, "r0", False, table_index=0)
-        update_learning(agent, "r0", False, table_index=0)
-        for _ in range(3):
-            update_learning(agent, "r1", True, table_index=1)
+        attempts, successes = [0, 0], [0, 0]
+        update_learning(attempts, successes, 0, False)
+        assert update_learning(attempts, successes, 0, False) == 0
+        picks = [update_learning(attempts, successes, 1, True) for _ in range(3)]
         # 0/2 against 3/3.
-        assert success_rates(agent) == [Fraction(0), Fraction(1)]
-        assert agent.active_index == 1
+        assert (attempts, successes) == ([2, 3], [0, 3])
+        assert picks == [1, 1, 1]
 
     def test_tie_goes_to_lowest_index(self):
-        agent = learner([GOOD_ROUTES, SIT_ROUTES])
-        update_learning(agent, "r0", True, table_index=1)
-        update_learning(agent, "r0", True, table_index=0)
-        assert success_rates(agent) == [Fraction(1), Fraction(1)]
-        assert agent.active_index == 0
-
-    def test_default_index_scores_active_candidate(self):
-        agent = learner([GOOD_ROUTES, SIT_ROUTES])
-        returned = update_learning(agent, "r0", False)
-        assert returned is agent
-        assert agent.history == [HistoryRecord("r0", 0, False)]
-
-    def test_rejects_non_learning_agent(self):
-        routed = AgentArchitecture(
-            name="a",
-            kind=ArchitectureKind.AFS2A,
-            representation=RMAP3,
-            routes=GOOD_ROUTES,
-            goal="rg",
-        )
-        with pytest.raises(NotSensitive):
-            update_learning(routed, "r0", True)
+        attempts, successes = [0, 0], [0, 0]
+        assert update_learning(attempts, successes, 1, True) == 1
+        # 1/1 against 1/1.
+        assert update_learning(attempts, successes, 0, True) == 0
 
     def test_rejects_empty_pool_and_bad_index(self):
         empty = AgentArchitecture(
             name="a", kind=ArchitectureKind.AFS3A, representation=RMAP3, goal="rg"
         )
-        with pytest.raises(ArchitectureError):
-            update_learning(empty, "r0", True)
-        agent = learner([GOOD_ROUTES])
-        with pytest.raises(ArchitectureError):
-            update_learning(agent, "r0", True, table_index=1)
+        with pytest.raises(ArchitectureError, match="agent 'a' has an empty candidate pool"):
+            run_trajectory(micro3(), empty, 1)
+        assert run_trajectory(micro3(), empty, 0).persistence == 0
+        for index in (1, -1):
+            with pytest.raises(ArchitectureError, match="out of range"):
+                update_learning([0], [0], index, True)
 
 
-class _NoIteration(list):
-    def __iter__(self):
-        raise AssertionError("history was rescanned")
+Scored = collections.namedtuple("Scored", "table_index success")
 
 
 class TestLearningTallies:
-    """The tallies behind success_rates and the active pick must always
-    agree with a rescan of the whole history."""
+    """The tallies and the pick must always agree with a rescan of every
+    score so far."""
 
     @given(
         pool_size=st.integers(1, 4),
-        given_history=st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=8),
-        updates=st.lists(
-            st.tuples(st.one_of(st.none(), st.integers(0, 3)), st.booleans()),
-            max_size=40,
-        ),
+        updates=st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=40),
     )
     @settings(max_examples=200, deadline=None)
-    def test_tallies_match_history_rescan(self, pool_size, given_history, updates):
-        pool = [GOOD_ROUTES, SIT_ROUTES, GOOD_ROUTES, SIT_ROUTES][:pool_size]
-        history = [
-            HistoryRecord("r0", index % pool_size, success)
-            for index, success in given_history
-        ]
-        agent = AgentArchitecture(
-            name="learner",
-            kind=ArchitectureKind.AFS3A,
-            representation=RMAP3,
-            candidate_pool=tuple(pool),
-            goal="rg",
-            history=history,
-        )
-        assert success_rates(agent) == oracles.success_rates(agent.history, pool_size)
+    def test_tallies_match_history_rescan(self, pool_size, updates):
+        attempts, successes = [0] * pool_size, [0] * pool_size
+        history = []
         for index, success in updates:
-            table_index = None if index is None else index % pool_size
-            update_learning(agent, "r1", success, table_index=table_index)
-            assert success_rates(agent) == oracles.success_rates(agent.history, pool_size)
-            assert agent.active_index == oracles.active_index(agent.history, pool_size)
-
-    def test_clone_resets_tallies(self):
-        agent = learner([SIT_ROUTES, GOOD_ROUTES])
-        update_learning(agent, "r0", True, table_index=1)
-        update_learning(agent, "r0", False, table_index=0)
-        clone = agent.clone_for_run()
-        assert success_rates(clone) == [Fraction(0), Fraction(0)]
-        update_learning(clone, "r0", False, table_index=1)
-        assert success_rates(clone) == [Fraction(0), Fraction(0)]
-        assert clone.active_index == 0
-        # The original keeps its own tallies.
-        assert success_rates(agent) == [Fraction(0), Fraction(1)]
-        assert agent.active_index == 1
-
-    def test_update_never_rescans_history(self):
-        agent = learner([SIT_ROUTES, GOOD_ROUTES])
-        agent.history = _NoIteration()
-        for i in range(5):
-            update_learning(agent, "r0", i % 2 == 0, table_index=i % 2)
-        assert len(agent.history) == 5
-        assert success_rates(agent) == [Fraction(1), Fraction(0)]
-        assert agent.active_index == 0
+            history.append(Scored(index % pool_size, success))
+            picked = update_learning(attempts, successes, index % pool_size, success)
+            rates = [Fraction(s, a) if a else Fraction(0) for a, s in zip(attempts, successes)]
+            assert rates == oracles.success_rates(history, pool_size)
+            assert picked == oracles.active_index(history, pool_size)
 
 
 class TestLearningEpisodes:
@@ -441,54 +381,48 @@ class TestLearningEpisodes:
     when the goal shows up in time, or when the step budget runs out."""
 
     def drive(self, agent, steps, monkeypatch):
-        """Run agent through micro3 from x0; return the run's own learner,
-        caught at the update_learning calls that score its episodes."""
+        """Run agent through micro3 from x0; return (table index, success,
+        table picked next) of each scored episode, caught at the
+        update_learning calls that score them."""
         real = exosim.architectures.update_learning
-        seen = []
+        scored = []
 
-        def catch(runner, observed, success, table_index=None):
-            seen.append(runner)
-            return real(runner, observed, success, table_index=table_index)
+        def catch(attempts, successes, index, success):
+            picked = real(attempts, successes, index, success)
+            scored.append((index, success, picked))
+            return picked
 
         monkeypatch.setattr(exosim.architectures, "update_learning", catch)
         run_trajectory(micro3(), agent, steps)
-        assert seen and all(runner is seen[0] for runner in seen)
-        return seen[0]
+        return scored
 
     def test_successful_predictions_enter_history(self, monkeypatch):
-        agent = self.drive(learner([GOOD_ROUTES]), 4, monkeypatch)
         # x0 -> x1 -> gg resolves the first episode at step 3; the
         # episode issued at gg resolves one step later.
-        assert agent.history == [
-            HistoryRecord("r0", 0, True),
-            HistoryRecord("rg", 0, True),
-        ]
-        assert agent.active_index == 0
-        assert success_rates(agent) == [Fraction(1)]
+        scored = self.drive(learner([GOOD_ROUTES]), 4, monkeypatch)
+        assert scored == [(0, True, 0), (0, True, 0)]
 
     def test_failed_prediction_scored_at_depth(self, monkeypatch):
-        agent = self.drive(learner([SIT_ROUTES]), 3, monkeypatch)
         # sit keeps the agent at x0, so the goal never shows inside the
         # 2-step budget and the episode fails.
-        assert agent.history == [HistoryRecord("r0", 0, False)]
-        assert success_rates(agent) == [Fraction(0)]
+        scored = self.drive(learner([SIT_ROUTES]), 3, monkeypatch)
+        assert scored == [(0, False, 0)]
 
     def test_closed_loop_never_leaves_index_zero(self, monkeypatch):
         # A failing candidate at rate 0 still ties the unattempted one,
         # and ties keep the lowest index active.
-        agent = self.drive(learner([SIT_ROUTES, GOOD_ROUTES]), 9, monkeypatch)
-        assert agent.active_index == 0
-        assert all(rec.table_index == 0 for rec in agent.history)
-        assert all(not rec.success for rec in agent.history)
+        scored = self.drive(learner([SIT_ROUTES, GOOD_ROUTES]), 9, monkeypatch)
+        assert len(scored) == 4
+        assert set(scored) == {(0, False, 0)}
 
     def test_external_score_switches_candidate(self, monkeypatch):
         # Every scored episode also credits table 1 from outside, so the
         # first score, at step 3, makes table 1 active mid-run.
         real = exosim.architectures.update_learning
 
-        def credit_table_one(runner, observed, success, table_index=None):
-            real(runner, observed, success, table_index=table_index)
-            return real(runner, "r0", True, table_index=1)
+        def credit_table_one(attempts, successes, index, success):
+            real(attempts, successes, index, success)
+            return real(attempts, successes, 1, True)
 
         monkeypatch.setattr(exosim.architectures, "update_learning", credit_table_one)
         steps = run_from("x0", learner([SIT_ROUTES, GOOD_ROUTES]), 4)
@@ -501,44 +435,18 @@ class TestLearningEpisodes:
 
 
 class TestCloneForRun:
-    def test_learning_state_reset(self):
-        agent = learner([SIT_ROUTES, GOOD_ROUTES])
-        update_learning(agent, "r0", True, table_index=1)
-        _open_episode(agent, "r0")
-        clone = agent.clone_for_run()
-        assert clone.history == []
-        assert clone.active_index == 0
-        assert clone._episode is None
-        assert agent.history != []
-
-    def test_clones_do_not_share_history(self):
-        agent = learner([GOOD_ROUTES])
-        a, b = agent.clone_for_run(), agent.clone_for_run()
-        update_learning(a, "r0", True, table_index=0)
-        assert b.history == []
-
-    def test_recall_memory_restored_to_goal(self):
-        base = AgentArchitecture(
-            name="m",
-            kind=ArchitectureKind.AFS2B,
-            representation=RMAP3,
-            routes=GOOD_ROUTES,
-            goal="rg",
-        )
-        agent = base.clone_for_run()
-        agent.memory = "r0"
-        assert agent.clone_for_run().memory == "rg"
+    """A run reads the agent and keeps its own copy of what changes."""
 
     def test_seed_override_only_touches_clone(self):
+        order = ("go", "sit")
         base = AgentArchitecture(
-            name="r",
-            kind=ArchitectureKind.RANDOM,
-            random_fasa=RandomFasa(7, ("go", "sit")),
+            name="r", kind=ArchitectureKind.RANDOM, random_fasa=RandomFasa(7, order)
         )
-        clone = base.clone_for_run(seed=99)
-        assert clone.random_fasa.seed == 99
+        acts = lambda seed: [s.act for s in run_trajectory(micro3(), base, 30, seed=seed).steps]
+        assert acts(99) == [RandomFasa(99, order).act_at(t) for t in range(30)]
         assert base.random_fasa.seed == 7
-        assert base.clone_for_run().random_fasa.seed == 7
+        assert acts(None) == [RandomFasa(7, order).act_at(t) for t in range(30)]
+        assert acts(None) != acts(99)
 
 
 class TestStep:

@@ -129,6 +129,22 @@ class TestMetrics:
         code, _ = cli("metrics", str(reference_path), "--agent", "wanderer")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        [
+            ("text", "beb9dd5eeb2f224ba87c47679fa4d248ef0b087bb085570a6f8dec50d092d150"),
+            ("json", "5b45427f05c4cf19a0a44ca5b234b738d66c9d724a1b656b4ab3e34f3c4ea533"),
+        ],
+    )
+    def test_learner_reports_pool_table_zero(self, fmt, digest, tmp_path):
+        # A learner's run starts on pool table 0: departures[H] is 6
+        # there, and table 1 would give another count.
+        path = tmp_path / "six.exo"
+        path.write_text(SIX_KINDS, encoding="utf-8")
+        code, text = cli("metrics", str(path), "--agent", "learner", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
     def test_invalid_spec(self, broken_spec):
         code, _ = cli("metrics", str(broken_spec), "--agent", "ejemplo")
         assert code == 2

@@ -167,9 +167,12 @@ class TestBuild:
             '  predict "fa" -> "fb" : hop;'
         )
         doc = clean_parse(MINI + agent_block(body)).document
-        agent, _ = doc.build_agent("crew")
+        agent, universe = doc.build_agent("crew")
         assert agent.kind is ArchitectureKind.AFS2B
-        assert agent.memory is None
+        assert agent.goal is None
+        # With no goal to route toward, the first step generates nothing.
+        first = run_trajectory(universe, agent, 1).steps[0]
+        assert (first.formula, first.sequence, first.act) == ("fa", None, "stay")
 
     def test_pool_rows_build_candidate_tables(self):
         body = (

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from dataclasses import replace
+import copy
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -112,21 +113,17 @@ class TestRunTrajectory:
         acts = lambda traces: [r.act for r in traces]
         assert acts(same1) != acts(other)
 
-    def test_agent_state_survives_runs_untouched(self):
-        # The runner works on a clone: the caller's agent keeps whatever
-        # learning state it had before the run.
-        agent = learner([GOOD_ROUTES])
-        run_trajectory(micro3(), agent, max_steps=6)
-        assert agent.history == []
-        recall = AgentArchitecture(
-            name="m",
-            kind=ArchitectureKind.AFS2B,
-            representation=RMAP3,
-            routes=GOOD_ROUTES,
-            goal="rg",
-        ).clone_for_run()
-        run_trajectory(micro3(), recall, max_steps=4)
-        assert recall.memory == "rg"
+    def test_agent_state_survives_runs_untouched(self, reference_doc, ejemplo5_doc):
+        # A run keeps its state to itself: every agent reads the same
+        # after a run as before it, and none can be changed.
+        for doc in (reference_doc, ejemplo5_doc, parse(SIX_KINDS).document):
+            for decl in doc.agents:
+                agent, universe = doc.build_agent(decl.name)
+                before = copy.deepcopy(agent)
+                run_trajectory(universe, agent, 300, seed=5)
+                assert agent == before, agent.name
+                with pytest.raises(FrozenInstanceError):
+                    agent.goal = "elsewhere"
 
     def test_learning_happens_inside_the_run(self):
         # Same scenario driven through the harness: the routes fire, so
@@ -212,9 +209,9 @@ class TestReferenceStepper:
         # the first score, at step 3, makes table 1 active mid-run.
         real = exosim.architectures.update_learning
 
-        def credit_table_one(runner, observed, success, table_index=None):
-            real(runner, observed, success, table_index=table_index)
-            return real(runner, observed, True, table_index=1)
+        def credit_table_one(attempts, successes, index, success):
+            real(attempts, successes, index, success)
+            return real(attempts, successes, 1, True)
 
         monkeypatch.setattr(exosim.architectures, "update_learning", credit_table_one)
         agent = learner([SIT_ROUTES, GOOD_ROUTES])

@@ -133,6 +133,8 @@ class TestLibraryBuiltErrors:
         )
         with pytest.raises(UniverseError, match=needle):
             run_trajectory(broken, hopper, 1)
+        with pytest.raises(UniverseError, match=needle):
+            broken.advance("x", "hop", 5)
 
 
 class TestEnergyLaws:
