@@ -9,6 +9,11 @@ like items, and a block that lost its '}' ends at the next `universe` or
 `agent` keyword. A document containing any error is withheld; callers only
 ever receive fully checked declarations.
 
+A token carries only its offset in the text. A diagnostic, lexical or
+not, and a source span get their 1-based line and column from that offset
+when they are made: only a line feed ends a line, and a column counts code
+points.
+
 Diagnostics come in this order: lexical errors; then, in document order,
 each item's parse errors, with a universe's checks after its block; then
 each agent's checks in declaration order. One agent's checks give first an
@@ -23,10 +28,12 @@ defaults), and parsing a serialized document reproduces it structurally.
 from __future__ import annotations
 
 import re
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .architectures import (
     AgentArchitecture,
@@ -222,19 +229,17 @@ class ParseResult:
 
 class _Token(NamedTuple):
     kind: str  # id, string, int, punct, eof
-    value: str | int  # expect() returns int tokens with an int value
-    line: int
-    column: int
+    value: str | int  # read() returns int tokens with an int value
+    offset: int  # of the token's first character; _Parser.position() maps it
 
 
-# Each match is one token with the blanks and comment before it. `eof`
+# Each match is one token with the blanks and comments before it. `eof`
 # matches at the end of the text, so trailing blanks never come back as
 # `other` tokens.
 _TOKEN_RE = re.compile(
     r"""
-    [\ \t\r]*(?:\#[^\n]*)?
-    (?: (?P<newline>\n)
-      | (?P<string>"(?P<body>(?:\\["\\]|[^"\n])*)(?P<end>"?))
+    [\ \t\r\n]*(?:\#[^\n]*[\ \t\r\n]*)*
+    (?: (?P<string>"(?P<body>(?:\\["\\]|[^"\n])*)(?P<end>"?))
       | (?P<int>\d+)
       | (?P<id>[^\W\d]\w*)
       | (?P<punct>->|[{};:])
@@ -247,28 +252,22 @@ _TOKEN_RE = re.compile(
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
-def _lex(text: str, diags: list[ParseDiagnostic]) -> list[_Token]:
+def _lex(text: str, error: Callable[[str, _Token], None]) -> list[_Token]:
+    """The tokens of text; each lexical error goes to error() in order.
+    Values are interned: a document repeats a few names and formulas many
+    times."""
     tokens: list[_Token] = []
-    line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        column = m.start(kind) - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "string":
+        if kind == "string":
+            tok = _Token(kind, sys.intern(_ESCAPE_RE.sub(r"\1", m["body"])), m.start(kind))
             if not m["end"]:
-                diags.append(
-                    ParseDiagnostic(Severity.ERROR, "unterminated string", line, column)
-                )
-            tokens.append(_Token(kind, _ESCAPE_RE.sub(r"\1", m["body"]), line, column))
+                error("unterminated string", tok)
+            tokens.append(tok)
         elif kind == "other":
-            diags.append(
-                ParseDiagnostic(
-                    Severity.ERROR, f"unexpected character {m[kind]!r}", line, column
-                )
-            )
+            error(f"unexpected character {m[kind]!r}", _Token(kind, m[kind], m.start(kind)))
         else:
-            tokens.append(_Token(kind, m[kind], line, column))
+            tokens.append(_Token(kind, sys.intern(m[kind]), m.start(kind)))
             if kind == "eof":  # blanks before the end match it twice
                 break
     return tokens
@@ -299,8 +298,15 @@ class _Block:
 class _Parser:
     def __init__(self, text: str):
         self.diags: list[ParseDiagnostic] = []
-        self.tokens = _lex(text, self.diags)
+        # The offset of every '\n', after a -1 that starts the first line.
+        self.newlines = [-1, *(m.start() for m in re.finditer("\n", text))]
+        self.tokens = _lex(text, self.error)
         self.pos = 0
+
+    def position(self, offset: int) -> tuple[int, int]:
+        """The 1-based (line, column) of a text offset."""
+        line = bisect_left(self.newlines, offset)
+        return line, offset - self.newlines[line - 1]
 
     # -- token plumbing ----------------------------------------------------
 
@@ -317,45 +323,44 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "punct" and tok.value == value
 
-    def at_id(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "id" and tok.value == value
-
     def at_block(self) -> bool:
         """At a 'universe' or 'agent' keyword, where a block starts."""
         tok = self.peek()
         return tok.kind == "id" and tok.value in ("universe", "agent")
 
     def error(self, message: str, tok: _Token | None = None) -> None:
-        tok = tok or self.peek()
-        self.diags.append(ParseDiagnostic(Severity.ERROR, message, tok.line, tok.column))
+        line, column = self.position((tok or self.peek()).offset)
+        self.diags.append(ParseDiagnostic(Severity.ERROR, message, line, column))
 
     def warn(self, message: str, tok: _Token) -> None:
-        self.diags.append(ParseDiagnostic(Severity.WARNING, message, tok.line, tok.column))
+        line, column = self.position(tok.offset)
+        self.diags.append(ParseDiagnostic(Severity.WARNING, message, line, column))
 
     def fail(self, message: str, tok: _Token | None = None) -> None:
         self.error(message, tok)
         raise _ItemError()
 
-    def expect_punct(self, value: str) -> _Token:
-        if not self.at_punct(value):
+    def read(self, *pattern: str) -> list[_Token]:
+        """Consume one token per pattern entry, failing at the first that
+        does not match. A kind (id, string, int) matches a token of that
+        kind, which is returned, an int with its value converted to int;
+        any other entry is punctuation that must come next."""
+        got = []
+        for want in pattern:
             tok = self.peek()
-            self.fail(f"expected {value!r}, found {self._describe(tok)}", tok)
-        return self.advance()
-
-    def expect(self, kind: str) -> _Token:
-        """Consume a token of kind id, string or int. An int token comes
-        back with its value converted to int."""
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {_EXPECTED[kind]}, found {self._describe(tok)}", tok)
-        if kind == "int":
-            try:
-                tok = tok._replace(value=int(tok.value))
-            except ValueError:  # longer than sys.get_int_max_str_digits()
-                self.fail(f"integer of {len(tok.value)} digits is too long", tok)
-        self.advance()
-        return tok
+            if want in _EXPECTED:
+                if tok.kind != want:
+                    self.fail(f"expected {_EXPECTED[want]}, found {self._describe(tok)}", tok)
+                if want == "int":
+                    try:
+                        tok = tok._replace(value=int(tok.value))
+                    except ValueError:  # longer than sys.get_int_max_str_digits()
+                        self.fail(f"integer of {len(tok.value)} digits is too long", tok)
+                got.append(tok)
+            elif tok.kind != "punct" or tok.value != want:
+                self.fail(f"expected {want!r}, found {self._describe(tok)}", tok)
+            self.pos += 1
+        return got
 
     @staticmethod
     def _describe(tok: _Token) -> str:
@@ -385,7 +390,7 @@ class _Parser:
     # -- document ----------------------------------------------------------
 
     def parse_document(self) -> tuple[SpecDocument | None, list[ParseDiagnostic]]:
-        universes: list[UniverseDecl] = []
+        universes: dict[str, UniverseDecl] = {}
         agents: list[_Block] = []
         spans: dict = {}
         while self.peek().kind != "eof":
@@ -399,11 +404,11 @@ class _Parser:
                 decl = self._resolve_universe(block)
                 if decl is None:
                     continue
-                if any(u.name == decl.name for u in universes):
+                if decl.name in universes:
                     self.error(f"duplicate universe {decl.name!r}", block.keyword)
                 else:
-                    universes.append(decl)
-                    spans[("universe", decl.name)] = (block.keyword.line, block.keyword.column)
+                    universes[decl.name] = decl
+                    spans[("universe", decl.name)] = self.position(block.keyword.offset)
             else:
                 self.error(
                     f"expected 'universe' or 'agent', found {self._describe(self.peek())}"
@@ -421,11 +426,11 @@ class _Parser:
                 self.error(f"duplicate agent {decl.name!r}", block.keyword)
                 continue
             seen.add(decl.name)
-            spans[("agent", decl.name)] = (block.keyword.line, block.keyword.column)
+            spans[("agent", decl.name)] = self.position(block.keyword.offset)
             decls.append(decl)
         if any(d.severity is Severity.ERROR for d in self.diags):
             return None, self.diags
-        doc = SpecDocument(tuple(universes), tuple(decls), spans)
+        doc = SpecDocument(tuple(universes.values()), tuple(decls), spans)
         return doc, self.diags
 
     def _parse_block(self) -> _Block | None:
@@ -434,13 +439,14 @@ class _Parser:
         keyword = self.advance()
         universe_name = None
         try:
-            name = self.expect("string").value
-            if keyword.value == "agent":
-                in_tok = self.expect("id")
+            if keyword.value == "universe":
+                name = self.read("string", "{")[0].value
+            else:
+                name_tok, in_tok = self.read("string", "id")
                 if in_tok.value != "in":
                     self.fail(f"expected 'in', found {in_tok.value!r}", in_tok)
-                universe_name = self.expect("string").value
-            self.expect_punct("{")
+                name = name_tok.value
+                universe_name = self.read("string", "{")[0].value
         except _ItemError:
             self.skip_item()
             return None
@@ -476,29 +482,28 @@ class _Parser:
 
     def _parse_uitem(self, block: _Block, head: _Token) -> None:
         if head.value in ("states", "acts"):
-            self.expect_punct(":")
+            self.read(":")
             target = block.rows[head.value]
             for ident, id_tok in self._id_list(head.value):
                 if ident in target:
                     self.warn(f"{head.value[:-1]} {ident!r} listed twice", id_tok)
                 else:
                     target[ident] = id_tok
-            self.expect_punct(";")
+            self.read(";")
         elif head.value in ("initial", "neutral_act"):
-            self.expect_punct(":")
-            ident = self.expect("id")
+            ident = self.read(":", "id")[0]
             if head.value in block.singles:
                 self.fail(f"duplicate {head.value!r} item", head)
             block.singles[head.value] = (ident.value, ident)
-            self.expect_punct(";")
+            self.read(";")
         elif head.value == "classify":
-            word = self.expect("id")
+            word = self.read("id")[0]
             if word.value not in _CLASS_WORDS:
                 self.fail(
                     f"expected 'positive', 'neutral' or 'negative', found {word.value!r}",
                     word,
                 )
-            self.expect_punct(":")
+            self.read(":")
             classes = block.rows["classify"]
             for ident, id_tok in self._id_list("classified states"):
                 if ident in classes and classes[ident][0] != word.value:
@@ -510,11 +515,9 @@ class _Parser:
                     self.warn(f"state {ident!r} classified twice", id_tok)
                 else:
                     classes[ident] = (word.value, id_tok)
-            self.expect_punct(";")
+            self.read(";")
         elif head.value == "transition":
-            src = self.expect("id")
-            act = self.expect("id")
-            dst = self.expect("id")
+            src, act, dst = self.read("id", "id", "id")
             key = (src.value, act.value)
             transitions = block.rows["transition"]
             if key in transitions and transitions[key][0] != dst.value:
@@ -527,9 +530,9 @@ class _Parser:
                 )
             else:
                 transitions[key] = (dst.value, src)
-            self.expect_punct(";")
+            self.read(";")
         elif head.value == "energy":
-            self.expect_punct("{")
+            self.read("{")
             values: list[int | None] = []
             # Each field is an item of its own. Reading stops after the last
             # field or at a block keyword, so a missing '}' does not swallow
@@ -570,15 +573,14 @@ class _Parser:
         """Parse the next 'label: value;' field of an energy block into
         values; a bad field leaves None in its slot."""
         values.append(None)
-        label = self.expect("id")
+        label = self.read("id")[0]
         expected = _ENERGY_FIELDS[len(values) - 1]
         if label.value != expected:
             # The field order is part of the format.
             self.fail(f"energy field {expected!r} expected here, found {label.value!r}", label)
-        self.expect_punct(":")
-        value = self.expect("int").value
+        value = self.read(":", "int")[0].value
         if self.peek().kind != "id":
-            self.expect_punct(";")
+            self.read(";")
             values[-1] = value
         else:  # only the ';' is missing: the next field keeps its own slot
             self.error(f"expected ';', found {self._describe(self.peek())}")
@@ -655,70 +657,58 @@ class _Parser:
 
     def _parse_aitem(self, block: _Block, head: _Token) -> None:
         if head.value == "architecture":
-            self.expect_punct(":")
-            word = self.expect("id")
+            word = self.read(":", "id")[0]
             if word.value not in _KIND_WORDS:
                 self.fail(f"unknown architecture {word.value!r}", word)
             self._set_single(block, "architecture", word.value, head)
-            self.expect_punct(";")
+            self.read(";")
         elif head.value in ("seed", "depth", "projection"):
-            self.expect_punct(":")
-            value = self.expect("int").value
+            value = self.read(":", "int")[0].value
             self._set_single(block, head.value, value, head)
-            self.expect_punct(";")
+            self.read(";")
         elif head.value == "constant":
-            self.expect_punct(":")
-            word = self.expect("id")
+            word = self.read(":", "id")[0]
             if word.value in ("pi", "e"):
                 value: tuple[str, str | None] = (word.value, None)
             elif word.value == "digits":
-                value = ("digits", self.expect("string").value)
+                value = ("digits", self.read("string")[0].value)
             else:
                 self.fail(f"expected 'pi', 'e' or 'digits', found {word.value!r}", word)
             self._set_single(block, "constant", value, head)
-            self.expect_punct(";")
+            self.read(";")
         elif head.value == "goal":
-            self.expect_punct(":")
-            value = self.expect("string").value
+            value = self.read(":", "string")[0].value
             self._set_single(block, "goal", value, head)
-            self.expect_punct(";")
+            self.read(";")
         elif head.value == "represents":
-            state = self.expect("id")
-            self.expect_punct("->")
-            formula = self.expect("string")
+            state, formula = self.read("id", "->", "string")
             block.rows["represents"].append((state.value, formula.value, state))
-            self.expect_punct(";")
+            self.read(";")
         elif head.value == "react":
-            formula = self.expect("string")
-            self.expect_punct(":")
-            act = self.expect("id")
+            formula, act = self.read("string", ":", "id")
             block.rows["react"].append((formula.value, act.value, head))
-            self.expect_punct(";")
+            self.read(";")
         elif head.value == "predict":
             self._parse_predict_tail(block, None, head)
         elif head.value == "pool":
-            index = self.expect("int").value
-            word = self.expect("id")
+            index, word = self.read("int", "id")
             if word.value != "predict":
                 self.fail(f"expected 'predict' after pool index, found {word.value!r}", word)
-            self._parse_predict_tail(block, index, head)
+            self._parse_predict_tail(block, index.value, head)
         else:
             self.fail(f"unknown agent item {head.value!r}", head)
 
     def _parse_predict_tail(
         self, block: _Block, pool_index: int | None, head: _Token
     ) -> None:
-        source = self.expect("string")
-        self.expect_punct("->")
-        goal = self.expect("string")
-        self.expect_punct(":")
+        source, goal = self.read("string", "->", "string", ":")
         acts = self._id_list("predicted act sequence")
         row = (source.value, goal.value, tuple(a for a, _ in acts), head)
         if pool_index is None:
             block.rows["predict"].append(row)
         else:
             block.rows["pool"].append((pool_index, *row))
-        self.expect_punct(";")
+        self.read(";")
 
     def _set_single(self, block: _Block, key: str, value, tok: _Token) -> None:
         if key in block.singles:
@@ -729,9 +719,9 @@ class _Parser:
     # -- agent resolution ------------------------------------------------------
 
     def _resolve_agent(
-        self, block: _Block, universes: list[UniverseDecl]
+        self, block: _Block, universes: dict[str, UniverseDecl]
     ) -> AgentDecl | None:
-        universe = next((u for u in universes if u.name == block.universe_name), None)
+        universe = universes.get(block.universe_name)
         if universe is None:
             self.error(
                 f"agent {block.name!r} inhabits unknown universe {block.universe_name!r}",
@@ -762,7 +752,7 @@ class _Parser:
 
         firsts = {key: tok for key, (_, tok) in block.singles.items() if key != "architecture"}
         firsts.update((key, rows[0][-1]) for key, rows in block.rows.items() if rows)
-        for key, tok in sorted(firsts.items(), key=lambda kv: (kv[1].line, kv[1].column)):
+        for key, tok in sorted(firsts.items(), key=lambda kv: kv[1].offset):
             if key not in _USES[kind]:
                 what = _ROWS_IGNORED.get(key, f"item {key!r} is")
                 self.warn(f"{what} ignored for {kind.value} agents", tok)

@@ -79,6 +79,8 @@ def run_trajectory(
     if seed is not None and kind is ArchitectureKind.RANDOM and stream is not None:
         stream = replace(stream, seed=seed)
     rmap, goal, pool = agent.representation, agent.goal, agent.candidate_pool
+    if elementary and stream is None and max_steps > 0:
+        raise ArchitectureError(f"{kind.value} agent {agent.name!r} has no act stream")
     if learner and not pool and max_steps > 0:
         raise ArchitectureError(f"agent {agent.name!r} has an empty candidate pool")
     target = goal

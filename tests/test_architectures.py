@@ -352,6 +352,14 @@ class TestLearning:
             with pytest.raises(ArchitectureError, match="out of range"):
                 update_learning([0], [0], index, True)
 
+    @pytest.mark.parametrize("kind", [ArchitectureKind.RANDOM, ArchitectureKind.POSITIONAL])
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_rejects_elementary_agent_without_stream(self, kind, seed):
+        bare = AgentArchitecture(name="r", kind=kind)
+        with pytest.raises(ArchitectureError, match=f"{kind.value} agent 'r' has no act stream"):
+            run_trajectory(micro3(), bare, 1, seed=seed)
+        assert run_trajectory(micro3(), bare, 0, seed=seed).persistence == 0
+
 
 Scored = collections.namedtuple("Scored", "table_index success")
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from exosim import (
     run_trajectory,
     serialize,
 )
-from exosim.dsl import _lex
+from exosim.dsl import _Parser
 
 import docgen
 
@@ -753,15 +754,17 @@ class TestLexical:
     def test_reference_tokens_match_pinned_list(self, reference_path):
         # reference_tokens.txt: one "line:column kind value" row per token.
         pinned = Path(__file__).with_name("reference_tokens.txt")
-        diags = []
-        tokens = _lex(reference_path.read_text(encoding="utf-8"), diags)
-        assert diags == []
-        got = [f"{t.line}:{t.column} {t.kind} {t.value!r}" for t in tokens]
+        parser = _Parser(reference_path.read_text(encoding="utf-8"))
+        assert parser.diags == []
+        got = [
+            "%d:%d %s %r" % (*parser.position(t.offset), t.kind, t.value)
+            for t in parser.tokens
+        ]
         assert got == pinned.read_text(encoding="utf-8").splitlines()
 
     def test_trailing_blanks_and_comment_end_in_one_eof(self):
-        tokens = _lex("a \t# note", [])
-        assert [(t.kind, t.value, t.line, t.column) for t in tokens] == [
+        parser = _Parser("a \t# note")
+        assert [(t.kind, t.value, *parser.position(t.offset)) for t in parser.tokens] == [
             ("id", "a", 1, 1),
             ("eof", "", 1, 10),
         ]
@@ -825,6 +828,9 @@ _PREFIXES = [
 ]
 
 
+DIAGNOSTICS_SHA256 = "39d328d420b09c3bda47ecf466286ff7057f92905e38ee0d95dadac216c197a4"
+
+
 class TestFuzz:
     def test_mutations_never_crash(self, ejemplo5_path, reference_path):
         bases = [
@@ -852,6 +858,28 @@ class TestFuzz:
                 tried += 1
         assert tried == 150
         assert ran > 0
+
+    def test_diagnostics_stream_is_pinned(self, ejemplo5_path, reference_path):
+        # Every diagnostic, rendered in order, and every accepted document's
+        # source spans, over the fixtures, 50 generated documents and 15
+        # mutations of each. The hash pins positions and order, which the
+        # per-rule tables only sample.
+        bases = [
+            ejemplo5_path.read_text(encoding="utf-8"),
+            reference_path.read_text(encoding="utf-8"),
+        ]
+        bases += [docgen.random_document_text(seed) for seed in range(50)]
+        digest = hashlib.sha256()
+        for base_i, base in enumerate(bases):
+            texts = [base] + [docgen.mutate_text(base, base_i * 15 + i) for i in range(15)]
+            for text in texts:
+                result = parse(text)
+                for d in result.diagnostics:
+                    digest.update(d.render().encode() + b"\n")
+                if result.document is not None:
+                    spans = sorted(result.document.source_spans.items())
+                    digest.update(repr(spans).encode() + b"\n")
+        assert digest.hexdigest() == DIAGNOSTICS_SHA256
 
     @settings(max_examples=300, deadline=None)
     @given(
