@@ -191,18 +191,19 @@ class SpecDocument:
     universes: tuple[UniverseDecl, ...]
     agents: tuple[AgentDecl, ...]
     source_spans: dict = field(default_factory=dict, compare=False, repr=False)
+    _universes: dict = field(init=False, compare=False, repr=False)
+    _agents: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Name indexes, built from the end so the first declaration wins.
+        object.__setattr__(self, "_universes", {u.name: u for u in reversed(self.universes)})
+        object.__setattr__(self, "_agents", {a.name: a for a in reversed(self.agents)})
 
     def universe(self, name: str) -> UniverseDecl:
-        for u in self.universes:
-            if u.name == name:
-                return u
-        raise KeyError(name)
+        return self._universes[name]
 
     def agent(self, name: str) -> AgentDecl:
-        for a in self.agents:
-            if a.name == name:
-                return a
-        raise KeyError(name)
+        return self._agents[name]
 
     def build_universe(self, name: str) -> Universe:
         return self.universe(name).build()

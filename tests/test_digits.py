@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -53,12 +59,15 @@ class TestConstantDigits:
         assert constant_digits("pi", 10, 0) == []
 
     @pytest.mark.parametrize("name", ["pi", "e"])
-    @pytest.mark.parametrize("base", [2, 3, 4, 5, 10, 16])
+    @pytest.mark.parametrize("base", range(2, 17))
     def test_long_run_matches_certified_oracle(self, name, base):
         # 5000 digits are split eight levels deep before the conversion
-        # reaches its 32-digit leaves, in every base.
-        want = oracles.certified_constant_digits(name, base, 5000)
-        assert constant_digits(name, base, 5000) == want
+        # reaches its 32-digit leaves, in every base. Up to 64 digits the
+        # constant is read at 65 to 317 bits, where the pi series stops
+        # after three to eight terms.
+        for count in (*range(1, 65), 5000):
+            want = oracles.certified_constant_digits(name, base, count)
+            assert constant_digits(name, base, count) == want
 
     def test_digits_in_range(self):
         for base in (2, 3, 7, 12):
@@ -78,6 +87,35 @@ class TestOracleSeries:
         low, high = str(scaled - err)[:1000], str(scaled + err)[:1000]
         assert low == high == "".join(map(str, spigot(1000)))
         assert low.startswith(anchor)
+
+
+class TestFixedPoint:
+    """The series' fixed-point contract, against the oracle's interval."""
+
+    @pytest.mark.parametrize("name", ["pi", "e"])
+    def test_constant_strictly_inside_interval(self, name):
+        series = oracles.pi_fixed_point if name == "pi" else oracles.e_fixed_point
+        for bits in (1, 2, 5, 9, 38, 47, 94, 100, 512, 1024, 4097, 12345, 20000):
+            fixed = digits_module._fixed(name, bits)
+            # x lies in [scaled - err, scaled + err] / 10**scale, an interval
+            # far narrower than 2**-bits.
+            scale = math.ceil(bits * math.log10(2)) + 30
+            scaled, err = series(scale)
+            assert (fixed - 1) * 10**scale < (scaled - err) << bits
+            assert (scaled + err) << bits < (fixed + 2) * 10**scale
+
+    def test_import_loads_no_mpmath(self):
+        # Both series run on stdlib ints: importing the package pulls in
+        # no arbitrary-precision library.
+        env = dict(os.environ, PYTHONPATH=str(Path(digits_module.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, exosim; print('mpmath' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestConversion:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from exosim import (
     ArchitectureKind,
     DigitSourceExhausted,
+    SpecDocument,
     SpecInvalid,
     StateClass,
     Severity,
@@ -189,6 +191,21 @@ class TestBuild:
         assert len(agent.candidate_pool) == 2
         assert agent.candidate_pool[0].sequence("fa", "fb") == ("hop",)
         assert agent.candidate_pool[1].sequence("fa", "fb") == ("stay", "hop")
+
+    def test_lookup_by_name_first_declaration_wins(self, reference_doc):
+        # A library-built document may repeat a name; a parsed one never does.
+        doc = SpecDocument(
+            reference_doc.universes + tuple(map(dataclasses.replace, reference_doc.universes)),
+            reference_doc.agents + tuple(map(dataclasses.replace, reference_doc.agents)),
+        )
+        for a in reference_doc.agents:
+            assert doc.agent(a.name) is a
+        for u in reference_doc.universes:
+            assert doc.universe(u.name) is u
+        with pytest.raises(KeyError):
+            doc.agent("nobody")
+        with pytest.raises(KeyError):
+            doc.universe(reference_doc.agents[0].name)
 
     def test_empty_document_is_valid(self):
         result = clean_parse("# nothing but commentary\n")
