@@ -138,7 +138,13 @@ class ArchitectureKind(Enum):
 
 @dataclass(frozen=True)
 class AgentArchitecture:
-    """One agent: an architecture kind plus the tables that kind needs.
+    """One agent: an architecture kind plus the act source that kind reads.
+
+    An elementary agent (random, positional) reads its ``stream``. afs1
+    reacts through ``reaction``. afs2a and afs2b route through exactly
+    one table in ``tables``, which may be empty; afs3a's candidate pool
+    is ``tables`` in pool-index order. ``dsl.AgentDecl.build`` is the one
+    place that fills these slots by kind.
 
     A fixed description that no run changes. A run's own state (afs2b's
     remembered formula, afs3a's active table, pending episode and
@@ -150,27 +156,25 @@ class AgentArchitecture:
     kind: ArchitectureKind
     representation: RepresentationMap | None = None
     projection_index: int = 1
-    random_fasa: RandomFasa | None = None
-    positional_fasa: PositionalFasa | None = None
+    stream: RandomFasa | PositionalFasa | None = None
     reaction: ReactionTable | None = None
-    routes: RouteTable | None = None
+    tables: tuple[RouteTable, ...] = ()
     goal: Formula | None = None
-    candidate_pool: tuple[RouteTable, ...] = ()
 
 
 def _choose(
     agent: AgentArchitecture,
     universe: Universe,
     state: StateId,
-    table: RouteTable | None,
+    active: int,
     target: Formula | None,
 ) -> tuple[Formula | None, tuple[ActId, ...] | None, ActId]:
     """What a sensitive agent perceives at state, generates, and issues.
 
     afs1 reacts to the formula; the routed kinds look up the route from
-    it toward target in table, both given by the run. The generation is
-    projected to one act, or falls back to the neutral act when nothing
-    was generated.
+    it toward target in table ``tables[active]``, both given by the run.
+    The generation is projected to one act, or falls back to the neutral
+    act when nothing was generated.
     """
     rmap = agent.representation
     formula = rmap.formula_for(state) if rmap is not None else None
@@ -180,7 +184,7 @@ def _choose(
         act = agent.reaction.act(formula) if agent.reaction else None
         sequence = None if act is None else (act,)
     else:
-        sequence = None if table is None or target is None else table.sequence(formula, target)
+        sequence = None if target is None else agent.tables[active].sequence(formula, target)
     if not sequence:
         return formula, sequence, universe.neutral_act
     c = agent.projection_index

@@ -100,12 +100,12 @@ def _cmd_metrics(args, out) -> int:
         agent, universe = doc.build_agent(args.agent)
     except KeyError:
         raise CliError(f"no agent named {args.agent!r} in {args.file}") from None
-    # A learner's run starts on pool table 0.
-    table = agent.candidate_pool[0] if agent.candidate_pool else agent.routes
-    if table is None or agent.representation is None:
+    if not agent.tables or agent.representation is None:
         raise CliError(
             f"agent {args.agent!r} is {agent.kind.value}; metrics need a route table"
         )
+    # A learner's run starts on pool table 0.
+    table = agent.tables[0]
     objectives = derive_objectives(table, agent.representation, universe)
     report = stability_report(table, agent.representation, objectives, universe)
     if args.format == "json":
@@ -167,14 +167,14 @@ def _cmd_experiment(args, out) -> int:
         raise CliError("--runs must be positive")
     if args.max_steps < 0:
         raise CliError("--max-steps must be non-negative")
+    doc = _load_checked(args.file, out)
     cfg = ExperimentConfig(
-        spec_path=args.file,
         runs_per_agent=args.runs,
         max_steps=args.max_steps,
         master_seed=args.seed,
         output_path=args.out,
     )
-    result = run_experiment(cfg)
+    result = run_experiment(doc, cfg)
     print(f"wrote {len(result.rows)} rows to {args.out}", file=out)
     for s in result.summaries:
         print(

@@ -141,38 +141,35 @@ class AgentDecl:
     goal: Formula | None = None
     representation: tuple[tuple[StateId, Formula], ...] = ()
     react_rows: tuple[tuple[Formula, ActId], ...] = ()
-    predict_rows: tuple[tuple[Formula, Formula, tuple[ActId, ...]], ...] = ()
-    pool_rows: tuple[tuple[int, Formula, Formula, tuple[ActId, ...]], ...] = ()
+    # (table index, source, goal, acts); the index is 0 outside afs3a.
+    route_rows: tuple[tuple[int, Formula, Formula, tuple[ActId, ...]], ...] = ()
 
     def build(self, universe: Universe) -> AgentArchitecture:
+        """The agent this declaration describes; the one place that maps
+        a kind to the slots of ``AgentArchitecture`` it fills."""
         act_order = tuple(sorted(universe.acts))
         if self.kind is ArchitectureKind.RANDOM:
-            fasa = RandomFasa(seed=self.seed or 0, act_order=act_order)
-            return AgentArchitecture(name=self.name, kind=self.kind, random_fasa=fasa)
+            stream = RandomFasa(seed=self.seed or 0, act_order=act_order)
+            return AgentArchitecture(name=self.name, kind=self.kind, stream=stream)
         if self.kind is ArchitectureKind.POSITIONAL:
             kind, payload = self.constant or ("pi", None)
             if kind == "digits":
                 source = parse_digit_string(payload or "", len(act_order))
             else:
                 source = ConstantDigits(kind, len(act_order))
-            fasa = PositionalFasa(source=source, act_order=act_order)
-            return AgentArchitecture(name=self.name, kind=self.kind, positional_fasa=fasa)
-        reaction = routes = None
-        pool: tuple[RouteTable, ...] = ()
+            stream = PositionalFasa(source=source, act_order=act_order)
+            return AgentArchitecture(name=self.name, kind=self.kind, stream=stream)
+        reaction = None
+        tables: tuple[RouteTable, ...] = ()
         if self.kind is ArchitectureKind.AFS1:
             reaction = ReactionTable(dict(self.react_rows))
-        elif self.kind in (ArchitectureKind.AFS2A, ArchitectureKind.AFS2B):
-            routes = RouteTable(
-                {(s, g): seq for s, g, seq in self.predict_rows},
-                depth_max=self.depth or 1,
-            )
         else:
-            pool = tuple(
+            tables = tuple(
                 RouteTable(
-                    {(s, g): seq for i, s, g, seq in self.pool_rows if i == index},
+                    {(s, g): seq for i, s, g, seq in self.route_rows if i == index},
                     depth_max=self.depth or 1,
                 )
-                for index in range(max((i for i, *_ in self.pool_rows), default=-1) + 1)
+                for index in range(1 + max((row[0] for row in self.route_rows), default=0))
             )
         return AgentArchitecture(
             name=self.name,
@@ -180,9 +177,8 @@ class AgentDecl:
             representation=RepresentationMap(dict(self.representation)),
             projection_index=self.projection or 1,
             reaction=reaction,
-            routes=routes,
+            tables=tables,
             goal=self.goal,
-            candidate_pool=pool,
         )
 
 
@@ -889,14 +885,13 @@ class _Parser:
         else:
             for key, tok in short.items():
                 error(f"route {key} is shorter than the projection {projection}", tok)
-        rows = tuple((*key, seq) for key, seq in sorted(routes.items()))
+        lead = () if pooled else (0,)
         return decl(
             depth=depth,
             projection=projection,
             goal=goal,
             representation=represented,
-            predict_rows=() if pooled else rows,
-            pool_rows=rows if pooled else (),
+            route_rows=tuple((*lead, *key, seq) for key, seq in sorted(routes.items())),
         )
 
 
@@ -971,14 +966,10 @@ def _serialize_agent(a: AgentDecl, out: list[str]) -> None:
         out.append(f"  represents {state} -> {_quote(formula)};")
     for formula, act in a.react_rows:
         out.append(f"  react {_quote(formula)} : {act};")
-    for source, goal, seq in a.predict_rows:
-        out.append(f"  predict {_quote(source)} -> {_quote(goal)} : " + " ".join(seq) + ";")
-    for index, source, goal, seq in a.pool_rows:
-        out.append(
-            f"  pool {index} predict {_quote(source)} -> {_quote(goal)} : "
-            + " ".join(seq)
-            + ";"
-        )
+    pooled = a.kind is ArchitectureKind.AFS3A
+    for index, source, goal, seq in a.route_rows:
+        pool = f"pool {index} " if pooled else ""
+        out.append(f"  {pool}predict {_quote(source)} -> {_quote(goal)} : " + " ".join(seq) + ";")
     out.append("}")
 
 

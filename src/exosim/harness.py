@@ -11,9 +11,10 @@ the sensitive group against the random and positional groups.
 
 Identical inputs reproduce identical output bytes: rows are emitted in
 run_id order and every random stream is positioned by its derived seed
-alone. The seed reaches nothing but the random stream, so an agent
-without one is simulated once per experiment; its row repeats for
-every run, each with that run's id and derived seed.
+alone. The seed reaches nothing but a random agent's stream, so an
+agent of any other kind is simulated once per experiment; its row
+repeats for every run, each with that run's id and derived seed. The
+experiment takes an already checked document; the CLI loads it.
 """
 
 from __future__ import annotations
@@ -22,15 +23,14 @@ import csv
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import architectures
 from .architectures import AgentArchitecture, ArchitectureError, ArchitectureKind
 from .architectures import _choose, splitmix64
-from .dsl import SpecDocument, load_document
+from .dsl import SpecDocument
 from .stats import rank_sum_test
 from .universe import TerminalReason, Trajectory, TrajectoryStep, Universe
-
-CSV_HEADER = ("run_id", "agent", "kind", "seed", "persistence_steps", "terminal_reason")
 
 
 class HarnessError(Exception):
@@ -56,13 +56,16 @@ def run_trajectory(
     takes max_steps steps; each step records what the agent perceived,
     generated and chose.
 
-    The agent is only read, and seed, when given, replaces its random
+    The agent is only read: an elementary kind steps through
+    ``agent.stream``, a routed kind looks routes up in
+    ``agent.tables[active]``. Seed, when given, replaces a random
     stream's seed, so the same inputs replay the same run. A run's state
     is local: afs2b's target (the goal, then the formula perceived at the
-    previous step), and afs3a's active table, pending episode (table
-    index, age) and per-table tallies. An episode opens when the active
-    table generates and none is pending, and succeeds if the goal is
-    perceived within depth_max steps.
+    previous step), and afs3a's active table index (always 0 for the
+    other kinds), pending episode (table index, age) and per-table
+    tallies. An episode opens when the active table generates and none
+    is pending, and succeeds if the goal is perceived within depth_max
+    steps.
 
     A sensitive choice depends only on the state, afs2b's target and
     afs3a's active table (read after its pending episode is scored), so
@@ -75,19 +78,19 @@ def run_trajectory(
     elementary = not kind.is_sensitive
     recall = kind is ArchitectureKind.AFS2B
     learner = kind is ArchitectureKind.AFS3A
-    stream = agent.random_fasa if kind is ArchitectureKind.RANDOM else agent.positional_fasa
+    stream = agent.stream
     if seed is not None and kind is ArchitectureKind.RANDOM and stream is not None:
         stream = replace(stream, seed=seed)
-    rmap, goal, pool = agent.representation, agent.goal, agent.candidate_pool
+    rmap, goal, tables = agent.representation, agent.goal, agent.tables
     if elementary and stream is None and max_steps > 0:
         raise ArchitectureError(f"{kind.value} agent {agent.name!r} has no act stream")
-    if learner and not pool and max_steps > 0:
-        raise ArchitectureError(f"agent {agent.name!r} has an empty candidate pool")
+    if kind.is_sensitive and kind is not ArchitectureKind.AFS1 and not tables and max_steps > 0:
+        raise ArchitectureError(f"{kind.value} agent {agent.name!r} has no route table")
     target = goal
     active = 0
     pending: tuple[int, int] | None = None
-    attempts = [0] * len(pool)
-    successes = [0] * len(pool)
+    attempts = [0] * len(tables)
+    successes = [0] * len(tables)
     settle = universe.settle
     memo: dict = {}
     state = universe.initial
@@ -103,7 +106,7 @@ def run_trajectory(
                 index, age = pending
                 formula = rmap.formula_for(state) if rmap is not None else None
                 hit = formula is not None and formula == goal
-                if hit or age + 1 >= pool[index].depth_max:
+                if hit or age + 1 >= tables[index].depth_max:
                     # Read off the module, so a wrapper of update_learning sees every score.
                     active = architectures.update_learning(attempts, successes, index, hit)
                     pending = None
@@ -118,8 +121,7 @@ def run_trajectory(
         if choice is None:
             formula = sequence = None
             if not elementary:
-                table = pool[active] if learner else agent.routes
-                formula, sequence, act = _choose(agent, universe, state, table, target)
+                formula, sequence, act = _choose(agent, universe, state, active, target)
             nxt = universe.successor(state, act)
             choice = memo[key] = (formula, sequence, act, nxt, universe.class_of(nxt))
         formula, sequence, act, nxt, landed = choice
@@ -139,21 +141,24 @@ def run_trajectory(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    spec_path: Path
     runs_per_agent: int
     max_steps: int
     master_seed: int
     output_path: Path
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
+    """One CSV row; the field names are the CSV header."""
+
     run_id: int
     agent: str
     kind: str
     seed: int
     persistence_steps: int
     terminal_reason: str
+
+
+CSV_HEADER = RunRecord._fields
 
 
 @dataclass(frozen=True)
@@ -214,7 +219,7 @@ def run_experiment_from_document(
             seed = derive_seed(cfg.master_seed, run_id)
             # The seed reaches only the random stream: any other agent
             # replays its first run under every seed.
-            if trajectory is None or agent.random_fasa is not None:
+            if trajectory is None or agent.kind is ArchitectureKind.RANDOM:
                 trajectory = run_trajectory(universe, agent, cfg.max_steps, seed)
             rows.append(
                 RunRecord(
@@ -254,9 +259,8 @@ def run_experiment_from_document(
     return ExperimentResult(tuple(rows), tuple(summaries), tuple(comparisons))
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Load the document, run every agent, and write the CSV."""
-    doc = load_document(cfg.spec_path)
+def run_experiment(doc: SpecDocument, cfg: ExperimentConfig) -> ExperimentResult:
+    """Run every agent of a checked document and write the CSV."""
     result = run_experiment_from_document(doc, cfg)
     write_csv(result, cfg.output_path)
     return result
@@ -266,14 +270,4 @@ def write_csv(result: ExperimentResult, path: Path | str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for row in result.rows:
-            writer.writerow(
-                (
-                    row.run_id,
-                    row.agent,
-                    row.kind,
-                    row.seed,
-                    row.persistence_steps,
-                    row.terminal_reason,
-                )
-            )
+        writer.writerows(result.rows)

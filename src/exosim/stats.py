@@ -13,10 +13,12 @@ import math
 from typing import Sequence
 
 
-def _ranks(values: Sequence[float]) -> list[float]:
-    """Fractional ranks (1-based); tied values share their average rank."""
+def _ranks(values: Sequence[float]) -> tuple[list[float], int]:
+    """Fractional ranks (1-based), tied values sharing their average rank,
+    and the tie term: the sum of c**3 - c over the tie groups' sizes c."""
     order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0.0] * len(values)
+    tie_term = 0
     i = 0
     while i < len(order):
         j = i
@@ -25,8 +27,10 @@ def _ranks(values: Sequence[float]) -> list[float]:
         shared = (i + j) / 2 + 1
         for k in range(i, j + 1):
             ranks[order[k]] = shared
+        count = j - i + 1
+        tie_term += count**3 - count
         i = j + 1
-    return ranks
+    return ranks, tie_term
 
 
 def _normal_sf(z: float) -> float:
@@ -44,18 +48,11 @@ def rank_sum_test(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]
     n1, n2 = len(x), len(y)
     if n1 == 0 or n2 == 0:
         raise ValueError("rank_sum_test needs non-empty samples")
-    pooled = list(x) + list(y)
-    ranks = _ranks(pooled)
+    ranks, tie_term = _ranks(list(x) + list(y))
     r1 = sum(ranks[:n1])
     u1 = r1 - n1 * (n1 + 1) / 2
 
     n = n1 + n2
-    tie_term = 0.0
-    seen: dict[float, int] = {}
-    for v in pooled:
-        seen[v] = seen.get(v, 0) + 1
-    for count in seen.values():
-        tie_term += count**3 - count
     variance = n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1)))
     if variance == 0:
         return u1, 1.0

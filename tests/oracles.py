@@ -291,17 +291,17 @@ def reference_trajectory(universe, agent, max_steps: int, seed: int | None = Non
     rmap = agent.representation.entries if agent.representation is not None else {}
     e = universe.energy
     if kind == "random":
-        order = agent.random_fasa.act_order
-        seed = agent.random_fasa.seed if seed is None else seed
+        order = agent.stream.act_order
+        seed = agent.stream.seed if seed is None else seed
     elif kind == "positional":
-        order = agent.positional_fasa.act_order
-        source = agent.positional_fasa.source
+        order = agent.stream.act_order
+        source = agent.stream.source
         if hasattr(source, "digits"):
             digits = list(source.digits)
         else:
             digits = certified_constant_digits(source.name, source.base, max_steps)
     memory = agent.goal
-    pool = agent.candidate_pool
+    pool = agent.tables
     history: list[_Scored] = []
     active = 0
     episode = None  # [observed, table index, limit, age]
@@ -331,7 +331,7 @@ def reference_trajectory(universe, agent, max_steps: int, seed: int | None = Non
                     sequence = (reaction[formula],) if formula in reaction else None
                 else:
                     target = memory if kind == "afs2b" else agent.goal
-                    table = pool[active] if kind == "afs3a" else agent.routes
+                    table = pool[active] if kind == "afs3a" else agent.tables[0]
                     if table is not None and target is not None:
                         sequence = table.entries.get((formula, target))
             if kind == "afs3a" and sequence and episode is None:

@@ -18,6 +18,7 @@ from exosim import (
     RouteTable,
     check_oriented_table,
     derive_objectives,
+    load_document,
     parse,
     parse_file,
     persistence_truth_table,
@@ -123,7 +124,7 @@ def test_criterion_4_generator_semantics(reference_doc):
     # Random: near-uniform frequencies and exact reproducibility.
     wanderer, universe = reference_doc.build_agent("wanderer")
     draws = _acts(wanderer, universe, 1000)
-    counts = [draws.count(a) for a in wanderer.random_fasa.act_order]
+    counts = [draws.count(a) for a in wanderer.stream.act_order]
     stat = oracles.chi_square_statistic(counts)
     bound = oracles.chi_square_bound_4_sigma(len(counts))
     assert stat <= bound, f"chi-square {stat:.2f} above {bound:.2f}"
@@ -131,7 +132,7 @@ def test_criterion_4_generator_semantics(reference_doc):
 
     # Positional: acts replay certified digits through the sorted alphabet.
     metronome, _ = reference_doc.build_agent("metronome")
-    order = metronome.positional_fasa.act_order
+    order = metronome.stream.act_order
     assert order == tuple(sorted(universe.acts))
     digits = oracles.certified_constant_digits("pi", len(order), 1000)
     acts = _acts(metronome, universe, 1000)
@@ -156,12 +157,12 @@ def test_criterion_4_generator_semantics(reference_doc):
 def test_criterion_5_oriented_check(reference_doc):
     pathfinder, universe = reference_doc.build_agent("pathfinder")
     assert check_oriented_table(
-        pathfinder.routes, pathfinder.representation, universe
+        pathfinder.tables[0], pathfinder.representation, universe
     ) == []
 
-    entries = dict(pathfinder.routes.entries)
+    entries = dict(pathfinder.tables[0].entries)
     entries[("at_c4", "at_oasis")] = ("probe",)
-    detoured = RouteTable(entries, pathfinder.routes.depth_max)
+    detoured = RouteTable(entries, pathfinder.tables[0].depth_max)
     violations = check_oriented_table(detoured, pathfinder.representation, universe)
     assert len(violations) == 1
     v = violations[0]
@@ -174,13 +175,12 @@ def test_criterion_5_oriented_check(reference_doc):
 def test_criterion_6_persistence_experiment(reference_path, tmp_path):
     started = time.perf_counter()
     cfg = ExperimentConfig(
-        spec_path=reference_path,
         runs_per_agent=100,
         max_steps=500,
         master_seed=1,
         output_path=tmp_path / "runs.csv",
     )
-    result = run_experiment(cfg)
+    result = run_experiment(load_document(reference_path), cfg)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"experiment took {elapsed:.1f}s"
     assert len(result.rows) == 300
@@ -239,13 +239,12 @@ def test_criterion_8_deterministic_reruns(reference_path, tmp_path):
     outputs = []
     for name in ("first.csv", "second.csv"):
         cfg = ExperimentConfig(
-            spec_path=reference_path,
             runs_per_agent=25,
             max_steps=120,
             master_seed=7,
             output_path=tmp_path / name,
         )
-        run_experiment(cfg)
+        run_experiment(load_document(reference_path), cfg)
         outputs.append((tmp_path / name).read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith(b"run_id,agent,kind,seed,persistence_steps,terminal_reason\n")

@@ -164,7 +164,7 @@ class TestKinds:
             kind=ArchitectureKind.AFS2A,
             representation=RMAP3,
             projection_index=2,
-            routes=RouteTable({("r0", "rg"): ("sit", "go")}, 3),
+            tables=(RouteTable({("r0", "rg"): ("sit", "go")}, 3),),
             goal="rg",
         )
         assert agent.projection_index == 2
@@ -211,9 +211,11 @@ class TestRouted:
             kind=ArchitectureKind.AFS2A,
             representation=RMAP3,
             projection_index=projection,
-            routes=RouteTable(
-                {("r0", "rg"): ("go", "go"), ("r1", "rg"): ("go",)},
-                depth_max=2,
+            tables=(
+                RouteTable(
+                    {("r0", "rg"): ("go", "go"), ("r1", "rg"): ("go",)},
+                    depth_max=2,
+                ),
             ),
             goal="rg",
         )
@@ -229,7 +231,7 @@ class TestRouted:
             kind=ArchitectureKind.AFS2A,
             representation=RMAP3,
             projection_index=2,
-            routes=RouteTable({("r0", "rg"): ("go", "sit")}, depth_max=2),
+            tables=(RouteTable({("r0", "rg"): ("go", "sit")}, depth_max=2),),
             goal="rg",
         )
         assert run_from("x0", agent)[0].act == "sit"
@@ -251,15 +253,17 @@ class TestRecall:
             name="recaller",
             kind=ArchitectureKind.AFS2B,
             representation=RepresentationMap({"x0": "r0", "x1": "r1"}),
-            routes=RouteTable(
-                {
-                    ("r0", "rg"): ("go", "go"),
-                    ("r1", "r0"): ("sit",),
-                    # These two fire only when the memory holds r0 or r1.
-                    ("r0", "r0"): ("go",),
-                    ("r1", "r1"): ("go",),
-                },
-                depth_max=2,
+            tables=(
+                RouteTable(
+                    {
+                        ("r0", "rg"): ("go", "go"),
+                        ("r1", "r0"): ("sit",),
+                        # These two fire only when the memory holds r0 or r1.
+                        ("r0", "r0"): ("go",),
+                        ("r1", "r1"): ("go",),
+                    },
+                    depth_max=2,
+                ),
             ),
             goal="rg",
         )
@@ -313,7 +317,7 @@ def learner(pool, name="learner"):
         name=name,
         kind=ArchitectureKind.AFS3A,
         representation=RMAP3,
-        candidate_pool=tuple(pool),
+        tables=tuple(pool),
         goal="rg",
     )
 
@@ -345,12 +349,19 @@ class TestLearning:
         empty = AgentArchitecture(
             name="a", kind=ArchitectureKind.AFS3A, representation=RMAP3, goal="rg"
         )
-        with pytest.raises(ArchitectureError, match="agent 'a' has an empty candidate pool"):
+        with pytest.raises(ArchitectureError, match="afs3a agent 'a' has no route table"):
             run_trajectory(micro3(), empty, 1)
         assert run_trajectory(micro3(), empty, 0).persistence == 0
         for index in (1, -1):
             with pytest.raises(ArchitectureError, match="out of range"):
                 update_learning([0], [0], index, True)
+
+    @pytest.mark.parametrize("kind", [ArchitectureKind.AFS2A, ArchitectureKind.AFS2B])
+    def test_rejects_routed_agent_without_table(self, kind):
+        bare = AgentArchitecture(name="s", kind=kind, representation=RMAP3, goal="rg")
+        with pytest.raises(ArchitectureError, match=f"{kind.value} agent 's' has no route table"):
+            run_trajectory(micro3(), bare, 1)
+        assert run_trajectory(micro3(), bare, 0).persistence == 0
 
     @pytest.mark.parametrize("kind", [ArchitectureKind.RANDOM, ArchitectureKind.POSITIONAL])
     @pytest.mark.parametrize("seed", [None, 3])
@@ -448,11 +459,11 @@ class TestCloneForRun:
     def test_seed_override_only_touches_clone(self):
         order = ("go", "sit")
         base = AgentArchitecture(
-            name="r", kind=ArchitectureKind.RANDOM, random_fasa=RandomFasa(7, order)
+            name="r", kind=ArchitectureKind.RANDOM, stream=RandomFasa(7, order)
         )
         acts = lambda seed: [s.act for s in run_trajectory(micro3(), base, 30, seed=seed).steps]
         assert acts(99) == [RandomFasa(99, order).act_at(t) for t in range(30)]
-        assert base.random_fasa.seed == 7
+        assert base.stream.seed == 7
         assert acts(None) == [RandomFasa(7, order).act_at(t) for t in range(30)]
         assert acts(None) != acts(99)
 
@@ -463,21 +474,21 @@ class TestStep:
         rand = AgentArchitecture(
             name="r",
             kind=ArchitectureKind.RANDOM,
-            random_fasa=RandomFasa(3, ("go", "sit")),
+            stream=RandomFasa(3, ("go", "sit")),
         )
         pos = AgentArchitecture(
             name="p",
             kind=ArchitectureKind.POSITIONAL,
-            positional_fasa=PositionalFasa(ExplicitDigits((1, 0), 2), ("go", "sit")),
+            stream=PositionalFasa(ExplicitDigits((1, 0), 2), ("go", "sit")),
         )
         routed = AgentArchitecture(
             name="s",
             kind=ArchitectureKind.AFS2A,
             representation=RMAP3,
-            routes=GOOD_ROUTES,
+            tables=(GOOD_ROUTES,),
             goal="rg",
         )
-        assert run_trajectory(u, rand, 5).steps[4].act == rand.random_fasa.act_at(4)
+        assert run_trajectory(u, rand, 5).steps[4].act == rand.stream.act_at(4)
         assert run_trajectory(u, pos, 2).steps[1].act == "go"
         assert run_trajectory(u, routed, 1).steps[0].act == "go"
 
@@ -486,7 +497,7 @@ class TestStep:
         pos = AgentArchitecture(
             name="p",
             kind=ArchitectureKind.POSITIONAL,
-            positional_fasa=PositionalFasa(ExplicitDigits((1,), 2), ("go", "sit")),
+            stream=PositionalFasa(ExplicitDigits((1,), 2), ("go", "sit")),
         )
         trace = run_trajectory(u, pos, 1).steps[0]
         assert trace.formula is None
@@ -497,7 +508,7 @@ class TestStep:
 class TestOriented:
     def test_fixture_routes_are_oriented(self, pathfinder_pair):
         agent, universe = pathfinder_pair
-        assert check_oriented_table(agent.routes, agent.representation, universe) == []
+        assert check_oriented_table(agent.tables[0], agent.representation, universe) == []
 
     def test_bfs_built_table_is_oriented(self, ejemplo5_doc):
         u = ejemplo5_doc.build_universe("ejemplo5")

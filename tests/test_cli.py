@@ -3,8 +3,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +73,29 @@ class TestValidate:
         assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["metrics", "--agent", "pathfinder"],
+        ["trace", "--agent", "pathfinder", "--steps", "1"],
+        ["experiment", "--runs", "1", "--max-steps", "1", "--seed", "1", "--out", "{out}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_prints_document_warnings(argv, reference_path, tmp_path):
+    path = tmp_path / "warned.exo"
+    text = reference_path.read_text(encoding="utf-8")
+    path.write_text(
+        text.replace("architecture: random;", "architecture: random;\n  constant: pi;"),
+        encoding="utf-8",
+    )
+    argv = [a.replace("{out}", str(tmp_path / "out.csv")) for a in argv]
+    code, out = cli(argv[0], str(path), *argv[1:])
+    assert code == 0
+    assert "warning: item 'constant' is ignored for random agents" in out
+
+
 class TestUsage:
     def test_no_arguments(self):
         code, _ = cli()
@@ -128,6 +154,35 @@ class TestMetrics:
     def test_elementary_agent_rejected(self, reference_path):
         code, _ = cli("metrics", str(reference_path), "--agent", "wanderer")
         assert code == 3
+
+    def test_route_table_needed(self, tmp_path, capsys):
+        # afs2a with no predict rows holds one empty table and reports
+        # zeros; afs1 holds no table at all.
+        sight = '  represents a -> "fa";\n  represents b -> "fb";'
+        path = tmp_path / "tables.exo"
+        path.write_text(
+            MINI
+            + agent_block(f'  architecture: afs2a;\n  goal: "fb";\n{sight}')
+            + agent_block(f'  architecture: afs1;\n{sight}\n  react "fa" : hop;', "reflex"),
+            encoding="utf-8",
+        )
+        code, text = cli("metrics", str(path), "--agent", "crew")
+        assert code == 0
+        assert text.splitlines() == [
+            "agent crew in universe mini",
+            "objectives: -",
+            "negative_escapes[a] 0",
+            "positive_escapes[a] 0",
+            "basic_stability 0/1",
+            "instability 0/1",
+            "total_stability 0/1",
+        ]
+        capsys.readouterr()
+        code, text = cli("metrics", str(path), "--agent", "reflex")
+        assert (code, text) == (3, "")
+        assert capsys.readouterr().err == (
+            "error: agent 'reflex' is afs1; metrics need a route table\n"
+        )
 
     @pytest.mark.parametrize(
         "fmt,digest",
@@ -458,3 +513,17 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert "ok (1 universes, 1 agents)" in proc.stdout
+
+    def test_readme_quick_start(self):
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+        proc = subprocess.run(
+            [sys.executable, "-c", block],
+            capture_output=True,
+            text=True,
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": "src"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["4/5", "50 StepLimit"]

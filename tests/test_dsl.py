@@ -111,13 +111,13 @@ class TestBuild:
         assert decl.projection == 1
         assert decl.goal == "psi1"
         assert len(decl.representation) == 5
-        assert len(decl.predict_rows) == 4
+        assert len(decl.route_rows) == 4
 
     def test_built_agent_wiring(self, pathfinder_pair):
         agent, universe = pathfinder_pair
         assert agent.kind is ArchitectureKind.AFS2A
         assert agent.goal == "at_oasis"
-        assert agent.routes.depth_max == 6
+        assert agent.tables[0].depth_max == 6
         assert agent.representation.formula_for("c0") == "at_c0"
         assert agent.representation.formula_for("t0") is None
         assert universe.class_of("oasis") is StateClass.POSITIVE
@@ -132,21 +132,21 @@ class TestBuild:
         decl = doc.agent("crew")
         assert decl.seed == 0
         agent, _ = doc.build_agent("crew")
-        assert agent.random_fasa.seed == 0
-        assert agent.random_fasa.act_order == ("hop", "stay")
+        assert agent.stream.seed == 0
+        assert agent.stream.act_order == ("hop", "stay")
 
     def test_positional_agent_defaults_to_pi(self):
         doc = clean_parse(MINI + agent_block("  architecture: positional;")).document
         assert doc.agent("crew").constant == ("pi", None)
         agent, _ = doc.build_agent("crew")
-        assert agent.positional_fasa.source.name == "pi"
-        assert agent.positional_fasa.source.base == 2
+        assert agent.stream.source.name == "pi"
+        assert agent.stream.source.base == 2
 
     def test_positional_digits_source(self):
         body = '  architecture: positional;\n  constant: digits "0110";'
         doc = clean_parse(MINI + agent_block(body)).document
         agent, _ = doc.build_agent("crew")
-        assert agent.positional_fasa.source.digits == (0, 1, 1, 0)
+        assert agent.stream.source.digits == (0, 1, 1, 0)
 
     def test_depth_defaults_to_longest_route(self):
         body = (
@@ -177,7 +177,7 @@ class TestBuild:
         first = run_trajectory(universe, agent, 1).steps[0]
         assert (first.formula, first.sequence, first.act) == ("fa", None, "stay")
 
-    def test_pool_rows_build_candidate_tables(self):
+    def test_pool_indices_build_one_table_each(self):
         body = (
             "  architecture: afs3a;\n"
             '  goal: "fb";\n'
@@ -188,9 +188,9 @@ class TestBuild:
         )
         doc = clean_parse(MINI + agent_block(body)).document
         agent, _ = doc.build_agent("crew")
-        assert len(agent.candidate_pool) == 2
-        assert agent.candidate_pool[0].sequence("fa", "fb") == ("hop",)
-        assert agent.candidate_pool[1].sequence("fa", "fb") == ("stay", "hop")
+        assert len(agent.tables) == 2
+        assert agent.tables[0].sequence("fa", "fb") == ("hop",)
+        assert agent.tables[1].sequence("fa", "fb") == ("stay", "hop")
 
     def test_lookup_by_name_first_declaration_wins(self, reference_doc):
         # A library-built document may repeat a name; a parsed one never does.

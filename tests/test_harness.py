@@ -45,7 +45,7 @@ def drifter(seed=1) -> AgentArchitecture:
     return AgentArchitecture(
         name="drifter",
         kind=ArchitectureKind.RANDOM,
-        random_fasa=RandomFasa(seed, ("hop", "stay")),
+        stream=RandomFasa(seed, ("hop", "stay")),
     )
 
 
@@ -125,6 +125,36 @@ class TestRunTrajectory:
                 with pytest.raises(FrozenInstanceError):
                     agent.goal = "elsewhere"
 
+    def test_each_kind_fills_only_its_slots(self, reference_doc, ejemplo5_doc):
+        # A built agent holds exactly the act source its kind reads: a
+        # stream, a reaction, one route table (afs2a, afs2b; possibly
+        # empty), or one table per pool index in index order (afs3a).
+        docs = [reference_doc, ejemplo5_doc, parse(SIX_KINDS).document]
+        docs += [parse(docgen.random_document_text(s)).document for s in range(50)]
+        seen = set()
+        for doc in docs:
+            for decl in doc.agents:
+                agent, _ = doc.build_agent(decl.name)
+                kind = agent.kind
+                seen.add(kind)
+                if not kind.is_sensitive:
+                    assert agent.stream is not None and agent.reaction is None
+                    assert agent.tables == ()
+                    continue
+                assert agent.stream is None
+                if kind is ArchitectureKind.AFS1:
+                    assert agent.reaction is not None and agent.tables == ()
+                    continue
+                assert agent.reaction is None
+                count = len({row[0] for row in decl.route_rows})
+                expected = [{} for _ in range(max(count, 1))]
+                for index, source, goal, seq in decl.route_rows:
+                    expected[index][source, goal] = seq
+                assert [dict(t.entries) for t in agent.tables] == expected
+                if kind is not ArchitectureKind.AFS3A:
+                    assert len(agent.tables) == 1
+        assert seen == set(ArchitectureKind)
+
     def test_learning_happens_inside_the_run(self):
         # Same scenario driven through the harness: the routes fire, so
         # the trace shows goal-directed movement from the first step.
@@ -193,9 +223,11 @@ class TestReferenceStepper:
             name="recaller",
             kind=ArchitectureKind.AFS2B,
             representation=RepresentationMap({"x0": "r0", "x1": "r1"}),
-            routes=RouteTable(
-                {("r0", "rg"): ("go",), ("r1", "r0"): ("sit",), ("r1", "r1"): ("go",)},
-                depth_max=1,
+            tables=(
+                RouteTable(
+                    {("r0", "rg"): ("go",), ("r1", "r0"): ("sit",), ("r1", "r1"): ("go",)},
+                    depth_max=1,
+                ),
             ),
             goal="rg",
         )
@@ -229,7 +261,7 @@ def one_route_agent(route, projection=1):
         kind=ArchitectureKind.AFS2A,
         representation=RMAP3,
         projection_index=projection,
-        routes=RouteTable({("r0", "rg"): ("go", "go"), ("r1", "rg"): route}, 2),
+        tables=(RouteTable({("r0", "rg"): ("go", "go"), ("r1", "rg"): route}, 2),),
         goal="rg",
     )
 
@@ -242,9 +274,9 @@ class TestExceptionParity:
         agent = AgentArchitecture(
             name="r",
             kind=ArchitectureKind.RANDOM,
-            random_fasa=RandomFasa(4, ("go", "sit", "fly")),
+            stream=RandomFasa(4, ("go", "sit", "fly")),
         )
-        acts = [agent.random_fasa.act_at(t) for t in range(40)]
+        acts = [agent.stream.act_at(t) for t in range(40)]
         first = acts.index("fly")
         assert first > 0
         with pytest.raises(UnknownAct):
@@ -301,7 +333,7 @@ class TestCostBound:
         # none); afs3a on the active table.
         keys = {
             ArchitectureKind.AFS2B: len(agent.representation.image) + 2,
-            ArchitectureKind.AFS3A: len(agent.candidate_pool),
+            ArchitectureKind.AFS3A: len(agent.tables),
         }.get(agent.kind, 1)
         assert 0 < generations["n"] <= len(universe.states) * keys
 
@@ -331,9 +363,8 @@ agent "lone" in "solo" { architecture: random; }
 
 
 class TestExperiment:
-    def config(self, path, out, runs=5, max_steps=30, seed=3):
+    def config(self, out, runs=5, max_steps=30, seed=3):
         return ExperimentConfig(
-            spec_path=path,
             runs_per_agent=runs,
             max_steps=max_steps,
             master_seed=seed,
@@ -341,7 +372,7 @@ class TestExperiment:
         )
 
     def test_row_layout(self, reference_doc, tmp_path):
-        cfg = self.config(None, tmp_path / "out.csv")
+        cfg = self.config(tmp_path / "out.csv")
         result = run_experiment_from_document(reference_doc, cfg)
         assert len(result.rows) == 15
         assert [r.run_id for r in result.rows] == list(range(15))
@@ -353,14 +384,14 @@ class TestExperiment:
             assert row.seed == derive_seed(3, row.run_id)
 
     def test_sensitive_agent_outlasts_the_bound(self, reference_doc, tmp_path):
-        cfg = self.config(None, tmp_path / "out.csv")
+        cfg = self.config(tmp_path / "out.csv")
         result = run_experiment_from_document(reference_doc, cfg)
         pathfinder_rows = [r for r in result.rows if r.agent == "pathfinder"]
         assert all(r.persistence_steps == 30 for r in pathfinder_rows)
         assert all(r.terminal_reason == "StepLimit" for r in pathfinder_rows)
 
     def test_summaries_and_comparisons(self, reference_doc, tmp_path):
-        cfg = self.config(None, tmp_path / "out.csv")
+        cfg = self.config(tmp_path / "out.csv")
         result = run_experiment_from_document(reference_doc, cfg)
         assert [s.agent for s in result.summaries] == [
             "wanderer",
@@ -379,7 +410,7 @@ class TestExperiment:
     def test_sensitive_group_required(self, tmp_path):
         doc = parse(ONLY_RANDOM).document
         assert doc is not None
-        cfg = self.config(None, tmp_path / "out.csv")
+        cfg = self.config(tmp_path / "out.csv")
         with pytest.raises(MissingAgentKind) as exc:
             run_experiment_from_document(doc, cfg)
         assert "positional" in str(exc.value) or "sensitive" in str(exc.value)
@@ -387,7 +418,7 @@ class TestExperiment:
     def test_master_seed_only_moves_random_agents(self, reference_doc, tmp_path):
         runs = {}
         for master in (3, 4):
-            cfg = self.config(None, tmp_path / f"out{master}.csv", seed=master)
+            cfg = self.config(tmp_path / f"out{master}.csv", seed=master)
             runs[master] = run_experiment_from_document(reference_doc, cfg)
 
         def persists(result, name):
@@ -399,11 +430,11 @@ class TestExperiment:
         seeds4 = [r.seed for r in runs[4].rows]
         assert seeds3 != seeds4
 
-    def test_file_runs_are_byte_identical(self, reference_path, tmp_path):
+    def test_file_runs_are_byte_identical(self, reference_doc, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):
-            cfg = self.config(reference_path, tmp_path / name, runs=4, max_steps=20)
-            run_experiment(cfg)
+            cfg = self.config(tmp_path / name, runs=4, max_steps=20)
+            run_experiment(reference_doc, cfg)
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
         text = outs[0].decode("utf-8")
@@ -444,7 +475,7 @@ class TestSimulateOnce:
     @pytest.mark.parametrize("master", [1, 3, 5])
     def test_rows_match_a_run_per_row(self, reference_doc, tmp_path, master):
         for name, doc in self.documents(reference_doc).items():
-            cfg = ExperimentConfig(None, 4, 300, master, tmp_path / "out.csv")
+            cfg = ExperimentConfig(4, 300, master, tmp_path / "out.csv")
             got = run_experiment_from_document(doc, cfg).rows
             assert got == self.plain_rows(doc, cfg), name
 
@@ -460,7 +491,7 @@ class TestSimulateOnce:
         runs = 6
         for doc in self.documents(reference_doc).values():
             calls.clear()
-            cfg = ExperimentConfig(None, runs, 50, 1, tmp_path / "out.csv")
+            cfg = ExperimentConfig(runs, 50, 1, tmp_path / "out.csv")
             run_experiment_from_document(doc, cfg)
             expected = {
                 decl.name: runs if decl.kind is ArchitectureKind.RANDOM else 1

@@ -55,7 +55,7 @@ PNJ_RMAP = RepresentationMap({"p": "fp", "m": "fm", "j": "fj"})
 
 def ejemplo_table(ejemplo_pair):
     agent, universe = ejemplo_pair
-    return agent.routes, agent.representation, universe
+    return agent.tables[0], agent.representation, universe
 
 
 class TestDeriveObjectives:
@@ -191,8 +191,8 @@ class TestCompareLearning:
     def test_cross_universe_comparison_rejected(self, ejemplo_pair, pathfinder_pair):
         before, _ = self.reports(ejemplo_pair)
         agent, universe = pathfinder_pair
-        sets = derive_objectives(agent.routes, agent.representation, universe)
-        other = stability_report(agent.routes, agent.representation, sets, universe)
+        sets = derive_objectives(agent.tables[0], agent.representation, universe)
+        other = stability_report(agent.tables[0], agent.representation, sets, universe)
         with pytest.raises(MismatchedContext):
             compare_learning(before, other)
 

@@ -75,6 +75,6 @@ class TestInterpretAct:
 
     def test_fixture_route_tokens_all_resolve(self, pathfinder_pair):
         agent, universe = pathfinder_pair
-        for sequence in agent.routes.entries.values():
+        for sequence in agent.tables[0].entries.values():
             for token in sequence:
                 assert interpret_act(universe, token) in universe.acts

@@ -129,7 +129,7 @@ class TestLibraryBuiltErrors:
         hopper = AgentArchitecture(
             "hopper",
             ArchitectureKind.POSITIONAL,
-            positional_fasa=PositionalFasa(ExplicitDigits((1,), 2), ("stay", "hop")),
+            stream=PositionalFasa(ExplicitDigits((1,), 2), ("stay", "hop")),
         )
         with pytest.raises(UniverseError, match=needle):
             run_trajectory(broken, hopper, 1)
