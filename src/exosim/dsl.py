@@ -9,6 +9,17 @@ like items, and a block that lost its '}' ends at the next `universe` or
 `agent` keyword. A document containing any error is withheld; callers only
 ever receive fully checked declarations.
 
+Two readers turn text into blocks, and one checker turns blocks into
+declarations and diagnostics. The clean reader (_read_clean) reads each
+item in its one-line form, and each energy block, with one regex match. It
+gives up, having reported nothing, at the first item that is not in that
+form or that reading would draw a diagnostic for. parse() then runs the
+token reader (_Parser) on the whole text: it lexes the text and steps over
+the tokens, and it owns every read-time diagnostic. Both fill the same
+_Blocks with the same values and offsets, so the checker's diagnostics and
+source spans do not depend on which reader ran; layout never changes what a
+document means.
+
 A token carries only its offset in the text. A diagnostic, lexical or
 not, and a source span get their 1-based line and column from that offset
 when they are made: only a line feed ends a line, and a column counts code
@@ -33,7 +44,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .architectures import (
     AgentArchitecture,
@@ -232,9 +243,8 @@ class _Token(NamedTuple):
 
 # Each match is one token with the blanks and comments before it. `eof`
 # matches at the end of the text, so trailing blanks never come back as
-# `other` tokens.
-_TOKEN_RE = re.compile(
-    r"""
+# `other` tokens. Compiled at its first use, like the clean reader's.
+_TOKEN = r"""
     [\ \t\r\n]*(?:\#[^\n]*[\ \t\r\n]*)*
     (?: (?P<string>"(?P<body>(?:\\["\\]|[^"\n])*)(?P<end>"?))
       | (?P<int>\d+)
@@ -243,10 +253,12 @@ _TOKEN_RE = re.compile(
       | (?P<other>[^\ \t\r\#\n])
       | (?P<eof>\Z)
     )
-    """,
-    re.VERBOSE,
-)
+"""
 _ESCAPE_RE = re.compile(r'\\(["\\])')
+
+
+def _unescape(body: str) -> str:
+    return sys.intern(_ESCAPE_RE.sub(r"\1", body) if "\\" in body else body)
 
 
 def _lex(text: str, error: Callable[[str, _Token], None]) -> list[_Token]:
@@ -254,10 +266,10 @@ def _lex(text: str, error: Callable[[str, _Token], None]) -> list[_Token]:
     Values are interned: a document repeats a few names and formulas many
     times."""
     tokens: list[_Token] = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in re.compile(_TOKEN, re.VERBOSE).finditer(text):
         kind = m.lastgroup
         if kind == "string":
-            tok = _Token(kind, sys.intern(_ESCAPE_RE.sub(r"\1", m["body"])), m.start(kind))
+            tok = _Token(kind, _unescape(m["body"]), m.start(kind))
             if not m["end"]:
                 error("unterminated string", tok)
             tokens.append(tok)
@@ -271,11 +283,7 @@ def _lex(text: str, error: Callable[[str, _Token], None]) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# Parser
-
-
-class _ItemError(Exception):
-    """Internal: abandon the current item and resynchronize."""
+# Checker
 
 
 @dataclass
@@ -291,128 +299,57 @@ class _Block:
     rows: dict[str, list | dict]
     singles: dict[str, tuple[object, _Token]] = field(default_factory=dict)
 
+    @classmethod
+    def opened(cls, keyword: _Token, name: str, universe_name: str | None = None) -> _Block:
+        """A block with no items read yet."""
+        if keyword.value == "universe":
+            rows: dict = {"states": {}, "acts": {}, "classify": {}, "transition": {}}
+        else:
+            rows = {item: [] for item in _ROWS_IGNORED}
+        return cls(keyword, name, universe_name, rows)
 
-class _Parser:
+
+class _Checker:
+    """Turns read blocks into declarations. Both readers hand their blocks
+    to check(), so every check-time diagnostic and source span is made
+    here."""
+
     def __init__(self, text: str):
         self.diags: list[ParseDiagnostic] = []
         # The offset of every '\n', after a -1 that starts the first line.
         self.newlines = [-1, *(m.start() for m in re.finditer("\n", text))]
-        self.tokens = _lex(text, self.error)
-        self.pos = 0
 
     def position(self, offset: int) -> tuple[int, int]:
         """The 1-based (line, column) of a text offset."""
         line = bisect_left(self.newlines, offset)
         return line, offset - self.newlines[line - 1]
 
-    # -- token plumbing ----------------------------------------------------
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
-
-    def at_block(self) -> bool:
-        """At a 'universe' or 'agent' keyword, where a block starts."""
-        tok = self.peek()
-        return tok.kind == "id" and tok.value in ("universe", "agent")
-
-    def error(self, message: str, tok: _Token | None = None) -> None:
-        line, column = self.position((tok or self.peek()).offset)
+    def error(self, message: str, tok: _Token) -> None:
+        line, column = self.position(tok.offset)
         self.diags.append(ParseDiagnostic(Severity.ERROR, message, line, column))
 
     def warn(self, message: str, tok: _Token) -> None:
         line, column = self.position(tok.offset)
         self.diags.append(ParseDiagnostic(Severity.WARNING, message, line, column))
 
-    def fail(self, message: str, tok: _Token | None = None) -> None:
-        self.error(message, tok)
-        raise _ItemError()
-
-    def read(self, *pattern: str) -> list[_Token]:
-        """Consume one token per pattern entry, failing at the first that
-        does not match. A kind (id, string, int) matches a token of that
-        kind, which is returned, an int with its value converted to int;
-        any other entry is punctuation that must come next."""
-        got = []
-        for want in pattern:
-            tok = self.peek()
-            if want in _EXPECTED:
-                if tok.kind != want:
-                    self.fail(f"expected {_EXPECTED[want]}, found {self._describe(tok)}", tok)
-                if want == "int":
-                    try:
-                        tok = tok._replace(value=int(tok.value))
-                    except ValueError:  # longer than sys.get_int_max_str_digits()
-                        self.fail(f"integer of {len(tok.value)} digits is too long", tok)
-                got.append(tok)
-            elif tok.kind != "punct" or tok.value != want:
-                self.fail(f"expected {want!r}, found {self._describe(tok)}", tok)
-            self.pos += 1
-        return got
-
-    @staticmethod
-    def _describe(tok: _Token) -> str:
-        if tok.kind == "eof":
-            return "end of input"
-        if tok.kind == "string":
-            return f'string "{tok.value}"'
-        return f"{tok.value!r}"
-
-    def skip_item(self) -> None:
-        """Resynchronize after an item error: consume through the next ';'
-        but stop short of a closing '}' or a block keyword. Always makes
-        progress unless it stops there, and the block loop stops there too,
-        so a stray token can never wedge it."""
-        first = True
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof" or (tok.kind == "punct" and tok.value == "}"):
-                return
-            if self.at_block() or (tok.kind == "punct" and tok.value == "{" and not first):
-                return
-            first = False
-            self.advance()
-            if tok.kind == "punct" and tok.value == ";":
-                return
-
-    # -- document ----------------------------------------------------------
-
-    def parse_document(self) -> tuple[SpecDocument | None, list[ParseDiagnostic]]:
+    def check(self, blocks: Iterable[_Block]) -> tuple[SpecDocument | None, list[ParseDiagnostic]]:
+        """Check each universe block as it arrives, then each agent block in
+        declaration order; the document is withheld if any error occurred."""
         universes: dict[str, UniverseDecl] = {}
         agents: list[_Block] = []
         spans: dict = {}
-        while self.peek().kind != "eof":
-            if self.at_block():
-                block = self._parse_block()
-                if block is None:
-                    continue
-                if block.keyword.value == "agent":
-                    agents.append(block)
-                    continue
-                decl = self._resolve_universe(block)
-                if decl is None:
-                    continue
-                if decl.name in universes:
-                    self.error(f"duplicate universe {decl.name!r}", block.keyword)
-                else:
-                    universes[decl.name] = decl
-                    spans[("universe", decl.name)] = self.position(block.keyword.offset)
+        for block in blocks:
+            if block.keyword.value == "agent":
+                agents.append(block)
+                continue
+            decl = self._resolve_universe(block)
+            if decl is None:
+                continue
+            if decl.name in universes:
+                self.error(f"duplicate universe {decl.name!r}", block.keyword)
             else:
-                self.error(
-                    f"expected 'universe' or 'agent', found {self._describe(self.peek())}"
-                )
-                self.advance()
-                while self.peek().kind != "eof" and not self.at_block():
-                    self.advance()
+                universes[decl.name] = decl
+                spans[("universe", decl.name)] = self.position(block.keyword.offset)
         decls: list[AgentDecl] = []
         seen: set[str] = set()
         for block in agents:
@@ -430,157 +367,7 @@ class _Parser:
         doc = SpecDocument(tuple(universes.values()), tuple(decls), spans)
         return doc, self.diags
 
-    def _parse_block(self) -> _Block | None:
-        """Read a universe or agent block: its header, then its items up to
-        the closing '}'. A bad header is skipped like a bad item."""
-        keyword = self.advance()
-        universe_name = None
-        try:
-            if keyword.value == "universe":
-                name = self.read("string", "{")[0].value
-            else:
-                name_tok, in_tok = self.read("string", "id")
-                if in_tok.value != "in":
-                    self.fail(f"expected 'in', found {in_tok.value!r}", in_tok)
-                name = name_tok.value
-                universe_name = self.read("string", "{")[0].value
-        except _ItemError:
-            self.skip_item()
-            return None
-        if keyword.value == "universe":
-            what, parse_item = "a universe item", self._parse_uitem
-            rows = {"states": {}, "acts": {}, "classify": {}, "transition": {}}
-        else:
-            what, parse_item = "an agent item", self._parse_aitem
-            rows = {item: [] for item in _ROWS_IGNORED}
-        block = _Block(keyword, name, universe_name, rows)
-        # A block keyword where an item should start means this block lost
-        # its '}': end it there, so the next block reads as a block.
-        while not (self.at_punct("}") or self.peek().kind == "eof" or self.at_block()):
-            tok = self.peek()
-            try:
-                if tok.kind != "id":
-                    self.fail(f"expected {what}, found {self._describe(tok)}")
-                parse_item(block, self.advance())
-            except _ItemError:
-                self.skip_item()
-        if self.at_punct("}"):
-            self.advance()
-        elif self.peek().kind == "eof":
-            self.error(f"unterminated {keyword.value} block: missing '}}'")
-        else:
-            self.error(
-                f"unterminated {keyword.value} block: missing '}}' before "
-                f"{self._describe(self.peek())}"
-            )
-        return block
-
-    # -- universe ----------------------------------------------------------
-
-    def _parse_uitem(self, block: _Block, head: _Token) -> None:
-        if head.value in ("states", "acts"):
-            self.read(":")
-            target = block.rows[head.value]
-            for ident, id_tok in self._id_list(head.value):
-                if ident in target:
-                    self.warn(f"{head.value[:-1]} {ident!r} listed twice", id_tok)
-                else:
-                    target[ident] = id_tok
-            self.read(";")
-        elif head.value in ("initial", "neutral_act"):
-            ident = self.read(":", "id")[0]
-            if head.value in block.singles:
-                self.fail(f"duplicate {head.value!r} item", head)
-            block.singles[head.value] = (ident.value, ident)
-            self.read(";")
-        elif head.value == "classify":
-            word = self.read("id")[0]
-            if word.value not in _CLASS_WORDS:
-                self.fail(
-                    f"expected 'positive', 'neutral' or 'negative', found {word.value!r}",
-                    word,
-                )
-            self.read(":")
-            classes = block.rows["classify"]
-            for ident, id_tok in self._id_list("classified states"):
-                if ident in classes and classes[ident][0] != word.value:
-                    self.error(
-                        f"state {ident!r} classified both {classes[ident][0]} and {word.value}",
-                        id_tok,
-                    )
-                elif ident in classes:
-                    self.warn(f"state {ident!r} classified twice", id_tok)
-                else:
-                    classes[ident] = (word.value, id_tok)
-            self.read(";")
-        elif head.value == "transition":
-            src, act, dst = self.read("id", "id", "id")
-            key = (src.value, act.value)
-            transitions = block.rows["transition"]
-            if key in transitions and transitions[key][0] != dst.value:
-                self.error(
-                    f"conflicting transition for ({src.value!r}, {act.value!r})", src
-                )
-            elif key in transitions:
-                self.warn(
-                    f"transition ({src.value!r}, {act.value!r}) declared twice", src
-                )
-            else:
-                transitions[key] = (dst.value, src)
-            self.read(";")
-        elif head.value == "energy":
-            self.read("{")
-            values: list[int | None] = []
-            # Each field is an item of its own. Reading stops after the last
-            # field or at a block keyword, so a missing '}' does not swallow
-            # the items or blocks after it.
-            while len(values) < len(_ENERGY_FIELDS) and self.peek().kind != "eof":
-                if self.at_punct("}") or self.at_block():
-                    break
-                try:
-                    self._energy_field(values)
-                except _ItemError:
-                    self.skip_item()
-            missing = _ENERGY_FIELDS[len(values) :]
-            if missing:
-                self.error(f"energy block is missing the {missing[0]!r} field", head)
-            if self.at_punct("}"):
-                self.advance()
-            else:
-                self.error(f"expected '}}', found {self._describe(self.peek())}")
-            if "energy" in block.singles:
-                self.error("duplicate energy block", head)
-            else:
-                # None stands for a block with a bad or missing field.
-                energy = None if missing or None in values else tuple(values)
-                block.singles["energy"] = (energy, head)
-        else:
-            self.fail(f"unknown universe item {head.value!r}", head)
-
-    def _id_list(self, what: str) -> list[tuple[str, _Token]]:
-        ids = []
-        while self.peek().kind == "id":
-            tok = self.advance()
-            ids.append((tok.value, tok))
-        if not ids:
-            self.fail(f"expected at least one identifier in {what}")
-        return ids
-
-    def _energy_field(self, values: list[int | None]) -> None:
-        """Parse the next 'label: value;' field of an energy block into
-        values; a bad field leaves None in its slot."""
-        values.append(None)
-        label = self.read("id")[0]
-        expected = _ENERGY_FIELDS[len(values) - 1]
-        if label.value != expected:
-            # The field order is part of the format.
-            self.fail(f"energy field {expected!r} expected here, found {label.value!r}", label)
-        value = self.read(":", "int")[0].value
-        if self.peek().kind != "id":
-            self.read(";")
-            values[-1] = value
-        else:  # only the ';' is missing: the next field keeps its own slot
-            self.error(f"expected ';', found {self._describe(self.peek())}")
+    # -- universe resolution ---------------------------------------------------
 
     def _resolve_universe(self, block: _Block) -> UniverseDecl | None:
         name, singles = block.name, block.singles
@@ -649,69 +436,6 @@ class _Parser:
             ),
             energy=energy,
         )
-
-    # -- agent ---------------------------------------------------------------
-
-    def _parse_aitem(self, block: _Block, head: _Token) -> None:
-        if head.value == "architecture":
-            word = self.read(":", "id")[0]
-            if word.value not in _KIND_WORDS:
-                self.fail(f"unknown architecture {word.value!r}", word)
-            self._set_single(block, "architecture", word.value, head)
-            self.read(";")
-        elif head.value in ("seed", "depth", "projection"):
-            value = self.read(":", "int")[0].value
-            self._set_single(block, head.value, value, head)
-            self.read(";")
-        elif head.value == "constant":
-            word = self.read(":", "id")[0]
-            if word.value in ("pi", "e"):
-                value: tuple[str, str | None] = (word.value, None)
-            elif word.value == "digits":
-                value = ("digits", self.read("string")[0].value)
-            else:
-                self.fail(f"expected 'pi', 'e' or 'digits', found {word.value!r}", word)
-            self._set_single(block, "constant", value, head)
-            self.read(";")
-        elif head.value == "goal":
-            value = self.read(":", "string")[0].value
-            self._set_single(block, "goal", value, head)
-            self.read(";")
-        elif head.value == "represents":
-            state, formula = self.read("id", "->", "string")
-            block.rows["represents"].append((state.value, formula.value, state))
-            self.read(";")
-        elif head.value == "react":
-            formula, act = self.read("string", ":", "id")
-            block.rows["react"].append((formula.value, act.value, head))
-            self.read(";")
-        elif head.value == "predict":
-            self._parse_predict_tail(block, None, head)
-        elif head.value == "pool":
-            index, word = self.read("int", "id")
-            if word.value != "predict":
-                self.fail(f"expected 'predict' after pool index, found {word.value!r}", word)
-            self._parse_predict_tail(block, index.value, head)
-        else:
-            self.fail(f"unknown agent item {head.value!r}", head)
-
-    def _parse_predict_tail(
-        self, block: _Block, pool_index: int | None, head: _Token
-    ) -> None:
-        source, goal = self.read("string", "->", "string", ":")
-        acts = self._id_list("predicted act sequence")
-        row = (source.value, goal.value, tuple(a for a, _ in acts), head)
-        if pool_index is None:
-            block.rows["predict"].append(row)
-        else:
-            block.rows["pool"].append((pool_index, *row))
-        self.read(";")
-
-    def _set_single(self, block: _Block, key: str, value, tok: _Token) -> None:
-        if key in block.singles:
-            self.error(f"duplicate {key!r} item", tok)
-        else:
-            block.singles[key] = (value, tok)
 
     # -- agent resolution ------------------------------------------------------
 
@@ -895,15 +619,507 @@ class _Parser:
         )
 
 
+
+# ---------------------------------------------------------------------------
+# Token reader
+
+
+class _ItemError(Exception):
+    """Internal: abandon the current item and resynchronize."""
+
+
+class _Parser(_Checker):
+    """The token reader: lexes the whole text, then steps over the tokens,
+    reporting every lexical and read-time error where it is met and
+    recovering at item boundaries."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.tokens = _lex(text, self.error)
+        self.pos = 0
+
+    # -- token plumbing ----------------------------------------------------
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def at_punct(self, value: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "punct" and tok.value == value
+
+    def at_block(self) -> bool:
+        """At a 'universe' or 'agent' keyword, where a block starts."""
+        tok = self.peek()
+        return tok.kind == "id" and tok.value in ("universe", "agent")
+
+    def error(self, message: str, tok: _Token | None = None) -> None:
+        super().error(message, tok or self.peek())
+
+    def fail(self, message: str, tok: _Token | None = None) -> None:
+        self.error(message, tok)
+        raise _ItemError()
+
+    def read(self, *pattern: str) -> list[_Token]:
+        """Consume one token per pattern entry, failing at the first that
+        does not match. A kind (id, string, int) matches a token of that
+        kind, which is returned, an int with its value converted to int;
+        any other entry is punctuation that must come next."""
+        got = []
+        for want in pattern:
+            tok = self.peek()
+            if want in _EXPECTED:
+                if tok.kind != want:
+                    self.fail(f"expected {_EXPECTED[want]}, found {self._describe(tok)}", tok)
+                if want == "int":
+                    try:
+                        tok = tok._replace(value=int(tok.value))
+                    except ValueError:  # longer than sys.get_int_max_str_digits()
+                        self.fail(f"integer of {len(tok.value)} digits is too long", tok)
+                got.append(tok)
+            elif tok.kind != "punct" or tok.value != want:
+                self.fail(f"expected {want!r}, found {self._describe(tok)}", tok)
+            self.pos += 1
+        return got
+
+    @staticmethod
+    def _describe(tok: _Token) -> str:
+        if tok.kind == "eof":
+            return "end of input"
+        if tok.kind == "string":
+            return f'string "{tok.value}"'
+        return f"{tok.value!r}"
+
+    def skip_item(self) -> None:
+        """Resynchronize after an item error: consume through the next ';'
+        but stop short of a closing '}' or a block keyword. Always makes
+        progress unless it stops there, and the block loop stops there too,
+        so a stray token can never wedge it."""
+        first = True
+        while True:
+            tok = self.peek()
+            if tok.kind == "eof" or (tok.kind == "punct" and tok.value == "}"):
+                return
+            if self.at_block() or (tok.kind == "punct" and tok.value == "{" and not first):
+                return
+            first = False
+            self.advance()
+            if tok.kind == "punct" and tok.value == ";":
+                return
+
+    # -- document ----------------------------------------------------------
+
+    def blocks(self) -> Iterator[_Block]:
+        """The document's blocks as they are read; anything between blocks
+        is reported and skipped up to the next block keyword."""
+        while self.peek().kind != "eof":
+            if self.at_block():
+                block = self._parse_block()
+                if block is not None:
+                    yield block
+            else:
+                self.error(
+                    f"expected 'universe' or 'agent', found {self._describe(self.peek())}"
+                )
+                self.advance()
+                while self.peek().kind != "eof" and not self.at_block():
+                    self.advance()
+
+    def _parse_block(self) -> _Block | None:
+        """Read a universe or agent block: its header, then its items up to
+        the closing '}'. A bad header is skipped like a bad item."""
+        keyword = self.advance()
+        universe_name = None
+        try:
+            if keyword.value == "universe":
+                name = self.read("string", "{")[0].value
+            else:
+                name_tok, in_tok = self.read("string", "id")
+                if in_tok.value != "in":
+                    self.fail(f"expected 'in', found {in_tok.value!r}", in_tok)
+                name = name_tok.value
+                universe_name = self.read("string", "{")[0].value
+        except _ItemError:
+            self.skip_item()
+            return None
+        if keyword.value == "universe":
+            what, parse_item = "a universe item", self._parse_uitem
+        else:
+            what, parse_item = "an agent item", self._parse_aitem
+        block = _Block.opened(keyword, name, universe_name)
+        # A block keyword where an item should start means this block lost
+        # its '}': end it there, so the next block reads as a block.
+        while not (self.at_punct("}") or self.peek().kind == "eof" or self.at_block()):
+            tok = self.peek()
+            try:
+                if tok.kind != "id":
+                    self.fail(f"expected {what}, found {self._describe(tok)}")
+                parse_item(block, self.advance())
+            except _ItemError:
+                self.skip_item()
+        if self.at_punct("}"):
+            self.advance()
+        elif self.peek().kind == "eof":
+            self.error(f"unterminated {keyword.value} block: missing '}}'")
+        else:
+            self.error(
+                f"unterminated {keyword.value} block: missing '}}' before "
+                f"{self._describe(self.peek())}"
+            )
+        return block
+
+    # -- universe ----------------------------------------------------------
+
+    def _parse_uitem(self, block: _Block, head: _Token) -> None:
+        if head.value in ("states", "acts"):
+            self.read(":")
+            target = block.rows[head.value]
+            for ident, id_tok in self._id_list(head.value):
+                if ident in target:
+                    self.warn(f"{head.value[:-1]} {ident!r} listed twice", id_tok)
+                else:
+                    target[ident] = id_tok
+            self.read(";")
+        elif head.value in ("initial", "neutral_act"):
+            ident = self.read(":", "id")[0]
+            if head.value in block.singles:
+                self.fail(f"duplicate {head.value!r} item", head)
+            block.singles[head.value] = (ident.value, ident)
+            self.read(";")
+        elif head.value == "classify":
+            word = self.read("id")[0]
+            if word.value not in _CLASS_WORDS:
+                self.fail(
+                    f"expected 'positive', 'neutral' or 'negative', found {word.value!r}",
+                    word,
+                )
+            self.read(":")
+            classes = block.rows["classify"]
+            for ident, id_tok in self._id_list("classified states"):
+                if ident in classes and classes[ident][0] != word.value:
+                    self.error(
+                        f"state {ident!r} classified both {classes[ident][0]} and {word.value}",
+                        id_tok,
+                    )
+                elif ident in classes:
+                    self.warn(f"state {ident!r} classified twice", id_tok)
+                else:
+                    classes[ident] = (word.value, id_tok)
+            self.read(";")
+        elif head.value == "transition":
+            src, act, dst = self.read("id", "id", "id")
+            key = (src.value, act.value)
+            transitions = block.rows["transition"]
+            if key in transitions and transitions[key][0] != dst.value:
+                self.error(
+                    f"conflicting transition for ({src.value!r}, {act.value!r})", src
+                )
+            elif key in transitions:
+                self.warn(
+                    f"transition ({src.value!r}, {act.value!r}) declared twice", src
+                )
+            else:
+                transitions[key] = (dst.value, src)
+            self.read(";")
+        elif head.value == "energy":
+            self.read("{")
+            values: list[int | None] = []
+            # Each field is an item of its own. Reading stops after the last
+            # field or at a block keyword, so a missing '}' does not swallow
+            # the items or blocks after it.
+            while len(values) < len(_ENERGY_FIELDS) and self.peek().kind != "eof":
+                if self.at_punct("}") or self.at_block():
+                    break
+                try:
+                    self._energy_field(values)
+                except _ItemError:
+                    self.skip_item()
+            missing = _ENERGY_FIELDS[len(values) :]
+            if missing:
+                self.error(f"energy block is missing the {missing[0]!r} field", head)
+            if self.at_punct("}"):
+                self.advance()
+            else:
+                self.error(f"expected '}}', found {self._describe(self.peek())}")
+            if "energy" in block.singles:
+                self.error("duplicate energy block", head)
+            else:
+                # None stands for a block with a bad or missing field.
+                energy = None if missing or None in values else tuple(values)
+                block.singles["energy"] = (energy, head)
+        else:
+            self.fail(f"unknown universe item {head.value!r}", head)
+
+    def _id_list(self, what: str) -> list[tuple[str, _Token]]:
+        ids = []
+        while self.peek().kind == "id":
+            tok = self.advance()
+            ids.append((tok.value, tok))
+        if not ids:
+            self.fail(f"expected at least one identifier in {what}")
+        return ids
+
+    def _energy_field(self, values: list[int | None]) -> None:
+        """Parse the next 'label: value;' field of an energy block into
+        values; a bad field leaves None in its slot."""
+        values.append(None)
+        label = self.read("id")[0]
+        expected = _ENERGY_FIELDS[len(values) - 1]
+        if label.value != expected:
+            # The field order is part of the format.
+            self.fail(f"energy field {expected!r} expected here, found {label.value!r}", label)
+        value = self.read(":", "int")[0].value
+        if self.peek().kind != "id":
+            self.read(";")
+            values[-1] = value
+        else:  # only the ';' is missing: the next field keeps its own slot
+            self.error(f"expected ';', found {self._describe(self.peek())}")
+
+    # -- agent ---------------------------------------------------------------
+
+    def _parse_aitem(self, block: _Block, head: _Token) -> None:
+        if head.value == "architecture":
+            word = self.read(":", "id")[0]
+            if word.value not in _KIND_WORDS:
+                self.fail(f"unknown architecture {word.value!r}", word)
+            self._set_single(block, "architecture", word.value, head)
+            self.read(";")
+        elif head.value in ("seed", "depth", "projection"):
+            value = self.read(":", "int")[0].value
+            self._set_single(block, head.value, value, head)
+            self.read(";")
+        elif head.value == "constant":
+            word = self.read(":", "id")[0]
+            if word.value in ("pi", "e"):
+                value: tuple[str, str | None] = (word.value, None)
+            elif word.value == "digits":
+                value = ("digits", self.read("string")[0].value)
+            else:
+                self.fail(f"expected 'pi', 'e' or 'digits', found {word.value!r}", word)
+            self._set_single(block, "constant", value, head)
+            self.read(";")
+        elif head.value == "goal":
+            value = self.read(":", "string")[0].value
+            self._set_single(block, "goal", value, head)
+            self.read(";")
+        elif head.value == "represents":
+            state, formula = self.read("id", "->", "string")
+            block.rows["represents"].append((state.value, formula.value, state))
+            self.read(";")
+        elif head.value == "react":
+            formula, act = self.read("string", ":", "id")
+            block.rows["react"].append((formula.value, act.value, head))
+            self.read(";")
+        elif head.value == "predict":
+            self._parse_predict_tail(block, None, head)
+        elif head.value == "pool":
+            index, word = self.read("int", "id")
+            if word.value != "predict":
+                self.fail(f"expected 'predict' after pool index, found {word.value!r}", word)
+            self._parse_predict_tail(block, index.value, head)
+        else:
+            self.fail(f"unknown agent item {head.value!r}", head)
+
+    def _parse_predict_tail(
+        self, block: _Block, pool_index: int | None, head: _Token
+    ) -> None:
+        source, goal = self.read("string", "->", "string", ":")
+        acts = self._id_list("predicted act sequence")
+        row = (source.value, goal.value, tuple(a for a, _ in acts), head)
+        if pool_index is None:
+            block.rows["predict"].append(row)
+        else:
+            block.rows["pool"].append((pool_index, *row))
+        self.read(";")
+
+    def _set_single(self, block: _Block, key: str, value, tok: _Token) -> None:
+        if key in block.singles:
+            self.error(f"duplicate {key!r} item", tok)
+        else:
+            block.singles[key] = (value, tok)
+
+
+# ---------------------------------------------------------------------------
+# Clean reader
+#
+# A pattern matches one item, or a whole energy block, after the blanks and
+# comments before it, skipped as the lexer skips them; a comment is pinned to
+# its line's end, so a failed match cannot split it anew. Within an item only
+# spaces and tabs separate tokens. Identifiers are the lexer's, a string body
+# can end only where the lexer's does, and an integer has at most 640 digits,
+# which int() converts under any digit limit Python allows. The patterns
+# compile at their first use, through re's cache.
+
+_GAP = r"[ \t\r\n]*(?:#[^\n]*(?=\n|\Z)[ \t\r\n]*)*"
+_ID = r"[^\W\d]\w*"
+_TERMS = {
+    "IDS": rf"{_ID}(?:[ \t]+{_ID})*",
+    "ID": _ID,
+    "INT": r"\d{1,640}",
+}
+_STRING = r'"(?P<%s>[^"\\\n]*(?:\\.[^"\\\n]*)*)"'
+
+
+def _items(**items: str) -> str:
+    """One of items, each a group named by its keyword, so that lastgroup
+    says which matched. In an item, a space stands for spaces and tabs and
+    `~` for optional ones; IDS, ID and INT stand for an identifier list, an
+    identifier and an integer; "name" stands for a string token whose body,
+    escapes unread, is group name."""
+    alternatives = []
+    for keyword, item in items.items():
+        item = item.replace(" ", r"[ \t]+").replace("~", r"[ \t]*")
+        for term, pattern in _TERMS.items():
+            item = item.replace(term, pattern)
+        item = re.sub(r'"(\w+)"', lambda m: _STRING % m[1], item)
+        alternatives.append(f"(?P<{keyword}>{item})")
+    return _GAP + "(?:" + "|".join(alternatives) + ")"
+
+
+# The items that may come next, by where the reader is.
+_ITEMS = {
+    "top": _items(
+        universe=r'universe~"name"~\{',
+        agent=r'agent~"agent_name"~in~"home"~\{',
+        eof=r"\Z",
+    ),
+    "universe": _items(
+        transition=r"transition (?P<src>ID) (?P<act>ID) (?P<dst>ID)~;",
+        list=r"(?:(?P<list_key>states|acts)|classify (?P<word>positive|neutral|negative))"
+        r"~:~(?P<ids>IDS)~;",
+        single=r"(?P<key>initial|neutral_act)~:~(?P<value>ID)~;",
+        energy=r"energy~\{",
+        close=r"\}",
+    ),
+    "energy": _items(field=r"(?P<label>ID)~:~(?P<value>INT)~;"),
+    "agent": _items(
+        predict=r'(?:pool (?P<index>INT) )?predict~"source"~->~"target"~:~(?P<acts>IDS)~;',
+        represents=r'represents (?P<state>ID)~->~"formula"~;',
+        react=r'react~"reaction"~:~(?P<act>ID)~;',
+        architecture=rf"architecture~:~(?P<kind>{'|'.join(_KIND_WORDS)})~;",
+        number=r"(?P<key>seed|depth|projection)~:~(?P<value>INT)~;",
+        constant=r'constant~:~(?:(?P<word>pi|e)|digits~"digits")~;',
+        goal=r'goal~:~"goal_formula"~;',
+        close=r"\}",
+    ),
+}
+
+
+def _read_clean(text: str) -> list[_Block] | None:
+    """The blocks of text, if each of its items is in its one-line form
+    and reads without a diagnostic; None at the first that is not."""
+    match = re.compile(_ITEMS["top"]).match
+    blocks: list[_Block] = []
+    pos = 0
+    while m := match(text, pos):
+        kind = m.lastgroup
+        if kind == "eof":
+            return blocks
+        keyword = _Token("id", kind, m.start(kind))
+        if kind == "universe":
+            block = _Block.opened(keyword, _unescape(m["name"]))
+        else:
+            block = _Block.opened(keyword, _unescape(m["agent_name"]), _unescape(m["home"]))
+        pos = _read_items(text, m.end(), block)
+        if pos is None:
+            return None
+        blocks.append(block)
+    return None
+
+
+def _read_items(text: str, pos: int, block: _Block) -> int | None:
+    """Read a block's items into it through its '}'; the offset after the
+    '}', or None at an item the clean reader does not take. A universe's
+    repeated row or any repeated single would draw a diagnostic as read; an
+    agent's repeated rows are the checker's to report."""
+    match = re.compile(_ITEMS[block.keyword.value]).match
+    ids, intern = re.compile(_ID).finditer, sys.intern
+    rows, singles = block.rows, block.singles
+    while m := match(text, pos):
+        pos, kind = m.end(), m.lastgroup
+        start = m.start(kind)
+        if kind == "transition":
+            src, act = intern(m["src"]), intern(m["act"])
+            if (src, act) in rows["transition"]:
+                return None
+            rows["transition"][src, act] = (intern(m["dst"]), _Token("id", src, m.start("src")))
+        elif kind == "predict":
+            index = m["index"]
+            head = _Token("id", "predict" if index is None else "pool", start)
+            acts = tuple(map(intern, m["acts"].split()))
+            row = (_unescape(m["source"]), _unescape(m["target"]), acts, head)
+            if index is None:
+                rows["predict"].append(row)
+            else:
+                rows["pool"].append((int(index), *row))
+        elif kind == "represents":
+            state = intern(m["state"])
+            tok = _Token("id", state, m.start("state"))
+            rows["represents"].append((state, _unescape(m["formula"]), tok))
+        elif kind == "react":
+            tok = _Token("id", kind, start)
+            rows["react"].append((_unescape(m["reaction"]), intern(m["act"]), tok))
+        elif kind == "list":
+            word = m["word"] and intern(m["word"])
+            target = rows["classify" if word else m["list_key"]]
+            for idm in ids(text, m.start("ids"), m.end("ids")):
+                ident = intern(idm[0])
+                if ident in target:
+                    return None
+                tok = _Token("id", ident, idm.start())
+                target[ident] = (word, tok) if word else tok
+        elif kind == "close":
+            return pos
+        else:
+            key, tok = kind, _Token("id", kind, start)
+            if kind == "single":
+                key, value = m["key"], intern(m["value"])
+                tok = _Token("id", value, m.start("value"))
+            elif kind == "energy":
+                # Its fields in order, each an item, then the '}'.
+                field = re.compile(_ITEMS["energy"]).match
+                values = []
+                for label in _ENERGY_FIELDS:
+                    if not (part := field(text, pos)) or part["label"] != label:
+                        return None
+                    values.append(int(part["value"]))
+                    pos = part.end()
+                if not (part := match(text, pos)) or part.lastgroup != "close":
+                    return None
+                pos, value = part.end(), tuple(values)
+            elif kind == "number":
+                key, value = m["key"], int(m["value"])
+            elif kind == "architecture":
+                value = intern(m["kind"])
+            elif kind == "constant":
+                word = m["word"]
+                value = (intern(word), None) if word else ("digits", _unescape(m["digits"]))
+            else:
+                value = _unescape(m["goal_formula"])
+            if key in singles:
+                return None
+            singles[key] = (value, tok)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Public entry points
 
 
 def parse(text: str) -> ParseResult:
     """Parse a document; the document is withheld if any error occurred."""
-    parser = _Parser(text)
-    doc, diags = parser.parse_document()
-    return ParseResult(doc, diags)
+    blocks = _read_clean(text)
+    if blocks is None:
+        checker = _Parser(text)
+        blocks = checker.blocks()
+    else:
+        checker = _Checker(text)
+    return ParseResult(*checker.check(blocks))
 
 
 def parse_file(path: str | Path) -> ParseResult:

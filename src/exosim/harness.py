@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 from . import architectures
 from .architectures import AgentArchitecture, ArchitectureError, ArchitectureKind
+from .architectures import PositionalFasa, RandomFasa
 from .architectures import _choose, splitmix64
 from .dsl import SpecDocument
 from .stats import rank_sum_test
@@ -57,9 +58,10 @@ def run_trajectory(
     generated and chose.
 
     The agent is only read: an elementary kind steps through
-    ``agent.stream``, a routed kind looks routes up in
-    ``agent.tables[active]``. Seed, when given, replaces a random
-    stream's seed, so the same inputs replay the same run. A run's state
+    ``agent.stream``, a ``RandomFasa`` or ``PositionalFasa`` as its kind
+    says, and a routed kind looks routes up in ``agent.tables[active]``.
+    Seed, when given, replaces a random stream's seed, so the same inputs
+    replay the same run. A run's state
     is local: afs2b's target (the goal, then the formula perceived at the
     previous step), and afs3a's active table index (always 0 for the
     other kinds), pending episode (table index, age) and per-table
@@ -79,11 +81,17 @@ def run_trajectory(
     recall = kind is ArchitectureKind.AFS2B
     learner = kind is ArchitectureKind.AFS3A
     stream = agent.stream
-    if seed is not None and kind is ArchitectureKind.RANDOM and stream is not None:
+    if elementary and max_steps > 0:
+        if stream is None:
+            raise ArchitectureError(f"{kind.value} agent {agent.name!r} has no act stream")
+        wanted = RandomFasa if kind is ArchitectureKind.RANDOM else PositionalFasa
+        if not isinstance(stream, wanted):
+            raise ArchitectureError(
+                f"{kind.value} agent {agent.name!r} has a {type(stream).__name__} act stream"
+            )
+    if seed is not None and isinstance(stream, RandomFasa):
         stream = replace(stream, seed=seed)
     rmap, goal, tables = agent.representation, agent.goal, agent.tables
-    if elementary and stream is None and max_steps > 0:
-        raise ArchitectureError(f"{kind.value} agent {agent.name!r} has no act stream")
     if kind.is_sensitive and kind is not ArchitectureKind.AFS1 and not tables and max_steps > 0:
         raise ArchitectureError(f"{kind.value} agent {agent.name!r} has no route table")
     target = goal

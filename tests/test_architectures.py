@@ -371,6 +371,20 @@ class TestLearning:
             run_trajectory(micro3(), bare, 1, seed=seed)
         assert run_trajectory(micro3(), bare, 0, seed=seed).persistence == 0
 
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_rejects_stream_of_the_other_elementary_kind(self, seed):
+        acts = tuple(sorted(micro3().acts))
+        streams = {
+            ArchitectureKind.RANDOM: PositionalFasa(ExplicitDigits((0, 1), len(acts)), acts),
+            ArchitectureKind.POSITIONAL: RandomFasa(seed=1, act_order=acts),
+        }
+        for kind, stream in streams.items():
+            agent = AgentArchitecture(name="m", kind=kind, stream=stream)
+            name = type(stream).__name__
+            with pytest.raises(ArchitectureError, match=f"{kind.value} agent 'm' has a {name}"):
+                run_trajectory(micro3(), agent, 1, seed=seed)
+            assert run_trajectory(micro3(), agent, 0, seed=seed).persistence == 0
+
 
 Scored = collections.namedtuple("Scored", "table_index success")
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import sys
@@ -21,7 +22,8 @@ from exosim import (
     run_trajectory,
     serialize,
 )
-from exosim.dsl import _Parser
+from exosim import dsl
+from exosim.dsl import _Checker, _Parser, _read_clean
 
 import docgen
 
@@ -907,6 +909,120 @@ class TestFuzz:
         text = prefix + tail
         result = parse(text)
         assert (result.document is None) == bool(result.errors)
+
+
+def clean_reading(text: str):
+    """The clean reader's (document, diagnostics) for text, checked against
+    the token reader's; None where the clean reader gives up."""
+    blocks = _read_clean(text)
+    if blocks is None:
+        return None
+    doc, diags = _Checker(text).check(blocks)
+    parser = _Parser(text)
+    token_doc, token_diags = parser.check(parser.blocks())
+    assert diags == token_diags
+    assert doc == token_doc
+    if doc is not None:
+        assert doc.source_spans == token_doc.source_spans
+    return doc, diags
+
+
+def ring_document(n: int) -> str:
+    """A clean document of n states in a ring and an afs2a agent with one
+    route per state."""
+    states = [f"s{i}" for i in range(n)]
+    lines = [
+        'universe "ring" {',
+        "  states: " + " ".join(states) + ";",
+        "  acts: go stay;",
+        "  initial: s0;",
+        "  neutral_act: stay;",
+        "  classify positive: s0;",
+    ]
+    for i, state in enumerate(states):
+        lines.append(f"  transition {state} go {states[(i + 1) % n]};")
+        lines.append(f"  transition {state} stay {state};")
+    lines.append(
+        "  energy { initial: 5; per_step: 1; negative_penalty: 0; positive_reward: 1; cap: 9; }"
+    )
+    lines += ["}", 'agent "walker" in "ring" {', "  architecture: afs2a;", '  goal: "f0";']
+    for i, state in enumerate(states):
+        lines.append(f'  represents {state} -> "f{i}";')
+        lines.append(f'  predict "f{i}" -> "f0" : go;')
+    return "\n".join(lines) + "\n}\n"
+
+
+class TestCleanReader:
+    def test_reads_what_the_token_reader_reads(self, ejemplo5_path, reference_path):
+        # Both fixtures and 300 canonical serializations, each with 15
+        # mutations, each with '\n' and with '\r\n' line ends. The clean
+        # reader must take every unmutated text.
+        bases = [path.read_text(encoding="utf-8") for path in (ejemplo5_path, reference_path)]
+        bases += [serialize(parse(docgen.random_document_text(s)).document) for s in range(300)]
+        mutants = accepted = checked = 0
+        for base_i, base in enumerate(bases):
+            for variant in (base, base.replace("\n", "\r\n")):
+                assert clean_reading(variant) is not None, base_i
+            for i in range(15):
+                text = docgen.mutate_text(base, base_i * 15 + i)
+                for variant in (text, text.replace("\n", "\r\n")):
+                    reading = clean_reading(variant)
+                    mutants += 1
+                    accepted += reading is not None
+                    checked += bool(reading and reading[1])
+        assert mutants == 302 * 15 * 2
+        # Some mutants read cleanly, and some of those draw checker
+        # diagnostics, so both paths are compared on them.
+        assert accepted > 0 and checked > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(_PREFIXES),
+        st.lists(st.sampled_from(_PIECES), max_size=60).map("".join),
+    )
+    def test_reads_what_the_token_reader_reads_on_pieces(self, prefix, tail):
+        clean_reading(prefix + tail)
+
+    @pytest.mark.parametrize(
+        "old, new, clean",
+        [
+            ("    per_step: 1;", "    per_step: 1; # note", True),
+            ("transition a stay a;", "transition\ta  stay a ;", True),
+            ("initial: 5;", "initial:5;", True),
+            ("states: a b;", "states: a b a;", False),
+            ("transition b hop a;", "transition b hop a; transition b hop a;", False),
+            ("classify positive: b;", "classify positive: b; classify negative: b;", False),
+            ("neutral_act: stay;", "neutral_act: stay; neutral_act: stay;", False),
+            ("transition a stay a;", "transition a stay # note\n a;", False),
+            ("transition a stay a;", "transition a\rstay a;", False),
+            ("transition a stay a;", "transition a stay a", False),
+            ("cap: 9;", "cap: " + "9" * 641 + ";", False),
+        ],
+    )
+    def test_takes_only_items_in_one_line_form(self, old, new, clean):
+        assert (clean_reading(MINI.replace(old, new)) is not None) is clean
+
+    def test_never_lexes_a_clean_document(self, monkeypatch):
+        calls: collections.Counter = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(dsl, "_lex", counting("_lex", dsl._lex))
+        monkeypatch.setattr(dsl._Parser, "read", counting("read", dsl._Parser.read))
+        for n in (100, 1000):
+            result = parse(ring_document(n))
+            assert result.diagnostics == []
+            assert len(result.document.universe("ring").states) == n
+        assert calls == {}
+        # The counters do see the token reader when it runs.
+        result = parse(ring_document(100).replace("acts: go stay;", "acts: go stay"))
+        assert result.document is None
+        assert calls["_lex"] == 1 and calls["read"] > 100
 
 
 class TestLoadDocument:
