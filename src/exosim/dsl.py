@@ -9,16 +9,13 @@ like items, and a block that lost its '}' ends at the next `universe` or
 `agent` keyword. A document containing any error is withheld; callers only
 ever receive fully checked declarations.
 
-Two readers turn text into blocks, and one checker turns blocks into
-declarations and diagnostics. The clean reader (_read_clean) reads each
-item in its one-line form, and each energy block, with one regex match. It
-gives up, having reported nothing, at the first item that is not in that
-form or that reading would draw a diagnostic for. parse() then runs the
-token reader (_Parser) on the whole text: it lexes the text and steps over
-the tokens, and it owns every read-time diagnostic. Both fill the same
-_Blocks with the same values and offsets, so the checker's diagnostics and
-source spans do not depend on which reader ran; layout never changes what a
-document means.
+One reader (_Reader) turns text into blocks and checks them into
+declarations and diagnostics. Inside a block it reads each row item
+(transition, states, acts, classify, represents, react, predict, pool) in its
+one-line form with one regex match; every other item, and a row laid out any
+other way, it reads by tokens, lexed one at a time as it reaches them. Both
+add a row through the same helpers, so layout never changes what a document
+means or what it draws. Lexical errors are kept apart and come first.
 
 A token carries only its offset in the text. A diagnostic, lexical or
 not, and a source span get their 1-based line and column from that offset
@@ -44,7 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .architectures import (
     AgentArchitecture,
@@ -238,12 +235,12 @@ class ParseResult:
 class _Token(NamedTuple):
     kind: str  # id, string, int, punct, eof
     value: str | int  # read() returns int tokens with an int value
-    offset: int  # of the token's first character; _Parser.position() maps it
+    offset: int  # of the token's first character; _Reader.position() maps it
 
 
 # Each match is one token with the blanks and comments before it. `eof`
 # matches at the end of the text, so trailing blanks never come back as
-# `other` tokens. Compiled at its first use, like the clean reader's.
+# `other` tokens. Compiled at its first use, like the row patterns.
 _TOKEN = r"""
     [\ \t\r\n]*(?:\#[^\n]*[\ \t\r\n]*)*
     (?: (?P<string>"(?P<body>(?:\\["\\]|[^"\n])*)(?P<end>"?))
@@ -261,29 +258,62 @@ def _unescape(body: str) -> str:
     return sys.intern(_ESCAPE_RE.sub(r"\1", body) if "\\" in body else body)
 
 
-def _lex(text: str, error: Callable[[str, _Token], None]) -> list[_Token]:
-    """The tokens of text; each lexical error goes to error() in order.
-    Values are interned: a document repeats a few names and formulas many
-    times."""
-    tokens: list[_Token] = []
-    for m in re.compile(_TOKEN, re.VERBOSE).finditer(text):
-        kind = m.lastgroup
-        if kind == "string":
-            tok = _Token(kind, _unescape(m["body"]), m.start(kind))
-            if not m["end"]:
-                error("unterminated string", tok)
-            tokens.append(tok)
-        elif kind == "other":
-            error(f"unexpected character {m[kind]!r}", _Token(kind, m[kind], m.start(kind)))
-        else:
-            tokens.append(_Token(kind, sys.intern(m[kind]), m.start(kind)))
-            if kind == "eof":  # blanks before the end match it twice
-                break
-    return tokens
+# ---------------------------------------------------------------------------
+# Row patterns
+#
+# A pattern matches one row item after the blanks and comments before it,
+# skipped as the lexer skips them; a comment is pinned to its line's end, so a
+# failed match cannot split it anew. Within an item only spaces and tabs
+# separate tokens. Identifiers are the lexer's, a string body can end only
+# where the lexer's does, and an integer has at most 640 digits, which int()
+# converts under any digit limit Python allows. The patterns compile at their
+# first use, through re's cache.
+
+_GAP = r"[ \t\r\n]*(?:#[^\n]*(?=\n|\Z)[ \t\r\n]*)*"
+_ID = r"[^\W\d]\w*"
+_TERMS = {
+    "IDS": rf"{_ID}(?:[ \t]+{_ID})*",
+    "ID": _ID,
+    "INT": r"\d{1,640}",
+}
+_STRING = r'"(?P<%s>[^"\\\n]*(?:\\.[^"\\\n]*)*)"'
+
+
+def _items(**items: str) -> str:
+    """One of items, each a group named by its keyword, so that lastgroup
+    says which matched. In an item, a space stands for spaces and tabs and
+    `~` for optional ones; IDS, ID and INT stand for an identifier list, an
+    identifier and an integer; "name" stands for a string token whose body,
+    escapes unread, is group name."""
+    alternatives = []
+    for keyword, item in items.items():
+        item = item.replace(" ", r"[ \t]+").replace("~", r"[ \t]*")
+        for term, pattern in _TERMS.items():
+            item = item.replace(term, pattern)
+        item = re.sub(r'"(\w+)"', lambda m: _STRING % m[1], item)
+        alternatives.append(f"(?P<{keyword}>{item})")
+    return _GAP + "(?:" + "|".join(alternatives) + ")"
+
+
+# The row items of each kind of block, in their one-line form. Rows are nearly
+# all of a large document; headers, singles, energy blocks and '}' are few and
+# are read by tokens.
+_ITEMS = {
+    "universe": _items(
+        transition=r"transition (?P<src>ID) (?P<act>ID) (?P<dst>ID)~;",
+        list=r"(?:(?P<list_key>states|acts)|classify (?P<word>positive|neutral|negative))"
+        r"~:~(?P<ids>IDS)~;",
+    ),
+    "agent": _items(
+        predict=r'(?:pool (?P<index>INT) )?predict~"source"~->~"target"~:~(?P<acts>IDS)~;',
+        represents=r'represents (?P<state>ID)~->~"formula"~;',
+        react=r'react~"reaction"~:~(?P<act>ID)~;',
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
-# Checker
+# Reader
 
 
 @dataclass
@@ -299,46 +329,51 @@ class _Block:
     rows: dict[str, list | dict]
     singles: dict[str, tuple[object, _Token]] = field(default_factory=dict)
 
-    @classmethod
-    def opened(cls, keyword: _Token, name: str, universe_name: str | None = None) -> _Block:
-        """A block with no items read yet."""
-        if keyword.value == "universe":
-            rows: dict = {"states": {}, "acts": {}, "classify": {}, "transition": {}}
-        else:
-            rows = {item: [] for item in _ROWS_IGNORED}
-        return cls(keyword, name, universe_name, rows)
+
+class _ItemError(Exception):
+    """Internal: abandon the current item and resynchronize."""
 
 
-class _Checker:
-    """Turns read blocks into declarations. Both readers hand their blocks
-    to check(), so every check-time diagnostic and source span is made
-    here."""
+class _Reader:
+    """Reads a document's blocks and checks them into declarations. At each
+    item position in a block it tries the block's row pattern (_ITEMS) once;
+    an item that does not match is read by tokens, with every read-time
+    error reported where it is met and recovery at item boundaries. The
+    reader only moves forward."""
 
     def __init__(self, text: str):
+        self.text = text
         self.diags: list[ParseDiagnostic] = []
+        self.lexical: list[ParseDiagnostic] = []  # reported before self.diags
         # The offset of every '\n', after a -1 that starts the first line.
         self.newlines = [-1, *(m.start() for m in re.finditer("\n", text))]
+        self.lex = re.compile(_TOKEN, re.VERBOSE).match
+        self.offset = 0  # just past the last token or row consumed
+        self.tok: _Token | None = None  # the next token, once peeked
+        self.end = 0  # just past self.tok
 
     def position(self, offset: int) -> tuple[int, int]:
         """The 1-based (line, column) of a text offset."""
         line = bisect_left(self.newlines, offset)
         return line, offset - self.newlines[line - 1]
 
-    def error(self, message: str, tok: _Token) -> None:
-        line, column = self.position(tok.offset)
-        self.diags.append(ParseDiagnostic(Severity.ERROR, message, line, column))
+    def error(self, message: str, tok: _Token | None = None) -> None:
+        offset = (tok or self.peek()).offset
+        self.diags.append(ParseDiagnostic(Severity.ERROR, message, *self.position(offset)))
 
     def warn(self, message: str, tok: _Token) -> None:
-        line, column = self.position(tok.offset)
-        self.diags.append(ParseDiagnostic(Severity.WARNING, message, line, column))
+        self.diags.append(ParseDiagnostic(Severity.WARNING, message, *self.position(tok.offset)))
 
-    def check(self, blocks: Iterable[_Block]) -> tuple[SpecDocument | None, list[ParseDiagnostic]]:
-        """Check each universe block as it arrives, then each agent block in
+    def lexical_error(self, message: str, offset: int) -> None:
+        self.lexical.append(ParseDiagnostic(Severity.ERROR, message, *self.position(offset)))
+
+    def check(self) -> tuple[SpecDocument | None, list[ParseDiagnostic]]:
+        """Check each universe block as it is read, then each agent block in
         declaration order; the document is withheld if any error occurred."""
         universes: dict[str, UniverseDecl] = {}
         agents: list[_Block] = []
         spans: dict = {}
-        for block in blocks:
+        for block in self.blocks():
             if block.keyword.value == "agent":
                 agents.append(block)
                 continue
@@ -362,10 +397,11 @@ class _Checker:
             seen.add(decl.name)
             spans[("agent", decl.name)] = self.position(block.keyword.offset)
             decls.append(decl)
-        if any(d.severity is Severity.ERROR for d in self.diags):
-            return None, self.diags
+        diags = self.lexical + self.diags
+        if any(d.severity is Severity.ERROR for d in diags):
+            return None, diags
         doc = SpecDocument(tuple(universes.values()), tuple(decls), spans)
-        return doc, self.diags
+        return doc, diags
 
     # -- universe resolution ---------------------------------------------------
 
@@ -618,35 +654,28 @@ class _Checker:
             route_rows=tuple((*lead, *key, seq) for key, seq in sorted(routes.items())),
         )
 
-
-
-# ---------------------------------------------------------------------------
-# Token reader
-
-
-class _ItemError(Exception):
-    """Internal: abandon the current item and resynchronize."""
-
-
-class _Parser(_Checker):
-    """The token reader: lexes the whole text, then steps over the tokens,
-    reporting every lexical and read-time error where it is met and
-    recovering at item boundaries."""
-
-    def __init__(self, text: str):
-        super().__init__(text)
-        self.tokens = _lex(text, self.error)
-        self.pos = 0
-
-    # -- token plumbing ----------------------------------------------------
+    # -- tokens ----------------------------------------------------------------
 
     def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        """The next token, lexed at its first peek, when a lexical error
+        before it or in it is reported. Values are interned: a document
+        repeats a few names and formulas many times."""
+        if self.tok is None:
+            m = self.lex(self.text, self.offset)
+            while m.lastgroup == "other":
+                self.lexical_error(f"unexpected character {m['other']!r}", m.start("other"))
+                m = self.lex(self.text, m.end())
+            kind = m.lastgroup
+            value = _unescape(m["body"]) if kind == "string" else sys.intern(m[kind])
+            self.tok, self.end = _Token(kind, value, m.start(kind)), m.end()
+            if kind == "string" and not m["end"]:
+                self.lexical_error("unterminated string", self.tok.offset)
+        return self.tok
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         if tok.kind != "eof":
-            self.pos += 1
+            self.offset, self.tok = self.end, None
         return tok
 
     def at_punct(self, value: str) -> bool:
@@ -657,9 +686,6 @@ class _Parser(_Checker):
         """At a 'universe' or 'agent' keyword, where a block starts."""
         tok = self.peek()
         return tok.kind == "id" and tok.value in ("universe", "agent")
-
-    def error(self, message: str, tok: _Token | None = None) -> None:
-        super().error(message, tok or self.peek())
 
     def fail(self, message: str, tok: _Token | None = None) -> None:
         self.error(message, tok)
@@ -684,7 +710,7 @@ class _Parser(_Checker):
                 got.append(tok)
             elif tok.kind != "punct" or tok.value != want:
                 self.fail(f"expected {want!r}, found {self._describe(tok)}", tok)
-            self.pos += 1
+            self.advance()
         return got
 
     @staticmethod
@@ -719,7 +745,7 @@ class _Parser(_Checker):
         is reported and skipped up to the next block keyword."""
         while self.peek().kind != "eof":
             if self.at_block():
-                block = self._parse_block()
+                block = self._block()
                 if block is not None:
                     yield block
             else:
@@ -730,7 +756,7 @@ class _Parser(_Checker):
                 while self.peek().kind != "eof" and not self.at_block():
                     self.advance()
 
-    def _parse_block(self) -> _Block | None:
+    def _block(self) -> _Block | None:
         """Read a universe or agent block: its header, then its items up to
         the closing '}'. A bad header is skipped like a bad item."""
         keyword = self.advance()
@@ -748,20 +774,29 @@ class _Parser(_Checker):
             self.skip_item()
             return None
         if keyword.value == "universe":
-            what, parse_item = "a universe item", self._parse_uitem
+            what, read_item = "a universe item", self._uitem
+            rows: dict = {"states": {}, "acts": {}, "classify": {}, "transition": {}}
         else:
-            what, parse_item = "an agent item", self._parse_aitem
-        block = _Block.opened(keyword, name, universe_name)
-        # A block keyword where an item should start means this block lost
-        # its '}': end it there, so the next block reads as a block.
-        while not (self.at_punct("}") or self.peek().kind == "eof" or self.at_block()):
-            tok = self.peek()
-            try:
-                if tok.kind != "id":
-                    self.fail(f"expected {what}, found {self._describe(tok)}")
-                parse_item(block, self.advance())
-            except _ItemError:
-                self.skip_item()
+            what, read_item = "an agent item", self._aitem
+            rows = {item: [] for item in _ROWS_IGNORED}
+        block = _Block(keyword, name, universe_name, rows)
+        row = re.compile(_ITEMS[keyword.value]).match
+        while True:
+            if m := row(self.text, self.offset):
+                self.offset, self.tok = m.end(), None
+                self._row(block, m)
+            # A block keyword where an item should start means this block
+            # lost its '}': end it there, so the next block reads as a block.
+            elif self.at_punct("}") or self.peek().kind == "eof" or self.at_block():
+                break
+            else:
+                tok = self.peek()
+                try:
+                    if tok.kind != "id":
+                        self.fail(f"expected {what}, found {self._describe(tok)}")
+                    read_item(block, self.advance())
+                except _ItemError:
+                    self.skip_item()
         if self.at_punct("}"):
             self.advance()
         elif self.peek().kind == "eof":
@@ -773,17 +808,37 @@ class _Parser(_Checker):
             )
         return block
 
+    def _row(self, block: _Block, m: re.Match) -> None:
+        """Add the row item m matched to block as the token path adds it,
+        with the same values, interned, and the same token offsets."""
+        kind, intern = m.lastgroup, sys.intern
+        if kind == "transition":
+            src = _Token("id", intern(m["src"]), m.start("src"))
+            self._transition(block, src, intern(m["act"]), intern(m["dst"]))
+        elif kind == "list":
+            word = m["word"] and intern(m["word"])
+            ids = re.compile(_ID).finditer(self.text, m.start("ids"), m.end("ids"))
+            toks = [_Token("id", intern(idm[0]), idm.start()) for idm in ids]
+            self._ids(block, m["list_key"] or "classify", word, toks)
+        elif kind == "represents":
+            state = _Token("id", intern(m["state"]), m.start("state"))
+            block.rows["represents"].append((state.value, _unescape(m["formula"]), state))
+        elif kind == "react":
+            head = _Token("id", kind, m.start(kind))
+            block.rows["react"].append((_unescape(m["reaction"]), intern(m["act"]), head))
+        else:
+            index = m["index"]
+            head = _Token("id", "predict" if index is None else "pool", m.start(kind))
+            acts = tuple(map(intern, m["acts"].split()))
+            row = (_unescape(m["source"]), _unescape(m["target"]), acts, head)
+            self._route(block, None if index is None else int(index), row)
+
     # -- universe ----------------------------------------------------------
 
-    def _parse_uitem(self, block: _Block, head: _Token) -> None:
+    def _uitem(self, block: _Block, head: _Token) -> None:
         if head.value in ("states", "acts"):
             self.read(":")
-            target = block.rows[head.value]
-            for ident, id_tok in self._id_list(head.value):
-                if ident in target:
-                    self.warn(f"{head.value[:-1]} {ident!r} listed twice", id_tok)
-                else:
-                    target[ident] = id_tok
+            self._ids(block, head.value, None, self._id_list(head.value))
             self.read(";")
         elif head.value in ("initial", "neutral_act"):
             ident = self.read(":", "id")[0]
@@ -799,32 +854,11 @@ class _Parser(_Checker):
                     word,
                 )
             self.read(":")
-            classes = block.rows["classify"]
-            for ident, id_tok in self._id_list("classified states"):
-                if ident in classes and classes[ident][0] != word.value:
-                    self.error(
-                        f"state {ident!r} classified both {classes[ident][0]} and {word.value}",
-                        id_tok,
-                    )
-                elif ident in classes:
-                    self.warn(f"state {ident!r} classified twice", id_tok)
-                else:
-                    classes[ident] = (word.value, id_tok)
+            self._ids(block, "classify", word.value, self._id_list("classified states"))
             self.read(";")
         elif head.value == "transition":
             src, act, dst = self.read("id", "id", "id")
-            key = (src.value, act.value)
-            transitions = block.rows["transition"]
-            if key in transitions and transitions[key][0] != dst.value:
-                self.error(
-                    f"conflicting transition for ({src.value!r}, {act.value!r})", src
-                )
-            elif key in transitions:
-                self.warn(
-                    f"transition ({src.value!r}, {act.value!r}) declared twice", src
-                )
-            else:
-                transitions[key] = (dst.value, src)
+            self._transition(block, src, act.value, dst.value)
             self.read(";")
         elif head.value == "energy":
             self.read("{")
@@ -855,11 +889,39 @@ class _Parser(_Checker):
         else:
             self.fail(f"unknown universe item {head.value!r}", head)
 
-    def _id_list(self, what: str) -> list[tuple[str, _Token]]:
+    def _ids(self, block: _Block, key: str, word: str | None, toks: list[_Token]) -> None:
+        """Add the ids of a states, acts or classify row to block, reporting
+        each repeat; word is a classify row's class, else None."""
+        target = block.rows[key]
+        for tok in toks:
+            ident = tok.value
+            if word is None:
+                if ident in target:
+                    self.warn(f"{key[:-1]} {ident!r} listed twice", tok)
+                else:
+                    target[ident] = tok
+            elif ident in target and target[ident][0] != word:
+                self.error(f"state {ident!r} classified both {target[ident][0]} and {word}", tok)
+            elif ident in target:
+                self.warn(f"state {ident!r} classified twice", tok)
+            else:
+                target[ident] = (word, tok)
+
+    def _transition(self, block: _Block, src: _Token, act: str, dst: str) -> None:
+        """Add a transition row to block, reporting a repeat at its source."""
+        key = (src.value, act)
+        transitions = block.rows["transition"]
+        if key in transitions and transitions[key][0] != dst:
+            self.error(f"conflicting transition for ({src.value!r}, {act!r})", src)
+        elif key in transitions:
+            self.warn(f"transition ({src.value!r}, {act!r}) declared twice", src)
+        else:
+            transitions[key] = (dst, src)
+
+    def _id_list(self, what: str) -> list[_Token]:
         ids = []
         while self.peek().kind == "id":
-            tok = self.advance()
-            ids.append((tok.value, tok))
+            ids.append(self.advance())
         if not ids:
             self.fail(f"expected at least one identifier in {what}")
         return ids
@@ -882,7 +944,7 @@ class _Parser(_Checker):
 
     # -- agent ---------------------------------------------------------------
 
-    def _parse_aitem(self, block: _Block, head: _Token) -> None:
+    def _aitem(self, block: _Block, head: _Token) -> None:
         if head.value == "architecture":
             word = self.read(":", "id")[0]
             if word.value not in _KIND_WORDS:
@@ -916,26 +978,29 @@ class _Parser(_Checker):
             block.rows["react"].append((formula.value, act.value, head))
             self.read(";")
         elif head.value == "predict":
-            self._parse_predict_tail(block, None, head)
+            self._predict_tail(block, None, head)
         elif head.value == "pool":
             index, word = self.read("int", "id")
             if word.value != "predict":
                 self.fail(f"expected 'predict' after pool index, found {word.value!r}", word)
-            self._parse_predict_tail(block, index.value, head)
+            self._predict_tail(block, index.value, head)
         else:
             self.fail(f"unknown agent item {head.value!r}", head)
 
-    def _parse_predict_tail(
-        self, block: _Block, pool_index: int | None, head: _Token
-    ) -> None:
+    def _predict_tail(self, block: _Block, pool_index: int | None, head: _Token) -> None:
         source, goal = self.read("string", "->", "string", ":")
-        acts = self._id_list("predicted act sequence")
-        row = (source.value, goal.value, tuple(a for a, _ in acts), head)
+        acts = tuple(tok.value for tok in self._id_list("predicted act sequence"))
+        self._route(block, pool_index, (source.value, goal.value, acts, head))
+        self.read(";")
+
+    @staticmethod
+    def _route(block: _Block, pool_index: int | None, row: tuple) -> None:
+        """Add a route row (source, goal, acts, head) to block: a predict
+        row, or a pool row led by its index."""
         if pool_index is None:
             block.rows["predict"].append(row)
         else:
             block.rows["pool"].append((pool_index, *row))
-        self.read(";")
 
     def _set_single(self, block: _Block, key: str, value, tok: _Token) -> None:
         if key in block.singles:
@@ -945,181 +1010,12 @@ class _Parser(_Checker):
 
 
 # ---------------------------------------------------------------------------
-# Clean reader
-#
-# A pattern matches one item, or a whole energy block, after the blanks and
-# comments before it, skipped as the lexer skips them; a comment is pinned to
-# its line's end, so a failed match cannot split it anew. Within an item only
-# spaces and tabs separate tokens. Identifiers are the lexer's, a string body
-# can end only where the lexer's does, and an integer has at most 640 digits,
-# which int() converts under any digit limit Python allows. The patterns
-# compile at their first use, through re's cache.
-
-_GAP = r"[ \t\r\n]*(?:#[^\n]*(?=\n|\Z)[ \t\r\n]*)*"
-_ID = r"[^\W\d]\w*"
-_TERMS = {
-    "IDS": rf"{_ID}(?:[ \t]+{_ID})*",
-    "ID": _ID,
-    "INT": r"\d{1,640}",
-}
-_STRING = r'"(?P<%s>[^"\\\n]*(?:\\.[^"\\\n]*)*)"'
-
-
-def _items(**items: str) -> str:
-    """One of items, each a group named by its keyword, so that lastgroup
-    says which matched. In an item, a space stands for spaces and tabs and
-    `~` for optional ones; IDS, ID and INT stand for an identifier list, an
-    identifier and an integer; "name" stands for a string token whose body,
-    escapes unread, is group name."""
-    alternatives = []
-    for keyword, item in items.items():
-        item = item.replace(" ", r"[ \t]+").replace("~", r"[ \t]*")
-        for term, pattern in _TERMS.items():
-            item = item.replace(term, pattern)
-        item = re.sub(r'"(\w+)"', lambda m: _STRING % m[1], item)
-        alternatives.append(f"(?P<{keyword}>{item})")
-    return _GAP + "(?:" + "|".join(alternatives) + ")"
-
-
-# The items that may come next, by where the reader is.
-_ITEMS = {
-    "top": _items(
-        universe=r'universe~"name"~\{',
-        agent=r'agent~"agent_name"~in~"home"~\{',
-        eof=r"\Z",
-    ),
-    "universe": _items(
-        transition=r"transition (?P<src>ID) (?P<act>ID) (?P<dst>ID)~;",
-        list=r"(?:(?P<list_key>states|acts)|classify (?P<word>positive|neutral|negative))"
-        r"~:~(?P<ids>IDS)~;",
-        single=r"(?P<key>initial|neutral_act)~:~(?P<value>ID)~;",
-        energy=r"energy~\{",
-        close=r"\}",
-    ),
-    "energy": _items(field=r"(?P<label>ID)~:~(?P<value>INT)~;"),
-    "agent": _items(
-        predict=r'(?:pool (?P<index>INT) )?predict~"source"~->~"target"~:~(?P<acts>IDS)~;',
-        represents=r'represents (?P<state>ID)~->~"formula"~;',
-        react=r'react~"reaction"~:~(?P<act>ID)~;',
-        architecture=rf"architecture~:~(?P<kind>{'|'.join(_KIND_WORDS)})~;",
-        number=r"(?P<key>seed|depth|projection)~:~(?P<value>INT)~;",
-        constant=r'constant~:~(?:(?P<word>pi|e)|digits~"digits")~;',
-        goal=r'goal~:~"goal_formula"~;',
-        close=r"\}",
-    ),
-}
-
-
-def _read_clean(text: str) -> list[_Block] | None:
-    """The blocks of text, if each of its items is in its one-line form
-    and reads without a diagnostic; None at the first that is not."""
-    match = re.compile(_ITEMS["top"]).match
-    blocks: list[_Block] = []
-    pos = 0
-    while m := match(text, pos):
-        kind = m.lastgroup
-        if kind == "eof":
-            return blocks
-        keyword = _Token("id", kind, m.start(kind))
-        if kind == "universe":
-            block = _Block.opened(keyword, _unescape(m["name"]))
-        else:
-            block = _Block.opened(keyword, _unescape(m["agent_name"]), _unescape(m["home"]))
-        pos = _read_items(text, m.end(), block)
-        if pos is None:
-            return None
-        blocks.append(block)
-    return None
-
-
-def _read_items(text: str, pos: int, block: _Block) -> int | None:
-    """Read a block's items into it through its '}'; the offset after the
-    '}', or None at an item the clean reader does not take. A universe's
-    repeated row or any repeated single would draw a diagnostic as read; an
-    agent's repeated rows are the checker's to report."""
-    match = re.compile(_ITEMS[block.keyword.value]).match
-    ids, intern = re.compile(_ID).finditer, sys.intern
-    rows, singles = block.rows, block.singles
-    while m := match(text, pos):
-        pos, kind = m.end(), m.lastgroup
-        start = m.start(kind)
-        if kind == "transition":
-            src, act = intern(m["src"]), intern(m["act"])
-            if (src, act) in rows["transition"]:
-                return None
-            rows["transition"][src, act] = (intern(m["dst"]), _Token("id", src, m.start("src")))
-        elif kind == "predict":
-            index = m["index"]
-            head = _Token("id", "predict" if index is None else "pool", start)
-            acts = tuple(map(intern, m["acts"].split()))
-            row = (_unescape(m["source"]), _unescape(m["target"]), acts, head)
-            if index is None:
-                rows["predict"].append(row)
-            else:
-                rows["pool"].append((int(index), *row))
-        elif kind == "represents":
-            state = intern(m["state"])
-            tok = _Token("id", state, m.start("state"))
-            rows["represents"].append((state, _unescape(m["formula"]), tok))
-        elif kind == "react":
-            tok = _Token("id", kind, start)
-            rows["react"].append((_unescape(m["reaction"]), intern(m["act"]), tok))
-        elif kind == "list":
-            word = m["word"] and intern(m["word"])
-            target = rows["classify" if word else m["list_key"]]
-            for idm in ids(text, m.start("ids"), m.end("ids")):
-                ident = intern(idm[0])
-                if ident in target:
-                    return None
-                tok = _Token("id", ident, idm.start())
-                target[ident] = (word, tok) if word else tok
-        elif kind == "close":
-            return pos
-        else:
-            key, tok = kind, _Token("id", kind, start)
-            if kind == "single":
-                key, value = m["key"], intern(m["value"])
-                tok = _Token("id", value, m.start("value"))
-            elif kind == "energy":
-                # Its fields in order, each an item, then the '}'.
-                field = re.compile(_ITEMS["energy"]).match
-                values = []
-                for label in _ENERGY_FIELDS:
-                    if not (part := field(text, pos)) or part["label"] != label:
-                        return None
-                    values.append(int(part["value"]))
-                    pos = part.end()
-                if not (part := match(text, pos)) or part.lastgroup != "close":
-                    return None
-                pos, value = part.end(), tuple(values)
-            elif kind == "number":
-                key, value = m["key"], int(m["value"])
-            elif kind == "architecture":
-                value = intern(m["kind"])
-            elif kind == "constant":
-                word = m["word"]
-                value = (intern(word), None) if word else ("digits", _unescape(m["digits"]))
-            else:
-                value = _unescape(m["goal_formula"])
-            if key in singles:
-                return None
-            singles[key] = (value, tok)
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Public entry points
 
 
 def parse(text: str) -> ParseResult:
     """Parse a document; the document is withheld if any error occurred."""
-    blocks = _read_clean(text)
-    if blocks is None:
-        checker = _Parser(text)
-        blocks = checker.blocks()
-    else:
-        checker = _Checker(text)
-    return ParseResult(*checker.check(blocks))
+    return ParseResult(*_Reader(text).check())
 
 
 def parse_file(path: str | Path) -> ParseResult:

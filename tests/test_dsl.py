@@ -1,10 +1,10 @@
 from __future__ import annotations
 
-import collections
 import dataclasses
 import hashlib
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +23,7 @@ from exosim import (
     serialize,
 )
 from exosim import dsl
-from exosim.dsl import _Checker, _Parser, _read_clean
+from exosim.dsl import _Reader
 
 import docgen
 
@@ -745,6 +745,15 @@ def result_messages(result) -> list[str]:
     return [d.message for d in result.errors]
 
 
+def read_tokens(text: str):
+    """A reader of text and the tokens it reads, through the end of input."""
+    reader = _Reader(text)
+    tokens = [reader.advance()]
+    while tokens[-1].kind != "eof":
+        tokens.append(reader.advance())
+    return reader, tokens
+
+
 class TestLexical:
     def test_stray_symbol_reported(self):
         result = parse("universe @ {}\n")
@@ -773,17 +782,14 @@ class TestLexical:
     def test_reference_tokens_match_pinned_list(self, reference_path):
         # reference_tokens.txt: one "line:column kind value" row per token.
         pinned = Path(__file__).with_name("reference_tokens.txt")
-        parser = _Parser(reference_path.read_text(encoding="utf-8"))
-        assert parser.diags == []
-        got = [
-            "%d:%d %s %r" % (*parser.position(t.offset), t.kind, t.value)
-            for t in parser.tokens
-        ]
+        reader, tokens = read_tokens(reference_path.read_text(encoding="utf-8"))
+        assert reader.lexical == reader.diags == []
+        got = ["%d:%d %s %r" % (*reader.position(t.offset), t.kind, t.value) for t in tokens]
         assert got == pinned.read_text(encoding="utf-8").splitlines()
 
     def test_trailing_blanks_and_comment_end_in_one_eof(self):
-        parser = _Parser("a \t# note")
-        assert [(t.kind, t.value, *parser.position(t.offset)) for t in parser.tokens] == [
+        reader, tokens = read_tokens("a \t# note")
+        assert [(t.kind, t.value, *reader.position(t.offset)) for t in tokens] == [
             ("id", "a", 1, 1),
             ("eof", "", 1, 10),
         ]
@@ -911,20 +917,60 @@ class TestFuzz:
         assert (result.document is None) == bool(result.errors)
 
 
-def clean_reading(text: str):
-    """The clean reader's (document, diagnostics) for text, checked against
-    the token reader's; None where the clean reader gives up."""
-    blocks = _read_clean(text)
-    if blocks is None:
-        return None
-    doc, diags = _Checker(text).check(blocks)
-    parser = _Parser(text)
-    token_doc, token_diags = parser.check(parser.blocks())
-    assert diags == token_diags
-    assert doc == token_doc
-    if doc is not None:
-        assert doc.source_spans == token_doc.source_spans
-    return doc, diags
+# Row patterns that never match: with these, parse() reads every item by
+# tokens, the reference the row patterns are checked against.
+_NO_ROWS = {"universe": "(?!)", "agent": "(?!)"}
+
+
+def same_reading(text: str):
+    """parse(text), checked against reading every item of text by tokens:
+    the same diagnostics at the same positions, document and source spans."""
+    result = parse(text)
+    with mock.patch.object(dsl, "_ITEMS", _NO_ROWS):
+        by_tokens = parse(text)
+    assert result.diagnostics == by_tokens.diagnostics
+    assert result.document == by_tokens.document
+    if result.document is not None:
+        assert result.document.source_spans == by_tokens.document.source_spans
+    return result
+
+
+_ROW_WORDS = {"transition", "states", "acts", "classify", "represents", "react", "predict", "pool"}
+
+
+def rows_by_tokens(text: str) -> list[str]:
+    """The keyword of each row item that parse(text) reads by tokens."""
+    heads: list[str] = []
+
+    def recording(read_item):
+        def read(self, block, head):
+            if head.value in _ROW_WORDS:
+                heads.append(head.value)
+            return read_item(self, block, head)
+
+        return read
+
+    with mock.patch.multiple(
+        dsl._Reader,
+        _uitem=recording(dsl._Reader._uitem),
+        _aitem=recording(dsl._Reader._aitem),
+    ):
+        parse(text)
+    return heads
+
+
+def counted_parse(text: str):
+    """parse(text), and how many times it read tokens (_Reader.read calls)."""
+    calls = 0
+    read = dsl._Reader.read
+
+    def counted(self, *pattern):
+        nonlocal calls
+        calls += 1
+        return read(self, *pattern)
+
+    with mock.patch.object(dsl._Reader, "read", counted):
+        return parse(text), calls
 
 
 def ring_document(n: int) -> str:
@@ -954,26 +1000,26 @@ def ring_document(n: int) -> str:
 
 class TestCleanReader:
     def test_reads_what_the_token_reader_reads(self, ejemplo5_path, reference_path):
-        # Both fixtures and 300 canonical serializations, each with 15
-        # mutations, each with '\n' and with '\r\n' line ends. The clean
-        # reader must take every unmutated text.
+        # Both fixtures and 300 canonical serializations, each with 3 of its
+        # 15 mutations, each with '\n' and with '\r\n' line ends. Every
+        # row of an unmutated text reads by pattern.
         bases = [path.read_text(encoding="utf-8") for path in (ejemplo5_path, reference_path)]
         bases += [serialize(parse(docgen.random_document_text(s)).document) for s in range(300)]
-        mutants = accepted = checked = 0
+        mutants = withheld = 0
         for base_i, base in enumerate(bases):
             for variant in (base, base.replace("\n", "\r\n")):
-                assert clean_reading(variant) is not None, base_i
+                assert same_reading(variant).diagnostics == [], base_i
+                assert rows_by_tokens(variant) == [], base_i
             for i in range(15):
+                if (base_i + i) % 5:
+                    continue
                 text = docgen.mutate_text(base, base_i * 15 + i)
                 for variant in (text, text.replace("\n", "\r\n")):
-                    reading = clean_reading(variant)
+                    withheld += same_reading(variant).document is None
                     mutants += 1
-                    accepted += reading is not None
-                    checked += bool(reading and reading[1])
-        assert mutants == 302 * 15 * 2
-        # Some mutants read cleanly, and some of those draw checker
-        # diagnostics, so both paths are compared on them.
-        assert accepted > 0 and checked > 0
+        assert mutants == 302 * 3 * 2
+        # Both withheld and accepted mutants are compared.
+        assert 0 < withheld < mutants
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -981,8 +1027,10 @@ class TestCleanReader:
         st.lists(st.sampled_from(_PIECES), max_size=60).map("".join),
     )
     def test_reads_what_the_token_reader_reads_on_pieces(self, prefix, tail):
-        clean_reading(prefix + tail)
+        same_reading(prefix + tail)
 
+    # Clean: the text draws no diagnostic and reads its rows by pattern, with
+    # no token read beyond MINI's.
     @pytest.mark.parametrize(
         "old, new, clean",
         [
@@ -996,33 +1044,53 @@ class TestCleanReader:
             ("transition a stay a;", "transition a stay # note\n a;", False),
             ("transition a stay a;", "transition a\rstay a;", False),
             ("transition a stay a;", "transition a stay a", False),
-            ("cap: 9;", "cap: " + "9" * 641 + ";", False),
+            ("cap: 9;", "cap: " + "9" * 641 + ";", True),
         ],
     )
     def test_takes_only_items_in_one_line_form(self, old, new, clean):
-        assert (clean_reading(MINI.replace(old, new)) is not None) is clean
+        text = MINI.replace(old, new)
+        result = same_reading(text)
+        reads = counted_parse(text)[1]
+        assert (not result.diagnostics and reads == counted_parse(MINI)[1]) is clean
 
-    def test_never_lexes_a_clean_document(self, monkeypatch):
-        calls: collections.Counter = collections.Counter()
+    @pytest.mark.parametrize(
+        "old, new, expected",
+        [
+            ("states: a b;", "states: a b a;", ("WARNING", "state 'a' listed twice", 2, 15)),
+            (
+                "transition b hop a;",
+                "transition b hop a; transition b hop a;",
+                ("WARNING", "transition ('b', 'hop') declared twice", 10, 34),
+            ),
+            (
+                "classify positive: b;",
+                "classify positive: b; classify negative: b;",
+                ("ERROR", "state 'b' classified both positive and negative", 6, 44),
+            ),
+        ],
+    )
+    def test_reads_repeated_rows_by_pattern(self, old, new, expected):
+        # A repeated row reads by its pattern and draws the diagnostic the
+        # token path draws, at the same line and column.
+        text = MINI.replace(old, new)
+        assert counted_parse(text)[1] == counted_parse(MINI)[1]
+        diags = same_reading(text).diagnostics
+        assert [(d.severity.name, d.message, d.line, d.column) for d in diags] == [expected]
 
-        def counting(name, fn):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return counted
-
-        monkeypatch.setattr(dsl, "_lex", counting("_lex", dsl._lex))
-        monkeypatch.setattr(dsl._Parser, "read", counting("read", dsl._Parser.read))
+    def test_token_reads_do_not_grow_with_rows(self):
+        # Headers, singles and energy blocks are read by tokens; rows are
+        # not, so a ring of 1000 states takes as many token reads as one of
+        # 100. A row missing its ';' is read by tokens alone.
+        reads = {}
         for n in (100, 1000):
-            result = parse(ring_document(n))
+            result, reads[n] = counted_parse(ring_document(n))
             assert result.diagnostics == []
             assert len(result.document.universe("ring").states) == n
-        assert calls == {}
-        # The counters do see the token reader when it runs.
-        result = parse(ring_document(100).replace("acts: go stay;", "acts: go stay"))
+        assert reads[100] == reads[1000]
+        text = ring_document(1000).replace("transition s500 go s501;", "transition s500 go s501")
+        result, broken = counted_parse(text)
         assert result.document is None
-        assert calls["_lex"] == 1 and calls["read"] > 100
+        assert reads[1000] < broken < reads[1000] + 5
 
 
 class TestLoadDocument:
