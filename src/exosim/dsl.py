@@ -4,18 +4,20 @@ A document declares universes and the agents that inhabit them. The
 format is line-oriented UTF-8 with `#` comments and semicolon-terminated
 items. Parsing never throws on bad input: it returns diagnostics with
 line and column positions, recovering at item boundaries so one mistake
-does not hide the rest; the fields of an energy block recover one by one,
-like items, and a block that lost its '}' ends at the next `universe` or
-`agent` keyword. A document containing any error is withheld; callers only
-ever receive fully checked declarations.
+does not hide the rest. An item whose ';' is missing is reported once, where
+the ';' was expected; an identifier found there starts the next item, so
+every item, and every field of an energy block, survives a missing ';'. A
+block that lost its '}' ends at the next `universe` or `agent` keyword. A
+document containing any error is withheld; callers only ever receive fully
+checked declarations.
 
 One reader (_Reader) turns text into blocks and checks them into
-declarations and diagnostics. Inside a block it reads each row item
-(transition, states, acts, classify, represents, react, predict, pool) in its
-one-line form with one regex match; every other item, and a row laid out any
-other way, it reads by tokens, lexed one at a time as it reaches them. Both
-add a row through the same helpers, so layout never changes what a document
-means or what it draws. Lexical errors are kept apart and come first.
+declarations and diagnostics. Inside a block it reads a transition,
+represents or predict (and pool) row in its one-line form with one regex
+match; every other item, and a row laid out any other way, it reads by
+tokens, lexed one at a time as it reaches them. Both add a row through the
+same helpers, so layout never changes what a document means or what it
+draws. Lexical errors are kept apart and come first.
 
 A token carries only its offset in the text. A diagnostic, lexical or
 not, and a source span get their 1-based line and column from that offset
@@ -251,6 +253,9 @@ _TOKEN = r"""
       | (?P<eof>\Z)
     )
 """
+# Calling _Token runs a Python-level __new__; the lexer, which makes a token of
+# every lexeme, calls tuple's own.
+_new_token = tuple.__new__
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
@@ -271,11 +276,7 @@ def _unescape(body: str) -> str:
 
 _GAP = r"[ \t\r\n]*(?:#[^\n]*(?=\n|\Z)[ \t\r\n]*)*"
 _ID = r"[^\W\d]\w*"
-_TERMS = {
-    "IDS": rf"{_ID}(?:[ \t]+{_ID})*",
-    "ID": _ID,
-    "INT": r"\d{1,640}",
-}
+_TERMS = {"IDS": rf"{_ID}(?:[ \t]+{_ID})*", "ID": _ID, "INT": r"\d{1,640}"}
 _STRING = r'"(?P<%s>[^"\\\n]*(?:\\.[^"\\\n]*)*)"'
 
 
@@ -295,21 +296,26 @@ def _items(**items: str) -> str:
     return _GAP + "(?:" + "|".join(alternatives) + ")"
 
 
-# The row items of each kind of block, in their one-line form. Rows are nearly
-# all of a large document; headers, singles, energy blocks and '}' are few and
-# are read by tokens.
+# The row items that make up nearly all of a large document, in their one-line
+# form: one per state and act, or one per state. Every other item is read by
+# tokens.
 _ITEMS = {
-    "universe": _items(
-        transition=r"transition (?P<src>ID) (?P<act>ID) (?P<dst>ID)~;",
-        list=r"(?:(?P<list_key>states|acts)|classify (?P<word>positive|neutral|negative))"
-        r"~:~(?P<ids>IDS)~;",
-    ),
+    "universe": _items(transition=r"transition (?P<src>ID) (?P<act>ID) (?P<dst>ID)~;"),
     "agent": _items(
         predict=r'(?:pool (?P<index>INT) )?predict~"source"~->~"target"~:~(?P<acts>IDS)~;',
         represents=r'represents (?P<state>ID)~->~"formula"~;',
-        react=r'react~"reaction"~:~(?P<act>ID)~;',
     ),
 }
+# The words that start an item in each kind of block, and those that start a
+# block. A block's items end at its '}', at a block keyword, where a block that
+# lost its '}' ends, or at the end of input: the tokens (kind, value) of
+# _BLOCK_ENDS.
+_ITEM_WORDS = {
+    "universe": {"states", "acts", "initial", "neutral_act", "classify", "transition", "energy"},
+    "agent": {"architecture", "seed", "depth", "projection", "constant", "goal", *_ROWS_IGNORED},
+}
+_BLOCK_WORDS = ("universe", "agent")
+_BLOCK_ENDS = {("punct", "}"), ("id", "universe"), ("id", "agent"), ("eof", "")}
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +342,14 @@ class _ItemError(Exception):
 
 class _Reader:
     """Reads a document's blocks and checks them into declarations. At each
-    item position in a block it tries the block's row pattern (_ITEMS) once;
-    an item that does not match is read by tokens, with every read-time
-    error reported where it is met and recovery at item boundaries. The
-    reader only moves forward."""
+    item position in a block it tries the block's row pattern (_ITEMS: a
+    transition row in a universe, a represents or predict row in an agent)
+    once; an item that does not match is read by tokens, with every
+    read-time error reported where it is met. An item's error skips the
+    item; a missing ';' is reported once and ends the item before the
+    identifier found in its place (read, _id_list). The reader only moves
+    forward and lexes each token once, into self.tok, where each decision
+    looks at it once until it is stepped past."""
 
     def __init__(self, text: str):
         self.text = text
@@ -349,8 +359,12 @@ class _Reader:
         self.newlines = [-1, *(m.start() for m in re.finditer("\n", text))]
         self.lex = re.compile(_TOKEN, re.VERBOSE).match
         self.offset = 0  # just past the last token or row consumed
-        self.tok: _Token | None = None  # the next token, once peeked
+        self.tok: _Token | None = None  # the next token, once lexed
         self.end = 0  # just past self.tok
+        # The token lexed behind self.tok, with its end, when a list's last
+        # identifier was put back to start the next item; the block loop
+        # steps to it past that identifier.
+        self.held: tuple[_Token, int] | None = None
 
     def position(self, offset: int) -> tuple[int, int]:
         """The 1-based (line, column) of a text offset."""
@@ -657,35 +671,31 @@ class _Reader:
     # -- tokens ----------------------------------------------------------------
 
     def peek(self) -> _Token:
-        """The next token, lexed at its first peek, when a lexical error
+        """The next token, lexed at its first look, when a lexical error
         before it or in it is reported. Values are interned: a document
         repeats a few names and formulas many times."""
         if self.tok is None:
             m = self.lex(self.text, self.offset)
-            while m.lastgroup == "other":
+            kind = m.lastgroup
+            while kind == "other":
                 self.lexical_error(f"unexpected character {m['other']!r}", m.start("other"))
                 m = self.lex(self.text, m.end())
-            kind = m.lastgroup
-            value = _unescape(m["body"]) if kind == "string" else sys.intern(m[kind])
-            self.tok, self.end = _Token(kind, value, m.start(kind)), m.end()
-            if kind == "string" and not m["end"]:
-                self.lexical_error("unterminated string", self.tok.offset)
+                kind = m.lastgroup
+            if kind == "string":
+                value = _unescape(m["body"])
+                if not m["end"]:
+                    self.lexical_error("unterminated string", m.start(kind))
+            else:
+                value = sys.intern(m[kind])
+            self.tok, self.end = _new_token(_Token, (kind, value, m.start(kind))), m.end()
         return self.tok
 
     def advance(self) -> _Token:
-        tok = self.peek()
+        """The next token, stepped past unless it is the end of input."""
+        tok = self.tok or self.peek()
         if tok.kind != "eof":
             self.offset, self.tok = self.end, None
         return tok
-
-    def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
-
-    def at_block(self) -> bool:
-        """At a 'universe' or 'agent' keyword, where a block starts."""
-        tok = self.peek()
-        return tok.kind == "id" and tok.value in ("universe", "agent")
 
     def fail(self, message: str, tok: _Token | None = None) -> None:
         self.error(message, tok)
@@ -695,47 +705,46 @@ class _Reader:
         """Consume one token per pattern entry, failing at the first that
         does not match. A kind (id, string, int) matches a token of that
         kind, which is returned, an int with its value converted to int;
-        any other entry is punctuation that must come next."""
+        any other entry is punctuation that must come next. A missing ';'
+        with an identifier in its place is reported without failing: that
+        identifier starts the next item."""
         got = []
         for want in pattern:
-            tok = self.peek()
-            if want in _EXPECTED:
-                if tok.kind != want:
-                    self.fail(f"expected {_EXPECTED[want]}, found {self._describe(tok)}", tok)
+            tok = self.tok or self.peek()
+            if tok.kind == want:
                 if want == "int":
                     try:
-                        tok = tok._replace(value=int(tok.value))
+                        tok = _new_token(_Token, (want, int(tok.value), tok.offset))
                     except ValueError:  # longer than sys.get_int_max_str_digits()
                         self.fail(f"integer of {len(tok.value)} digits is too long", tok)
                 got.append(tok)
             elif tok.kind != "punct" or tok.value != want:
-                self.fail(f"expected {want!r}, found {self._describe(tok)}", tok)
-            self.advance()
+                expected = _EXPECTED.get(want) or repr(want)
+                self.error(f"expected {expected}, found {self._describe(tok)}", tok)
+                if want == ";" and tok.kind == "id":
+                    return got
+                raise _ItemError()
+            self.offset, self.tok = self.end, None
         return got
 
     @staticmethod
     def _describe(tok: _Token) -> str:
         if tok.kind == "eof":
             return "end of input"
-        if tok.kind == "string":
-            return f'string "{tok.value}"'
-        return f"{tok.value!r}"
+        return f'string "{tok.value}"' if tok.kind == "string" else repr(tok.value)
 
     def skip_item(self) -> None:
         """Resynchronize after an item error: consume through the next ';'
-        but stop short of a closing '}' or a block keyword. Always makes
-        progress unless it stops there, and the block loop stops there too,
-        so a stray token can never wedge it."""
-        first = True
-        while True:
+        but stop short of what ends a block, or of a '{' after the first
+        token. Always makes progress unless it stops there, and the block
+        loop stops there too, so a stray token can never wedge it."""
+        tok = self.tok or self.peek()
+        while tok[:2] not in _BLOCK_ENDS:
+            self.offset, self.tok = self.end, None
+            if tok[:2] == ("punct", ";"):
+                return
             tok = self.peek()
-            if tok.kind == "eof" or (tok.kind == "punct" and tok.value == "}"):
-                return
-            if self.at_block() or (tok.kind == "punct" and tok.value == "{" and not first):
-                return
-            first = False
-            self.advance()
-            if tok.kind == "punct" and tok.value == ";":
+            if tok[:2] == ("punct", "{"):
                 return
 
     # -- document ----------------------------------------------------------
@@ -743,18 +752,20 @@ class _Reader:
     def blocks(self) -> Iterator[_Block]:
         """The document's blocks as they are read; anything between blocks
         is reported and skipped up to the next block keyword."""
-        while self.peek().kind != "eof":
-            if self.at_block():
+        tok = self.peek()
+        while tok.kind != "eof":
+            if tok.kind == "id" and tok.value in _BLOCK_WORDS:
                 block = self._block()
                 if block is not None:
                     yield block
             else:
-                self.error(
-                    f"expected 'universe' or 'agent', found {self._describe(self.peek())}"
-                )
-                self.advance()
-                while self.peek().kind != "eof" and not self.at_block():
-                    self.advance()
+                self.error(f"expected 'universe' or 'agent', found {self._describe(tok)}", tok)
+                while True:
+                    self.offset, self.tok = self.end, None
+                    tok = self.peek()
+                    if tok.kind == "eof" or tok.kind == "id" and tok.value in _BLOCK_WORDS:
+                        break
+            tok = self.tok or self.peek()
 
     def _block(self) -> _Block | None:
         """Read a universe or agent block: its header, then its items up to
@@ -783,29 +794,27 @@ class _Reader:
         row = re.compile(_ITEMS[keyword.value]).match
         while True:
             if m := row(self.text, self.offset):
-                self.offset, self.tok = m.end(), None
+                self.offset, self.tok, self.held = m.end(), None, None
                 self._row(block, m)
-            # A block keyword where an item should start means this block
-            # lost its '}': end it there, so the next block reads as a block.
-            elif self.at_punct("}") or self.peek().kind == "eof" or self.at_block():
-                break
-            else:
-                tok = self.peek()
-                try:
-                    if tok.kind != "id":
-                        self.fail(f"expected {what}, found {self._describe(tok)}")
-                    read_item(block, self.advance())
-                except _ItemError:
-                    self.skip_item()
-        if self.at_punct("}"):
-            self.advance()
-        elif self.peek().kind == "eof":
-            self.error(f"unterminated {keyword.value} block: missing '}}'")
+                continue
+            tok = self.tok or self.peek()
+            try:
+                if tok.kind == "id" and tok.value not in _BLOCK_WORDS:
+                    self.offset, self.tok = self.end, None
+                    if self.held:  # tok was put back: the token behind it is lexed
+                        (self.tok, self.end), self.held = self.held, None
+                    read_item(block, tok)
+                elif tok[:2] in _BLOCK_ENDS:
+                    break
+                else:
+                    self.fail(f"expected {what}, found {self._describe(tok)}", tok)
+            except _ItemError:
+                self.skip_item()
+        if tok.kind == "punct":
+            self.offset, self.tok = self.end, None
         else:
-            self.error(
-                f"unterminated {keyword.value} block: missing '}}' before "
-                f"{self._describe(self.peek())}"
-            )
+            before = "" if tok.kind == "eof" else f" before {self._describe(tok)}"
+            self.error(f"unterminated {keyword.value} block: missing '}}'{before}", tok)
         return block
 
     def _row(self, block: _Block, m: re.Match) -> None:
@@ -815,17 +824,9 @@ class _Reader:
         if kind == "transition":
             src = _Token("id", intern(m["src"]), m.start("src"))
             self._transition(block, src, intern(m["act"]), intern(m["dst"]))
-        elif kind == "list":
-            word = m["word"] and intern(m["word"])
-            ids = re.compile(_ID).finditer(self.text, m.start("ids"), m.end("ids"))
-            toks = [_Token("id", intern(idm[0]), idm.start()) for idm in ids]
-            self._ids(block, m["list_key"] or "classify", word, toks)
         elif kind == "represents":
             state = _Token("id", intern(m["state"]), m.start("state"))
             block.rows["represents"].append((state.value, _unescape(m["formula"]), state))
-        elif kind == "react":
-            head = _Token("id", kind, m.start(kind))
-            block.rows["react"].append((_unescape(m["reaction"]), intern(m["act"]), head))
         else:
             index = m["index"]
             head = _Token("id", "predict" if index is None else "pool", m.start(kind))
@@ -836,50 +837,55 @@ class _Reader:
     # -- universe ----------------------------------------------------------
 
     def _uitem(self, block: _Block, head: _Token) -> None:
-        if head.value in ("states", "acts"):
+        key = head.value
+        if key in ("states", "acts", "classify"):
+            word = None
+            if key == "classify":
+                tok = self.read("id")[0]
+                word = tok.value
+                if word not in _CLASS_WORDS:
+                    self.fail(f"expected 'positive', 'neutral' or 'negative', found {word!r}", tok)
             self.read(":")
-            self._ids(block, head.value, None, self._id_list(head.value))
-            self.read(";")
-        elif head.value in ("initial", "neutral_act"):
+            what = "classified states" if word else key
+            self._id_list(block, what, lambda ids: self._ids(block, key, word, ids))
+        elif key in ("initial", "neutral_act"):
             ident = self.read(":", "id")[0]
-            if head.value in block.singles:
-                self.fail(f"duplicate {head.value!r} item", head)
-            block.singles[head.value] = (ident.value, ident)
+            if key in block.singles:
+                self.fail(f"duplicate {key!r} item", head)
+            block.singles[key] = (ident.value, ident)
             self.read(";")
-        elif head.value == "classify":
-            word = self.read("id")[0]
-            if word.value not in _CLASS_WORDS:
-                self.fail(
-                    f"expected 'positive', 'neutral' or 'negative', found {word.value!r}",
-                    word,
-                )
-            self.read(":")
-            self._ids(block, "classify", word.value, self._id_list("classified states"))
-            self.read(";")
-        elif head.value == "transition":
+        elif key == "transition":
             src, act, dst = self.read("id", "id", "id")
             self._transition(block, src, act.value, dst.value)
             self.read(";")
-        elif head.value == "energy":
+        elif key == "energy":
             self.read("{")
+            # Each field is an item of its own, and a bad one leaves None in
+            # its slot. Reading stops after the last field or at a block
+            # keyword, so a missing '}' does not swallow what follows.
             values: list[int | None] = []
-            # Each field is an item of its own. Reading stops after the last
-            # field or at a block keyword, so a missing '}' does not swallow
-            # the items or blocks after it.
-            while len(values) < len(_ENERGY_FIELDS) and self.peek().kind != "eof":
-                if self.at_punct("}") or self.at_block():
-                    break
+            tok = self.tok or self.peek()
+            while len(values) < len(_ENERGY_FIELDS) and tok[:2] not in _BLOCK_ENDS:
+                expected = _ENERGY_FIELDS[len(values)]
+                values.append(None)
                 try:
-                    self._energy_field(values)
+                    label = self.read("id")[0]
+                    if label.value != expected:  # the field order is part of the format
+                        found = f"found {label.value!r}"
+                        self.fail(f"energy field {expected!r} expected here, {found}", label)
+                    value = self.read(":", "int")[0].value
+                    self.read(";")
+                    values[-1] = value
                 except _ItemError:
                     self.skip_item()
+                tok = self.tok or self.peek()
             missing = _ENERGY_FIELDS[len(values) :]
             if missing:
                 self.error(f"energy block is missing the {missing[0]!r} field", head)
-            if self.at_punct("}"):
-                self.advance()
+            if tok.kind == "punct" and tok.value == "}":
+                self.offset, self.tok = self.end, None
             else:
-                self.error(f"expected '}}', found {self._describe(self.peek())}")
+                self.error(f"expected '}}', found {self._describe(tok)}", tok)
             if "energy" in block.singles:
                 self.error("duplicate energy block", head)
             else:
@@ -887,7 +893,7 @@ class _Reader:
                 energy = None if missing or None in values else tuple(values)
                 block.singles["energy"] = (energy, head)
         else:
-            self.fail(f"unknown universe item {head.value!r}", head)
+            self.fail(f"unknown universe item {key!r}", head)
 
     def _ids(self, block: _Block, key: str, word: str | None, toks: list[_Token]) -> None:
         """Add the ids of a states, acts or classify row to block, reporting
@@ -895,17 +901,14 @@ class _Reader:
         target = block.rows[key]
         for tok in toks:
             ident = tok.value
-            if word is None:
-                if ident in target:
-                    self.warn(f"{key[:-1]} {ident!r} listed twice", tok)
-                else:
-                    target[ident] = tok
-            elif ident in target and target[ident][0] != word:
+            if ident not in target:
+                target[ident] = tok if word is None else (word, tok)
+            elif word is None:
+                self.warn(f"{key[:-1]} {ident!r} listed twice", tok)
+            elif target[ident][0] != word:
                 self.error(f"state {ident!r} classified both {target[ident][0]} and {word}", tok)
-            elif ident in target:
-                self.warn(f"state {ident!r} classified twice", tok)
             else:
-                target[ident] = (word, tok)
+                self.warn(f"state {ident!r} classified twice", tok)
 
     def _transition(self, block: _Block, src: _Token, act: str, dst: str) -> None:
         """Add a transition row to block, reporting a repeat at its source."""
@@ -918,95 +921,88 @@ class _Reader:
         else:
             transitions[key] = (dst, src)
 
-    def _id_list(self, what: str) -> list[_Token]:
+    def _id_list(self, block: _Block, what: str, add) -> None:
+        """Read a list item's identifiers, hand them to add, and read its ';'.
+        When the ';' is missing and the last identifier is an item keyword
+        of block, that identifier starts the next item: the ';' is reported
+        where it was expected and the identifier is put back, left out of
+        the list."""
         ids = []
-        while self.peek().kind == "id":
-            ids.append(self.advance())
+        tok = self.tok or self.peek()
+        while tok.kind == "id":
+            ids.append(tok)
+            self.offset, self.tok = self.end, None
+            tok = self.peek()
         if not ids:
-            self.fail(f"expected at least one identifier in {what}")
-        return ids
-
-    def _energy_field(self, values: list[int | None]) -> None:
-        """Parse the next 'label: value;' field of an energy block into
-        values; a bad field leaves None in its slot."""
-        values.append(None)
-        label = self.read("id")[0]
-        expected = _ENERGY_FIELDS[len(values) - 1]
-        if label.value != expected:
-            # The field order is part of the format.
-            self.fail(f"energy field {expected!r} expected here, found {label.value!r}", label)
-        value = self.read(":", "int")[0].value
-        if self.peek().kind != "id":
+            self.fail(f"expected at least one identifier in {what}", tok)
+        head = ids[-1]
+        if tok[:2] == ("punct", ";") or head.value not in _ITEM_WORDS[block.keyword.value]:
+            add(ids)
             self.read(";")
-            values[-1] = value
-        else:  # only the ';' is missing: the next field keeps its own slot
-            self.error(f"expected ';', found {self._describe(self.peek())}")
+            return
+        add(ids[:-1])
+        self.error(f"expected ';', found {self._describe(tok)}", tok)
+        self.held = (tok, self.end)
+        self.offset, self.tok, self.end = head.offset, head, head.offset + len(head.value)
 
     # -- agent ---------------------------------------------------------------
 
     def _aitem(self, block: _Block, head: _Token) -> None:
-        if head.value == "architecture":
-            word = self.read(":", "id")[0]
-            if word.value not in _KIND_WORDS:
-                self.fail(f"unknown architecture {word.value!r}", word)
-            self._set_single(block, "architecture", word.value, head)
-            self.read(";")
-        elif head.value in ("seed", "depth", "projection"):
-            value = self.read(":", "int")[0].value
-            self._set_single(block, head.value, value, head)
-            self.read(";")
-        elif head.value == "constant":
-            word = self.read(":", "id")[0]
-            if word.value in ("pi", "e"):
-                value: tuple[str, str | None] = (word.value, None)
-            elif word.value == "digits":
-                value = ("digits", self.read("string")[0].value)
-            else:
-                self.fail(f"expected 'pi', 'e' or 'digits', found {word.value!r}", word)
-            self._set_single(block, "constant", value, head)
-            self.read(";")
-        elif head.value == "goal":
-            value = self.read(":", "string")[0].value
-            self._set_single(block, "goal", value, head)
-            self.read(";")
-        elif head.value == "represents":
+        key = head.value
+        if key in ("predict", "pool"):
+            index = None
+            if key == "pool":
+                pool, word = self.read("int", "id")
+                if word.value != "predict":
+                    self.fail(f"expected 'predict' after pool index, found {word.value!r}", word)
+                index = pool.value
+            source, goal = self.read("string", "->", "string", ":")
+            self._id_list(
+                block,
+                "predicted act sequence",
+                lambda ids: self._route(
+                    block, index, (source.value, goal.value, tuple(t.value for t in ids), head)
+                ),
+            )
+            return
+        if key == "represents":
             state, formula = self.read("id", "->", "string")
             block.rows["represents"].append((state.value, formula.value, state))
-            self.read(";")
-        elif head.value == "react":
+        elif key == "react":
             formula, act = self.read("string", ":", "id")
             block.rows["react"].append((formula.value, act.value, head))
-            self.read(";")
-        elif head.value == "predict":
-            self._predict_tail(block, None, head)
-        elif head.value == "pool":
-            index, word = self.read("int", "id")
-            if word.value != "predict":
-                self.fail(f"expected 'predict' after pool index, found {word.value!r}", word)
-            self._predict_tail(block, index.value, head)
         else:
-            self.fail(f"unknown agent item {head.value!r}", head)
-
-    def _predict_tail(self, block: _Block, pool_index: int | None, head: _Token) -> None:
-        source, goal = self.read("string", "->", "string", ":")
-        acts = tuple(tok.value for tok in self._id_list("predicted act sequence"))
-        self._route(block, pool_index, (source.value, goal.value, acts, head))
+            if key == "architecture":
+                word = self.read(":", "id")[0]
+                if word.value not in _KIND_WORDS:
+                    self.fail(f"unknown architecture {word.value!r}", word)
+                value = word.value
+            elif key in ("seed", "depth", "projection"):
+                value = self.read(":", "int")[0].value
+            elif key == "constant":
+                word = self.read(":", "id")[0]
+                if word.value in ("pi", "e"):
+                    value = (word.value, None)
+                elif word.value == "digits":
+                    value = ("digits", self.read("string")[0].value)
+                else:
+                    self.fail(f"expected 'pi', 'e' or 'digits', found {word.value!r}", word)
+            elif key == "goal":
+                value = self.read(":", "string")[0].value
+            else:
+                self.fail(f"unknown agent item {key!r}", head)
+            if key in block.singles:
+                self.error(f"duplicate {key!r} item", head)
+            else:
+                block.singles[key] = (value, head)
         self.read(";")
 
     @staticmethod
     def _route(block: _Block, pool_index: int | None, row: tuple) -> None:
         """Add a route row (source, goal, acts, head) to block: a predict
         row, or a pool row led by its index."""
-        if pool_index is None:
-            block.rows["predict"].append(row)
-        else:
-            block.rows["pool"].append((pool_index, *row))
-
-    def _set_single(self, block: _Block, key: str, value, tok: _Token) -> None:
-        if key in block.singles:
-            self.error(f"duplicate {key!r} item", tok)
-        else:
-            block.singles[key] = (value, tok)
+        key, row = ("predict", row) if pool_index is None else ("pool", (pool_index, *row))
+        block.rows[key].append(row)
 
 
 # ---------------------------------------------------------------------------

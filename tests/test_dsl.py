@@ -61,6 +61,46 @@ def agent_block(body: str, name: str = "crew", universe: str = "mini") -> str:
     return f'agent "{name}" in "{universe}" {{\n{body}\n}}\n'
 
 
+def ring_document(n: int) -> str:
+    """A clean document of n states in a ring and an afs2a agent with one
+    route per state."""
+    states = [f"s{i}" for i in range(n)]
+    lines = [
+        'universe "ring" {',
+        "  states: " + " ".join(states) + ";",
+        "  acts: go stay;",
+        "  initial: s0;",
+        "  neutral_act: stay;",
+        "  classify positive: s0;",
+    ]
+    for i, state in enumerate(states):
+        lines.append(f"  transition {state} go {states[(i + 1) % n]};")
+        lines.append(f"  transition {state} stay {state};")
+    lines.append(
+        "  energy { initial: 5; per_step: 1; negative_penalty: 0; positive_reward: 1; cap: 9; }"
+    )
+    lines += ["}", 'agent "walker" in "ring" {', "  architecture: afs2a;", '  goal: "f0";']
+    for i, state in enumerate(states):
+        lines.append(f'  represents {state} -> "f{i}";')
+        lines.append(f'  predict "f{i}" -> "f0" : go;')
+    return "\n".join(lines) + "\n}\n"
+
+
+# A 10-state ring, an afs2a agent whose two routes follow each other, and a
+# random agent with a seed.
+RING = (
+    ring_document(10)
+    + agent_block(
+        '  architecture: afs2a;\n  goal: "g0";\n'
+        '  represents s0 -> "g0";\n  represents s1 -> "g1";\n'
+        '  predict "g1" -> "g0" : go;\n  predict "g0" -> "g0" : stay;',
+        "homer",
+        "ring",
+    )
+    + agent_block("  architecture: random;\n  seed: 3;", "drifter", "ring")
+)
+
+
 def messages(text: str) -> list[str]:
     return [d.message for d in parse(text).errors]
 
@@ -544,6 +584,22 @@ class TestIgnoredItems:
         )
 
 
+def block_contents(text: str) -> list:
+    """The name, singles and rows of each block read from text, with every
+    token, and so every position, left out."""
+
+    def plain(value):
+        if isinstance(value, dsl._Token):
+            return None
+        if isinstance(value, dict):
+            return {key: plain(v) for key, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [plain(v) for v in value]
+        return value
+
+    return [(b.name, plain(b.singles), plain(b.rows)) for b in _Reader(text).blocks()]
+
+
 class TestRecovery:
     def test_multiple_errors_collected(self):
         text = MINI.replace(
@@ -643,6 +699,40 @@ class TestRecovery:
         assert got == [
             (Severity.ERROR, "expected ';', found 'agent'", 79, 1),
             (Severity.ERROR, "unterminated agent block: missing '}' before 'agent'", 79, 1),
+        ]
+
+    @pytest.mark.parametrize(
+        "item, expected",
+        [
+            ("transition s5 go s6;", ("expected ';', found 'transition'", 18, 3)),
+            ("initial: s0;", ("expected ';', found 'neutral_act'", 5, 3)),
+            ("architecture: random;", ("expected ';', found 'seed'", 63, 3)),
+            ("states: s0 s1 s2 s3 s4 s5 s6 s7 s8 s9;", ("expected ';', found ':'", 3, 7)),
+            ('predict "g1" -> "g0" : go;', ('expected \';\', found string "g0"', 59, 11)),
+        ],
+        ids=["transition", "single", "architecture", "states-list", "predict-list"],
+    )
+    def test_missing_semicolon_ends_only_its_item(self, item, expected):
+        # The ';' is reported once, where it was expected, and the item after
+        # it is still read: every block holds what it holds with the ';'. A
+        # list whose last identifier is an item keyword gives that keyword
+        # back to start the next item.
+        assert RING.count(item) == 1
+        broken = RING.replace(item, item[:-1])
+        got = [(d.message, d.line, d.column) for d in parse(broken).diagnostics]
+        assert got == [expected]
+        assert block_contents(broken) == block_contents(RING)
+
+    def test_keyword_given_back_is_lexed_once(self):
+        # The token after the given-back 'acts' was lexed, with the lexical
+        # error before it, while the states list was read.
+        old = "s9;\n  acts: go stay;"
+        assert RING.count(old) == 1
+        result = parse(RING.replace(old, "s9\n  acts @: go stay;"))
+        got = [(d.message, d.line, d.column) for d in result.diagnostics]
+        assert got == [
+            ("unexpected character '@'", 3, 8),
+            ("expected ';', found ':'", 3, 9),
         ]
 
     def test_bad_item_does_not_eat_the_block(self):
@@ -853,7 +943,7 @@ _PREFIXES = [
 ]
 
 
-DIAGNOSTICS_SHA256 = "39d328d420b09c3bda47ecf466286ff7057f92905e38ee0d95dadac216c197a4"
+DIAGNOSTICS_SHA256 = "f63014fcc20e17758bc42bcad446510b1ecf8bba29166159f47f023887c4c28a"
 
 
 class TestFuzz:
@@ -935,11 +1025,14 @@ def same_reading(text: str):
     return result
 
 
-_ROW_WORDS = {"transition", "states", "acts", "classify", "represents", "react", "predict", "pool"}
+# The row items that have a pattern (dsl._ITEMS); every other item, lists and
+# react rows among them, is read by tokens.
+_ROW_WORDS = {"transition", "represents", "predict", "pool"}
 
 
 def rows_by_tokens(text: str) -> list[str]:
-    """The keyword of each row item that parse(text) reads by tokens."""
+    """The keyword of each row item with a pattern that parse(text) reads by
+    tokens."""
     heads: list[str] = []
 
     def recording(read_item):
@@ -973,36 +1066,12 @@ def counted_parse(text: str):
         return parse(text), calls
 
 
-def ring_document(n: int) -> str:
-    """A clean document of n states in a ring and an afs2a agent with one
-    route per state."""
-    states = [f"s{i}" for i in range(n)]
-    lines = [
-        'universe "ring" {',
-        "  states: " + " ".join(states) + ";",
-        "  acts: go stay;",
-        "  initial: s0;",
-        "  neutral_act: stay;",
-        "  classify positive: s0;",
-    ]
-    for i, state in enumerate(states):
-        lines.append(f"  transition {state} go {states[(i + 1) % n]};")
-        lines.append(f"  transition {state} stay {state};")
-    lines.append(
-        "  energy { initial: 5; per_step: 1; negative_penalty: 0; positive_reward: 1; cap: 9; }"
-    )
-    lines += ["}", 'agent "walker" in "ring" {', "  architecture: afs2a;", '  goal: "f0";']
-    for i, state in enumerate(states):
-        lines.append(f'  represents {state} -> "f{i}";')
-        lines.append(f'  predict "f{i}" -> "f0" : go;')
-    return "\n".join(lines) + "\n}\n"
-
-
 class TestCleanReader:
     def test_reads_what_the_token_reader_reads(self, ejemplo5_path, reference_path):
         # Both fixtures and 300 canonical serializations, each with 3 of its
         # 15 mutations, each with '\n' and with '\r\n' line ends. Every
-        # row of an unmutated text reads by pattern.
+        # transition, represents and predict row of an unmutated text reads by
+        # pattern.
         bases = [path.read_text(encoding="utf-8") for path in (ejemplo5_path, reference_path)]
         bases += [serialize(parse(docgen.random_document_text(s)).document) for s in range(300)]
         mutants = withheld = 0
@@ -1070,17 +1139,19 @@ class TestCleanReader:
         ],
     )
     def test_reads_repeated_rows_by_pattern(self, old, new, expected):
-        # A repeated row reads by its pattern and draws the diagnostic the
-        # token path draws, at the same line and column.
+        # A repeated row draws the diagnostic the token path draws, at the
+        # same line and column. A transition row reads by its pattern; a
+        # states or classify row, which has none, by tokens.
         text = MINI.replace(old, new)
-        assert counted_parse(text)[1] == counted_parse(MINI)[1]
+        assert rows_by_tokens(text) == []
         diags = same_reading(text).diagnostics
         assert [(d.severity.name, d.message, d.line, d.column) for d in diags] == [expected]
 
     def test_token_reads_do_not_grow_with_rows(self):
-        # Headers, singles and energy blocks are read by tokens; rows are
-        # not, so a ring of 1000 states takes as many token reads as one of
-        # 100. A row missing its ';' is read by tokens alone.
+        # Headers, singles, lists and energy blocks are read by tokens, a list
+        # in one loop over its identifiers; transition, represents and predict
+        # rows are not, so a ring of 1000 states takes as many token reads as
+        # one of 100. A row missing its ';' is read by tokens alone.
         reads = {}
         for n in (100, 1000):
             result, reads[n] = counted_parse(ring_document(n))
