@@ -306,13 +306,14 @@ _ITEMS = {
         represents=r'represents (?P<state>ID)~->~"formula"~;',
     ),
 }
-# The words that start an item in each kind of block, and those that start a
-# block. A block's items end at its '}', at a block keyword, where a block that
-# lost its '}' ends, or at the end of input: the tokens (kind, value) of
-# _BLOCK_ENDS.
+# The words that start an item in each kind of block (an energy block's
+# items are its fields), and those that start a block. A block's items end at
+# its '}', at a block keyword, where a block that lost its '}' ends, or at the
+# end of input: the tokens (kind, value) of _BLOCK_ENDS.
 _ITEM_WORDS = {
     "universe": {"states", "acts", "initial", "neutral_act", "classify", "transition", "energy"},
     "agent": {"architecture", "seed", "depth", "projection", "constant", "goal", *_ROWS_IGNORED},
+    "energy": set(_ENERGY_FIELDS),
 }
 _BLOCK_WORDS = ("universe", "agent")
 _BLOCK_ENDS = {("punct", "}"), ("id", "universe"), ("id", "agent"), ("eof", "")}
@@ -346,10 +347,10 @@ class _Reader:
     transition row in a universe, a represents or predict row in an agent)
     once; an item that does not match is read by tokens, with every
     read-time error reported where it is met. An item's error skips the
-    item; a missing ';' is reported once and ends the item before the
-    identifier found in its place (read, _id_list). The reader only moves
-    forward and lexes each token once, into self.tok, where each decision
-    looks at it once until it is stepped past."""
+    item; a missing ';' is reported once and ends the item before the item
+    or block keyword found in its place (read, _id_list). The reader only
+    moves forward and lexes each token once, into self.tok, where each
+    decision looks at it once until it is stepped past."""
 
     def __init__(self, text: str):
         self.text = text
@@ -365,6 +366,8 @@ class _Reader:
         # identifier was put back to start the next item; the block loop
         # steps to it past that identifier.
         self.held: tuple[_Token, int] | None = None
+        # The item words of the block being read (_ITEM_WORDS).
+        self.item_words: set[str] = set()
 
     def position(self, offset: int) -> tuple[int, int]:
         """The 1-based (line, column) of a text offset."""
@@ -706,8 +709,9 @@ class _Reader:
         does not match. A kind (id, string, int) matches a token of that
         kind, which is returned, an int with its value converted to int;
         any other entry is punctuation that must come next. A missing ';'
-        with an identifier in its place is reported without failing: that
-        identifier starts the next item."""
+        with an item word of the block or a block keyword in its place is
+        reported without failing: that word starts the next item or block.
+        Any other identifier there fails the item like any other token."""
         got = []
         for want in pattern:
             tok = self.tok or self.peek()
@@ -721,7 +725,9 @@ class _Reader:
             elif tok.kind != "punct" or tok.value != want:
                 expected = _EXPECTED.get(want) or repr(want)
                 self.error(f"expected {expected}, found {self._describe(tok)}", tok)
-                if want == ";" and tok.kind == "id":
+                if want == ";" and tok.kind == "id" and (
+                    tok.value in self.item_words or tok.value in _BLOCK_WORDS
+                ):
                     return got
                 raise _ItemError()
             self.offset, self.tok = self.end, None
@@ -791,6 +797,7 @@ class _Reader:
             what, read_item = "an agent item", self._aitem
             rows = {item: [] for item in _ROWS_IGNORED}
         block = _Block(keyword, name, universe_name, rows)
+        self.item_words = _ITEM_WORDS[keyword.value]
         row = re.compile(_ITEMS[keyword.value]).match
         while True:
             if m := row(self.text, self.offset):
@@ -847,7 +854,7 @@ class _Reader:
                     self.fail(f"expected 'positive', 'neutral' or 'negative', found {word!r}", tok)
             self.read(":")
             what = "classified states" if word else key
-            self._id_list(block, what, lambda ids: self._ids(block, key, word, ids))
+            self._id_list(what, lambda ids: self._ids(block, key, word, ids))
         elif key in ("initial", "neutral_act"):
             ident = self.read(":", "id")[0]
             if key in block.singles:
@@ -864,6 +871,7 @@ class _Reader:
             # its slot. Reading stops after the last field or at a block
             # keyword, so a missing '}' does not swallow what follows.
             values: list[int | None] = []
+            self.item_words = _ITEM_WORDS["energy"]
             tok = self.tok or self.peek()
             while len(values) < len(_ENERGY_FIELDS) and tok[:2] not in _BLOCK_ENDS:
                 expected = _ENERGY_FIELDS[len(values)]
@@ -879,6 +887,7 @@ class _Reader:
                 except _ItemError:
                     self.skip_item()
                 tok = self.tok or self.peek()
+            self.item_words = _ITEM_WORDS["universe"]
             missing = _ENERGY_FIELDS[len(values) :]
             if missing:
                 self.error(f"energy block is missing the {missing[0]!r} field", head)
@@ -921,12 +930,12 @@ class _Reader:
         else:
             transitions[key] = (dst, src)
 
-    def _id_list(self, block: _Block, what: str, add) -> None:
+    def _id_list(self, what: str, add) -> None:
         """Read a list item's identifiers, hand them to add, and read its ';'.
         When the ';' is missing and the last identifier is an item keyword
-        of block, that identifier starts the next item: the ';' is reported
-        where it was expected and the identifier is put back, left out of
-        the list."""
+        of the block, that identifier starts the next item: the ';' is
+        reported where it was expected and the identifier is put back, left
+        out of the list."""
         ids = []
         tok = self.tok or self.peek()
         while tok.kind == "id":
@@ -936,7 +945,7 @@ class _Reader:
         if not ids:
             self.fail(f"expected at least one identifier in {what}", tok)
         head = ids[-1]
-        if tok[:2] == ("punct", ";") or head.value not in _ITEM_WORDS[block.keyword.value]:
+        if tok[:2] == ("punct", ";") or head.value not in self.item_words:
             add(ids)
             self.read(";")
             return
@@ -958,7 +967,6 @@ class _Reader:
                 index = pool.value
             source, goal = self.read("string", "->", "string", ":")
             self._id_list(
-                block,
                 "predicted act sequence",
                 lambda ids: self._route(
                     block, index, (source.value, goal.value, tuple(t.value for t in ids), head)

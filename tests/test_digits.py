@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exosim import (
+    AgentArchitecture,
+    ArchitectureKind,
     ConstantDigits,
     DigitError,
     DigitOutOfRange,
     DigitSourceExhausted,
     ExplicitDigits,
+    PositionalFasa,
     constant_digits,
     parse_digit_string,
 )
@@ -146,6 +149,24 @@ class TestConversion:
             want.append(d)
         assert digits_module._radix_digits(value, base, width) == want[::-1]
 
+    @given(
+        m=st.integers(1, 2**3000),
+        offset=st.floats(-1, 1),
+    )
+    @settings(max_examples=300)
+    def test_resumed_square_root(self, m, offset):
+        # From any guess within the root's square root, as a resumed read
+        # makes, one Newton step and the walk down land on math.isqrt.
+        root = math.isqrt(m)
+        guess = max(1, root + int(offset * math.isqrt(root)))
+        assert digits_module._isqrt(m, guess) == root
+
+    def test_square_root_from_a_far_guess(self):
+        # Any positive guess lands on math.isqrt, if slowly.
+        for m in range(1, 1000):
+            for guess in (1, 2, 3, 40, m, 2 * m):
+                assert digits_module._isqrt(m, guess) == math.isqrt(m)
+
 
 class TestLazyStream:
     def test_digit_access_matches_batch(self):
@@ -180,6 +201,97 @@ class TestLazyStream:
         read = [stream.digit(position) for position in range(5001)]
         assert len(calls) >= 6
         assert read == constant_digits(name, base, 5001)
+
+
+class TestResumedStream:
+    """A stream extends the series it has summed and converts only the new
+    digits; what it reads must still be the certified digits."""
+
+    @pytest.mark.parametrize("name", ["pi", "e"])
+    @pytest.mark.parametrize("base", range(1, 17))
+    def test_stream_matches_certified_oracle(self, name, base):
+        # Read to 1500: the stream extends a dozen times past its first 64.
+        stream = ConstantDigits(name, base)
+        read = [stream.digit(position) for position in range(1500)]
+        assert read == oracles.certified_constant_digits(name, base, 1500)
+
+    @pytest.mark.parametrize("name,base", [("pi", 10), ("e", 7), ("pi", 2)])
+    def test_out_of_order_reads(self, monkeypatch, name, base):
+        # Far ahead of the first 64 digits, back to the start, then between:
+        # each extension starts where the last one ended, whatever the order
+        # of reads. A jump of many widths does not resume the root: every
+        # resumed root starts within its square root of the answer.
+        isqrt = digits_module._isqrt
+
+        def near(m, guess):
+            root = math.isqrt(m)
+            assert abs(guess - root) <= math.isqrt(root)
+            return isqrt(m, guess)
+
+        monkeypatch.setattr(digits_module, "_isqrt", near)
+        want = oracles.certified_constant_digits(name, base, 4000)
+        stream = ConstantDigits(name, base)
+        for position in (10, 3000, 0, 5, 1499, 2999, 3749, 3999, 3750, 100):
+            assert stream.digit(position) == want[position], position
+
+    def test_resumed_extensions_retry_the_guard(self, monkeypatch):
+        # One guard bit leaves the floor in doubt at many widths: a resumed
+        # extension retries with more guard bits, extending the same series.
+        monkeypatch.setattr(digits_module, "_GUARD_BITS", 1)
+        extend, fixed = digits_module.constant_digits, digits_module._fixed
+        resumed = {"extensions": 0, "reads": 0}
+
+        def counted_extend(*args):
+            resumed["extensions"] += bool(args[3])
+            return extend(*args)
+
+        def counted_fixed(name, bits, series=None):
+            resumed["reads"] += bool(series)
+            return fixed(name, bits, series)
+
+        monkeypatch.setattr(digits_module, "constant_digits", counted_extend)
+        monkeypatch.setattr(digits_module, "_fixed", counted_fixed)
+        for name in ("pi", "e"):
+            for base in (3, 4, 10):
+                stream = ConstantDigits(name, base)
+                read = [stream.digit(position) for position in range(1000)]
+                assert read == oracles.certified_constant_digits(name, base, 1000)
+        # More resumed reads of the constant than resumed extensions.
+        assert resumed["reads"] > resumed["extensions"] > 0
+
+    @pytest.mark.parametrize("name,base", [("pi", 4), ("e", 10)])
+    def test_sequential_read_computes_few_digits_twice(self, monkeypatch, name, base):
+        # Each digit is computed once: what a read to position 5000 makes
+        # past it is the overshoot of the last extension.
+        counts = []
+
+        def counted(*args):
+            counts.append(args[2])
+            return constant_digits(*args)
+
+        monkeypatch.setattr(digits_module, "constant_digits", counted)
+        stream = ConstantDigits(name, base)
+        for position in range(5001):
+            stream.digit(position)
+        assert sum(counts) <= 1.3 * 5001
+        assert sum(counts) == len(stream._cache)
+
+    def test_read_position_hidden_from_equality_and_repr(self):
+        ahead, behind = ConstantDigits("pi", 4), ConstantDigits("pi", 4)
+        ahead.digit(3000)
+        behind.digit(10)
+        assert ahead == behind
+        assert repr(ahead) == repr(behind) == "ConstantDigits(name='pi', base=4)"
+        acts = ("a", "b", "c", "d")
+        for wrap in (
+            lambda source: PositionalFasa(source, acts),
+            lambda source: AgentArchitecture(
+                "piper", ArchitectureKind.POSITIONAL, stream=PositionalFasa(source, acts)
+            ),
+        ):
+            assert wrap(ahead) == wrap(behind)
+            assert repr(wrap(ahead)) == repr(wrap(behind))
+        assert ahead != ConstantDigits("e", 4)
 
 
 class TestExplicitDigits:

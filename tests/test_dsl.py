@@ -635,6 +635,12 @@ class TestRecovery:
             ),
             (
                 "per_step: 1;",
+                "per_step: 1 step;",
+                "",
+                [("expected ';', found 'step'", 13, 17)],
+            ),
+            (
+                "per_step: 1;",
                 "per_step: x;",
                 agent_block("  architecture: random;"),
                 [
@@ -648,6 +654,7 @@ class TestRecovery:
             "missing-colon",
             "missing-field",
             "missing-semicolon",
+            "stray-identifier",
             "agent-of-withheld",
         ],
     )
@@ -719,6 +726,25 @@ class TestRecovery:
         # back to start the next item.
         assert RING.count(item) == 1
         broken = RING.replace(item, item[:-1])
+        got = [(d.message, d.line, d.column) for d in parse(broken).diagnostics]
+        assert got == [expected]
+        assert block_contents(broken) == block_contents(RING)
+
+    @pytest.mark.parametrize(
+        "item, expected",
+        [
+            ("initial: s0;", ("expected ';', found 'stray'", 4, 15)),
+            ("transition s0 go s1;", ("expected ';', found 'stray'", 7, 23)),
+            ("architecture: random;", ("expected ';', found 'stray'", 62, 24)),
+        ],
+        ids=["single", "transition", "architecture"],
+    )
+    def test_stray_identifier_fails_only_its_item(self, item, expected):
+        # An identifier in the ';' slot that is no item or block keyword
+        # starts nothing: the item fails with one error and is skipped
+        # through its ';', and the items after it are still read.
+        assert RING.count(item) == 1
+        broken = RING.replace(item, item[:-1] + " stray;")
         got = [(d.message, d.line, d.column) for d in parse(broken).diagnostics]
         assert got == [expected]
         assert block_contents(broken) == block_contents(RING)
@@ -943,7 +969,7 @@ _PREFIXES = [
 ]
 
 
-DIAGNOSTICS_SHA256 = "f63014fcc20e17758bc42bcad446510b1ecf8bba29166159f47f023887c4c28a"
+DIAGNOSTICS_SHA256 = "4ecf23eb8d7646507d24f8f80eedb544a8e347ff1d86b9fe72361d0e148e4b72"
 
 
 class TestFuzz:
