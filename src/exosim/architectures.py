@@ -20,10 +20,6 @@ Every generated sequence is collapsed to a single act by a fixed
 projection index (1-based); an empty generation falls back to the
 universe's neutral act, which is what makes unrepresented states safe
 to encounter but expensive to linger in.
-
-``_choose`` is one sensitive choice: perception, generation, projection.
-The stepping loop that calls it, ``harness.run_trajectory``, holds
-every piece of a run's state; an ``AgentArchitecture`` is only read.
 """
 
 from __future__ import annotations
@@ -160,39 +156,6 @@ class AgentArchitecture:
     reaction: ReactionTable | None = None
     tables: tuple[RouteTable, ...] = ()
     goal: Formula | None = None
-
-
-def _choose(
-    agent: AgentArchitecture,
-    universe: Universe,
-    state: StateId,
-    active: int,
-    target: Formula | None,
-) -> tuple[Formula | None, tuple[ActId, ...] | None, ActId]:
-    """What a sensitive agent perceives at state, generates, and issues.
-
-    afs1 reacts to the formula; the routed kinds look up the route from
-    it toward target in table ``tables[active]``, both given by the run.
-    The generation is projected to one act, or falls back to the neutral
-    act when nothing was generated.
-    """
-    rmap = agent.representation
-    formula = rmap.formula_for(state) if rmap is not None else None
-    if formula is None:
-        sequence = None
-    elif agent.kind is ArchitectureKind.AFS1:
-        act = agent.reaction.act(formula) if agent.reaction else None
-        sequence = None if act is None else (act,)
-    else:
-        sequence = None if target is None else agent.tables[active].sequence(formula, target)
-    if not sequence:
-        return formula, sequence, universe.neutral_act
-    c = agent.projection_index
-    if c > len(sequence):
-        raise ProjectionOutOfRange(
-            f"projection index {c} exceeds generated sequence of length {len(sequence)}"
-        )
-    return formula, sequence, interpret_act(universe, sequence[c - 1])
 
 
 def update_learning(

@@ -108,33 +108,31 @@ def _cmd_metrics(args, out) -> int:
     table = agent.tables[0]
     objectives = derive_objectives(table, agent.representation, universe)
     report = stability_report(table, agent.representation, objectives, universe)
+    payload = {
+        "agent": agent.name,
+        "universe": universe.name,
+        "objectives": sorted(objectives.objectives),
+        "positive_objectives": sorted(objectives.positive),
+        "negative_objectives": sorted(objectives.negative),
+        "departures": dict(sorted(report.departures.items())),
+        "negative_escapes": dict(sorted(report.negative_escapes.items())),
+        "positive_escapes": dict(sorted(report.positive_escapes.items())),
+        "basic_stability": _fraction(report.basic_stability),
+        "instability": _fraction(report.instability),
+        "total_stability": _fraction(report.total_stability),
+    }
     if args.format == "json":
-        payload = {
-            "agent": agent.name,
-            "universe": universe.name,
-            "objectives": sorted(objectives.objectives),
-            "positive_objectives": sorted(objectives.positive),
-            "negative_objectives": sorted(objectives.negative),
-            "departures": dict(sorted(report.departures.items())),
-            "negative_escapes": dict(sorted(report.negative_escapes.items())),
-            "positive_escapes": dict(sorted(report.positive_escapes.items())),
-            "basic_stability": _fraction(report.basic_stability),
-            "instability": _fraction(report.instability),
-            "total_stability": _fraction(report.total_stability),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=False), file=out)
-    else:
-        print(f"agent {agent.name} in universe {universe.name}", file=out)
-        print(f"objectives: {' '.join(sorted(objectives.objectives)) or '-'}", file=out)
-        for formula in sorted(report.departures):
-            print(f"departures[{formula}] {report.departures[formula]}", file=out)
-        for state in sorted(report.negative_escapes):
-            print(f"negative_escapes[{state}] {report.negative_escapes[state]}", file=out)
-        for state in sorted(report.positive_escapes):
-            print(f"positive_escapes[{state}] {report.positive_escapes[state]}", file=out)
-        print(f"basic_stability {_fraction(report.basic_stability)}", file=out)
-        print(f"instability {_fraction(report.instability)}", file=out)
-        print(f"total_stability {_fraction(report.total_stability)}", file=out)
+        print(json.dumps(payload, indent=2), file=out)
+        return EXIT_OK
+    print(f"agent {payload['agent']} in universe {payload['universe']}", file=out)
+    print(f"objectives: {' '.join(payload['objectives']) or '-'}", file=out)
+    # Then one line per entry of each count table and one per fraction.
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            for item, count in value.items():
+                print(f"{key}[{item}] {count}", file=out)
+        elif key.endswith("stability"):
+            print(f"{key} {value}", file=out)
     return EXIT_OK
 
 

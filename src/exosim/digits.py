@@ -24,15 +24,17 @@ with a far smaller constant than one full-width divmod per digit.
 A ConstantDigits stream computes each digit once. When a read passes its
 end it extends to a quarter past that position, resuming what the last
 extension left: the series state (P, Q, T) gains only its new terms, the
-last read's quotient and square root are Newton guesses that leave
-divisions with short quotients, and only the new digits are converted.
-The floor is certified afresh at each new width. Each extension is then
-a few full-width multiplications and one short division (two for pi),
-each about a fifth of a full schoolbook division; with a growth of 5/4
-the quadratic costs of all extensions sum to under three times those of
-the last. Read to position 200000 in base 3, 4 and 10, a stream takes
-about 0.9, 1.2 and 3.5 s for pi and 0.7, 0.7 and 1.7 s for e (conversion
-0.1 to 0.2 s of each) on a 2-core x86 machine with Python 3.11.
+last read's quotient is a first guess that leaves a division with a short
+quotient, and only the new digits are converted. pi's square root does
+not resume: each extension takes it afresh with math.isqrt. The floor is
+certified afresh at each new width. Each extension is then a few
+full-width multiplications and one short division, each about a fifth of
+a full schoolbook division, plus pi's full-width square root; with a
+growth of 5/4 the quadratic costs of all extensions sum to under three
+times those of the last. Read to position 200000 in base 3, 4 and 10, a
+stream takes about 0.9, 1.3 and 3.3 s for pi (of which the square roots
+0.4, 0.7 and 1.8 s) and 0.4, 0.4 and 1.2 s for e on a 2-core x86 machine
+with Python 3.11.
 """
 
 from __future__ import annotations
@@ -67,23 +69,6 @@ def _split(p, q, a, lo: int, hi: int) -> tuple[int, int, int]:
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
-def _isqrt(m: int, guess: int) -> int:
-    """math.isqrt(m) by one Newton step from a positive guess, then down.
-
-    The step (guess + m // guess) // 2 never lands below the root, and
-    lands under two above it when the guess is off by at most the root's
-    square root. Each product is a multiplication, not a division, except
-    (m - guess**2) // guess, whose quotient is short.
-    """
-    rest = m - guess * guess
-    root = guess + (rest // guess >> 1)
-    rest -= (root - guess) * (root + guess)
-    while rest < 0:  # rest = m - root**2
-        rest += 2 * root - 1
-        root -= 1
-    return root
-
-
 def _fixed(name: str, bits: int, series: list | None = None) -> int:
     """X with the constant x strictly inside ((X - 1) / 2**bits, (X + 2) / 2**bits).
 
@@ -91,19 +76,18 @@ def _fixed(name: str, bits: int, series: list | None = None) -> int:
     sum; the tail, cuts and roundings move x * 2**work by under two units.
 
     A series list, empty at first, is resumed and updated. It holds
-    [hi, P, Q, T, work, Y, R]: the sums over the terms 1 <= k < hi; the
-    last read's work, its x * 2**work before rounding, and for pi its
-    isqrt(10005 << 2 * work). Only the terms from hi on are split, and
-    merged in as P p2, Q q2, T q2 + P t2; terms past those needed only
-    shrink the tail. The last read, shifted to the new work, is a first
-    guess at the quotient n // d: the exact identity
-    n // d = g + (n - g d) // d leaves a division with a short quotient,
-    where a schoolbook division (CPython 3.11 and older) costs its
-    quotient's length times the divisor's. The square root is resumed
-    the same way (_isqrt) while work at most doubles.
+    [hi, P, Q, T, work, Y]: the sums over the terms 1 <= k < hi, and the
+    last read's work and its x * 2**work before rounding. Only the terms
+    from hi on are split, and merged in as P p2, Q q2, T q2 + P t2;
+    terms past those needed only shrink the tail. The last read, shifted
+    to the new work, is a first guess at the quotient n // d: the exact
+    identity n // d = g + (n - g d) // d leaves a division with a short
+    quotient, where a schoolbook division (CPython 3.11 and older) costs
+    its quotient's length times the divisor's. pi's sqrt(10005) is not
+    resumed: each read takes it afresh with math.isqrt.
     """
     work = bits + 8
-    done, p, q, t, last_work, last, last_root = series or (1, 1, 1, 0, 0, 0, 0)
+    done, p, q, t, last_work, last = series or (1, 1, 1, 0, 0, 0)
     if name == "pi":
         # Chudnovsky: 1/pi = 12 / 640320**1.5 * sum (-1)**k (6k)! (13591409
         # + 545140134 k) / ((3k)! k!**3 640320**(3k)), over 47 bits a term.
@@ -122,22 +106,16 @@ def _fixed(name: str, bits: int, series: list | None = None) -> int:
     if hi > done:
         p2, q2, t2 = _split(*terms, done, hi)
         p, q, t = p * p2, q * q2, t * q2 + p * t2
-    root = 0
     if name == "pi":
-        square = 10005 << 2 * work
-        if work <= 2 * last_work:
-            root = _isqrt(square, (last_root << work) >> last_work)
-        else:
-            root = math.isqrt(square)
         total = t + 13591409 * q  # add term 0, then cut it to work + 64 bits and q alike
         cut = max(total.bit_length() - work - 64, 0)
-        n, d = 426880 * root * (q >> cut), total >> cut
+        n, d = 426880 * math.isqrt(10005 << 2 * work) * (q >> cut), total >> cut
     else:
         n, d = (q + t) << work, q
     guess = (last << work) >> last_work
     scaled = guess + (n - guess * d) // d
     if series is not None:
-        series[:] = hi, p, q, t, work, scaled, root
+        series[:] = hi, p, q, t, work, scaled
     return scaled >> 8
 
 

@@ -312,7 +312,7 @@ _ITEMS = {
 # end of input: the tokens (kind, value) of _BLOCK_ENDS.
 _ITEM_WORDS = {
     "universe": {"states", "acts", "initial", "neutral_act", "classify", "transition", "energy"},
-    "agent": {"architecture", "seed", "depth", "projection", "constant", "goal", *_ROWS_IGNORED},
+    "agent": {"architecture", *set().union(*_USES.values())},
     "energy": set(_ENERGY_FIELDS),
 }
 _BLOCK_WORDS = ("universe", "agent")

@@ -27,9 +27,9 @@ from typing import NamedTuple
 
 from . import architectures
 from .architectures import AgentArchitecture, ArchitectureError, ArchitectureKind
-from .architectures import PositionalFasa, RandomFasa
-from .architectures import _choose, splitmix64
+from .architectures import PositionalFasa, ProjectionOutOfRange, RandomFasa, splitmix64
 from .dsl import SpecDocument
+from .representation import interpret_act
 from .stats import rank_sum_test
 from .universe import TerminalReason, Trajectory, TrajectoryStep, Universe
 
@@ -61,20 +61,20 @@ def run_trajectory(
     ``agent.stream``, a ``RandomFasa`` or ``PositionalFasa`` as its kind
     says, and a routed kind looks routes up in ``agent.tables[active]``.
     Seed, when given, replaces a random stream's seed, so the same inputs
-    replay the same run. A run's state
-    is local: afs2b's target (the goal, then the formula perceived at the
-    previous step), and afs3a's active table index (always 0 for the
-    other kinds), pending episode (table index, age) and per-table
-    tallies. An episode opens when the active table generates and none
-    is pending, and succeeds if the goal is perceived within depth_max
-    steps.
+    replay the same run. A run's state is local: afs2b's target (the
+    goal, then the formula perceived at the previous step), and afs3a's
+    active table index (always 0 for the other kinds), pending episode
+    (table index, age) and per-table tallies. An episode opens when the
+    active table generates and none is pending, and succeeds if the goal
+    is perceived within depth_max steps.
 
     A sensitive choice depends only on the state, afs2b's target and
     afs3a's active table (read after its pending episode is scored), so
     the run memoizes it and its landing under that key. A key's first
-    step goes through ``_choose``, ``Universe.successor`` and
-    ``Universe.class_of``, so every error is raised at the first step
-    that meets it.
+    step perceives the state, reacts (afs1) or looks up the route toward
+    the target, projects the generation to one act, and lands through
+    ``Universe.successor`` and ``Universe.class_of``, so every error is
+    raised at the first step that meets it.
     """
     kind = agent.kind
     elementary = not kind.is_sensitive
@@ -91,7 +91,7 @@ def run_trajectory(
             )
     if seed is not None and isinstance(stream, RandomFasa):
         stream = replace(stream, seed=seed)
-    rmap, goal, tables = agent.representation, agent.goal, agent.tables
+    rmap, goal, tables, c = agent.representation, agent.goal, agent.tables, agent.projection_index
     if kind.is_sensitive and kind is not ArchitectureKind.AFS1 and not tables and max_steps > 0:
         raise ArchitectureError(f"{kind.value} agent {agent.name!r} has no route table")
     target = goal
@@ -129,7 +129,22 @@ def run_trajectory(
         if choice is None:
             formula = sequence = None
             if not elementary:
-                formula, sequence, act = _choose(agent, universe, state, active, target)
+                # Perceive, generate, project. A blind spot (no formula) or
+                # a missing entry (no sequence) issues the neutral act.
+                formula = rmap.formula_for(state) if rmap is not None else None
+                if formula is not None and kind is ArchitectureKind.AFS1:
+                    reaction = agent.reaction.act(formula) if agent.reaction else None
+                    sequence = None if reaction is None else (reaction,)
+                elif formula is not None and target is not None:
+                    sequence = tables[active].sequence(formula, target)
+                act = universe.neutral_act
+                if sequence:
+                    if c > len(sequence):
+                        raise ProjectionOutOfRange(
+                            f"projection index {c} exceeds generated sequence "
+                            f"of length {len(sequence)}"
+                        )
+                    act = interpret_act(universe, sequence[c - 1])
             nxt = universe.successor(state, act)
             choice = memo[key] = (formula, sequence, act, nxt, universe.class_of(nxt))
         formula, sequence, act, nxt, landed = choice
@@ -197,12 +212,6 @@ class ExperimentResult:
     comparisons: tuple[GroupComparison, ...]
 
 
-def _group_of(kind: ArchitectureKind) -> str:
-    if kind.is_sensitive:
-        return "sensitive"
-    return kind.value
-
-
 def run_experiment_from_document(
     doc: SpecDocument, cfg: ExperimentConfig
 ) -> ExperimentResult:
@@ -210,9 +219,9 @@ def run_experiment_from_document(
     for decl in doc.agents:
         universe = doc.build_universe(decl.universe_name)
         agents.append((decl.build(universe), universe, decl.kind.value))
-    groups_present = {_group_of(a.kind) for a, _, _ in agents}
+    groups = ["sensitive" if a.kind.is_sensitive else a.kind.value for a, _, _ in agents]
     for required in ("random", "positional", "sensitive"):
-        if required not in groups_present:
+        if required not in groups:
             raise MissingAgentKind(
                 f"experiment needs at least one {required} agent"
             )
@@ -240,7 +249,7 @@ def run_experiment_from_document(
                 )
             )
             persistences.append(trajectory.persistence)
-        by_group[_group_of(agent.kind)].extend(persistences)
+        by_group[groups[agent_index]].extend(persistences)
         summaries.append(
             AgentSummary(
                 agent=agent.name,

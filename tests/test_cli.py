@@ -368,6 +368,11 @@ class TestTrace:
         )
         assert code == 3
 
+    def test_unknown_agent_rejected(self, reference_path, capsys):
+        code, _ = cli("trace", str(reference_path), "--agent", "nobody", "--steps", "5")
+        assert code == 3
+        assert "error: no agent named 'nobody'" in capsys.readouterr().err
+
     def test_seeded_trace_reproducible(self, reference_path):
         args = ("trace", str(reference_path), "--agent", "wanderer",
                 "--steps", "10", "--seed", "5")
@@ -475,6 +480,16 @@ class TestExperiment:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 3
+
+    def test_negative_max_steps_rejected(self, reference_path, tmp_path, capsys):
+        code, _ = cli(
+            "experiment", str(reference_path),
+            "--runs", "2", "--max-steps", "-1", "--seed", "1",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 3
+        assert "error: --max-steps must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_spec_without_groups_rejected(self, tmp_path):
         path = tmp_path / "solo.exo"

@@ -367,6 +367,12 @@ class TestAgentErrors:
             "projection must be 1",
         ),
         (
+            '  architecture: afs1;\n'
+            '  represents a -> "fa";\n  represents b -> "fb";\n'
+            '  react "fa" : hop;\n  react "fa" : stay;',
+            "formula 'fa' reacts with two acts",
+        ),
+        (
             '  architecture: afs2a;\n  goal: "fb";\n  depth: 2;\n'
             "  projection: 3;\n"
             '  represents a -> "fa";\n  represents b -> "fb";\n'
@@ -446,6 +452,7 @@ class TestAgentErrors:
             "no-representation",
             "one-formula",
             "afs1-projection",
+            "afs1-two-acts",
             "projection-over-depth",
             "route-over-depth",
             "route-under-projection",
