@@ -145,7 +145,7 @@ def _cmd_trace(args, out) -> int:
     except KeyError:
         raise CliError(f"no agent named {args.agent!r} in {args.file}") from None
     trajectory = run_trajectory(universe, agent, args.steps, args.seed)
-    for rec in trajectory.steps:
+    for rec in trajectory.iter_steps():
         formula = rec.formula if rec.formula is not None else "-"
         sequence = " ".join(rec.sequence) if rec.sequence else "-"
         print(

@@ -2,12 +2,15 @@
 
 A trajectory steps one agent through its universe until it goes
 exoinactive or hits the step bound. ``run_trajectory`` is the only
-stepping loop: it owns every piece of a run's state, records one
-``TrajectoryStep`` per step and memoizes each sensitive choice for the
-run. The experiment repeats that for every agent in a document, derives
-one fresh seed per run from the master seed, and collects persistence
-times into a CSV plus per-agent summaries with rank-sum comparisons of
-the sensitive group against the random and positional groups.
+stepping loop: it owns every piece of a run's state and memoizes each
+choice for the run, recording a step as a reference to its memo entry
+and its energy; ``Trajectory.steps`` builds the ``TrajectoryStep``
+records on read. An afs1, afs2a or afs2b run stops stepping at its first
+repeat, from where it survives to the bound. The experiment repeats that
+for every agent in a document, derives one fresh seed per run from the
+master seed, and collects persistence times into a CSV plus per-agent
+summaries with rank-sum comparisons of the sensitive group against the
+random and positional groups.
 
 Identical inputs reproduce identical output bytes: rows are emitted in
 run_id order and every random stream is positioned by its derived seed
@@ -31,7 +34,7 @@ from .architectures import PositionalFasa, ProjectionOutOfRange, RandomFasa, spl
 from .dsl import SpecDocument
 from .representation import interpret_act
 from .stats import rank_sum_test
-from .universe import TerminalReason, Trajectory, TrajectoryStep, Universe
+from .universe import TerminalReason, Trajectory, Universe
 
 
 class HarnessError(Exception):
@@ -54,8 +57,8 @@ def run_trajectory(
     seed: int | None = None,
 ) -> Trajectory:
     """Run one agent from the initial state until it goes exoinactive or
-    takes max_steps steps; each step records what the agent perceived,
-    generated and chose.
+    takes max_steps steps; each step records the memo entry of what the
+    agent perceived, generated and chose, and its energy after.
 
     The agent is only read: an elementary kind steps through
     ``agent.stream``, a ``RandomFasa`` or ``PositionalFasa`` as its kind
@@ -74,7 +77,17 @@ def run_trajectory(
     step perceives the state, reacts (afs1) or looks up the route toward
     the target, projects the generation to one act, and lands through
     ``Universe.successor`` and ``Universe.class_of``, so every error is
-    raised at the first step that meets it.
+    raised at the first step that meets it. Each memo entry is
+    (formula, sequence, act, next state, change, ceiling), the last two
+    the landing's ``EnergyRules.bill``; elementary kinds memoize the
+    landing of each (state, act).
+
+    An afs1, afs2a or afs2b step depends only on its memo key and its
+    energy, which stays in 1..energy_cap while a checked document's run
+    lives. So the run meets such a pair again within (number of keys) *
+    energy_cap steps unless it dies first, and from there repeats the steps since
+    the pair's first meeting forever. The loop stops at that repeat and
+    returns ``StepLimit`` at persistence max_steps; see ``Trajectory``.
     """
     kind = agent.kind
     elementary = not kind.is_sensitive
@@ -99,11 +112,14 @@ def run_trajectory(
     pending: tuple[int, int] | None = None
     attempts = [0] * len(tables)
     successes = [0] * len(tables)
-    settle = universe.settle
     memo: dict = {}
+    # afs1, afs2a and afs2b steps are a function of (memo key, energy).
+    seen: dict | None = {} if kind.is_sensitive and not learner else None
+    cycle_start = None
     state = universe.initial
     energy = universe.energy.initial_energy
-    steps: list[TrajectoryStep] = []
+    choices: list[tuple] = []
+    energies: list[int] = []
     reason = TerminalReason.STEP_LIMIT
     for t in range(max_steps):
         if elementary:
@@ -125,6 +141,12 @@ def run_trajectory(
             key = (state, target)
         else:
             key = state
+        if seen is not None:
+            first = seen.setdefault((key, energy), t)
+            if first != t:
+                # Back where step `first` stood: steps first..t-1 repeat forever.
+                cycle_start = first
+                break
         choice = memo.get(key)
         if choice is None:
             formula = sequence = None
@@ -146,20 +168,27 @@ def run_trajectory(
                         )
                     act = interpret_act(universe, sequence[c - 1])
             nxt = universe.successor(state, act)
-            choice = memo[key] = (formula, sequence, act, nxt, universe.class_of(nxt))
-        formula, sequence, act, nxt, landed = choice
+            bill = universe.energy.bill(universe.class_of(nxt))
+            choice = memo[key] = (formula, sequence, act, nxt, *bill)
+        formula, sequence, act, state, change, ceiling = choice
         if recall:
             # One-step recall: next step routes toward what was just seen.
             target = formula
         elif learner and sequence and pending is None:
             pending = (active, 0)
-        energy = settle(energy, landed)
-        steps.append(TrajectoryStep(t, state, formula, sequence, act, nxt, energy))
-        state = nxt
+        energy += change
+        if energy > ceiling:
+            energy = ceiling
+        choices.append(choice)
+        energies.append(energy)
         if energy <= 0:
             reason = TerminalReason.EXOINACTIVE
             break
-    return Trajectory(universe.initial, universe.energy.initial_energy, tuple(steps), reason)
+    persistence = len(choices) if cycle_start is None else max_steps
+    return Trajectory(
+        universe.initial, universe.energy.initial_energy, choices, energies,
+        reason, persistence, cycle_start,
+    )
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,12 @@ entity whose budget is exhausted can no longer act: it is exoinactive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple
+from functools import cached_property
+from itertools import chain, cycle, islice
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 StateId = str
 ActId = str
@@ -51,6 +54,21 @@ class EnergyRules:
     positive_reward: int
     energy_cap: int
 
+    def bill(self, landed: StateClass) -> tuple[int, int | float]:
+        """One step that lands on a state of class landed, as (change,
+        ceiling): the budget after it is min(budget + change, ceiling).
+
+        The step costs per_step_cost; landing on a Negative state costs
+        negative_penalty more, landing on a Positive state refunds
+        positive_reward (clamped at energy_cap). Only a Positive landing
+        has a finite ceiling.
+        """
+        if landed is StateClass.NEGATIVE:
+            return -self.per_step_cost - self.negative_penalty, math.inf
+        if landed is StateClass.POSITIVE:
+            return self.positive_reward - self.per_step_cost, self.energy_cap
+        return -self.per_step_cost, math.inf
+
 
 @dataclass(frozen=True)
 class Universe:
@@ -87,19 +105,10 @@ class Universe:
             ) from None
 
     def settle(self, energy: int, landed: StateClass) -> int:
-        """The budget after one step that lands on a state of class landed.
-
-        The step costs per_step_cost; landing on a Negative state costs
-        negative_penalty more, landing on a Positive state refunds
-        positive_reward (clamped at energy_cap).
-        """
-        e = self.energy
-        energy -= e.per_step_cost
-        if landed is StateClass.NEGATIVE:
-            return energy - e.negative_penalty
-        if landed is StateClass.POSITIVE:
-            return min(energy + e.positive_reward, e.energy_cap)
-        return energy
+        """The budget after one step that lands on a state of class
+        landed, by ``EnergyRules.bill``."""
+        change, ceiling = self.energy.bill(landed)
+        return min(energy + change, ceiling)
 
     def advance(self, state: StateId, act: ActId, energy: int) -> tuple[StateId, int, bool]:
         """Take one step and settle its energy bill.
@@ -139,20 +148,63 @@ class TrajectoryStep(NamedTuple):
 
 @dataclass(frozen=True)
 class Trajectory:
+    """A run as its loop recorded it: one choice and one budget per step
+    taken.
+
+    choices[i] is the memo entry step i used, shared by every step of
+    the run with the same memo key; its first four slots are the step's
+    formula, sequence, act and state_after. energies[i] is the budget
+    after step i. A step's state_before is the previous step's
+    state_after, or initial_state.
+
+    A deterministic run that meets a (memo key, budget) pair again stops
+    stepping there, at step len(choices), and survives to the step
+    bound: cycle_start is the step where that pair was first met, and
+    steps len(choices) to persistence - 1 replay steps cycle_start to
+    len(choices) - 1 in turn. Otherwise cycle_start is None and
+    persistence is len(choices). ``steps`` builds the ``TrajectoryStep``
+    tuple on first read; ``iter_steps`` yields the same records without
+    keeping them.
+    """
+
     initial_state: StateId
     initial_energy: int
-    steps: tuple[TrajectoryStep, ...]
+    choices: Sequence[tuple]
+    energies: Sequence[int]
     terminal_reason: TerminalReason
+    persistence: int
+    cycle_start: int | None
 
-    @property
-    def persistence(self) -> int:
-        """Number of steps taken before the entity stopped."""
-        return len(self.steps)
+    def _order(self) -> Iterator[int]:
+        """The index into choices of each step, in step order."""
+        stepped = range(len(self.choices))
+        if self.cycle_start is None:
+            return iter(stepped)
+        replayed = cycle(range(self.cycle_start, len(self.choices)))
+        return chain(stepped, islice(replayed, self.persistence - len(self.choices)))
+
+    def iter_steps(self) -> Iterator[TrajectoryStep]:
+        state, choices, energies = self.initial_state, self.choices, self.energies
+        for t, i in enumerate(self._order()):
+            formula, sequence, act, after = choices[i][:4]
+            yield TrajectoryStep(t, state, formula, sequence, act, after, energies[i])
+            state = after
+
+    @cached_property
+    def steps(self) -> tuple[TrajectoryStep, ...]:
+        return tuple(self.iter_steps())
+
+    def _last(self) -> int:
+        """The index into choices of the last step."""
+        stepped, last = len(self.choices), self.persistence - 1
+        if last < stepped:
+            return last
+        return self.cycle_start + (last - stepped) % (stepped - self.cycle_start)
 
     @property
     def final_state(self) -> StateId:
-        return self.steps[-1].state_after if self.steps else self.initial_state
+        return self.choices[self._last()][3] if self.persistence else self.initial_state
 
     @property
     def final_energy(self) -> int:
-        return self.steps[-1].energy_after if self.steps else self.initial_energy
+        return self.energies[self._last()] if self.persistence else self.initial_energy

@@ -464,6 +464,20 @@ class TestExperiment:
         assert len(data) == size
         assert text.splitlines() == [f"wrote {3 * runs} rows to {out_csv}", *summary]
 
+    def test_a_billion_steps_cost_what_the_cycle_costs(self, reference_path, tmp_path):
+        # pathfinder is back at (c0, 12) after its 6-step lap, so its run
+        # stops stepping there; the other two die within 3 steps.
+        out_csv = tmp_path / "long.csv"
+        code, _ = cli(
+            "experiment", str(reference_path),
+            "--runs", "1", "--max-steps", "1000000000", "--seed", "1",
+            "--out", str(out_csv),
+        )
+        assert code == 0
+        assert out_csv.read_text(encoding="utf-8").splitlines()[3] == (
+            "2,pathfinder,afs2a,13608149317741381227,1000000000,StepLimit"
+        )
+
     def test_invalid_spec_prints_diagnostics(self, broken_spec, tmp_path):
         code, text = cli(
             "experiment", str(broken_spec),

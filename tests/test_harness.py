@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -10,17 +11,20 @@ from exosim import (
     AgentArchitecture,
     ArchitectureKind,
     CSV_HEADER,
+    ConstantDigits,
     DigitSourceExhausted,
     EnergyRules,
     ExperimentConfig,
     ExperimentResult,
     MissingAgentKind,
+    PositionalFasa,
     ProjectionOutOfRange,
     RandomFasa,
     ReactionTable,
     RepresentationMap,
     RouteTable,
     RunRecord,
+    StateClass,
     TerminalReason,
     TrajectoryStep,
     UnknownAct,
@@ -190,6 +194,9 @@ def assert_matches_reference(universe, agent, max_steps, seed=None, credit=()):
         got = run_trajectory(universe, agent, max_steps, seed)
     assert list(got.steps) == expected, agent.name
     assert got.terminal_reason.value == reason, agent.name
+    assert got.persistence == len(expected), agent.name
+    last = expected[-1][5:] if expected else (universe.initial, universe.energy.initial_energy)
+    assert (got.final_state, got.final_energy) == last, agent.name
     return expected
 
 
@@ -251,6 +258,125 @@ class TestReferenceStepper:
         # x0 is met under table 0, which sits, and again under table 1.
         at_x0 = [r[3] for r in steps if r[1] == "x0"]
         assert at_x0 == [("sit",), ("sit",), ("go", "go")]
+
+
+DETERMINISTIC = (ArchitectureKind.AFS1, ArchitectureKind.AFS2A, ArchitectureKind.AFS2B)
+
+
+def deterministic_agents(doc):
+    for decl in doc.agents:
+        if decl.kind in DETERMINISTIC:
+            yield doc.build_agent(decl.name)
+
+
+def ring(energy, classes=None):
+    """Three states x -hop-> y -hop-> z -hop-> x; stay idles."""
+    return tiny_universe(classes=classes, energy=energy, states=("x", "y", "z"))
+
+
+def hopper() -> AgentArchitecture:
+    """An afs1 agent that sees one formula everywhere and always hops."""
+    return AgentArchitecture(
+        name="hopper",
+        kind=ArchitectureKind.AFS1,
+        representation=RepresentationMap({"x": "f", "y": "f", "z": "f"}),
+        reaction=ReactionTable({"f": "hop"}),
+    )
+
+
+class TestFirstRepeat:
+    """An afs1, afs2a or afs2b run stops stepping at its first repeated
+    (memo key, energy) and replays its cycle up to the step bound; the
+    reference stepper takes every step, so each replayed step is
+    checked against a stepped one."""
+
+    @pytest.mark.parametrize("max_steps", [1, 7, 1000, 10**5])
+    def test_fixtures(self, reference_doc, ejemplo5_doc, max_steps):
+        runs = 0
+        for doc in (reference_doc, ejemplo5_doc):
+            for agent, universe in deterministic_agents(doc):
+                assert_matches_reference(universe, agent, max_steps)
+                got = run_trajectory(universe, agent, max_steps)
+                if max_steps >= 1000:
+                    assert got.cycle_start is not None, agent.name
+                    assert len(got.choices) <= len(universe.states) * universe.energy.energy_cap
+                runs += 1
+        assert runs == 2
+
+    @pytest.mark.parametrize("seed", [1, 99])
+    def test_six_kinds_and_generated_documents(self, seed):
+        docs = [parse(SIX_KINDS).document]
+        docs += [parse(docgen.random_document_text(s)).document for s in range(300)]
+        runs = stopped = 0
+        for doc in docs:
+            for agent, universe in deterministic_agents(doc):
+                assert_matches_reference(universe, agent, 3000, seed)
+                runs += 1
+                stopped += run_trajectory(universe, agent, 3000, seed).cycle_start is not None
+        assert runs > 200 and stopped > 50
+
+    def test_energy_repeating_at_another_state_is_no_repeat(self):
+        # No step cost: the budget is 5 at every step, and only the
+        # return to x at step 3 repeats step 0's (x, 5).
+        universe = ring(EnergyRules(5, 0, 0, 0, 10))
+        got = run_trajectory(universe, hopper(), 1000)
+        assert (len(got.choices), got.cycle_start, got.persistence) == (3, 0, 1000)
+        assert_matches_reference(universe, hopper(), 1000)
+
+    def test_state_repeating_with_another_energy_is_no_repeat(self):
+        # x refunds 2 of a lap's 3: each return to x has one less, until
+        # the budget runs out at step 11.
+        classes = {"x": StateClass.POSITIVE, "y": StateClass.NEUTRAL, "z": StateClass.NEUTRAL}
+        universe = ring(EnergyRules(5, 1, 0, 2, 10), classes)
+        got = run_trajectory(universe, hopper(), 1000)
+        assert (len(got.choices), got.cycle_start, got.persistence) == (11, None, 11)
+        assert got.terminal_reason is TerminalReason.EXOINACTIVE
+        assert_matches_reference(universe, hopper(), 1000)
+
+    def test_random_positional_and_learner_runs_take_every_step(self):
+        # Their steps hang on the step index or on growing tallies, so a
+        # repeated (state, energy) says nothing about what comes next.
+        universe = ring(EnergyRules(5, 0, 0, 0, 10))
+        counter = AgentArchitecture(
+            name="counter",
+            kind=ArchitectureKind.POSITIONAL,
+            stream=PositionalFasa(ConstantDigits("pi", 2), ("hop", "stay")),
+        )
+        learner_agent, six = parse(SIX_KINDS).document.build_agent("learner")
+        for universe, agent in ((universe, drifter()), (universe, counter), (six, learner_agent)):
+            got = run_trajectory(universe, agent, 3000, seed=5)
+            assert (len(got.choices), got.cycle_start, got.persistence) == (3000, None, 3000)
+            assert len({(r.state_after, r.energy_after) for r in got.steps}) < 3000
+            assert_matches_reference(universe, agent, 3000, seed=5)
+
+
+class TestLongRunBounds:
+    def test_pathfinder_survives_a_billion_steps(self, pathfinder_pair):
+        agent, universe = pathfinder_pair
+        got = run_trajectory(universe, agent, 10**9)
+        assert got.persistence == 10**9
+        assert got.terminal_reason is TerminalReason.STEP_LIMIT
+        assert len(got.choices) <= len(universe.states) * universe.energy.energy_cap
+        # The last step is the cycle's step at the same phase.
+        start = got.cycle_start
+        last = start + (10**9 - 1 - start) % (len(got.choices) - start)
+        expected, _ = oracles.reference_trajectory(universe, agent, last + 1)
+        assert (got.final_state, got.final_energy) == expected[-1][5:]
+
+    def test_a_run_keeps_a_memo_reference_and_an_energy_per_step(self):
+        # About 17 B/step: two list slots. A TrajectoryStep kept per
+        # step took about 152 B.
+        universe = ring(EnergyRules(5, 0, 0, 0, 10))
+        agent = drifter()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = run_trajectory(universe, agent, 20000)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert got.persistence == 20000
+        assert retained / 20000 <= 40
 
 
 def one_route_agent(route, projection=1):

@@ -87,6 +87,25 @@ class TestAdvance:
         with pytest.raises(UnknownState):
             u.class_of("zz")
 
+    @pytest.mark.parametrize("landed", list(StateClass))
+    def test_bill_applied_is_settle_at_every_energy(self, landed):
+        # The run loop adds a landing's change and clamps at its ceiling;
+        # that is the settle rule for any integer budget, above the cap too.
+        rules = EnergyRules(5, 2, 3, 4, 10)
+        u = tiny_universe(energy=rules)
+        change, ceiling = rules.bill(landed)
+        for energy in range(-20, 40):
+            plain = energy - 2
+            if landed is StateClass.NEGATIVE:
+                plain -= 3
+            elif landed is StateClass.POSITIVE:
+                plain = min(plain + 4, 10)
+            after = energy + change
+            if after > ceiling:
+                after = ceiling
+            assert u.settle(energy, landed) == after == plain
+            assert type(after) is int
+
     def test_advance_is_pure(self):
         u = tiny_universe()
         assert u.advance("x", "hop", 3) == u.advance("x", "hop", 3)
