@@ -43,7 +43,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .architectures import (
     AgentArchitecture,
@@ -134,7 +134,7 @@ class UniverseDecl:
             initial=self.initial,
             neutral_act=self.neutral_act,
             transitions={(s, a): t for s, a, t in self.transitions},
-            classes={s: StateClass(c) for s, c in self.classes},
+            classes={s: _CLASS_WORDS[c] for s, c in self.classes},
             energy=EnergyRules(*self.energy),
         )
 
@@ -234,33 +234,34 @@ class ParseResult:
 # Lexer
 
 
-class _Token(NamedTuple):
-    kind: str  # id, string, int, punct, eof
-    value: str | int  # read() returns int tokens with an int value
-    offset: int  # of the token's first character; _Reader.position() maps it
+# A token is a plain tuple (kind, value, offset). kind is id, string, int,
+# punct or eof; read() returns int tokens with an int value; offset is that of
+# the token's first character, which _Reader.position() maps. The lexer makes a
+# token of every lexeme, and a plain tuple costs a fifth of a named one.
+_Token = tuple[str, "str | int", int]
 
 
 # Each match is one token with the blanks and comments before it. `eof`
 # matches at the end of the text, so trailing blanks never come back as
-# `other` tokens. Compiled at its first use, like the row patterns.
+# `other` tokens. The first character of a token picks its alternative, so
+# the most frequent come first. Compiled at its first use, like the row
+# patterns.
 _TOKEN = r"""
     [\ \t\r\n]*(?:\#[^\n]*[\ \t\r\n]*)*
-    (?: (?P<string>"(?P<body>(?:\\["\\]|[^"\n])*)(?P<end>"?))
-      | (?P<int>\d+)
-      | (?P<id>[^\W\d]\w*)
+    (?: (?P<id>[^\W\d]\w*)
       | (?P<punct>->|[{};:])
+      | (?P<string>"(?P<body>(?:\\["\\]|[^"\n])*)(?P<end>"?))
+      | (?P<int>\d+)
       | (?P<other>[^\ \t\r\#\n])
       | (?P<eof>\Z)
     )
 """
-# Calling _Token runs a Python-level __new__; the lexer, which makes a token of
-# every lexeme, calls tuple's own.
-_new_token = tuple.__new__
+_intern = sys.intern
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
 def _unescape(body: str) -> str:
-    return sys.intern(_ESCAPE_RE.sub(r"\1", body) if "\\" in body else body)
+    return _intern(_ESCAPE_RE.sub(r"\1", body) if "\\" in body else body)
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +326,18 @@ _BLOCK_ENDS = {("punct", "}"), ("id", "universe"), ("id", "agent"), ("eof", "")}
 
 @dataclass
 class _Block:
-    """A universe or agent block as read, before its checks. Agent rows are
-    lists in document order, each row ending with its token; a universe keys
-    its states, acts, classify and transition rows, so repeats are reported
-    as read."""
+    """A universe or agent block as read, before its checks. Each row and
+    single ends with the offset of the token its checks point at, so a block
+    holds plain strings and numbers. Agent rows are lists in document order;
+    a universe keys its states, acts, classify and transition rows, so
+    repeats are reported as read."""
 
-    keyword: _Token  # 'universe' or 'agent'; block-level checks point here
+    keyword: str  # 'universe' or 'agent'
+    offset: int  # of the keyword; block-level checks point here
     name: str
     universe_name: str | None  # agents only
     rows: dict[str, list | dict]
-    singles: dict[str, tuple[object, _Token]] = field(default_factory=dict)
+    singles: dict[str, tuple[object, int]] = field(default_factory=dict)
 
 
 class _ItemError(Exception):
@@ -350,7 +353,9 @@ class _Reader:
     item; a missing ';' is reported once and ends the item before the item
     or block keyword found in its place (read, _id_list). The reader only
     moves forward and lexes each token once, into self.tok, where each
-    decision looks at it once until it is stepped past."""
+    decision looks at it once until it is stepped past. A row keeps the
+    offset of its token, not the token, so what a block holds until its
+    checks is never traced by the garbage collector."""
 
     def __init__(self, text: str):
         self.text = text
@@ -375,11 +380,13 @@ class _Reader:
         return line, offset - self.newlines[line - 1]
 
     def error(self, message: str, tok: _Token | None = None) -> None:
-        offset = (tok or self.peek()).offset
+        self.error_at(message, (tok or self.peek())[2])
+
+    def error_at(self, message: str, offset: int) -> None:
         self.diags.append(ParseDiagnostic(Severity.ERROR, message, *self.position(offset)))
 
-    def warn(self, message: str, tok: _Token) -> None:
-        self.diags.append(ParseDiagnostic(Severity.WARNING, message, *self.position(tok.offset)))
+    def warn(self, message: str, offset: int) -> None:
+        self.diags.append(ParseDiagnostic(Severity.WARNING, message, *self.position(offset)))
 
     def lexical_error(self, message: str, offset: int) -> None:
         self.lexical.append(ParseDiagnostic(Severity.ERROR, message, *self.position(offset)))
@@ -391,17 +398,17 @@ class _Reader:
         agents: list[_Block] = []
         spans: dict = {}
         for block in self.blocks():
-            if block.keyword.value == "agent":
+            if block.keyword == "agent":
                 agents.append(block)
                 continue
             decl = self._resolve_universe(block)
             if decl is None:
                 continue
             if decl.name in universes:
-                self.error(f"duplicate universe {decl.name!r}", block.keyword)
+                self.error_at(f"duplicate universe {decl.name!r}", block.offset)
             else:
                 universes[decl.name] = decl
-                spans[("universe", decl.name)] = self.position(block.keyword.offset)
+                spans[("universe", decl.name)] = self.position(block.offset)
         decls: list[AgentDecl] = []
         seen: set[str] = set()
         for block in agents:
@@ -409,10 +416,10 @@ class _Reader:
             if decl is None:
                 continue
             if decl.name in seen:
-                self.error(f"duplicate agent {decl.name!r}", block.keyword)
+                self.error_at(f"duplicate agent {decl.name!r}", block.offset)
                 continue
             seen.add(decl.name)
-            spans[("agent", decl.name)] = self.position(block.keyword.offset)
+            spans[("agent", decl.name)] = self.position(block.offset)
             decls.append(decl)
         diags = self.lexical + self.diags
         if any(d.severity is Severity.ERROR for d in diags):
@@ -427,10 +434,10 @@ class _Reader:
         classes, transitions = block.rows["classify"], block.rows["transition"]
         rejected = False
 
-        def error(message: str, tok: _Token = block.keyword) -> None:
+        def error(message: str, offset: int = block.offset) -> None:
             nonlocal rejected
             rejected = True
-            self.error(message, tok)
+            self.error_at(message, offset)
 
         for item in ("states", "acts"):
             if not block.rows[item]:
@@ -440,30 +447,38 @@ class _Reader:
                 error(f"universe {name!r} is missing the {item!r} item")
         if "energy" not in singles:
             error(f"universe {name!r} is missing its energy block")
-        state_set, act_set = set(block.rows["states"]), set(block.rows["acts"])
+        states, acts = sorted(block.rows["states"]), sorted(block.rows["acts"])
+        state_set, act_set = set(states), set(acts)
         if "initial" in singles:
-            value, tok = singles["initial"]
+            value, offset = singles["initial"]
             if value not in state_set:
-                error(f"initial state {value!r} is not a declared state", tok)
+                error(f"initial state {value!r} is not a declared state", offset)
         if "neutral_act" in singles:
-            value, tok = singles["neutral_act"]
+            value, offset = singles["neutral_act"]
             if value not in act_set:
-                error(f"neutral act {value!r} is not a declared act", tok)
-        for ident, (word, tok) in sorted(classes.items()):
-            if ident not in state_set:
-                error(f"classified id {ident!r} is not a declared state", tok)
-        for (src, act), (dst, tok) in sorted(transitions.items()):
-            for ident, pool, what in (
-                (src, state_set, "state"),
-                (act, act_set, "act"),
-                (dst, state_set, "state"),
-            ):
-                if ident not in pool:
-                    error(f"transition uses undeclared {what} {ident!r}", tok)
-        for s in sorted(state_set):
-            for a in sorted(act_set):
-                if (s, a) not in transitions:
-                    error(f"no transition declared for ({s!r}, {a!r})")
+                error(f"neutral act {value!r} is not a declared act", offset)
+        for ident in sorted(classes.keys() - state_set):
+            error(f"classified id {ident!r} is not a declared state", classes[ident][1])
+        # One sort gives both the order of the checks and of the declaration.
+        ordered = sorted(transitions.items())
+        keyed = True  # every key names a declared state and act
+        for (src, act), (dst, offset) in ordered:
+            if src in state_set and act in act_set and dst in state_set:
+                continue
+            if src not in state_set:
+                keyed = False
+                error(f"transition uses undeclared state {src!r}", offset)
+            if act not in act_set:
+                keyed = False
+                error(f"transition uses undeclared act {act!r}", offset)
+            if dst not in state_set:
+                error(f"transition uses undeclared state {dst!r}", offset)
+        # |S|·|A| distinct keys, each in S × A, are every pair.
+        if not keyed or len(transitions) != len(states) * len(acts):
+            for s in states:
+                for a in acts:
+                    if (s, a) not in transitions:
+                        error(f"no transition declared for ({s!r}, {a!r})")
         # A bad energy field was reported where it was read.
         energy = singles.get("energy", (None,))[0]
         if energy is not None:
@@ -474,19 +489,15 @@ class _Reader:
                 error("energy cap must be at least the initial energy")
         if rejected or energy is None:
             return None
-        full_classes = tuple(
-            (s, classes[s][0] if s in classes else "neutral") for s in sorted(state_set)
-        )
+        neutral = ("neutral",)
         return UniverseDecl(
             name=name,
-            states=tuple(sorted(state_set)),
-            acts=tuple(sorted(act_set)),
+            states=tuple(states),
+            acts=tuple(acts),
             initial=singles["initial"][0],
             neutral_act=singles["neutral_act"][0],
-            classes=full_classes,
-            transitions=tuple(
-                (s, a, transitions[(s, a)][0]) for (s, a) in sorted(transitions)
-            ),
+            classes=tuple((s, classes.get(s, neutral)[0]) for s in states),
+            transitions=tuple((s, a, dst) for (s, a), (dst, _) in ordered),
             energy=energy,
         )
 
@@ -497,26 +508,26 @@ class _Reader:
     ) -> AgentDecl | None:
         universe = universes.get(block.universe_name)
         if universe is None:
-            self.error(
+            self.error_at(
                 f"agent {block.name!r} inhabits unknown universe {block.universe_name!r}",
-                block.keyword,
+                block.offset,
             )
             return None
         if "architecture" not in block.singles:
-            self.error(f"agent {block.name!r} declares no architecture", block.keyword)
+            self.error_at(f"agent {block.name!r} declares no architecture", block.offset)
             return None
         kind = _KIND_WORDS[block.singles["architecture"][0]]
         rejected = False
 
-        def error(message: str, tok: _Token = block.keyword) -> None:
+        def error(message: str, offset: int = block.offset) -> None:
             nonlocal rejected
             rejected = True
-            self.error(message, tok)
+            self.error_at(message, offset)
 
         def single(key: str):
             return block.singles[key][0] if key in block.singles else None
 
-        def single_tok(key: str) -> _Token:
+        def single_at(key: str) -> int:
             return block.singles[key][1]
 
         def decl(**fields) -> AgentDecl | None:
@@ -524,25 +535,25 @@ class _Reader:
                 return None
             return AgentDecl(block.name, block.universe_name, kind, **fields)
 
-        firsts = {key: tok for key, (_, tok) in block.singles.items() if key != "architecture"}
+        firsts = {key: at for key, (_, at) in block.singles.items() if key != "architecture"}
         firsts.update((key, rows[0][-1]) for key, rows in block.rows.items() if rows)
-        for key, tok in sorted(firsts.items(), key=lambda kv: kv[1].offset):
+        for key, offset in sorted(firsts.items(), key=lambda kv: kv[1]):
             if key not in _USES[kind]:
                 what = _ROWS_IGNORED.get(key, f"item {key!r} is")
-                self.warn(f"{what} ignored for {kind.value} agents", tok)
+                self.warn(f"{what} ignored for {kind.value} agents", offset)
 
         state_set = set(universe.states)
         act_set = set(universe.acts)
         representation: dict[StateId, Formula] = {}
-        for state, formula, tok in block.rows["represents"]:
+        for state, formula, offset in block.rows["represents"]:
             if state not in state_set:
-                error(f"represented id {state!r} is not a state", tok)
+                error(f"represented id {state!r} is not a state", offset)
             elif state in representation and representation[state] != formula:
-                error(f"state {state!r} represented by two formulas", tok)
+                error(f"state {state!r} represented by two formulas", offset)
             elif state in representation:
-                self.warn(f"state {state!r} represented twice", tok)
+                self.warn(f"state {state!r} represented twice", offset)
             elif not formula:
-                error(f"state {state!r} represented by an empty formula", tok)
+                error(f"state {state!r} represented by an empty formula", offset)
             else:
                 representation[state] = formula
         image = set(representation.values())
@@ -553,7 +564,7 @@ class _Reader:
             constant = single("constant") or ("pi", None)
             if constant[0] == "digits":
                 if not constant[1]:
-                    error("digit list must not be empty", single_tok("constant"))
+                    error("digit list must not be empty", single_at("constant"))
                 for ch in constant[1]:
                     try:
                         value = int(ch, 36)
@@ -562,7 +573,7 @@ class _Reader:
                     if not 0 <= value < len(act_set):
                         error(
                             f"digit {ch!r} does not fit base {len(act_set)}",
-                            single_tok("constant"),
+                            single_at("constant"),
                         )
                         break
             return decl(constant=constant)
@@ -574,29 +585,26 @@ class _Reader:
             error(f"representation of {block.name!r} must use at least two formulas")
         projection = single("projection")
         if projection is not None and projection < 1:
-            error("projection must be at least 1", single_tok("projection"))
+            error("projection must be at least 1", single_at("projection"))
         projection = projection or 1
         represented = tuple(sorted(representation.items()))
-
-        def check_formula(formula: str, tok: _Token, what: str) -> None:
-            if formula not in image:
-                error(f"{what} {formula!r} is outside the representation image", tok)
 
         if kind is ArchitectureKind.AFS1:
             if projection != 1:
                 error(
                     "afs1 generates single acts; projection must be 1",
-                    single_tok("projection"),
+                    single_at("projection"),
                 )
             react: dict[Formula, ActId] = {}
-            for formula, act, tok in block.rows["react"]:
-                check_formula(formula, tok, "react formula")
+            for formula, act, offset in block.rows["react"]:
+                if formula not in image:
+                    error(f"react formula {formula!r} is outside the representation image", offset)
                 if act not in act_set:
-                    error(f"react act {act!r} is not a declared act", tok)
+                    error(f"react act {act!r} is not a declared act", offset)
                 if formula in react and react[formula] != act:
-                    error(f"formula {formula!r} reacts with two acts", tok)
+                    error(f"formula {formula!r} reacts with two acts", offset)
                 elif formula in react:
-                    self.warn(f"react row for {formula!r} declared twice", tok)
+                    self.warn(f"react row for {formula!r} declared twice", offset)
                 else:
                     react[formula] = act
             return decl(
@@ -615,30 +623,34 @@ class _Reader:
             )
         goal = single("goal")
         if goal is not None:
-            check_formula(goal, single_tok("goal"), "goal")
+            if goal not in image:
+                error(f"goal {goal!r} is outside the representation image", single_at("goal"))
         elif kind is not ArchitectureKind.AFS2B:
             error(f"{kind.value} agent {block.name!r} declares no goal")
         routes: dict = {}
-        short: dict = {}  # key -> row token, for routes shorter than the projection
+        short: dict = {}  # key -> row offset, for routes shorter than the projection
         longest = 1
         for row in block.rows["pool" if pooled else "predict"]:
-            key, (source, target, seq, tok) = row[:-2], row[-4:]
-            check_formula(source, tok, "route source")
-            check_formula(target, tok, "route goal")
+            key, (source, target, seq, offset) = row[:-2], row[-4:]
+            if source not in image:
+                error(f"route source {source!r} is outside the representation image", offset)
+            if target not in image:
+                error(f"route goal {target!r} is outside the representation image", offset)
             for act in seq:
                 if act not in act_set:
-                    error(f"sequence uses undeclared act {act!r}", tok)
+                    error(f"sequence uses undeclared act {act!r}", offset)
             if key in routes and routes[key] != seq:
                 # Reported without rejecting the agent, so a duplicate
                 # agent name is still reported.
-                self.error(f"conflicting route for {key}", tok)
+                self.error_at(f"conflicting route for {key}", offset)
             elif key in routes:
-                self.warn(f"route {key} declared twice", tok)
+                self.warn(f"route {key} declared twice", offset)
             else:
                 routes[key] = seq
-                longest = max(longest, len(seq))
+                if len(seq) > longest:
+                    longest = len(seq)
                 if len(seq) < projection:
-                    short[key] = tok
+                    short[key] = offset
         if pooled:
             indices = sorted({key[0] for key in routes})
             if not indices:
@@ -647,28 +659,30 @@ class _Reader:
                 error(f"pool indices must be contiguous from 0, found {indices}")
         depth = single("depth")
         if depth is not None and depth < 1:
-            error("depth must be at least 1", single_tok("depth"))
+            error("depth must be at least 1", single_at("depth"))
         depth = depth or longest
-        for key in sorted(k for k, seq in routes.items() if len(seq) > depth):
-            error(
-                f"route {key} is longer than the declared depth {depth}",
-                single_tok("depth"),
-            )
+        if longest > depth:
+            for key in sorted(k for k, seq in routes.items() if len(seq) > depth):
+                error(
+                    f"route {key} is longer than the declared depth {depth}",
+                    single_at("depth"),
+                )
         if projection > depth:
             error(
                 f"projection {projection} exceeds the depth bound {depth}",
-                single_tok("projection"),
+                single_at("projection"),
             )
         else:
-            for key, tok in short.items():
-                error(f"route {key} is shorter than the projection {projection}", tok)
+            for key, offset in short.items():
+                error(f"route {key} is shorter than the projection {projection}", offset)
         lead = () if pooled else (0,)
         return decl(
             depth=depth,
             projection=projection,
             goal=goal,
             representation=represented,
-            route_rows=tuple((*lead, *key, seq) for key, seq in sorted(routes.items())),
+            # Sorting the keys alone compares strings, not (key, acts) pairs.
+            route_rows=tuple((*lead, *key, routes[key]) for key in sorted(routes)),
         )
 
     # -- tokens ----------------------------------------------------------------
@@ -684,19 +698,21 @@ class _Reader:
                 self.lexical_error(f"unexpected character {m['other']!r}", m.start("other"))
                 m = self.lex(self.text, m.end())
                 kind = m.lastgroup
+            end = m.end()
             if kind == "string":
-                value = _unescape(m["body"])
+                value, offset = _unescape(m["body"]), m.start(kind)
                 if not m["end"]:
-                    self.lexical_error("unterminated string", m.start(kind))
-            else:
-                value = sys.intern(m[kind])
-            self.tok, self.end = _new_token(_Token, (kind, value, m.start(kind))), m.end()
+                    self.lexical_error("unterminated string", offset)
+            else:  # the token is its value, and ends the match
+                value = _intern(m[kind])
+                offset = end - len(value)
+            self.tok, self.end = (kind, value, offset), end
         return self.tok
 
     def advance(self) -> _Token:
         """The next token, stepped past unless it is the end of input."""
         tok = self.tok or self.peek()
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.offset, self.tok = self.end, None
         return tok
 
@@ -715,18 +731,19 @@ class _Reader:
         got = []
         for want in pattern:
             tok = self.tok or self.peek()
-            if tok.kind == want:
+            kind, value, offset = tok
+            if kind == want:
                 if want == "int":
                     try:
-                        tok = _new_token(_Token, (want, int(tok.value), tok.offset))
+                        tok = (want, int(value), offset)
                     except ValueError:  # longer than sys.get_int_max_str_digits()
-                        self.fail(f"integer of {len(tok.value)} digits is too long", tok)
+                        self.fail(f"integer of {len(value)} digits is too long", tok)
                 got.append(tok)
-            elif tok.kind != "punct" or tok.value != want:
+            elif kind != "punct" or value != want:
                 expected = _EXPECTED.get(want) or repr(want)
                 self.error(f"expected {expected}, found {self._describe(tok)}", tok)
-                if want == ";" and tok.kind == "id" and (
-                    tok.value in self.item_words or tok.value in _BLOCK_WORDS
+                if want == ";" and kind == "id" and (
+                    value in self.item_words or value in _BLOCK_WORDS
                 ):
                     return got
                 raise _ItemError()
@@ -735,9 +752,10 @@ class _Reader:
 
     @staticmethod
     def _describe(tok: _Token) -> str:
-        if tok.kind == "eof":
+        kind, value, _ = tok
+        if kind == "eof":
             return "end of input"
-        return f'string "{tok.value}"' if tok.kind == "string" else repr(tok.value)
+        return f'string "{value}"' if kind == "string" else repr(value)
 
     def skip_item(self) -> None:
         """Resynchronize after an item error: consume through the next ';'
@@ -759,8 +777,8 @@ class _Reader:
         """The document's blocks as they are read; anything between blocks
         is reported and skipped up to the next block keyword."""
         tok = self.peek()
-        while tok.kind != "eof":
-            if tok.kind == "id" and tok.value in _BLOCK_WORDS:
+        while tok[0] != "eof":
+            if tok[0] == "id" and tok[1] in _BLOCK_WORDS:
                 block = self._block()
                 if block is not None:
                     yield block
@@ -769,44 +787,60 @@ class _Reader:
                 while True:
                     self.offset, self.tok = self.end, None
                     tok = self.peek()
-                    if tok.kind == "eof" or tok.kind == "id" and tok.value in _BLOCK_WORDS:
+                    if tok[0] == "eof" or tok[0] == "id" and tok[1] in _BLOCK_WORDS:
                         break
             tok = self.tok or self.peek()
 
     def _block(self) -> _Block | None:
         """Read a universe or agent block: its header, then its items up to
         the closing '}'. A bad header is skipped like a bad item."""
-        keyword = self.advance()
+        _, keyword, at = self.advance()
         universe_name = None
         try:
-            if keyword.value == "universe":
-                name = self.read("string", "{")[0].value
+            if keyword == "universe":
+                [(_, name, _)] = self.read("string", "{")
             else:
-                name_tok, in_tok = self.read("string", "id")
-                if in_tok.value != "in":
-                    self.fail(f"expected 'in', found {in_tok.value!r}", in_tok)
-                name = name_tok.value
-                universe_name = self.read("string", "{")[0].value
+                (_, name, _), in_tok = self.read("string", "id")
+                if in_tok[1] != "in":
+                    self.fail(f"expected 'in', found {in_tok[1]!r}", in_tok)
+                [(_, universe_name, _)] = self.read("string", "{")
         except _ItemError:
             self.skip_item()
             return None
-        if keyword.value == "universe":
+        if keyword == "universe":
             what, read_item = "a universe item", self._uitem
             rows: dict = {"states": {}, "acts": {}, "classify": {}, "transition": {}}
         else:
             what, read_item = "an agent item", self._aitem
             rows = {item: [] for item in _ROWS_IGNORED}
-        block = _Block(keyword, name, universe_name, rows)
-        self.item_words = _ITEM_WORDS[keyword.value]
-        row = re.compile(_ITEMS[keyword.value]).match
+        block = _Block(keyword, at, name, universe_name, rows)
+        self.item_words = _ITEM_WORDS[keyword]
+        row = re.compile(_ITEMS[keyword]).match
+        text, transitions = self.text, rows.get("transition")
         while True:
-            if m := row(self.text, self.offset):
-                self.offset, self.tok, self.held = m.end(), None, None
-                self._row(block, m)
-                continue
+            # Each row item in its one-line form is one match, added as the
+            # token path adds it: the same values, interned, and offsets.
+            offset = self.offset
+            while m := row(text, offset):
+                offset, kind = m.end(), m.lastgroup
+                if kind == "transition":
+                    key = (_intern(m["src"]), _intern(m["act"]))
+                    if key in transitions:
+                        self._transition(block, *key, _intern(m["dst"]), m.start("src"))
+                    else:
+                        transitions[key] = (_intern(m["dst"]), m.start("src"))
+                elif kind == "represents":
+                    state, formula = _intern(m["state"]), _unescape(m["formula"])
+                    rows["represents"].append((state, formula, m.start("state")))
+                else:
+                    acts = tuple(map(_intern, m["acts"].split()))
+                    route = (_unescape(m["source"]), _unescape(m["target"]), acts, m.start(kind))
+                    self._route(block, m["index"] and int(m["index"]), route)
+            if offset != self.offset:
+                self.offset, self.tok, self.held = offset, None, None
             tok = self.tok or self.peek()
             try:
-                if tok.kind == "id" and tok.value not in _BLOCK_WORDS:
+                if tok[0] == "id" and tok[1] not in _BLOCK_WORDS:
                     self.offset, self.tok = self.end, None
                     if self.held:  # tok was put back: the token behind it is lexed
                         (self.tok, self.end), self.held = self.held, None
@@ -817,53 +851,36 @@ class _Reader:
                     self.fail(f"expected {what}, found {self._describe(tok)}", tok)
             except _ItemError:
                 self.skip_item()
-        if tok.kind == "punct":
+        if tok[0] == "punct":
             self.offset, self.tok = self.end, None
         else:
-            before = "" if tok.kind == "eof" else f" before {self._describe(tok)}"
-            self.error(f"unterminated {keyword.value} block: missing '}}'{before}", tok)
+            before = "" if tok[0] == "eof" else f" before {self._describe(tok)}"
+            self.error(f"unterminated {keyword} block: missing '}}'{before}", tok)
         return block
-
-    def _row(self, block: _Block, m: re.Match) -> None:
-        """Add the row item m matched to block as the token path adds it,
-        with the same values, interned, and the same token offsets."""
-        kind, intern = m.lastgroup, sys.intern
-        if kind == "transition":
-            src = _Token("id", intern(m["src"]), m.start("src"))
-            self._transition(block, src, intern(m["act"]), intern(m["dst"]))
-        elif kind == "represents":
-            state = _Token("id", intern(m["state"]), m.start("state"))
-            block.rows["represents"].append((state.value, _unescape(m["formula"]), state))
-        else:
-            index = m["index"]
-            head = _Token("id", "predict" if index is None else "pool", m.start(kind))
-            acts = tuple(map(intern, m["acts"].split()))
-            row = (_unescape(m["source"]), _unescape(m["target"]), acts, head)
-            self._route(block, None if index is None else int(index), row)
 
     # -- universe ----------------------------------------------------------
 
     def _uitem(self, block: _Block, head: _Token) -> None:
-        key = head.value
+        key = head[1]
         if key in ("states", "acts", "classify"):
             word = None
             if key == "classify":
-                tok = self.read("id")[0]
-                word = tok.value
+                [tok] = self.read("id")
+                word = tok[1]
                 if word not in _CLASS_WORDS:
                     self.fail(f"expected 'positive', 'neutral' or 'negative', found {word!r}", tok)
             self.read(":")
             what = "classified states" if word else key
             self._id_list(what, lambda ids: self._ids(block, key, word, ids))
         elif key in ("initial", "neutral_act"):
-            ident = self.read(":", "id")[0]
+            [(_, ident, offset)] = self.read(":", "id")
             if key in block.singles:
                 self.fail(f"duplicate {key!r} item", head)
-            block.singles[key] = (ident.value, ident)
+            block.singles[key] = (ident, offset)
             self.read(";")
         elif key == "transition":
-            src, act, dst = self.read("id", "id", "id")
-            self._transition(block, src, act.value, dst.value)
+            (_, src, offset), (_, act, _), (_, dst, _) = self.read("id", "id", "id")
+            self._transition(block, src, act, dst, offset)
             self.read(";")
         elif key == "energy":
             self.read("{")
@@ -877,11 +894,11 @@ class _Reader:
                 expected = _ENERGY_FIELDS[len(values)]
                 values.append(None)
                 try:
-                    label = self.read("id")[0]
-                    if label.value != expected:  # the field order is part of the format
-                        found = f"found {label.value!r}"
+                    [label] = self.read("id")
+                    if label[1] != expected:  # the field order is part of the format
+                        found = f"found {label[1]!r}"
                         self.fail(f"energy field {expected!r} expected here, {found}", label)
-                    value = self.read(":", "int")[0].value
+                    [(_, value, _)] = self.read(":", "int")
                     self.read(";")
                     values[-1] = value
                 except _ItemError:
@@ -891,7 +908,7 @@ class _Reader:
             missing = _ENERGY_FIELDS[len(values) :]
             if missing:
                 self.error(f"energy block is missing the {missing[0]!r} field", head)
-            if tok.kind == "punct" and tok.value == "}":
+            if tok[:2] == ("punct", "}"):
                 self.offset, self.tok = self.end, None
             else:
                 self.error(f"expected '}}', found {self._describe(tok)}", tok)
@@ -900,7 +917,7 @@ class _Reader:
             else:
                 # None stands for a block with a bad or missing field.
                 energy = None if missing or None in values else tuple(values)
-                block.singles["energy"] = (energy, head)
+                block.singles["energy"] = (energy, head[2])
         else:
             self.fail(f"unknown universe item {key!r}", head)
 
@@ -908,27 +925,28 @@ class _Reader:
         """Add the ids of a states, acts or classify row to block, reporting
         each repeat; word is a classify row's class, else None."""
         target = block.rows[key]
-        for tok in toks:
-            ident = tok.value
+        for _, ident, offset in toks:
             if ident not in target:
-                target[ident] = tok if word is None else (word, tok)
+                target[ident] = offset if word is None else (word, offset)
             elif word is None:
-                self.warn(f"{key[:-1]} {ident!r} listed twice", tok)
+                self.warn(f"{key[:-1]} {ident!r} listed twice", offset)
             elif target[ident][0] != word:
-                self.error(f"state {ident!r} classified both {target[ident][0]} and {word}", tok)
+                message = f"state {ident!r} classified both {target[ident][0]} and {word}"
+                self.error_at(message, offset)
             else:
-                self.warn(f"state {ident!r} classified twice", tok)
+                self.warn(f"state {ident!r} classified twice", offset)
 
-    def _transition(self, block: _Block, src: _Token, act: str, dst: str) -> None:
-        """Add a transition row to block, reporting a repeat at its source."""
-        key = (src.value, act)
+    def _transition(self, block: _Block, src: str, act: str, dst: str, offset: int) -> None:
+        """Add a transition row to block, reporting a repeat at its source,
+        whose offset it keeps."""
+        key = (src, act)
         transitions = block.rows["transition"]
-        if key in transitions and transitions[key][0] != dst:
-            self.error(f"conflicting transition for ({src.value!r}, {act!r})", src)
-        elif key in transitions:
-            self.warn(f"transition ({src.value!r}, {act!r}) declared twice", src)
+        if key not in transitions:
+            transitions[key] = (dst, offset)
+        elif transitions[key][0] != dst:
+            self.error_at(f"conflicting transition for ({src!r}, {act!r})", offset)
         else:
-            transitions[key] = (dst, src)
+            self.warn(f"transition ({src!r}, {act!r}) declared twice", offset)
 
     def _id_list(self, what: str, add) -> None:
         """Read a list item's identifiers, hand them to add, and read its ';'.
@@ -938,77 +956,78 @@ class _Reader:
         out of the list."""
         ids = []
         tok = self.tok or self.peek()
-        while tok.kind == "id":
+        while tok[0] == "id":
             ids.append(tok)
             self.offset, self.tok = self.end, None
             tok = self.peek()
         if not ids:
             self.fail(f"expected at least one identifier in {what}", tok)
         head = ids[-1]
-        if tok[:2] == ("punct", ";") or head.value not in self.item_words:
+        _, word, at = head
+        if tok[:2] == ("punct", ";") or word not in self.item_words:
             add(ids)
             self.read(";")
             return
         add(ids[:-1])
         self.error(f"expected ';', found {self._describe(tok)}", tok)
         self.held = (tok, self.end)
-        self.offset, self.tok, self.end = head.offset, head, head.offset + len(head.value)
+        self.offset, self.tok, self.end = at, head, at + len(word)
 
     # -- agent ---------------------------------------------------------------
 
     def _aitem(self, block: _Block, head: _Token) -> None:
-        key = head.value
+        _, key, at = head
         if key in ("predict", "pool"):
             index = None
             if key == "pool":
-                pool, word = self.read("int", "id")
-                if word.value != "predict":
-                    self.fail(f"expected 'predict' after pool index, found {word.value!r}", word)
-                index = pool.value
-            source, goal = self.read("string", "->", "string", ":")
+                (_, index, _), tok = self.read("int", "id")
+                if tok[1] != "predict":
+                    self.fail(f"expected 'predict' after pool index, found {tok[1]!r}", tok)
+            (_, source, _), (_, goal, _) = self.read("string", "->", "string", ":")
             self._id_list(
                 "predicted act sequence",
                 lambda ids: self._route(
-                    block, index, (source.value, goal.value, tuple(t.value for t in ids), head)
+                    block, index, (source, goal, tuple(t[1] for t in ids), at)
                 ),
             )
             return
         if key == "represents":
-            state, formula = self.read("id", "->", "string")
-            block.rows["represents"].append((state.value, formula.value, state))
+            (_, state, offset), (_, formula, _) = self.read("id", "->", "string")
+            block.rows["represents"].append((state, formula, offset))
         elif key == "react":
-            formula, act = self.read("string", ":", "id")
-            block.rows["react"].append((formula.value, act.value, head))
+            (_, formula, _), (_, act, _) = self.read("string", ":", "id")
+            block.rows["react"].append((formula, act, at))
         else:
             if key == "architecture":
-                word = self.read(":", "id")[0]
-                if word.value not in _KIND_WORDS:
-                    self.fail(f"unknown architecture {word.value!r}", word)
-                value = word.value
+                [tok] = self.read(":", "id")
+                if tok[1] not in _KIND_WORDS:
+                    self.fail(f"unknown architecture {tok[1]!r}", tok)
+                value = tok[1]
             elif key in ("seed", "depth", "projection"):
-                value = self.read(":", "int")[0].value
+                [(_, value, _)] = self.read(":", "int")
             elif key == "constant":
-                word = self.read(":", "id")[0]
-                if word.value in ("pi", "e"):
-                    value = (word.value, None)
-                elif word.value == "digits":
-                    value = ("digits", self.read("string")[0].value)
+                [tok] = self.read(":", "id")
+                if tok[1] in ("pi", "e"):
+                    value = (tok[1], None)
+                elif tok[1] == "digits":
+                    [(_, digits, _)] = self.read("string")
+                    value = ("digits", digits)
                 else:
-                    self.fail(f"expected 'pi', 'e' or 'digits', found {word.value!r}", word)
+                    self.fail(f"expected 'pi', 'e' or 'digits', found {tok[1]!r}", tok)
             elif key == "goal":
-                value = self.read(":", "string")[0].value
+                [(_, value, _)] = self.read(":", "string")
             else:
                 self.fail(f"unknown agent item {key!r}", head)
             if key in block.singles:
                 self.error(f"duplicate {key!r} item", head)
             else:
-                block.singles[key] = (value, head)
+                block.singles[key] = (value, at)
         self.read(";")
 
     @staticmethod
     def _route(block: _Block, pool_index: int | None, row: tuple) -> None:
-        """Add a route row (source, goal, acts, head) to block: a predict
-        row, or a pool row led by its index."""
+        """Add a route row (source, goal, acts, offset of its keyword) to
+        block: a predict row, or a pool row led by its index."""
         key, row = ("predict", row) if pool_index is None else ("pool", (pool_index, *row))
         block.rows[key].append(row)
 

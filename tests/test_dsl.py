@@ -592,19 +592,18 @@ class TestIgnoredItems:
 
 
 def block_contents(text: str) -> list:
-    """The name, singles and rows of each block read from text, with every
-    token, and so every position, left out."""
+    """The name, singles and rows of each block read from text, each without
+    the offset that ends it, and so without any position."""
 
-    def plain(value):
-        if isinstance(value, dsl._Token):
-            return None
-        if isinstance(value, dict):
-            return {key: plain(v) for key, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [plain(v) for v in value]
-        return value
+    def plain(rows):
+        if isinstance(rows, dict):
+            return {k: None if isinstance(v, int) else v[:-1] for k, v in rows.items()}
+        return [row[:-1] for row in rows]
 
-    return [(b.name, plain(b.singles), plain(b.rows)) for b in _Reader(text).blocks()]
+    return [
+        (b.name, plain(b.singles), {key: plain(rows) for key, rows in b.rows.items()})
+        for b in _Reader(text).blocks()
+    ]
 
 
 class TestRecovery:
@@ -872,7 +871,7 @@ def read_tokens(text: str):
     """A reader of text and the tokens it reads, through the end of input."""
     reader = _Reader(text)
     tokens = [reader.advance()]
-    while tokens[-1].kind != "eof":
+    while tokens[-1][0] != "eof":
         tokens.append(reader.advance())
     return reader, tokens
 
@@ -907,12 +906,12 @@ class TestLexical:
         pinned = Path(__file__).with_name("reference_tokens.txt")
         reader, tokens = read_tokens(reference_path.read_text(encoding="utf-8"))
         assert reader.lexical == reader.diags == []
-        got = ["%d:%d %s %r" % (*reader.position(t.offset), t.kind, t.value) for t in tokens]
+        got = ["%d:%d %s %r" % (*reader.position(at), kind, value) for kind, value, at in tokens]
         assert got == pinned.read_text(encoding="utf-8").splitlines()
 
     def test_trailing_blanks_and_comment_end_in_one_eof(self):
         reader, tokens = read_tokens("a \t# note")
-        assert [(t.kind, t.value, *reader.position(t.offset)) for t in tokens] == [
+        assert [(kind, value, *reader.position(at)) for kind, value, at in tokens] == [
             ("id", "a", 1, 1),
             ("eof", "", 1, 10),
         ]
@@ -1070,8 +1069,8 @@ def rows_by_tokens(text: str) -> list[str]:
 
     def recording(read_item):
         def read(self, block, head):
-            if head.value in _ROW_WORDS:
-                heads.append(head.value)
+            if head[1] in _ROW_WORDS:
+                heads.append(head[1])
             return read_item(self, block, head)
 
         return read
