@@ -371,8 +371,10 @@ class _Reader:
         # identifier was put back to start the next item; the block loop
         # steps to it past that identifier.
         self.held: tuple[_Token, int] | None = None
-        # The item words of the block being read (_ITEM_WORDS).
+        # The item words and the row pattern's match of the block being read
+        # (_ITEM_WORDS, _ITEMS).
         self.item_words: set[str] = set()
+        self.row = None
 
     def position(self, offset: int) -> tuple[int, int]:
         """The 1-based (line, column) of a text offset."""
@@ -815,27 +817,9 @@ class _Reader:
             rows = {item: [] for item in _ROWS_IGNORED}
         block = _Block(keyword, at, name, universe_name, rows)
         self.item_words = _ITEM_WORDS[keyword]
-        row = re.compile(_ITEMS[keyword]).match
-        text, transitions = self.text, rows.get("transition")
+        self.row = re.compile(_ITEMS[keyword]).match
         while True:
-            # Each row item in its one-line form is one match, added as the
-            # token path adds it: the same values, interned, and offsets.
-            offset = self.offset
-            while m := row(text, offset):
-                offset, kind = m.end(), m.lastgroup
-                if kind == "transition":
-                    key = (_intern(m["src"]), _intern(m["act"]))
-                    if key in transitions:
-                        self._transition(block, *key, _intern(m["dst"]), m.start("src"))
-                    else:
-                        transitions[key] = (_intern(m["dst"]), m.start("src"))
-                elif kind == "represents":
-                    state, formula = _intern(m["state"]), _unescape(m["formula"])
-                    rows["represents"].append((state, formula, m.start("state")))
-                else:
-                    acts = tuple(map(_intern, m["acts"].split()))
-                    route = (_unescape(m["source"]), _unescape(m["target"]), acts, m.start(kind))
-                    self._route(block, m["index"] and int(m["index"]), route)
+            offset = self._rows(block, self.offset)
             if offset != self.offset:
                 self.offset, self.tok, self.held = offset, None, None
             tok = self.tok or self.peek()
@@ -857,6 +841,29 @@ class _Reader:
             before = "" if tok[0] == "eof" else f" before {self._describe(tok)}"
             self.error(f"unterminated {keyword} block: missing '}}'{before}", tok)
         return block
+
+    def _rows(self, block: _Block, offset: int) -> int:
+        """Read the row items from offset on that are in their one-line form,
+        one match each, and add them as the token path adds them: the same
+        values, interned, and offsets. Returns the offset past the last."""
+        row, rows, text = self.row, block.rows, self.text
+        transitions = rows.get("transition")
+        while m := row(text, offset):
+            offset, kind = m.end(), m.lastgroup
+            if kind == "transition":
+                key = (_intern(m["src"]), _intern(m["act"]))
+                if key in transitions:
+                    self._transition(block, *key, _intern(m["dst"]), m.start("src"))
+                else:
+                    transitions[key] = (_intern(m["dst"]), m.start("src"))
+            elif kind == "represents":
+                state, formula = _intern(m["state"]), _unescape(m["formula"])
+                rows["represents"].append((state, formula, m.start("state")))
+            else:
+                acts = tuple(map(_intern, m["acts"].split()))
+                route = (_unescape(m["source"]), _unescape(m["target"]), acts, m.start(kind))
+                self._route(block, m["index"] and int(m["index"]), route)
+        return offset
 
     # -- universe ----------------------------------------------------------
 
@@ -950,13 +957,18 @@ class _Reader:
 
     def _id_list(self, what: str, add) -> None:
         """Read a list item's identifiers, hand them to add, and read its ';'.
-        When the ';' is missing and the last identifier is an item keyword
-        of the block, that identifier starts the next item: the ';' is
-        reported where it was expected and the identifier is put back, left
-        out of the list."""
+        When the ';' is missing, an item keyword of the block starts the next
+        item: one after the first identifier at which the block's row
+        pattern matches, or the last identifier. The ';' is reported where
+        the keyword was found, once, and the keyword is left out of the
+        list; the last one is put back."""
         ids = []
         tok = self.tok or self.peek()
         while tok[0] == "id":
+            if ids and tok[1] in self.item_words and self.row(self.text, tok[2]):
+                add(ids)
+                self.error(f"expected ';', found {self._describe(tok)}", tok)
+                return
             ids.append(tok)
             self.offset, self.tok = self.end, None
             tok = self.peek()

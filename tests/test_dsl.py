@@ -318,6 +318,21 @@ class TestUniverseErrors:
         assert result.document is None
         assert any(needle in m for m in messages(mangle(MINI)))
 
+    def test_every_missing_pair_with_as_many_keys_as_pairs(self):
+        # Four keys for two states and two acts, but two of them name an
+        # undeclared state or act: both missing pairs are still reported,
+        # in state then act order.
+        text = MINI.replace("transition b stay b;", "transition zz stay b;").replace(
+            "transition b hop a;", "transition b fly a;"
+        )
+        got = [(d.message, d.line, d.column) for d in parse(text).diagnostics]
+        assert got == [
+            ("transition uses undeclared act 'fly'", 10, 14),
+            ("transition uses undeclared state 'zz'", 8, 14),
+            ("no transition declared for ('b', 'hop')", 1, 1),
+            ("no transition declared for ('b', 'stay')", 1, 1),
+        ]
+
     def test_energy_fields_must_keep_order(self):
         swapped = MINI.replace(
             "    initial: 5;\n    per_step: 1;",
@@ -493,6 +508,28 @@ class TestDuplicates:
             "transition a hop b;", "transition a hop b;\n  transition a hop a;"
         )
         assert any("conflicting transition" in m for m in messages(text))
+
+    def test_repeated_rows_report_at_their_rows(self):
+        body = (
+            '  architecture: afs2a;\n  goal: "fb";\n'
+            '  represents a -> "fa";\n  represents b -> "fb";\n'
+            '  predict "fa" -> "fb" : hop;\n  predict "fa" -> "fb" : hop;\n'
+            '  predict "fa" -> "fb" : stay;'
+        )
+        text = MINI.replace(
+            "transition a hop b;",
+            "transition a hop b;\n  transition a hop b;\n  transition a hop a;",
+        )
+        got = [
+            (d.severity.name, d.message, d.line, d.column)
+            for d in parse(text + agent_block(body)).diagnostics
+        ]
+        assert got == [
+            ("WARNING", "transition ('a', 'hop') declared twice", 10, 14),
+            ("ERROR", "conflicting transition for ('a', 'hop')", 11, 14),
+            ("WARNING", "route ('fa', 'fb') declared twice", 27, 3),
+            ("ERROR", "conflicting route for ('fa', 'fb')", 28, 3),
+        ]
 
     def test_state_listed_twice(self):
         result = parse(MINI.replace("states: a b;", "states: a b a;"))
@@ -721,15 +758,25 @@ class TestRecovery:
             ("initial: s0;", ("expected ';', found 'neutral_act'", 5, 3)),
             ("architecture: random;", ("expected ';', found 'seed'", 63, 3)),
             ("states: s0 s1 s2 s3 s4 s5 s6 s7 s8 s9;", ("expected ';', found ':'", 3, 7)),
-            ('predict "g1" -> "g0" : go;', ('expected \';\', found string "g0"', 59, 11)),
+            ('predict "g1" -> "g0" : go;', ("expected ';', found 'predict'", 59, 3)),
+            ("classify positive: s0;", ("expected ';', found 'transition'", 7, 3)),
+            ('predict "f0" -> "f0" : go;', ("expected ';', found 'represents'", 34, 3)),
         ],
-        ids=["transition", "single", "architecture", "states-list", "predict-list"],
+        ids=[
+            "transition",
+            "single",
+            "architecture",
+            "states-list",
+            "predict-list",
+            "classify-list-before-row",
+            "predict-list-before-row",
+        ],
     )
     def test_missing_semicolon_ends_only_its_item(self, item, expected):
         # The ';' is reported once, where it was expected, and the item after
         # it is still read: every block holds what it holds with the ';'. A
-        # list whose last identifier is an item keyword gives that keyword
-        # back to start the next item.
+        # list ends at an item keyword where the block's row pattern matches,
+        # or gives its last identifier back when that is an item keyword.
         assert RING.count(item) == 1
         broken = RING.replace(item, item[:-1])
         got = [(d.message, d.line, d.column) for d in parse(broken).diagnostics]
@@ -754,6 +801,13 @@ class TestRecovery:
         got = [(d.message, d.line, d.column) for d in parse(broken).diagnostics]
         assert got == [expected]
         assert block_contents(broken) == block_contents(RING)
+
+    def test_list_keeps_a_keyword_that_starts_no_row(self):
+        # 'transition b;' is no transition row, so the keyword is a state.
+        text = MINI.replace("states: a b;", "states: a transition b;")
+        [(_, _, rows)] = block_contents(text)
+        assert list(rows["states"]) == ["a", "transition", "b"]
+        assert not any(m.startswith("expected") for m in messages(text))
 
     def test_keyword_given_back_is_lexed_once(self):
         # The token after the given-back 'acts' was lexed, with the lexical
@@ -975,7 +1029,7 @@ _PREFIXES = [
 ]
 
 
-DIAGNOSTICS_SHA256 = "4ecf23eb8d7646507d24f8f80eedb544a8e347ff1d86b9fe72361d0e148e4b72"
+DIAGNOSTICS_SHA256 = "40150e7cdd063f06ef77eaf70215beb408e946e5ea7dff953e8b4f9fd7bffb0c"
 
 
 class TestFuzz:
@@ -1039,16 +1093,18 @@ class TestFuzz:
         assert (result.document is None) == bool(result.errors)
 
 
-# Row patterns that never match: with these, parse() reads every item by
-# tokens, the reference the row patterns are checked against.
-_NO_ROWS = {"universe": "(?!)", "agent": "(?!)"}
+def _no_rows(reader, block, offset):
+    """_Reader._rows reading no row: with it, parse() reads every item by
+    tokens, the reference the row patterns are checked against. A list still
+    ends where a row pattern matches."""
+    return offset
 
 
 def same_reading(text: str):
     """parse(text), checked against reading every item of text by tokens:
     the same diagnostics at the same positions, document and source spans."""
     result = parse(text)
-    with mock.patch.object(dsl, "_ITEMS", _NO_ROWS):
+    with mock.patch.object(dsl._Reader, "_rows", _no_rows):
         by_tokens = parse(text)
     assert result.diagnostics == by_tokens.diagnostics
     assert result.document == by_tokens.document
