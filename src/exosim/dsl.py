@@ -5,24 +5,26 @@ format is line-oriented UTF-8 with `#` comments and semicolon-terminated
 items. Parsing never throws on bad input: it returns diagnostics with
 line and column positions, recovering at item boundaries so one mistake
 does not hide the rest. An item whose ';' is missing is reported once, where
-the ';' was expected; an identifier found there starts the next item, so
-every item, and every field of an energy block, survives a missing ';'. A
-block that lost its '}' ends at the next `universe` or `agent` keyword. A
-document containing any error is withheld; callers only ever receive fully
-checked declarations.
+the keyword of the next item or block stands; that keyword starts the next
+item, so every item, and every field of an energy block, survives a missing
+';'. A list that lacks its ';' ends at an item keyword that begins a row in
+its one-line form, or gives back its last identifier when that is an item
+keyword. A block that lost its '}' ends at the next `universe` or `agent`
+keyword. A document containing any error is withheld; callers only ever
+receive fully checked declarations.
 
 One reader (_Reader) turns text into blocks and checks them into
 declarations and diagnostics. Inside a block it reads a transition,
 represents or predict (and pool) row in its one-line form with one regex
 match; every other item, and a row laid out any other way, it reads by
-tokens, lexed one at a time as it reaches them. Both add a row through the
-same helpers, so layout never changes what a document means or what it
-draws. Lexical errors are kept apart and come first.
+tokens, lexed one at a time as it reaches them. Both add a row with the same
+values and offsets, so layout never changes what a document means or what
+it draws. Lexical errors are kept apart and come first.
 
-A token carries only its offset in the text. A diagnostic, lexical or
-not, and a source span get their 1-based line and column from that offset
-when they are made: only a line feed ends a line, and a column counts code
-points.
+A token is a (kind, value, offset) tuple, and a block keeps only the offsets
+of the tokens its checks point at. A diagnostic, lexical or not, and a
+source span get their 1-based line and column from that offset when they
+are made: only a line feed ends a line, and a column counts code points.
 
 Diagnostics come in this order: lexical errors; then, in document order,
 each item's parse errors, with a universe's checks after its block; then
@@ -348,14 +350,14 @@ class _Reader:
     """Reads a document's blocks and checks them into declarations. At each
     item position in a block it tries the block's row pattern (_ITEMS: a
     transition row in a universe, a represents or predict row in an agent)
-    once; an item that does not match is read by tokens, with every
-    read-time error reported where it is met. An item's error skips the
-    item; a missing ';' is reported once and ends the item before the item
-    or block keyword found in its place (read, _id_list). The reader only
-    moves forward and lexes each token once, into self.tok, where each
-    decision looks at it once until it is stepped past. A row keeps the
-    offset of its token, not the token, so what a block holds until its
-    checks is never traced by the garbage collector."""
+    until it fails (_rows); an item that does not match is read by tokens,
+    with every read-time error reported where it is met. An item's error
+    skips the item; a missing ';' is reported once and ends the item before
+    the item or block keyword found in its place (read), and a list before
+    an item keyword where the row pattern matches (_id_list). The reader
+    only moves forward and lexes each token once, into self.tok, where each
+    decision looks at it once until it is stepped past. A block holds only
+    strings and offsets, which the garbage collector stops tracking."""
 
     def __init__(self, text: str):
         self.text = text
@@ -958,10 +960,10 @@ class _Reader:
     def _id_list(self, what: str, add) -> None:
         """Read a list item's identifiers, hand them to add, and read its ';'.
         When the ';' is missing, an item keyword of the block starts the next
-        item: one after the first identifier at which the block's row
-        pattern matches, or the last identifier. The ';' is reported where
-        the keyword was found, once, and the keyword is left out of the
-        list; the last one is put back."""
+        item and is left out of the list: one after the first identifier at
+        which the block's row pattern matches, where the ';' is reported, or
+        else the last identifier, put back, with the ';' reported at what
+        follows it."""
         ids = []
         tok = self.tok or self.peek()
         while tok[0] == "id":
