@@ -7,11 +7,10 @@ line and column positions, recovering at item boundaries so one mistake
 does not hide the rest. An item whose ';' is missing is reported once, where
 the keyword of the next item or block stands; that keyword starts the next
 item, so every item, and every field of an energy block, survives a missing
-';'. A list that lacks its ';' ends at an item keyword that begins a row in
-its one-line form, or gives back its last identifier when that is an item
-keyword. A block that lost its '}' ends at the next `universe` or `agent`
-keyword. A document containing any error is withheld; callers only ever
-receive fully checked declarations.
+';'. A list that lacks its ';' ends at an item keyword followed by the tokens
+its item starts with, however they are laid out. A block that lost its '}'
+ends at the next `universe` or `agent` keyword. A document containing any
+error is withheld; callers only ever receive fully checked declarations.
 
 One reader (_Reader) turns text into blocks and checks them into
 declarations and diagnostics. Inside a block it reads a transition,
@@ -33,7 +32,7 @@ each agent's checks in declaration order. One agent's checks give first an
 document order, then the checks on its representation rows, then the
 checks of its kind.
 
-serialize() emits a canonical form (sorted lists, fully explicit
+serialize() emits a canonical form (sorted lists, `transition` last, explicit
 defaults), and parsing a serialized document reproduces it structurally.
 """
 
@@ -318,6 +317,12 @@ _ITEM_WORDS = {
     "agent": {"architecture", *set().union(*_USES.values())},
     "energy": set(_ENERGY_FIELDS),
 }
+# The tokens, by kind or punctuation, that follow each item keyword at the
+# start of its item; every other item keyword is followed by ':'.
+_HEADS = {
+    "transition": ("id", "id", "id", ";"), "classify": ("id", ":"), "represents": ("id", "->"),
+    "react": ("string",), "predict": ("string",), "pool": ("int",), "energy": ("{",),
+}
 _BLOCK_WORDS = ("universe", "agent")
 _BLOCK_ENDS = {("punct", "}"), ("id", "universe"), ("id", "agent"), ("eof", "")}
 
@@ -354,10 +359,11 @@ class _Reader:
     with every read-time error reported where it is met. An item's error
     skips the item; a missing ';' is reported once and ends the item before
     the item or block keyword found in its place (read), and a list before
-    an item keyword where the row pattern matches (_id_list). The reader
-    only moves forward and lexes each token once, into self.tok, where each
-    decision looks at it once until it is stepped past. A block holds only
-    strings and offsets, which the garbage collector stops tracking."""
+    an item keyword followed by the tokens its item starts with (_id_list).
+    The reader only moves forward and lexes each token once, into self.tok,
+    where each decision looks at it once until it is stepped past; only a
+    list looks ahead, past an item keyword (_starts_item). A block holds
+    only strings and offsets, which the garbage collector stops tracking."""
 
     def __init__(self, text: str):
         self.text = text
@@ -369,10 +375,6 @@ class _Reader:
         self.offset = 0  # just past the last token or row consumed
         self.tok: _Token | None = None  # the next token, once lexed
         self.end = 0  # just past self.tok
-        # The token lexed behind self.tok, with its end, when a list's last
-        # identifier was put back to start the next item; the block loop
-        # steps to it past that identifier.
-        self.held: tuple[_Token, int] | None = None
         # The item words and the row pattern's match of the block being read
         # (_ITEM_WORDS, _ITEMS).
         self.item_words: set[str] = set()
@@ -823,13 +825,11 @@ class _Reader:
         while True:
             offset = self._rows(block, self.offset)
             if offset != self.offset:
-                self.offset, self.tok, self.held = offset, None, None
+                self.offset, self.tok = offset, None
             tok = self.tok or self.peek()
             try:
                 if tok[0] == "id" and tok[1] not in _BLOCK_WORDS:
                     self.offset, self.tok = self.end, None
-                    if self.held:  # tok was put back: the token behind it is lexed
-                        (self.tok, self.end), self.held = self.held, None
                     read_item(block, tok)
                 elif tok[:2] in _BLOCK_ENDS:
                     break
@@ -959,33 +959,34 @@ class _Reader:
 
     def _id_list(self, what: str, add) -> None:
         """Read a list item's identifiers, hand them to add, and read its ';'.
-        When the ';' is missing, an item keyword of the block starts the next
-        item and is left out of the list: one after the first identifier at
-        which the block's row pattern matches, where the ';' is reported, or
-        else the last identifier, put back, with the ';' reported at what
-        follows it."""
+        The list ends before an item keyword of the block whose next tokens
+        start its item (_starts_item), even before any identifier: that
+        keyword starts the next item, and the missing ';' is reported there."""
         ids = []
         tok = self.tok or self.peek()
-        while tok[0] == "id":
-            if ids and tok[1] in self.item_words and self.row(self.text, tok[2]):
-                add(ids)
-                self.error(f"expected ';', found {self._describe(tok)}", tok)
-                return
+        while tok[0] == "id" and not (tok[1] in self.item_words and self._starts_item(tok[1])):
             ids.append(tok)
             self.offset, self.tok = self.end, None
             tok = self.peek()
-        if not ids:
+        if not ids and tok[0] != "id":
             self.fail(f"expected at least one identifier in {what}", tok)
-        head = ids[-1]
-        _, word, at = head
-        if tok[:2] == ("punct", ";") or word not in self.item_words:
-            add(ids)
-            self.read(";")
-            return
-        add(ids[:-1])
-        self.error(f"expected ';', found {self._describe(tok)}", tok)
-        self.held = (tok, self.end)
-        self.offset, self.tok, self.end = at, head, at + len(word)
+        add(ids)
+        self.read(";")
+
+    def _starts_item(self, word: str) -> bool:
+        """Whether the tokens after the item keyword word in self.tok are
+        those its item starts with (_HEADS), lexed without being consumed; a
+        character no token starts with is skipped, for peek to report."""
+        offset = self.end
+        for want in _HEADS.get(word, (":",)):
+            m = self.lex(self.text, offset)
+            while m.lastgroup == "other":
+                m = self.lex(self.text, m.end())
+            kind = m.lastgroup
+            if kind != want and (kind != "punct" or m[kind] != want):
+                return False
+            offset = m.end()
+        return True
 
     # -- agent ---------------------------------------------------------------
 
@@ -1076,15 +1077,18 @@ def _quote(value: str) -> str:
 
 
 def _serialize_universe(u: UniverseDecl, out: list[str]) -> None:
+    # Lists put `transition` last: followed by three identifiers and the
+    # list's ';', it would start a transition row (_HEADS).
+    last = "transition".__eq__
     out.append(f"universe {_quote(u.name)} {{")
-    out.append("  states: " + " ".join(u.states) + ";")
-    out.append("  acts: " + " ".join(u.acts) + ";")
+    out.append("  states: " + " ".join(sorted(u.states, key=last)) + ";")
+    out.append("  acts: " + " ".join(sorted(u.acts, key=last)) + ";")
     out.append(f"  initial: {u.initial};")
     out.append(f"  neutral_act: {u.neutral_act};")
     for word in ("positive", "neutral", "negative"):
         members = [s for s, c in u.classes if c == word]
         if members:
-            out.append(f"  classify {word}: " + " ".join(members) + ";")
+            out.append(f"  classify {word}: " + " ".join(sorted(members, key=last)) + ";")
     for s, a, t in u.transitions:
         out.append(f"  transition {s} {a} {t};")
     out.append("  energy {")
@@ -1125,15 +1129,11 @@ def _serialize_agent(a: AgentDecl, out: list[str]) -> None:
 def serialize(doc: SpecDocument) -> str:
     """Canonical text form; parsing it reproduces doc structurally."""
     out: list[str] = []
-    first = True
-    for u in doc.universes:
-        if not first:
+    for decl in (*doc.universes, *doc.agents):
+        if out:
             out.append("")
-        first = False
-        _serialize_universe(u, out)
-    for a in doc.agents:
-        if not first:
-            out.append("")
-        first = False
-        _serialize_agent(a, out)
+        if isinstance(decl, UniverseDecl):
+            _serialize_universe(decl, out)
+        else:
+            _serialize_agent(decl, out)
     return "\n".join(out) + "\n"

@@ -104,20 +104,15 @@ class Universe:
                 f"no transition declared for ({state!r}, {act!r}) in universe {self.name!r}"
             ) from None
 
-    def settle(self, energy: int, landed: StateClass) -> int:
-        """The budget after one step that lands on a state of class
-        landed, by ``EnergyRules.bill``."""
-        change, ceiling = self.energy.bill(landed)
-        return min(energy + change, ceiling)
-
     def advance(self, state: StateId, act: ActId, energy: int) -> tuple[StateId, int, bool]:
-        """Take one step and settle its energy bill.
+        """Take one step and settle its energy bill (``EnergyRules.bill``).
 
         Returns the successor state, the new budget, and whether the
         entity is still exoactive (budget strictly positive).
         """
         nxt = self.successor(state, act)
-        new_energy = self.settle(energy, self.class_of(nxt))
+        change, ceiling = self.energy.bill(self.class_of(nxt))
+        new_energy = min(energy + change, ceiling)
         return nxt, new_energy, new_energy > 0
 
 

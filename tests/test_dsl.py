@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import re
 import sys
 from pathlib import Path
 from unittest import mock
@@ -757,7 +758,7 @@ class TestRecovery:
             ("transition s5 go s6;", ("expected ';', found 'transition'", 18, 3)),
             ("initial: s0;", ("expected ';', found 'neutral_act'", 5, 3)),
             ("architecture: random;", ("expected ';', found 'seed'", 63, 3)),
-            ("states: s0 s1 s2 s3 s4 s5 s6 s7 s8 s9;", ("expected ';', found ':'", 3, 7)),
+            ("states: s0 s1 s2 s3 s4 s5 s6 s7 s8 s9;", ("expected ';', found 'acts'", 3, 3)),
             ('predict "g1" -> "g0" : go;', ("expected ';', found 'predict'", 59, 3)),
             ("classify positive: s0;", ("expected ';', found 'transition'", 7, 3)),
             ('predict "f0" -> "f0" : go;', ("expected ';', found 'represents'", 34, 3)),
@@ -775,8 +776,8 @@ class TestRecovery:
     def test_missing_semicolon_ends_only_its_item(self, item, expected):
         # The ';' is reported once, where it was expected, and the item after
         # it is still read: every block holds what it holds with the ';'. A
-        # list ends at an item keyword where the block's row pattern matches,
-        # or gives its last identifier back when that is an item keyword.
+        # list ends at an item keyword followed by the tokens its item starts
+        # with.
         assert RING.count(item) == 1
         broken = RING.replace(item, item[:-1])
         got = [(d.message, d.line, d.column) for d in parse(broken).diagnostics]
@@ -809,16 +810,61 @@ class TestRecovery:
         assert list(rows["states"]) == ["a", "transition", "b"]
         assert not any(m.startswith("expected") for m in messages(text))
 
-    def test_keyword_given_back_is_lexed_once(self):
-        # The token after the given-back 'acts' was lexed, with the lexical
-        # error before it, while the states list was read.
+    @pytest.mark.parametrize(
+        "old, new, expected",
+        [
+            (
+                "classify positive: s0;\n  transition s0 go s1;",
+                "classify positive: s0;\n  transition s0 go\n  s1;",
+                ("expected ';', found 'transition'", 7, 3),
+            ),
+            (
+                "classify positive: s0;\n  transition s0 go s1;",
+                "classify positive: s0;\n  transition\n  s0 go s1;",
+                ("expected ';', found 'transition'", 7, 3),
+            ),
+            (
+                "classify positive: s0;\n  transition s0 go s1;",
+                "classify positive: s0;\n  transition s0 go # to s1\n  s1;",
+                ("expected ';', found 'transition'", 7, 3),
+            ),
+            (
+                'predict "f0" -> "f0" : go;\n  represents s1 -> "f1";',
+                'predict "f0" -> "f0" : go;\n  represents s1\n  -> "f1";',
+                ("expected ';', found 'represents'", 34, 3),
+            ),
+        ],
+        ids=["split-after-act", "split-after-keyword", "split-at-comment", "predict-list"],
+    )
+    def test_list_ends_before_a_row_over_lines(self, old, new, expected):
+        # A list that lost its ';' ends at the row after it however the row
+        # is laid out, with the one diagnostic and the blocks of the text
+        # that keeps its ';'.
+        assert RING.count(old) == 1
+        kept = RING.replace(old, new)
+        broken = RING.replace(old, new.replace(";", "", 1))
+        got = [(d.message, d.line, d.column) for d in parse(broken).diagnostics]
+        assert got == [expected]
+        assert block_contents(broken) == block_contents(kept)
+
+    def test_list_ends_before_its_first_identifier(self):
+        # A list line repeated without its identifiers and ';': the empty
+        # list ends at the item after it.
+        text = RING.replace("  acts: go stay;", "  acts:\n  acts: go stay;")
+        got = [(d.message, d.line, d.column) for d in parse(text).diagnostics]
+        assert got == [("expected ';', found 'acts'", 4, 3)]
+        assert block_contents(text) == block_contents(RING)
+
+    def test_lexical_error_looked_ahead_is_reported_once(self):
+        # The '@' after 'acts' is skipped while the states list looks past
+        # the keyword, and reported once, when the acts item reads it.
         old = "s9;\n  acts: go stay;"
         assert RING.count(old) == 1
         result = parse(RING.replace(old, "s9\n  acts @: go stay;"))
         got = [(d.message, d.line, d.column) for d in result.diagnostics]
         assert got == [
             ("unexpected character '@'", 3, 8),
-            ("expected ';', found ':'", 3, 9),
+            ("expected ';', found 'acts'", 3, 3),
         ]
 
     def test_bad_item_does_not_eat_the_block(self):
@@ -1008,6 +1054,23 @@ class TestRoundTrip:
             again = parse(serialize(doc)).document
             assert again == doc, seed
 
+    @pytest.mark.parametrize("states", ["x transition y z", "x y z transition a"])
+    def test_list_holding_transition_round_trips(self, states):
+        # Sorted, 'transition' would stand before three states and the list's
+        # ';', which read as a transition row: serialize writes it last in
+        # the states and classify lists.
+        text = (
+            f'universe "u" {{\n  states: {states};\n  acts: go;\n  initial: x;\n'
+            f"  neutral_act: go;\n  classify positive: {states};\n"
+            + "".join(f"  transition {s} go {s};\n" for s in states.split())
+            + "  energy { initial: 5; per_step: 1; negative_penalty: 0;"
+            " positive_reward: 0; cap: 9; }\n}\n"
+        )
+        doc = clean_parse(text).document
+        again = parse(serialize(doc))
+        assert again.diagnostics == []
+        assert again.document == doc
+
     def test_serializer_is_deterministic(self, ejemplo5_doc):
         assert serialize(ejemplo5_doc) == serialize(ejemplo5_doc)
 
@@ -1029,7 +1092,20 @@ _PREFIXES = [
 ]
 
 
-DIAGNOSTICS_SHA256 = "40150e7cdd063f06ef77eaf70215beb408e946e5ea7dff953e8b4f9fd7bffb0c"
+DIAGNOSTICS_SHA256 = "270e82229e8610b1b5fbee57529f41b8855e39aab176e63d1e9cbf5b03221693"
+
+
+@pytest.fixture(scope="module")
+def pinned_texts(ejemplo5_path, reference_path) -> list[str]:
+    """The fixtures and 50 generated documents, each followed by 15 of its
+    mutations."""
+    bases = [path.read_text(encoding="utf-8") for path in (ejemplo5_path, reference_path)]
+    bases += [docgen.random_document_text(seed) for seed in range(50)]
+    return [
+        text
+        for base_i, base in enumerate(bases)
+        for text in [base] + [docgen.mutate_text(base, base_i * 15 + i) for i in range(15)]
+    ]
 
 
 class TestFuzz:
@@ -1060,27 +1136,42 @@ class TestFuzz:
         assert tried == 150
         assert ran > 0
 
-    def test_diagnostics_stream_is_pinned(self, ejemplo5_path, reference_path):
+    def test_diagnostics_stream_is_pinned(self, pinned_texts):
         # Every diagnostic, rendered in order, and every accepted document's
-        # source spans, over the fixtures, 50 generated documents and 15
-        # mutations of each. The hash pins positions and order, which the
-        # per-rule tables only sample.
-        bases = [
-            ejemplo5_path.read_text(encoding="utf-8"),
-            reference_path.read_text(encoding="utf-8"),
-        ]
-        bases += [docgen.random_document_text(seed) for seed in range(50)]
+        # source spans, over the pinned texts. The hash pins positions and
+        # order, which the per-rule tables only sample.
         digest = hashlib.sha256()
-        for base_i, base in enumerate(bases):
-            texts = [base] + [docgen.mutate_text(base, base_i * 15 + i) for i in range(15)]
-            for text in texts:
-                result = parse(text)
-                for d in result.diagnostics:
-                    digest.update(d.render().encode() + b"\n")
-                if result.document is not None:
-                    spans = sorted(result.document.source_spans.items())
-                    digest.update(repr(spans).encode() + b"\n")
+        for text in pinned_texts:
+            result = parse(text)
+            for d in result.diagnostics:
+                digest.update(d.render().encode() + b"\n")
+            if result.document is not None:
+                spans = sorted(result.document.source_spans.items())
+                digest.update(repr(spans).encode() + b"\n")
         assert digest.hexdigest() == DIAGNOSTICS_SHA256
+
+    def test_layout_never_changes_meaning(self, pinned_texts):
+        # Each pinned text rebuilt with a line break between every two of its
+        # lexemes draws the same diagnostics, positions aside, and reads to an
+        # equal document. The lexer ends an unterminated string at its line's
+        # end, so a rebuild would change that string: such texts are skipped.
+        lex = re.compile(dsl._TOKEN, re.VERBOSE).match
+        rebuilt = 0
+        for text in pinned_texts:
+            matches, offset = [], 0
+            while (m := lex(text, offset)).lastgroup != "eof":
+                matches.append(m)
+                offset = m.end()
+            if any(m.lastgroup == "string" and not m["end"] for m in matches):
+                continue
+            result = parse(text)
+            split = parse("\n".join(m[m.lastgroup] for m in matches))
+            assert [(d.severity, d.message) for d in split.diagnostics] == [
+                (d.severity, d.message) for d in result.diagnostics
+            ], text
+            assert split.document == result.document
+            rebuilt += 1
+        assert rebuilt == 765
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1095,8 +1186,7 @@ class TestFuzz:
 
 def _no_rows(reader, block, offset):
     """_Reader._rows reading no row: with it, parse() reads every item by
-    tokens, the reference the row patterns are checked against. A list still
-    ends where a row pattern matches."""
+    tokens, the reference the row patterns are checked against."""
     return offset
 
 

@@ -90,9 +90,10 @@ class TestAdvance:
     @pytest.mark.parametrize("landed", list(StateClass))
     def test_bill_applied_is_settle_at_every_energy(self, landed):
         # The run loop adds a landing's change and clamps at its ceiling;
-        # that is the settle rule for any integer budget, above the cap too.
+        # that is what advance settles for any integer budget, above the cap
+        # too. hop takes x to y, a state of class landed.
         rules = EnergyRules(5, 2, 3, 4, 10)
-        u = tiny_universe(energy=rules)
+        u = tiny_universe(classes={"x": StateClass.NEUTRAL, "y": landed}, energy=rules)
         change, ceiling = rules.bill(landed)
         for energy in range(-20, 40):
             plain = energy - 2
@@ -103,8 +104,10 @@ class TestAdvance:
             after = energy + change
             if after > ceiling:
                 after = ceiling
-            assert u.settle(energy, landed) == after == plain
-            assert type(after) is int
+            stepped = u.advance("x", "hop", energy)
+            assert stepped == ("y", after, after > 0)
+            assert after == plain
+            assert type(after) is type(stepped[1]) is int
 
     def test_advance_is_pure(self):
         u = tiny_universe()
