@@ -26,7 +26,6 @@ from .architectures import (
     PositionalFasa,
     ProjectionOutOfRange,
     RandomFasa,
-    ReactionTable,
     RouteTable,
     UnitGraph,
     check_oriented_table,
@@ -66,6 +65,9 @@ from .harness import (
     HarnessError,
     MissingAgentKind,
     RunRecord,
+    TerminalReason,
+    Trajectory,
+    TrajectoryStep,
     derive_seed,
     run_experiment,
     run_experiment_from_document,
@@ -103,9 +105,6 @@ from .universe import (
     EnergyRules,
     StateClass,
     StateId,
-    TerminalReason,
-    Trajectory,
-    TrajectoryStep,
     Universe,
     UniverseError,
     UnknownAct,

@@ -90,16 +90,6 @@ class PositionalFasa:
 
 
 @dataclass(frozen=True)
-class ReactionTable:
-    """Formula -> single act token; absent formulas generate nothing."""
-
-    entries: Mapping[Formula, ActId]
-
-    def act(self, formula: Formula) -> ActId | None:
-        return self.entries.get(formula)
-
-
-@dataclass(frozen=True)
 class RouteTable:
     """(source formula, goal formula) -> act token sequence.
 
@@ -109,9 +99,6 @@ class RouteTable:
 
     entries: Mapping[tuple[Formula, Formula], tuple[ActId, ...]]
     depth_max: int
-
-    def sequence(self, source: Formula, goal: Formula) -> tuple[ActId, ...] | None:
-        return self.entries.get((source, goal))
 
 
 class ArchitectureKind(Enum):
@@ -137,10 +124,10 @@ class AgentArchitecture:
     """One agent: an architecture kind plus the act source that kind reads.
 
     An elementary agent (random, positional) reads its ``stream``. afs1
-    reacts through ``reaction``. afs2a and afs2b route through exactly
-    one table in ``tables``, which may be empty; afs3a's candidate pool
-    is ``tables`` in pool-index order. ``dsl.AgentDecl.build`` is the one
-    place that fills these slots by kind.
+    reacts through ``reaction``, a plain formula -> act mapping. afs2a and
+    afs2b route through exactly one table in ``tables``, which may be
+    empty; afs3a's candidate pool is ``tables`` in pool-index order.
+    ``dsl.AgentDecl.build`` is the one place that fills these slots by kind.
 
     A fixed description that no run changes. A run's own state (afs2b's
     remembered formula, afs3a's active table, pending episode and
@@ -153,7 +140,7 @@ class AgentArchitecture:
     representation: RepresentationMap | None = None
     projection_index: int = 1
     stream: RandomFasa | PositionalFasa | None = None
-    reaction: ReactionTable | None = None
+    reaction: Mapping[Formula, ActId] | None = None
     tables: tuple[RouteTable, ...] = ()
     goal: Formula | None = None
 

@@ -51,7 +51,6 @@ from .architectures import (
     ArchitectureKind,
     PositionalFasa,
     RandomFasa,
-    ReactionTable,
     RouteTable,
 )
 from .digits import ConstantDigits, parse_digit_string
@@ -173,7 +172,7 @@ class AgentDecl:
         reaction = None
         tables: tuple[RouteTable, ...] = ()
         if self.kind is ArchitectureKind.AFS1:
-            reaction = ReactionTable(dict(self.react_rows))
+            reaction = dict(self.react_rows)
         else:
             tables = tuple(
                 RouteTable(
@@ -884,8 +883,9 @@ class _Reader:
         elif key in ("initial", "neutral_act"):
             [(_, ident, offset)] = self.read(":", "id")
             if key in block.singles:
-                self.fail(f"duplicate {key!r} item", head)
-            block.singles[key] = (ident, offset)
+                self.error(f"duplicate {key!r} item", head)
+            else:
+                block.singles[key] = (ident, offset)
             self.read(";")
         elif key == "transition":
             (_, src, offset), (_, act, _), (_, dst, _) = self.read("id", "id", "id")
@@ -908,8 +908,8 @@ class _Reader:
                         found = f"found {label[1]!r}"
                         self.fail(f"energy field {expected!r} expected here, {found}", label)
                     [(_, value, _)] = self.read(":", "int")
-                    self.read(";")
                     values[-1] = value
+                    self.read(";")
                 except _ItemError:
                     self.skip_item()
                 tok = self.tok or self.peek()

@@ -4,10 +4,11 @@ A trajectory steps one agent through its universe until it goes
 exoinactive or hits the step bound. ``run_trajectory`` is the only
 stepping loop: it owns every piece of a run's state and memoizes each
 choice for the run, recording a step as a reference to its memo entry
-and its energy; ``Trajectory.steps`` builds the ``TrajectoryStep``
-records on read. An afs1, afs2a or afs2b run stops stepping at its first
-repeat, from where it survives to the bound. The experiment repeats that
-for every agent in a document, derives one fresh seed per run from the
+and its energy in a ``Trajectory``, kept beside it as the one reader of
+those entries, whose ``steps`` builds the ``TrajectoryStep`` records on
+read. An afs1, afs2a or afs2b run stops stepping at its first repeat,
+from where it survives to the bound. The experiment repeats that for
+every agent in a document, derives one fresh seed per run from the
 master seed, and collects persistence times into a CSV plus per-agent
 summaries with rank-sum comparisons of the sensitive group against the
 random and positional groups.
@@ -25,8 +26,11 @@ from __future__ import annotations
 import csv
 import statistics
 from dataclasses import dataclass, replace
+from enum import Enum
+from functools import cached_property
+from itertools import chain, cycle, islice
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from . import architectures
 from .architectures import AgentArchitecture, ArchitectureError, ArchitectureKind
@@ -34,7 +38,7 @@ from .architectures import PositionalFasa, ProjectionOutOfRange, RandomFasa, spl
 from .dsl import SpecDocument
 from .representation import interpret_act
 from .stats import rank_sum_test
-from .universe import TerminalReason, Trajectory, Universe
+from .universe import ActId, StateId, Universe
 
 
 class HarnessError(Exception):
@@ -43,6 +47,95 @@ class HarnessError(Exception):
 
 class MissingAgentKind(HarnessError):
     """The experiment needs random, positional, and sensitive agents."""
+
+
+class TerminalReason(Enum):
+    """Why a trajectory stopped."""
+
+    EXOINACTIVE = "ExoinactiveEnergy"
+    STEP_LIMIT = "StepLimit"
+
+
+class TrajectoryStep(NamedTuple):
+    """One step as the agent saw it: perception, generation, choice,
+    and where the step left it.
+
+    formula is the perceived formula and sequence the generated acts;
+    both are None for elementary kinds, and formula is None on a blind
+    spot.
+    """
+
+    t: int
+    state_before: StateId
+    formula: str | None
+    sequence: tuple[ActId, ...] | None
+    act: ActId
+    state_after: StateId
+    energy_after: int
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """A run as its loop recorded it: one choice and one budget per step
+    taken.
+
+    choices[i] is the memo entry step i used, shared by every step of
+    the run with the same memo key; its first four slots are the step's
+    formula, sequence, act and state_after. energies[i] is the budget
+    after step i. A step's state_before is the previous step's
+    state_after, or initial_state.
+
+    A deterministic run that meets a (memo key, budget) pair again stops
+    stepping there, at step len(choices), and survives to the step
+    bound: cycle_start is the step where that pair was first met, and
+    steps len(choices) to persistence - 1 replay steps cycle_start to
+    len(choices) - 1 in turn. Otherwise cycle_start is None and
+    persistence is len(choices). ``steps`` builds the ``TrajectoryStep``
+    tuple on first read; ``iter_steps`` yields the same records without
+    keeping them.
+    """
+
+    initial_state: StateId
+    initial_energy: int
+    choices: Sequence[tuple]
+    energies: Sequence[int]
+    terminal_reason: TerminalReason
+    persistence: int
+    cycle_start: int | None
+
+    def _order(self) -> Iterator[int]:
+        """The index into choices of each step, in step order."""
+        stepped = range(len(self.choices))
+        if self.cycle_start is None:
+            return iter(stepped)
+        replayed = cycle(range(self.cycle_start, len(self.choices)))
+        return chain(stepped, islice(replayed, self.persistence - len(self.choices)))
+
+    def iter_steps(self) -> Iterator[TrajectoryStep]:
+        state, choices, energies = self.initial_state, self.choices, self.energies
+        for t, i in enumerate(self._order()):
+            formula, sequence, act, after = choices[i][:4]
+            yield TrajectoryStep(t, state, formula, sequence, act, after, energies[i])
+            state = after
+
+    @cached_property
+    def steps(self) -> tuple[TrajectoryStep, ...]:
+        return tuple(self.iter_steps())
+
+    def _last(self) -> int:
+        """The index into choices of the last step."""
+        stepped, last = len(self.choices), self.persistence - 1
+        if last < stepped:
+            return last
+        return self.cycle_start + (last - stepped) % (stepped - self.cycle_start)
+
+    @property
+    def final_state(self) -> StateId:
+        return self.choices[self._last()][3] if self.persistence else self.initial_state
+
+    @property
+    def final_energy(self) -> int:
+        return self.energies[self._last()] if self.persistence else self.initial_energy
 
 
 def derive_seed(master_seed: int, k: int) -> int:
@@ -128,7 +221,7 @@ def run_trajectory(
         elif learner:
             if pending is not None:
                 index, age = pending
-                formula = rmap.formula_for(state) if rmap is not None else None
+                formula = rmap.entries.get(state) if rmap is not None else None
                 hit = formula is not None and formula == goal
                 if hit or age + 1 >= tables[index].depth_max:
                     # Read off the module, so a wrapper of update_learning sees every score.
@@ -153,12 +246,12 @@ def run_trajectory(
             if not elementary:
                 # Perceive, generate, project. A blind spot (no formula) or
                 # a missing entry (no sequence) issues the neutral act.
-                formula = rmap.formula_for(state) if rmap is not None else None
+                formula = rmap.entries.get(state) if rmap is not None else None
                 if formula is not None and kind is ArchitectureKind.AFS1:
-                    reaction = agent.reaction.act(formula) if agent.reaction else None
+                    reaction = agent.reaction.get(formula) if agent.reaction else None
                     sequence = None if reaction is None else (reaction,)
                 elif formula is not None and target is not None:
-                    sequence = tables[active].sequence(formula, target)
+                    sequence = tables[active].entries.get((formula, target))
                 act = universe.neutral_act
                 if sequence:
                     if c > len(sequence):

@@ -99,8 +99,8 @@ def departure_set(
     return frozenset(
         state
         for state in universe.states
-        if (f := rmap.formula_for(state)) is not None
-        and table.sequence(f, target) is not None
+        if (f := rmap.entries.get(state)) is not None
+        and table.entries.get((f, target)) is not None
     )
 
 
@@ -156,7 +156,7 @@ def stability_report(
     # An escape toward neutral state j is a state with a route toward j's
     # formula; an unrepresented neutral state offers no target.
     neutral = {
-        j: rmap.formula_for(j) for j in sorted(classes) if classes[j] is StateClass.NEUTRAL
+        j: rmap.entries.get(j) for j in sorted(classes) if classes[j] is StateClass.NEUTRAL
     }
     neg_escapes, pos_escapes = (
         {j: 0 if f is None else tally[f, cls] for j, f in neutral.items()}

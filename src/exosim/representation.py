@@ -49,10 +49,6 @@ class RepresentationMap:
             self, "_by_formula", {f: frozenset(s) for f, s in grouped.items()}
         )
 
-    def formula_for(self, state: StateId) -> Formula | None:
-        """The formula representing state, or None for a blind spot."""
-        return self.entries.get(state)
-
     def states_for(self, formula: Formula) -> frozenset[StateId]:
         return self._by_formula.get(formula, frozenset())
 

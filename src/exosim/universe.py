@@ -6,6 +6,7 @@ act, and a total deterministic transition function on (state, act) pairs.
 Every state carries a standing (Positive, Neutral, Negative) and stepping
 through the universe is paid for out of an integer energy budget. An
 entity whose budget is exhausted can no longer act: it is exoinactive.
+``harness`` steps agents through a universe and keeps each run's record.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import chain, cycle, islice
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping
 
 StateId = str
 ActId = str
@@ -114,92 +113,3 @@ class Universe:
         change, ceiling = self.energy.bill(self.class_of(nxt))
         new_energy = min(energy + change, ceiling)
         return nxt, new_energy, new_energy > 0
-
-
-class TerminalReason(Enum):
-    """Why a trajectory stopped."""
-
-    EXOINACTIVE = "ExoinactiveEnergy"
-    STEP_LIMIT = "StepLimit"
-
-
-class TrajectoryStep(NamedTuple):
-    """One step as the agent saw it: perception, generation, choice,
-    and where the step left it.
-
-    formula is the perceived formula and sequence the generated acts;
-    both are None for elementary kinds, and formula is None on a blind
-    spot.
-    """
-
-    t: int
-    state_before: StateId
-    formula: str | None
-    sequence: tuple[ActId, ...] | None
-    act: ActId
-    state_after: StateId
-    energy_after: int
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A run as its loop recorded it: one choice and one budget per step
-    taken.
-
-    choices[i] is the memo entry step i used, shared by every step of
-    the run with the same memo key; its first four slots are the step's
-    formula, sequence, act and state_after. energies[i] is the budget
-    after step i. A step's state_before is the previous step's
-    state_after, or initial_state.
-
-    A deterministic run that meets a (memo key, budget) pair again stops
-    stepping there, at step len(choices), and survives to the step
-    bound: cycle_start is the step where that pair was first met, and
-    steps len(choices) to persistence - 1 replay steps cycle_start to
-    len(choices) - 1 in turn. Otherwise cycle_start is None and
-    persistence is len(choices). ``steps`` builds the ``TrajectoryStep``
-    tuple on first read; ``iter_steps`` yields the same records without
-    keeping them.
-    """
-
-    initial_state: StateId
-    initial_energy: int
-    choices: Sequence[tuple]
-    energies: Sequence[int]
-    terminal_reason: TerminalReason
-    persistence: int
-    cycle_start: int | None
-
-    def _order(self) -> Iterator[int]:
-        """The index into choices of each step, in step order."""
-        stepped = range(len(self.choices))
-        if self.cycle_start is None:
-            return iter(stepped)
-        replayed = cycle(range(self.cycle_start, len(self.choices)))
-        return chain(stepped, islice(replayed, self.persistence - len(self.choices)))
-
-    def iter_steps(self) -> Iterator[TrajectoryStep]:
-        state, choices, energies = self.initial_state, self.choices, self.energies
-        for t, i in enumerate(self._order()):
-            formula, sequence, act, after = choices[i][:4]
-            yield TrajectoryStep(t, state, formula, sequence, act, after, energies[i])
-            state = after
-
-    @cached_property
-    def steps(self) -> tuple[TrajectoryStep, ...]:
-        return tuple(self.iter_steps())
-
-    def _last(self) -> int:
-        """The index into choices of the last step."""
-        stepped, last = len(self.choices), self.persistence - 1
-        if last < stepped:
-            return last
-        return self.cycle_start + (last - stepped) % (stepped - self.cycle_start)
-
-    @property
-    def final_state(self) -> StateId:
-        return self.choices[self._last()][3] if self.persistence else self.initial_state
-
-    @property
-    def final_energy(self) -> int:
-        return self.energies[self._last()] if self.persistence else self.initial_energy

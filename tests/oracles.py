@@ -327,7 +327,7 @@ def reference_trajectory(universe, agent, max_steps: int, seed: int | None = Non
                     episode = None
             if formula is not None:
                 if kind == "afs1":
-                    reaction = agent.reaction.entries if agent.reaction else {}
+                    reaction = agent.reaction or {}
                     sequence = (reaction[formula],) if formula in reaction else None
                 else:
                     target = memory if kind == "afs2b" else agent.goal

@@ -20,7 +20,6 @@ from exosim import (
     PositionalFasa,
     ProjectionOutOfRange,
     RandomFasa,
-    ReactionTable,
     RepresentationMap,
     RouteTable,
     StateClass,
@@ -136,18 +135,6 @@ class TestPositionalFasa:
             fasa.act_at(1)
 
 
-class TestTables:
-    def test_reaction_lookup(self):
-        table = ReactionTable({"seen": "go"})
-        assert table.act("seen") == "go"
-        assert table.act("unseen") is None
-
-    def test_route_lookup(self):
-        table = RouteTable({("a", "b"): ("go", "go")}, depth_max=2)
-        assert table.sequence("a", "b") == ("go", "go")
-        assert table.sequence("b", "a") is None
-
-
 class TestKinds:
     def test_sensitivity_split(self):
         sensitive = {k for k in ArchitectureKind if k.is_sensitive}
@@ -178,7 +165,7 @@ class TestReactive:
             kind=ArchitectureKind.AFS1,
             representation=RepresentationMap({"x0": "r0", "x1": "r1"}),
             projection_index=projection,
-            reaction=ReactionTable({"r0": "go"}),
+            reaction={"r0": "go"},
         )
 
     def test_reacts_to_known_formula(self):
@@ -532,7 +519,7 @@ class TestOriented:
         entries = {}
         for source in ("e2", "e3"):
             path = oracles.bfs_route(transitions, acts, source, "e1")
-            entries[(rmap.formula_for(source), "psi1")] = path
+            entries[(rmap.entries[source], "psi1")] = path
         table = RouteTable(entries, depth_max=max(len(p) for p in entries.values()))
         assert check_oriented_table(table, rmap, u) == []
 

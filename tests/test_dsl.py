@@ -161,8 +161,8 @@ class TestBuild:
         assert agent.kind is ArchitectureKind.AFS2A
         assert agent.goal == "at_oasis"
         assert agent.tables[0].depth_max == 6
-        assert agent.representation.formula_for("c0") == "at_c0"
-        assert agent.representation.formula_for("t0") is None
+        assert agent.representation.entries.get("c0") == "at_c0"
+        assert agent.representation.entries.get("t0") is None
         assert universe.class_of("oasis") is StateClass.POSITIVE
 
     def test_unclassified_states_default_to_neutral(self):
@@ -232,8 +232,8 @@ class TestBuild:
         doc = clean_parse(MINI + agent_block(body)).document
         agent, _ = doc.build_agent("crew")
         assert len(agent.tables) == 2
-        assert agent.tables[0].sequence("fa", "fb") == ("hop",)
-        assert agent.tables[1].sequence("fa", "fb") == ("stay", "hop")
+        assert agent.tables[0].entries.get(("fa", "fb")) == ("hop",)
+        assert agent.tables[1].entries.get(("fa", "fb")) == ("stay", "hop")
 
     def test_lookup_by_name_first_declaration_wins(self, reference_doc):
         # A library-built document may repeat a name; a parsed one never does.
@@ -782,6 +782,55 @@ class TestRecovery:
         broken = RING.replace(item, item[:-1])
         got = [(d.message, d.line, d.column) for d in parse(broken).diagnostics]
         assert got == [expected]
+        assert block_contents(broken) == block_contents(RING)
+
+    def test_any_one_missing_semicolon_draws_one_error(self, ejemplo5_path, reference_path):
+        # Every ';' of each clean text, dropped alone: one error where it was
+        # expected, and nothing lost with it, so no check downstream fails. An
+        # energy block's last field, before its '}', keeps its value too.
+        texts = [path.read_text(encoding="utf-8") for path in (ejemplo5_path, reference_path)]
+        texts += [docgen.random_document_text(seed) for seed in range(10)]
+        dropped = 0
+        for text in texts:
+            _, tokens = read_tokens(text)
+            for offset in [offset for *tok, offset in tokens if tok == ["punct", ";"]]:
+                broken = text[:offset] + text[offset + 1 :]
+                errors = [d.message for d in parse(broken).errors]
+                assert len(errors) == 1 and errors[0].startswith("expected ';', found "), (
+                    errors,
+                    broken[offset - 40 : offset + 10],
+                )
+                dropped += 1
+        assert dropped == 620
+
+    @pytest.mark.parametrize(
+        "item, repeat, expected",
+        [
+            (
+                "initial: s0;",
+                "initial: s1",
+                [("duplicate 'initial' item", 5, 3), ("expected ';', found 'neutral_act'", 6, 3)],
+            ),
+            (
+                "neutral_act: stay;",
+                "neutral_act: go",
+                [("duplicate 'neutral_act' item", 6, 3), ("expected ';', found 'classify'", 7, 3)],
+            ),
+            (
+                "architecture: random;",
+                "architecture: afs1",
+                [("duplicate 'architecture' item", 63, 3), ("expected ';', found 'seed'", 64, 3)],
+            ),
+        ],
+        ids=["initial", "neutral_act", "architecture"],
+    )
+    def test_repeated_single_without_semicolon_keeps_the_first(self, item, repeat, expected):
+        # The repeat is reported and its value dropped, and the ';' it lacks
+        # is reported where the next item starts, which is still read.
+        assert RING.count(item) == 1
+        broken = RING.replace(item, f"{item}\n  {repeat}")
+        got = [(d.message, d.line, d.column) for d in parse(broken).diagnostics]
+        assert got == expected
         assert block_contents(broken) == block_contents(RING)
 
     @pytest.mark.parametrize(

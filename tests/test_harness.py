@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import tracemalloc
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -20,7 +21,6 @@ from exosim import (
     PositionalFasa,
     ProjectionOutOfRange,
     RandomFasa,
-    ReactionTable,
     RepresentationMap,
     RouteTable,
     RunRecord,
@@ -40,6 +40,7 @@ from exosim import (
 
 import docgen
 import oracles
+from case_builder import CountingDict
 from test_universe import tiny_universe
 from test_architectures import GOOD_ROUTES, RMAP3, SIT_ROUTES, learner, micro3
 from test_cli import SIX_KINDS
@@ -96,9 +97,7 @@ class TestRunTrajectory:
         for record in steps:
             # pathfinder always generates, so every act is the projection.
             assert record.act == record.sequence[agent.projection_index - 1]
-            assert record.formula == agent.representation.formula_for(
-                record.state_before
-            )
+            assert record.formula == agent.representation.entries.get(record.state_before)
         assert steps[0].formula == "at_c0"
         assert steps[0].sequence == ("move",) * 5
 
@@ -280,7 +279,7 @@ def hopper() -> AgentArchitecture:
         name="hopper",
         kind=ArchitectureKind.AFS1,
         representation=RepresentationMap({"x": "f", "y": "f", "z": "f"}),
-        reaction=ReactionTable({"f": "hop"}),
+        reaction={"f": "hop"},
     )
 
 
@@ -433,27 +432,28 @@ class TestCostBound:
     """A sensitive agent generates once per memo key of a run, not once
     per step (counted, not timed)."""
 
-    @pytest.fixture()
-    def generations(self, monkeypatch):
-        calls = {"n": 0}
-        for owner, name in ((RouteTable, "sequence"), (ReactionTable, "act")):
-            plain = getattr(owner, name)
+    @staticmethod
+    def counted(agent):
+        """agent with its route tables and reaction counting their lookups,
+        and the Counter they tally in."""
+        calls = Counter()
+        tables = tuple(
+            replace(table, entries=CountingDict(table.entries, calls, "routes"))
+            for table in agent.tables
+        )
+        reaction = agent.reaction and CountingDict(agent.reaction, calls, "reaction")
+        return replace(agent, tables=tables, reaction=reaction), calls
 
-            def counting(self, *args, _plain=plain):
-                calls["n"] += 1
-                return _plain(self, *args)
-
-            monkeypatch.setattr(owner, name, counting)
-        return calls
-
-    def test_pathfinder_generates_at_most_once_per_state(self, pathfinder_pair, generations):
+    def test_pathfinder_generates_at_most_once_per_state(self, pathfinder_pair):
         agent, universe = pathfinder_pair
+        agent, calls = self.counted(agent)
         assert run_trajectory(universe, agent, 5000).persistence == 5000
-        assert 0 < generations["n"] <= len(universe.states)
+        assert 0 < calls.total() <= len(universe.states)
 
     @pytest.mark.parametrize("name", ["reflex", "homing", "echo", "learner"])
-    def test_every_sensitive_kind_is_bounded_by_its_keys(self, name, generations):
+    def test_every_sensitive_kind_is_bounded_by_its_keys(self, name):
         agent, universe = parse(SIX_KINDS).document.build_agent(name)
+        agent, calls = self.counted(agent)
         run_trajectory(universe, agent, 5000)
         # afs2b keys on the remembered formula (any formula, the goal or
         # none); afs3a on the active table.
@@ -461,7 +461,7 @@ class TestCostBound:
             ArchitectureKind.AFS2B: len(agent.representation.image) + 2,
             ArchitectureKind.AFS3A: len(agent.tables),
         }.get(agent.kind, 1)
-        assert 0 < generations["n"] <= len(universe.states) * keys
+        assert 0 < calls.total() <= len(universe.states) * keys
 
 
 class TestDeriveSeed:

@@ -28,7 +28,7 @@ from exosim import (
 )
 
 import oracles
-from case_builder import build_case
+from case_builder import CountingDict, build_case
 
 
 def pnj_universe() -> Universe:
@@ -260,7 +260,7 @@ class TestOracleEquivalence:
             uncovered = [
                 s
                 for s in sorted(case["rmap"])
-                if table.sequence(case["rmap"][s], target) is None
+                if (case["rmap"][s], target) not in table.entries
             ]
             if not uncovered:
                 continue
@@ -294,28 +294,25 @@ class TestCostBound:
             classes={s: rng.choice(list(StateClass)) for s in states},
             energy=EnergyRules(5, 1, 0, 0, 10),
         )
-        rmap = RepresentationMap({s: f"r{s}" for s in states})
-        table = RouteTable(
-            {
-                (f"r{src}", f"r{goal}"): ("go",)
-                for goal in rng.sample(states, 30)
-                for src in rng.sample(states, 100)
-            },
-            1,
-        )
-        sets = derive_objectives(table, rmap, universe)
         calls = Counter()
-        for cls, name in (
-            (RepresentationMap, "formula_for"),
-            (RepresentationMap, "states_for"),
-            (RouteTable, "sequence"),
-        ):
+        rmap = RepresentationMap(
+            CountingDict({s: f"r{s}" for s in states}, calls, "representation")
+        )
+        routes = {
+            (f"r{src}", f"r{goal}"): ("go",)
+            for goal in rng.sample(states, 30)
+            for src in rng.sample(states, 100)
+        }
+        table = RouteTable(CountingDict(routes, calls, "routes"), 1)
+        sets = derive_objectives(table, rmap, universe)
+        calls.clear()
+        states_for = RepresentationMap.states_for
 
-            def counted(*args, _name=name, _original=getattr(cls, name)):
-                calls[_name] += 1
-                return _original(*args)
+        def counted(*args):
+            calls["states_for"] += 1
+            return states_for(*args)
 
-            monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(RepresentationMap, "states_for", counted)
         stability_report(table, rmap, sets, universe)
         bound = 4 * (len(states) + len(table.entries))
         assert sum(calls.values()) <= bound, (dict(calls), bound)

@@ -17,8 +17,9 @@ from test_universe import tiny_universe
 class TestLookup:
     def test_formula_for_and_blind_spot(self):
         rmap = RepresentationMap({"x": "seen"})
-        assert rmap.formula_for("x") == "seen"
-        assert rmap.formula_for("y") is None
+        assert rmap.entries.get("x") == "seen"
+        assert rmap.entries.get("y") is None
+        assert rmap.image == frozenset({"seen"})
 
     def test_states_for_collects_preimage(self):
         rmap = RepresentationMap({"a": "f", "b": "f", "c": "g"})
@@ -60,7 +61,7 @@ class TestLookup:
         rmap = RepresentationMap(entries)
         for state, formula in entries.items():
             assert state in rmap.states_for(formula)
-            assert rmap.formula_for(state) == formula
+            assert rmap.entries[state] == formula
 
 
 class TestInterpretAct:
