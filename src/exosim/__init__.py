@@ -95,9 +95,7 @@ from .representation import (
     Formula,
     RepresentationError,
     RepresentationMap,
-    UnknownActToken,
     UnrepresentedFormula,
-    interpret_act,
 )
 from .stats import rank_sum_test
 from .universe import (

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .representation import Formula, RepresentationMap, interpret_act
+from .representation import Formula, RepresentationMap
 from .universe import ActId, StateId, Universe
 
 _MASK64 = (1 << 64) - 1
@@ -194,7 +194,7 @@ def check_oriented_table(
         state = rmap.inverse(source_f)
         expected = rmap.inverse(goal_f)
         for token in seq:
-            state = universe.successor(state, interpret_act(universe, token))
+            state = universe.successor(state, token)
         if state != expected:
             out.append(OrientedViolation(source_f, goal_f, seq, state, expected))
     return out

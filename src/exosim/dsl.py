@@ -484,14 +484,14 @@ class _Reader:
                 for a in acts:
                     if (s, a) not in transitions:
                         error(f"no transition declared for ({s!r}, {a!r})")
-        # A bad energy field was reported where it was read.
-        energy = singles.get("energy", (None,))[0]
+        # A bad field was reported where it was read; these point at a value.
+        energy, offsets = singles.get("energy", (None, None))
         if energy is not None:
             initial, per_step, penalty, reward, cap = energy
             if initial <= 0:
-                error("energy initial must be positive")
+                error("energy initial must be positive", offsets[0])
             if cap < initial:
-                error("energy cap must be at least the initial energy")
+                error("energy cap must be at least the initial energy", offsets[4])
         if rejected or energy is None:
             return None
         neutral = ("neutral",)
@@ -897,6 +897,7 @@ class _Reader:
             # its slot. Reading stops after the last field or at a block
             # keyword, so a missing '}' does not swallow what follows.
             values: list[int | None] = []
+            offsets: list[int] = []  # of each value, for the universe checks
             self.item_words = _ITEM_WORDS["energy"]
             tok = self.tok or self.peek()
             while len(values) < len(_ENERGY_FIELDS) and tok[:2] not in _BLOCK_ENDS:
@@ -907,8 +908,9 @@ class _Reader:
                     if label[1] != expected:  # the field order is part of the format
                         found = f"found {label[1]!r}"
                         self.fail(f"energy field {expected!r} expected here, {found}", label)
-                    [(_, value, _)] = self.read(":", "int")
+                    [(_, value, offset)] = self.read(":", "int")
                     values[-1] = value
+                    offsets.append(offset)
                     self.read(";")
                 except _ItemError:
                     self.skip_item()
@@ -926,7 +928,7 @@ class _Reader:
             else:
                 # None stands for a block with a bad or missing field.
                 energy = None if missing or None in values else tuple(values)
-                block.singles["energy"] = (energy, head[2])
+                block.singles["energy"] = (energy, offsets)
         else:
             self.fail(f"unknown universe item {key!r}", head)
 

@@ -36,7 +36,6 @@ from . import architectures
 from .architectures import AgentArchitecture, ArchitectureError, ArchitectureKind
 from .architectures import PositionalFasa, ProjectionOutOfRange, RandomFasa, splitmix64
 from .dsl import SpecDocument
-from .representation import interpret_act
 from .stats import rank_sum_test
 from .universe import ActId, StateId, Universe
 
@@ -259,7 +258,7 @@ def run_trajectory(
                             f"projection index {c} exceeds generated sequence "
                             f"of length {len(sequence)}"
                         )
-                    act = interpret_act(universe, sequence[c - 1])
+                    act = sequence[c - 1]
             nxt = universe.successor(state, act)
             bill = universe.energy.bill(universe.class_of(nxt))
             choice = memo[key] = (formula, sequence, act, nxt, *bill)

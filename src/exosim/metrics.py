@@ -70,7 +70,7 @@ def derive_objectives(
     positive = set()
     negative = set()
     for formula in objectives:
-        states = rmap.states_for(formula)
+        states = rmap.by_formula.get(formula)
         if not states:
             continue
         classes = {universe.class_of(s) for s in states}
@@ -94,7 +94,7 @@ def departure_set(
     A state departs when it is represented and the table holds a route
     from its formula to the target formula.
     """
-    if target not in rmap.image:
+    if target not in rmap.by_formula:
         raise UnrepresentedFormula(f"target {target!r} is outside the representation image")
     return frozenset(
         state
@@ -145,13 +145,13 @@ def stability_report(
     # route toward the goal. Each route adds the states of its source.
     tally: Counter[tuple[Formula, StateClass]] = Counter()
     for source, goal in table.entries:
-        for state in rmap.states_for(source):
+        for state in rmap.by_formula.get(source, ()):
             if state in classes:
                 tally[goal, classes[state]] += 1
     departures = {
         f: sum(tally[f, cls] for cls in StateClass)
         for f in sorted(objectives.objectives)
-        if rmap.states_for(f)
+        if f in rmap.by_formula
     }
     # An escape toward neutral state j is a state with a route toward j's
     # formula; an unrepresented neutral state offers no target.

@@ -334,6 +334,14 @@ class TestUniverseErrors:
             ("no transition declared for ('b', 'stay')", 1, 1),
         ]
 
+    def test_energy_checks_point_at_their_value(self):
+        for old, new, want in [
+            ("initial: 5;", "initial: 0;", ("energy initial must be positive", 12, 14)),
+            ("cap: 9;", "cap: 2;", ("energy cap must be at least the initial energy", 16, 10)),
+        ]:
+            result = parse(MINI.replace(old, new))
+            assert [(d.message, d.line, d.column) for d in result.diagnostics] == [want]
+
     def test_energy_fields_must_keep_order(self):
         swapped = MINI.replace(
             "    initial: 5;\n    per_step: 1;",
@@ -1141,7 +1149,7 @@ _PREFIXES = [
 ]
 
 
-DIAGNOSTICS_SHA256 = "270e82229e8610b1b5fbee57529f41b8855e39aab176e63d1e9cbf5b03221693"
+DIAGNOSTICS_SHA256 = "1ded0ba05f8c9f20d264a0124b85ac51c560fe845cc08625a335a8c93f830a24"
 
 
 @pytest.fixture(scope="module")

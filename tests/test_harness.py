@@ -28,7 +28,6 @@ from exosim import (
     TerminalReason,
     TrajectoryStep,
     UnknownAct,
-    UnknownActToken,
     UnknownState,
     derive_seed,
     parse,
@@ -410,7 +409,7 @@ class TestExceptionParity:
 
     def test_route_token_that_is_no_act(self):
         agent = one_route_agent(("warp",))
-        with pytest.raises(UnknownActToken):
+        with pytest.raises(UnknownAct, match="unknown act 'warp' in universe"):
             run_trajectory(micro3(), agent, 2)
         assert run_trajectory(micro3(), agent, 1).steps[0].act == "go"
 
@@ -450,6 +449,30 @@ class TestCostBound:
         assert run_trajectory(universe, agent, 5000).persistence == 5000
         assert 0 < calls.total() <= len(universe.states)
 
+    def test_afs2a_repeats_after_many_laps_with_one_lookup_per_state(self):
+        # Each lap of the ring x -> y -> z -> x gains 1 energy until the cap,
+        # so the first repeated (state, energy) comes at step 144, far more
+        # steps than states: a run that looked its route up at every step
+        # would make 144 lookups.
+        universe = tiny_universe(
+            classes={"x": StateClass.POSITIVE, "y": StateClass.NEUTRAL, "z": StateClass.NEUTRAL},
+            energy=EnergyRules(3, 1, 0, 4, 50),
+            states=("x", "y", "z"),
+        )
+        agent, calls = self.counted(
+            AgentArchitecture(
+                name="lapper",
+                kind=ArchitectureKind.AFS2A,
+                representation=RepresentationMap({"x": "fx", "y": "fy", "z": "fz"}),
+                tables=(RouteTable({(f, "fx"): ("hop",) for f in ("fx", "fy", "fz")}, 1),),
+                goal="fx",
+            )
+        )
+        trajectory = run_trajectory(universe, agent, 5000)
+        assert (len(trajectory.choices), trajectory.cycle_start) == (144, 141)
+        assert trajectory.persistence == 5000
+        assert 0 < calls.total() <= len(universe.states)
+
     @pytest.mark.parametrize("name", ["reflex", "homing", "echo", "learner"])
     def test_every_sensitive_kind_is_bounded_by_its_keys(self, name):
         agent, universe = parse(SIX_KINDS).document.build_agent(name)
@@ -458,7 +481,7 @@ class TestCostBound:
         # afs2b keys on the remembered formula (any formula, the goal or
         # none); afs3a on the active table.
         keys = {
-            ArchitectureKind.AFS2B: len(agent.representation.image) + 2,
+            ArchitectureKind.AFS2B: len(agent.representation.by_formula) + 2,
             ArchitectureKind.AFS3A: len(agent.tables),
         }.get(agent.kind, 1)
         assert 0 < calls.total() <= len(universe.states) * keys
