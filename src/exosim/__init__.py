@@ -9,109 +9,132 @@ table. On top sit exact stability metrics for route tables, tri-valued
 truth tables for the persistence claim, a declarative `.exo` document
 format, and an experiment harness comparing persistence times across
 behavior families.
+
+Every public name of the submodules below is read from here, and a
+submodule is imported when one of its names is first read (PEP 562), so
+`from exosim import load_document` loads only dsl and the four modules
+it builds on, and never harness, metrics or stats.
 """
 
 from __future__ import annotations
 
-from importlib import resources
+from importlib import import_module
 from pathlib import Path
 
-from .architectures import (
-    AgentArchitecture,
-    ArchitectureError,
-    ArchitectureKind,
-    FunctionalUnit,
-    InconsistentMetadata,
-    OrientedViolation,
-    PositionalFasa,
-    ProjectionOutOfRange,
-    RandomFasa,
-    RouteTable,
-    UnitGraph,
-    check_oriented_table,
-    detect_redundancy,
-    splitmix64,
-    unit_draw,
-    update_learning,
-)
-from .digits import (
-    ConstantDigits,
-    DigitError,
-    DigitOutOfRange,
-    DigitSourceExhausted,
-    ExplicitDigits,
-    constant_digits,
-    parse_digit_string,
-)
-from .dsl import (
-    AgentDecl,
-    ParseDiagnostic,
-    ParseResult,
-    Severity,
-    SpecDocument,
-    SpecInvalid,
-    UniverseDecl,
-    load_document,
-    parse,
-    parse_file,
-    serialize,
-)
-from .harness import (
-    CSV_HEADER,
-    AgentSummary,
-    ExperimentConfig,
-    ExperimentResult,
-    GroupComparison,
-    HarnessError,
-    MissingAgentKind,
-    RunRecord,
-    TerminalReason,
-    Trajectory,
-    TrajectoryStep,
-    derive_seed,
-    run_experiment,
-    run_experiment_from_document,
-    run_trajectory,
-    write_csv,
-)
-from .metrics import (
-    MetricsError,
-    MismatchedContext,
-    ObjectiveSets,
-    PersistenceCase,
-    StabilityDelta,
-    StabilityReport,
-    TriValue,
-    TruthTableRow,
-    compare_learning,
-    departure_set,
-    derive_objectives,
-    evaluate_persistence_claim,
-    persistence_truth_table,
-    stability_report,
-)
-from .representation import (
-    AmbiguousRepresentation,
-    Formula,
-    RepresentationError,
-    RepresentationMap,
-    UnrepresentedFormula,
-)
-from .stats import rank_sum_test
-from .universe import (
-    ActId,
-    EnergyRules,
-    StateClass,
-    StateId,
-    Universe,
-    UniverseError,
-    UnknownAct,
-    UnknownState,
-)
+_EXPORTS = {
+    "architectures": (
+        "AgentArchitecture",
+        "ArchitectureError",
+        "ArchitectureKind",
+        "FunctionalUnit",
+        "InconsistentMetadata",
+        "OrientedViolation",
+        "PositionalFasa",
+        "ProjectionOutOfRange",
+        "RandomFasa",
+        "RouteTable",
+        "UnitGraph",
+        "check_oriented_table",
+        "detect_redundancy",
+        "splitmix64",
+        "unit_draw",
+        "update_learning",
+    ),
+    "digits": (
+        "ConstantDigits",
+        "DigitError",
+        "DigitOutOfRange",
+        "DigitSourceExhausted",
+        "ExplicitDigits",
+        "constant_digits",
+        "parse_digit_string",
+    ),
+    "dsl": (
+        "AgentDecl",
+        "ParseDiagnostic",
+        "ParseResult",
+        "Severity",
+        "SpecDocument",
+        "SpecInvalid",
+        "UniverseDecl",
+        "load_document",
+        "parse",
+        "parse_file",
+        "serialize",
+    ),
+    "harness": (
+        "CSV_HEADER",
+        "AgentSummary",
+        "ExperimentConfig",
+        "ExperimentResult",
+        "GroupComparison",
+        "HarnessError",
+        "MissingAgentKind",
+        "RunRecord",
+        "TerminalReason",
+        "Trajectory",
+        "TrajectoryStep",
+        "derive_seed",
+        "run_experiment",
+        "run_experiment_from_document",
+        "run_trajectory",
+        "write_csv",
+    ),
+    "metrics": (
+        "MetricsError",
+        "MismatchedContext",
+        "ObjectiveSets",
+        "PersistenceCase",
+        "StabilityDelta",
+        "StabilityReport",
+        "TriValue",
+        "TruthTableRow",
+        "compare_learning",
+        "departure_set",
+        "derive_objectives",
+        "evaluate_persistence_claim",
+        "persistence_truth_table",
+        "stability_report",
+    ),
+    "representation": (
+        "AmbiguousRepresentation",
+        "Formula",
+        "RepresentationError",
+        "RepresentationMap",
+        "UnrepresentedFormula",
+    ),
+    "stats": ("rank_sum_test",),
+    "universe": (
+        "ActId",
+        "EnergyRules",
+        "StateClass",
+        "StateId",
+        "Universe",
+        "UniverseError",
+        "UnknownAct",
+        "UnknownState",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
+__all__ = [*_MODULE_OF, "fixture_path"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
 
 
 def fixture_path(name: str) -> Path:
     """Filesystem path of a shipped .exo fixture (e.g. "reference.exo")."""
+    from importlib import resources  # tens of ms to import where site has not
+
     return Path(resources.files(__name__) / "fixtures" / name)

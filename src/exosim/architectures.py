@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Mapping
 
 from .representation import Formula, RepresentationMap
-from .universe import ActId, StateId, Universe
+from .universe import ActId, ExosimError, StateId, Universe
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -55,7 +55,7 @@ def unit_draw(seed: int, t: int) -> float:
     return u if u < 1.0 else _BELOW_ONE
 
 
-class ArchitectureError(Exception):
+class ArchitectureError(ExosimError):
     pass
 
 

@@ -8,22 +8,24 @@ Subcommands:
   logic-table the eight-row persistence-claim truth tables
 
 Exit codes: 0 success, 1 usage, 2 invalid document, 3 runtime failure.
+
+A command imports only the modules it runs: every command reads its
+document through dsl, trace and experiment also load harness, metrics
+and logic-table load metrics, and only `metrics --format json` loads
+json. A name a command takes from harness or metrics is an attribute of
+this module (see _LAZY) that the command reads at each call, so a
+wrapper set on it sees every call.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from importlib import import_module
 from pathlib import Path
 
-from .architectures import ArchitectureError
-from .digits import DigitError
 from .dsl import SpecInvalid, parse_file
-from .harness import ExperimentConfig, HarnessError, run_experiment, run_trajectory
-from .metrics import MetricsError, derive_objectives, persistence_truth_table, stability_report
-from .representation import RepresentationError
-from .universe import UniverseError
+from .universe import ExosimError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -31,13 +33,37 @@ EXIT_INVALID_SPEC = 2
 EXIT_RUNTIME = 3
 
 
-class CliError(Exception):
+# The names the commands take from harness and metrics. The first read of
+# one imports its module through the package.
+_LAZY = (
+    "ExperimentConfig",
+    "run_experiment",
+    "run_trajectory",
+    "derive_objectives",
+    "persistence_truth_table",
+    "stability_report",
+)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(__package__), name)
+    return value
+
+
+# This module, whose _LAZY names the commands read as attributes.
+_cli = sys.modules[__name__]
+
+
+class CliError(ExosimError):
     """A request that cannot be satisfied with the given document."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse exits with 2 by default
         self.print_usage(sys.stderr)
+        print(f"exosim: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -106,8 +132,8 @@ def _cmd_metrics(args, out) -> int:
         )
     # A learner's run starts on pool table 0.
     table = agent.tables[0]
-    objectives = derive_objectives(table, agent.representation, universe)
-    report = stability_report(table, agent.representation, objectives, universe)
+    objectives = _cli.derive_objectives(table, agent.representation, universe)
+    report = _cli.stability_report(table, agent.representation, objectives, universe)
     payload = {
         "agent": agent.name,
         "universe": universe.name,
@@ -122,6 +148,8 @@ def _cmd_metrics(args, out) -> int:
         "total_stability": _fraction(report.total_stability),
     }
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2), file=out)
         return EXIT_OK
     print(f"agent {payload['agent']} in universe {payload['universe']}", file=out)
@@ -144,7 +172,7 @@ def _cmd_trace(args, out) -> int:
         agent, universe = doc.build_agent(args.agent)
     except KeyError:
         raise CliError(f"no agent named {args.agent!r} in {args.file}") from None
-    trajectory = run_trajectory(universe, agent, args.steps, args.seed)
+    trajectory = _cli.run_trajectory(universe, agent, args.steps, args.seed)
     for rec in trajectory.iter_steps():
         formula = rec.formula if rec.formula is not None else "-"
         sequence = " ".join(rec.sequence) if rec.sequence else "-"
@@ -166,13 +194,13 @@ def _cmd_experiment(args, out) -> int:
     if args.max_steps < 0:
         raise CliError("--max-steps must be non-negative")
     doc = _load_checked(args.file, out)
-    cfg = ExperimentConfig(
+    cfg = _cli.ExperimentConfig(
         runs_per_agent=args.runs,
         max_steps=args.max_steps,
         master_seed=args.seed,
         output_path=args.out,
     )
-    result = run_experiment(doc, cfg)
+    result = _cli.run_experiment(doc, cfg)
     print(f"wrote {len(result.rows)} rows to {args.out}", file=out)
     for s in result.summaries:
         print(
@@ -193,7 +221,7 @@ def _cmd_logic_table(args, out) -> int:
     def fmt(flag: bool) -> str:
         return "V" if flag else "F"
 
-    rows = persistence_truth_table()
+    rows = _cli.persistence_truth_table()
     groups = {
         "I": "immobile systems",
         "II": "movers in an act-insensitive universe",
@@ -239,17 +267,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
         for diag in exc.diagnostics:
             print(diag.render(exc.filename), file=out)
         return EXIT_INVALID_SPEC
-    except (
-        CliError,
-        UniverseError,
-        RepresentationError,
-        ArchitectureError,
-        DigitError,
-        MetricsError,
-        HarnessError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (ExosimError, OSError, ValueError) as exc:  # CliError is an ExosimError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -42,11 +42,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .universe import ExosimError
+
 _GUARD_BITS = 64
 _LEAF_DIGITS = 32
 
 
-class DigitError(Exception):
+class DigitError(ExosimError):
     pass
 
 

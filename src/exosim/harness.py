@@ -24,7 +24,7 @@ experiment takes an already checked document; the CLI loads it.
 from __future__ import annotations
 
 import csv
-import statistics
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -37,10 +37,10 @@ from .architectures import AgentArchitecture, ArchitectureError, ArchitectureKin
 from .architectures import PositionalFasa, ProjectionOutOfRange, RandomFasa, splitmix64
 from .dsl import SpecDocument
 from .stats import rank_sum_test
-from .universe import ActId, StateId, Universe
+from .universe import ActId, ExosimError, StateId, Universe
 
 
-class HarnessError(Exception):
+class HarnessError(ExosimError):
     pass
 
 
@@ -371,12 +371,19 @@ def run_experiment_from_document(
             )
             persistences.append(trajectory.persistence)
         by_group[groups[agent_index]].extend(persistences)
+        # What statistics.fmean and statistics.median return, without
+        # importing statistics.
+        mean = median = 0.0
+        if persistences:
+            ordered, mid = sorted(persistences), len(persistences) // 2
+            mean = math.fsum(ordered) / len(ordered)
+            median = ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
         summaries.append(
             AgentSummary(
                 agent=agent.name,
                 kind=kind,
-                mean=statistics.fmean(persistences) if persistences else 0.0,
-                median=statistics.median(persistences) if persistences else 0.0,
+                mean=mean,
+                median=median,
                 min=min(persistences, default=0),
                 max=max(persistences, default=0),
             )
@@ -390,8 +397,8 @@ def run_experiment_from_document(
                     against=against,
                     u_statistic=u,
                     p_value=p,
-                    sensitive_mean=statistics.fmean(by_group["sensitive"]),
-                    other_mean=statistics.fmean(by_group[against]),
+                    sensitive_mean=math.fsum(by_group["sensitive"]) / len(by_group["sensitive"]),
+                    other_mean=math.fsum(by_group[against]) / len(by_group[against]),
                 )
             )
     return ExperimentResult(tuple(rows), tuple(summaries), tuple(comparisons))

@@ -35,10 +35,10 @@ from .representation import (
     RepresentationMap,
     UnrepresentedFormula,
 )
-from .universe import StateClass, StateId, Universe
+from .universe import ExosimError, StateClass, StateId, Universe
 
 
-class MetricsError(Exception):
+class MetricsError(ExosimError):
     pass
 
 

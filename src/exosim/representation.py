@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .universe import StateId
+from .universe import ExosimError, StateId
 
 Formula = str
 
 
-class RepresentationError(Exception):
+class RepresentationError(ExosimError):
     pass
 
 

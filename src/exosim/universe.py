@@ -26,7 +26,13 @@ class StateClass(Enum):
     NEGATIVE = "negative"
 
 
-class UniverseError(Exception):
+class ExosimError(Exception):
+    """Base of the errors exosim raises on a request its inputs cannot
+    satisfy. An invalid document raises dsl.SpecInvalid instead, which
+    carries its diagnostics."""
+
+
+class UniverseError(ExosimError):
     """Raised when an operation meets an id or entry the universe lacks."""
 
 

@@ -11,7 +11,18 @@ from pathlib import Path
 
 import pytest
 
-from exosim.cli import run
+import exosim.cli
+from exosim import (
+    ArchitectureError,
+    DigitError,
+    HarnessError,
+    MetricsError,
+    RepresentationError,
+    SpecInvalid,
+    UniverseError,
+)
+from exosim.cli import CliError, run
+from exosim.universe import ExosimError
 
 from test_dsl import INT_DIGIT_LIMIT, MINI, agent_block, needs_int_digit_limit
 
@@ -113,6 +124,20 @@ class TestUsage:
         code = run(["--help"], out=io.StringIO())
         assert code == 0
         assert "usage" in capsys.readouterr().out.lower()
+
+    def test_missing_file_names_the_argument(self, capsys):
+        code, _ = cli("validate")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: exosim validate")
+        assert err[1] == "exosim: error: the following arguments are required: file"
+
+    def test_extra_argument_is_named(self, capsys):
+        code, _ = cli("logic-table", "foo")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: exosim")
+        assert err[1] == "exosim: error: unrecognized arguments: foo"
 
 
 class TestMetrics:
@@ -531,6 +556,75 @@ class TestLogicTable:
         # Open verdicts appear exactly in the third table.
         open_rows = [l for l in lines if l.endswith("?")]
         assert [l.split(".")[0] for l in open_rows] == ["III", "III", "III"]
+
+
+class TestModuleNames:
+    """Each name a command takes from harness or metrics is read from
+    exosim.cli at every call, so a wrapper set there (the benchmark's
+    tracer sets one) sees every call."""
+
+    def test_wrappers_see_every_call(self, monkeypatch, reference_path, tmp_path):
+        calls = []
+        for name in (
+            "derive_objectives",
+            "stability_report",
+            "run_trajectory",
+            "run_experiment",
+            "persistence_truth_table",
+        ):
+            def wrapper(*args, _fn=getattr(exosim.cli, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(exosim.cli, name, wrapper)
+        path = str(reference_path)
+        assert cli("metrics", path, "--agent", "pathfinder")[0] == 0
+        assert cli("trace", path, "--agent", "pathfinder", "--steps", "3")[0] == 0
+        out = str(tmp_path / "out.csv")
+        assert cli("experiment", path, "--runs", "2", "--max-steps", "9", "--seed", "1",
+                   "--out", out)[0] == 0
+        assert cli("logic-table")[0] == 0
+        assert calls == [
+            "derive_objectives",
+            "stability_report",
+            "run_trajectory",
+            "run_experiment",
+            "persistence_truth_table",
+        ]
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'write_csv'"):
+            exosim.cli.write_csv
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        UniverseError,
+        RepresentationError,
+        ArchitectureError,
+        DigitError,
+        MetricsError,
+        HarnessError,
+        CliError,
+    ],
+    ids=lambda error: error.__name__,
+)
+def test_error_family_exits_3(error, monkeypatch, reference_path, capsys):
+    assert issubclass(error, ExosimError)
+
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(exosim.cli, "run_trajectory", fail)
+    code, text = cli("trace", str(reference_path), "--agent", "wanderer", "--steps", "1")
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_invalid_document_is_no_exosim_error():
+    # Its diagnostics go to stdout with exit code 2, not to the runtime path.
+    assert not issubclass(SpecInvalid, ExosimError)
 
 
 class TestInstalledEntryPoint:

@@ -108,11 +108,18 @@ class TestFixedPoint:
             assert (scaled + err) << bits < (fixed + 2) * 10**scale
 
     def test_import_loads_no_mpmath(self):
-        # Both series run on stdlib ints: importing the package pulls in
-        # no arbitrary-precision library.
+        # Both series run on stdlib ints: loading every module of the
+        # package pulls in no arbitrary-precision library. The package
+        # imports a module when one of its names is first read, so each
+        # name is read before the check.
         env = dict(os.environ, PYTHONPATH=str(Path(digits_module.__file__).parents[1]))
+        code = (
+            "import sys, exosim\n"
+            "for name in exosim.__all__: getattr(exosim, name)\n"
+            "print('mpmath' in sys.modules)"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, exosim; print('mpmath' in sys.modules)"],
+            [sys.executable, "-c", code],
             capture_output=True,
             text=True,
             env=env,

@@ -1,0 +1,114 @@
+"""The package's public names, and the modules each entry point loads.
+
+`exosim` imports a submodule when one of its names is first read, and a
+CLI command imports only the modules it runs. Each load test runs one
+fresh interpreter and reads the modules it added to sys.modules after
+start-up. (`-X importtime` does not list a module that
+importlib.import_module loads, which is how both lazy paths import.)
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import exosim
+
+SRC = Path(exosim.__file__).parents[1]
+
+# Every name the package re-exported while it imported all its modules
+# at once.
+PUBLIC_NAMES = [
+    "ActId", "AgentArchitecture", "AgentDecl", "AgentSummary", "AmbiguousRepresentation",
+    "ArchitectureError", "ArchitectureKind", "CSV_HEADER", "ConstantDigits", "DigitError",
+    "DigitOutOfRange", "DigitSourceExhausted", "EnergyRules", "ExperimentConfig",
+    "ExperimentResult", "ExplicitDigits", "Formula", "FunctionalUnit", "GroupComparison",
+    "HarnessError", "InconsistentMetadata", "MetricsError", "MismatchedContext",
+    "MissingAgentKind", "ObjectiveSets", "OrientedViolation", "ParseDiagnostic", "ParseResult",
+    "PersistenceCase", "PositionalFasa", "ProjectionOutOfRange", "RandomFasa",
+    "RepresentationError", "RepresentationMap", "RouteTable", "RunRecord", "Severity",
+    "SpecDocument", "SpecInvalid", "StabilityDelta", "StabilityReport", "StateClass", "StateId",
+    "TerminalReason", "Trajectory", "TrajectoryStep", "TriValue", "TruthTableRow", "UnitGraph",
+    "Universe", "UniverseDecl", "UniverseError", "UnknownAct", "UnknownState",
+    "UnrepresentedFormula", "check_oriented_table", "compare_learning", "constant_digits",
+    "departure_set", "derive_objectives", "derive_seed", "detect_redundancy",
+    "evaluate_persistence_claim", "load_document", "parse", "parse_digit_string", "parse_file",
+    "persistence_truth_table", "rank_sum_test", "run_experiment",
+    "run_experiment_from_document", "run_trajectory", "serialize", "splitmix64",
+    "stability_report", "unit_draw", "update_learning", "write_csv",
+]
+
+
+def imported(code: str, *argv: str) -> set[str]:
+    """Modules a fresh interpreter imports to run code with argv."""
+    script = (
+        "import runpy, sys\n"
+        "before = set(sys.modules)\n"
+        "try:\n"
+        f"    {code}\n"
+        "finally:\n"
+        "    print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+# `python -m exosim.cli ARGS`, as runpy runs it.
+CLI = "runpy.run_module('exosim.cli', run_name='__main__', alter_sys=True)"
+
+
+class TestPublicNames:
+    def test_all_keeps_every_public_name(self):
+        assert sorted(exosim.__all__) == sorted([*PUBLIC_NAMES, "fixture_path"])
+
+    def test_dir_and_star_import_give_every_name(self):
+        assert set(exosim.__all__) <= set(dir(exosim))
+        namespace: dict = {}
+        exec("from exosim import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(exosim.__all__)
+
+    def test_each_name_is_its_module_attribute(self):
+        from exosim import dsl, harness, universe
+
+        assert exosim.load_document is dsl.load_document
+        assert exosim.run_experiment is harness.run_experiment
+        assert exosim.UnknownAct is universe.UnknownAct
+
+    def test_unknown_name_is_an_attribute_error(self):
+        assert not hasattr(exosim, "no_such_name")
+
+
+class TestLoadedModules:
+    def test_load_document_loads_no_harness_or_metrics(self):
+        loaded = imported("from exosim import load_document")
+        assert {m for m in loaded if m.startswith("exosim")} == {
+            "exosim",
+            *(f"exosim.{m}" for m in ("dsl", "architectures", "digits", "representation", "universe")),
+        }
+        assert "statistics" not in loaded
+
+    def test_experiment_loads_no_metrics(self, reference_path, tmp_path):
+        loaded = imported(
+            CLI, "experiment", str(reference_path), "--runs", "2",
+            "--max-steps", "9", "--seed", "1", "--out", str(tmp_path / "out.csv"),
+        )
+        assert "exosim.harness" in loaded
+        assert not loaded & {"exosim.metrics", "fractions", "json"}
+
+    def test_metrics_loads_no_harness(self, reference_path):
+        loaded = imported(CLI, "metrics", str(reference_path), "--agent", "pathfinder")
+        assert "exosim.metrics" in loaded
+        assert not loaded & {"exosim.harness", "exosim.stats", "statistics", "json"}
+        loaded = imported(
+            CLI, "metrics", str(reference_path), "--agent", "pathfinder",
+            "--format", "json",
+        )
+        assert "json" in loaded
