@@ -24,9 +24,8 @@ to encounter but expensive to linger in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .representation import Formula, RepresentationMap
 from .universe import ActId, ExosimError, StateId, Universe
@@ -60,15 +59,14 @@ class ArchitectureError(ExosimError):
 
 
 class ProjectionOutOfRange(ArchitectureError):
-    """The projection index points past the end of a generated sequence."""
+    """The projection index is below 1 or past the end of a generated sequence."""
 
 
 class InconsistentMetadata(ArchitectureError):
     """Unit graph inverse/bijectivity declarations contradict each other."""
 
 
-@dataclass
-class RandomFasa:
+class RandomFasa(NamedTuple):
     """Seeded uniform random act generation over a fixed act order."""
 
     seed: int
@@ -78,8 +76,7 @@ class RandomFasa:
         return self.act_order[int(unit_draw(self.seed, t) * len(self.act_order))]
 
 
-@dataclass
-class PositionalFasa:
+class PositionalFasa(NamedTuple):
     """Acts read off a digit stream in base len(act_order)."""
 
     source: object  # anything with digit(position) -> int
@@ -89,8 +86,7 @@ class PositionalFasa:
         return self.act_order[self.source.digit(t)]
 
 
-@dataclass(frozen=True)
-class RouteTable:
+class RouteTable(NamedTuple):
     """(source formula, goal formula) -> act token sequence.
 
     Sequences are non-empty and no longer than depth_max. A missing
@@ -119,8 +115,7 @@ class ArchitectureKind(Enum):
         )
 
 
-@dataclass(frozen=True)
-class AgentArchitecture:
+class AgentArchitecture(NamedTuple):
     """One agent: an architecture kind plus the act source that kind reads.
 
     An elementary agent (random, positional) reads its ``stream``. afs1
@@ -170,8 +165,7 @@ def update_learning(
     return best
 
 
-@dataclass(frozen=True)
-class OrientedViolation:
+class OrientedViolation(NamedTuple):
     """A route that, replayed from its source state, misses its goal."""
 
     source_formula: Formula
@@ -200,8 +194,7 @@ def check_oriented_table(
     return out
 
 
-@dataclass(frozen=True)
-class FunctionalUnit:
+class FunctionalUnit(NamedTuple):
     """A node in a composition graph of functional units."""
 
     id: str
@@ -209,8 +202,7 @@ class FunctionalUnit:
     inverse_of: str | None = None
 
 
-@dataclass(frozen=True)
-class UnitGraph:
+class UnitGraph(NamedTuple):
     """Functional units wired output-to-input; edges are (from, to)."""
 
     units: tuple[FunctionalUnit, ...]

@@ -40,7 +40,6 @@ with Python 3.11.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .universe import ExosimError
 
@@ -200,16 +199,30 @@ def constant_digits(name: str, base: int, count: int, resume: list | None = None
     return digits
 
 
-@dataclass
 class ConstantDigits:
-    """Lazily extended digit stream of a named constant in one base."""
+    """Lazily extended digit stream of a named constant in one base.
 
-    name: str
-    base: int
-    _cache: list[int] = field(default_factory=list, repr=False, compare=False)
-    # What constant_digits resumes from: the digits in _cache, their value
-    # and the series summed so far.
-    _resume: list = field(default_factory=list, repr=False, compare=False)
+    A plain class, not a named tuple, because reading a digit extends its
+    cache; two streams are equal when their name and base are.
+    """
+
+    __slots__ = ("name", "base", "_cache", "_resume")
+
+    def __init__(self, name: str, base: int) -> None:
+        self.name = name
+        self.base = base
+        self._cache: list[int] = []
+        # What constant_digits resumes from: the digits in _cache, their
+        # value and the series summed so far.
+        self._resume: list = []
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.base) == (other.name, other.base)
+
+    def __repr__(self) -> str:
+        return f"ConstantDigits(name={self.name!r}, base={self.base!r})"
 
     def digit(self, position: int) -> int:
         if position < 0:
@@ -224,19 +237,32 @@ class ConstantDigits:
         return self._cache[position]
 
 
-@dataclass(frozen=True)
 class ExplicitDigits:
-    """A finite digit list given directly in the declaration."""
+    """A finite digit list given directly in the declaration.
 
-    digits: tuple[int, ...]
-    base: int
+    A plain class, not a named tuple, because its constructor checks
+    every digit against the base.
+    """
 
-    def __post_init__(self) -> None:
-        for i, d in enumerate(self.digits):
-            if not 0 <= d < max(self.base, 1):
-                raise DigitOutOfRange(
-                    f"digit {d} at position {i} does not fit base {self.base}"
-                )
+    __slots__ = ("digits", "base")
+
+    def __init__(self, digits: tuple[int, ...], base: int) -> None:
+        for i, d in enumerate(digits):
+            if not 0 <= d < max(base, 1):
+                raise DigitOutOfRange(f"digit {d} at position {i} does not fit base {base}")
+        self.digits = digits
+        self.base = base
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.digits, self.base) == (other.digits, other.base)
+
+    def __hash__(self) -> int:
+        return hash((self.digits, self.base))
+
+    def __repr__(self) -> str:
+        return f"ExplicitDigits(digits={self.digits!r}, base={self.base!r})"
 
     def digit(self, position: int) -> int:
         if position < 0:

@@ -41,10 +41,9 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .architectures import (
     AgentArchitecture,
@@ -89,8 +88,7 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     severity: Severity
     message: str
     line: int
@@ -115,8 +113,7 @@ class SpecInvalid(Exception):
 # excluded from equality so round-tripped documents compare equal.
 
 
-@dataclass(frozen=True)
-class UniverseDecl:
+class UniverseDecl(NamedTuple):
     name: str
     states: tuple[StateId, ...]
     acts: tuple[ActId, ...]
@@ -139,8 +136,7 @@ class UniverseDecl:
         )
 
 
-@dataclass(frozen=True)
-class AgentDecl:
+class AgentDecl(NamedTuple):
     name: str
     universe_name: str
     kind: ArchitectureKind
@@ -192,18 +188,39 @@ class AgentDecl:
         )
 
 
-@dataclass(frozen=True)
 class SpecDocument:
-    universes: tuple[UniverseDecl, ...]
-    agents: tuple[AgentDecl, ...]
-    source_spans: dict = field(default_factory=dict, compare=False, repr=False)
-    _universes: dict = field(init=False, compare=False, repr=False)
-    _agents: dict = field(init=False, compare=False, repr=False)
+    """A checked document: its universes and agents in declaration order.
 
-    def __post_init__(self) -> None:
+    A plain class, not a named tuple, because it indexes both by name when
+    it is made. source_spans maps ("universe" | "agent", name) to the
+    (line, column) of a declaration's keyword; equality ignores it.
+    """
+
+    __slots__ = ("universes", "agents", "source_spans", "_universes", "_agents")
+
+    def __init__(
+        self,
+        universes: tuple[UniverseDecl, ...],
+        agents: tuple[AgentDecl, ...],
+        source_spans: dict | None = None,
+    ) -> None:
+        self.universes = universes
+        self.agents = agents
+        self.source_spans = {} if source_spans is None else source_spans
         # Name indexes, built from the end so the first declaration wins.
-        object.__setattr__(self, "_universes", {u.name: u for u in reversed(self.universes)})
-        object.__setattr__(self, "_agents", {a.name: a for a in reversed(self.agents)})
+        self._universes = {u.name: u for u in reversed(universes)}
+        self._agents = {a.name: a for a in reversed(agents)}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.universes, self.agents) == (other.universes, other.agents)
+
+    def __hash__(self) -> int:
+        return hash((self.universes, self.agents))
+
+    def __repr__(self) -> str:
+        return f"SpecDocument(universes={self.universes!r}, agents={self.agents!r})"
 
     def universe(self, name: str) -> UniverseDecl:
         return self._universes[name]
@@ -220,8 +237,7 @@ class SpecDocument:
         return decl.build(universe), universe
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     document: SpecDocument | None
     diagnostics: list[ParseDiagnostic]
 
@@ -330,7 +346,6 @@ _BLOCK_ENDS = {("punct", "}"), ("id", "universe"), ("id", "agent"), ("eof", "")}
 # Reader
 
 
-@dataclass
 class _Block:
     """A universe or agent block as read, before its checks. Each row and
     single ends with the offset of the token its checks point at, so a block
@@ -338,12 +353,17 @@ class _Block:
     a universe keys its states, acts, classify and transition rows, so
     repeats are reported as read."""
 
-    keyword: str  # 'universe' or 'agent'
-    offset: int  # of the keyword; block-level checks point here
-    name: str
-    universe_name: str | None  # agents only
-    rows: dict[str, list | dict]
-    singles: dict[str, tuple[object, int]] = field(default_factory=dict)
+    __slots__ = ("keyword", "offset", "name", "universe_name", "rows", "singles")
+
+    def __init__(
+        self, keyword: str, offset: int, name: str, universe_name: str | None, rows: dict
+    ) -> None:
+        self.keyword = keyword  # 'universe' or 'agent'
+        self.offset = offset  # of the keyword; block-level checks point here
+        self.name = name
+        self.universe_name = universe_name  # agents only
+        self.rows: dict[str, list | dict] = rows
+        self.singles: dict[str, tuple[object, int]] = {}
 
 
 class _ItemError(Exception):

@@ -25,16 +25,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 from itertools import chain, cycle, islice
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 from . import architectures
 from .architectures import AgentArchitecture, ArchitectureError, ArchitectureKind
-from .architectures import PositionalFasa, ProjectionOutOfRange, RandomFasa, splitmix64
+from .architectures import PositionalFasa, ProjectionOutOfRange, RandomFasa
+from .architectures import splitmix64, unit_draw
 from .dsl import SpecDocument
 from .stats import rank_sum_test
 from .universe import ActId, ExosimError, StateId, Universe
@@ -73,8 +72,7 @@ class TrajectoryStep(NamedTuple):
     energy_after: int
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """A run as its loop recorded it: one choice and one budget per step
     taken.
 
@@ -90,8 +88,9 @@ class Trajectory:
     steps len(choices) to persistence - 1 replay steps cycle_start to
     len(choices) - 1 in turn. Otherwise cycle_start is None and
     persistence is len(choices). ``steps`` builds the ``TrajectoryStep``
-    tuple on first read; ``iter_steps`` yields the same records without
-    keeping them.
+    tuple afresh on every read, so a caller that reads it more than once
+    keeps it; ``iter_steps`` yields the same records without keeping
+    them.
     """
 
     initial_state: StateId
@@ -117,7 +116,7 @@ class Trajectory:
             yield TrajectoryStep(t, state, formula, sequence, act, after, energies[i])
             state = after
 
-    @cached_property
+    @property
     def steps(self) -> tuple[TrajectoryStep, ...]:
         return tuple(self.iter_steps())
 
@@ -186,6 +185,7 @@ def run_trajectory(
     recall = kind is ArchitectureKind.AFS2B
     learner = kind is ArchitectureKind.AFS3A
     stream = agent.stream
+    digit = None
     if elementary and max_steps > 0:
         if stream is None:
             raise ArchitectureError(f"{kind.value} agent {agent.name!r} has no act stream")
@@ -194,8 +194,13 @@ def run_trajectory(
             raise ArchitectureError(
                 f"{kind.value} agent {agent.name!r} has a {type(stream).__name__} act stream"
             )
-    if seed is not None and isinstance(stream, RandomFasa):
-        stream = replace(stream, seed=seed)
+        # The stream's fields, read once per run; a step draws its act as
+        # the stream's act_at does.
+        order = stream.act_order
+        if wanted is RandomFasa:
+            draw_seed, n = stream.seed if seed is None else seed, len(order)
+        else:
+            digit = stream.source.digit
     rmap, goal, tables, c = agent.representation, agent.goal, agent.tables, agent.projection_index
     if kind.is_sensitive and kind is not ArchitectureKind.AFS1 and not tables and max_steps > 0:
         raise ArchitectureError(f"{kind.value} agent {agent.name!r} has no route table")
@@ -215,7 +220,7 @@ def run_trajectory(
     reason = TerminalReason.STEP_LIMIT
     for t in range(max_steps):
         if elementary:
-            act = stream.act_at(t)
+            act = order[int(unit_draw(draw_seed, t) * n) if digit is None else digit(t)]
             key = (state, act)
         elif learner:
             if pending is not None:
@@ -253,9 +258,9 @@ def run_trajectory(
                     sequence = tables[active].entries.get((formula, target))
                 act = universe.neutral_act
                 if sequence:
-                    if c > len(sequence):
+                    if not 1 <= c <= len(sequence):
                         raise ProjectionOutOfRange(
-                            f"projection index {c} exceeds generated sequence "
+                            f"projection index {c} is outside generated sequence "
                             f"of length {len(sequence)}"
                         )
                     act = sequence[c - 1]
@@ -283,8 +288,7 @@ def run_trajectory(
     )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     runs_per_agent: int
     max_steps: int
     master_seed: int
@@ -305,8 +309,7 @@ class RunRecord(NamedTuple):
 CSV_HEADER = RunRecord._fields
 
 
-@dataclass(frozen=True)
-class AgentSummary:
+class AgentSummary(NamedTuple):
     agent: str
     kind: str
     mean: float
@@ -315,8 +318,7 @@ class AgentSummary:
     max: int
 
 
-@dataclass(frozen=True)
-class GroupComparison:
+class GroupComparison(NamedTuple):
     """Sensitive group versus one elementary group."""
 
     against: str
@@ -326,8 +328,7 @@ class GroupComparison:
     other_mean: float
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     rows: tuple[RunRecord, ...]
     summaries: tuple[AgentSummary, ...]
     comparisons: tuple[GroupComparison, ...]

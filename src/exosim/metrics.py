@@ -23,10 +23,9 @@ the positive" mark.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .architectures import RouteTable
 from .representation import (
@@ -46,8 +45,7 @@ class MismatchedContext(MetricsError):
     """Two reports compared across different universes or objectives."""
 
 
-@dataclass(frozen=True)
-class ObjectiveSets:
+class ObjectiveSets(NamedTuple):
     """Goal formulas a table steers toward, split by the standing of the
     states they represent."""
 
@@ -104,8 +102,7 @@ def departure_set(
     )
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Exact stability accounting for one table in one universe.
 
     departures maps each objective formula to |P_i|, the size of its
@@ -187,8 +184,7 @@ def stability_report(
     )
 
 
-@dataclass(frozen=True)
-class StabilityDelta:
+class StabilityDelta(NamedTuple):
     basic: Fraction
     instability: Fraction
     total: Fraction
@@ -229,8 +225,7 @@ def _tri_and(a: TriValue, b: TriValue) -> TriValue:
     return TriValue.TRUE
 
 
-@dataclass(frozen=True)
-class PersistenceCase:
+class PersistenceCase(NamedTuple):
     """One configuration of the persistence claim.
 
     act_sensitive: the universe reacts to what entities do (s).
@@ -253,8 +248,7 @@ def evaluate_persistence_claim(case: PersistenceCase) -> TriValue:
     return _tri_and(first, second)
 
 
-@dataclass(frozen=True)
-class TruthTableRow:
+class TruthTableRow(NamedTuple):
     group: str
     label: str
     case: PersistenceCase

@@ -9,7 +9,6 @@ image needs at least two formulas. Callers read both directions directly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .universe import ExosimError, StateId
@@ -29,26 +28,31 @@ class AmbiguousRepresentation(RepresentationError):
     """An inverse lookup needed one state but several share the formula."""
 
 
-@dataclass(frozen=True)
 class RepresentationMap:
     """Partial map from states to the formulas that represent them.
 
     ``by_formula`` is the inverse of ``entries``, built once: each formula
-    of the image maps to the frozenset of the states it represents.
+    of the image maps to the frozenset of the states it represents. A
+    plain class, not a named tuple, because it derives ``by_formula`` in
+    its constructor; two maps are equal when their entries are.
     """
 
-    entries: Mapping[StateId, Formula]
-    by_formula: dict[Formula, frozenset[StateId]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    __slots__ = ("entries", "by_formula")
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: Mapping[StateId, Formula]) -> None:
+        self.entries = entries
         grouped: dict[Formula, set[StateId]] = {}
-        for state, formula in self.entries.items():
+        for state, formula in entries.items():
             grouped.setdefault(formula, set()).add(state)
-        object.__setattr__(
-            self, "by_formula", {f: frozenset(s) for f, s in grouped.items()}
-        )
+        self.by_formula = {f: frozenset(s) for f, s in grouped.items()}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"RepresentationMap(entries={self.entries!r})"
 
     def inverse(self, formula: Formula) -> StateId:
         """The unique state a formula stands for.

@@ -12,9 +12,8 @@ entity whose budget is exhausted can no longer act: it is exoinactive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 StateId = str
 ActId = str
@@ -44,8 +43,7 @@ class UnknownAct(UniverseError):
     pass
 
 
-@dataclass(frozen=True)
-class EnergyRules:
+class EnergyRules(NamedTuple):
     """Energy bookkeeping for one universe.
 
     initial_energy must be positive, costs non-negative, and the cap at
@@ -75,8 +73,7 @@ class EnergyRules:
         return -self.per_step_cost, math.inf
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(NamedTuple):
     name: str
     states: frozenset[StateId]
     acts: frozenset[ActId]

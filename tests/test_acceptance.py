@@ -12,7 +12,6 @@ import io
 import random
 import statistics
 import time
-from dataclasses import replace
 
 from exosim import (
     RouteTable,
@@ -116,7 +115,7 @@ def test_criterion_3_stability_matches_oracle_on_500_universes():
 def _acts(agent, universe, steps: int) -> list[str]:
     """The acts of agent's first steps in universe with free steps, so
     no run ends before steps."""
-    free = replace(universe, energy=replace(universe.energy, per_step_cost=0, negative_penalty=0))
+    free = universe._replace(energy=universe.energy._replace(per_step_cost=0, negative_penalty=0))
     return [record.act for record in run_trajectory(free, agent, steps).steps]
 
 

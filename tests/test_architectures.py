@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import collections
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -66,7 +65,7 @@ RMAP3 = RepresentationMap({"x0": "r0", "x1": "r1", "gg": "rg"})
 
 def run_from(state, agent, steps=1, universe=None):
     """The steps of agent's run through micro3 (or universe) from state."""
-    start = replace(universe or micro3(), initial=state)
+    start = (universe or micro3())._replace(initial=state)
     return run_trajectory(start, agent, steps).steps
 
 
@@ -273,7 +272,7 @@ class TestRecall:
     def test_blind_spot_clears_memory(self):
         # gg idles back to x0, so the walk leaves the blind spot.
         u = micro3()
-        u = replace(u, transitions={**u.transitions, ("gg", "sit"): "x0"})
+        u = u._replace(transitions={**u.transitions, ("gg", "sit"): "x0"})
         t1, t2, t3 = run_from("gg", self.agent(), 3, universe=u)
         assert t1.formula is None
         assert t1.act == "sit"

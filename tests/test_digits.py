@@ -260,7 +260,7 @@ class TestResumedStream:
         ahead, behind = ConstantDigits("pi", 4), ConstantDigits("pi", 4)
         ahead.digit(3000)
         behind.digit(10)
-        assert ahead == behind
+        assert ahead == behind == ConstantDigits("pi", 4)
         assert repr(ahead) == repr(behind) == "ConstantDigits(name='pi', base=4)"
         acts = ("a", "b", "c", "d")
         for wrap in (

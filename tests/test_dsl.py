@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import re
 import sys
@@ -238,8 +237,8 @@ class TestBuild:
     def test_lookup_by_name_first_declaration_wins(self, reference_doc):
         # A library-built document may repeat a name; a parsed one never does.
         doc = SpecDocument(
-            reference_doc.universes + tuple(map(dataclasses.replace, reference_doc.universes)),
-            reference_doc.agents + tuple(map(dataclasses.replace, reference_doc.agents)),
+            reference_doc.universes + tuple(u._replace() for u in reference_doc.universes),
+            reference_doc.agents + tuple(a._replace() for a in reference_doc.agents),
         )
         for a in reference_doc.agents:
             assert doc.agent(a.name) is a

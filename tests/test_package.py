@@ -1,10 +1,12 @@
 """The package's public names, and the modules each entry point loads.
 
 `exosim` imports a submodule when one of its names is first read, and a
-CLI command imports only the modules it runs. Each load test runs one
-fresh interpreter and reads the modules it added to sys.modules after
-start-up. (`-X importtime` does not list a module that
-importlib.import_module loads, which is how both lazy paths import.)
+CLI command imports only the modules it runs, and none of them imports
+`dataclasses` or `inspect`. Each load test runs one fresh interpreter
+under `-S`, so that no module `site` loads hides one the code loads, and
+reads the modules the code added to sys.modules. (`-X importtime` does
+not list a module that importlib.import_module loads, which is how both
+lazy paths import.)
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import exosim
 
@@ -41,8 +45,21 @@ PUBLIC_NAMES = [
 ]
 
 
+# Every record of the public API that is a named tuple.
+RECORDS = [
+    "AgentArchitecture", "AgentDecl", "AgentSummary", "EnergyRules", "ExperimentConfig",
+    "ExperimentResult", "FunctionalUnit", "GroupComparison", "ObjectiveSets",
+    "OrientedViolation", "ParseDiagnostic", "ParseResult", "PersistenceCase", "PositionalFasa",
+    "RandomFasa", "RouteTable", "RunRecord", "StabilityDelta", "StabilityReport", "Trajectory",
+    "TrajectoryStep", "TruthTableRow", "UnitGraph", "Universe", "UniverseDecl",
+]
+# Loaded by building a dataclass, and by nothing exosim runs.
+CLASS_BUILDERS = {"dataclasses", "inspect"}
+
+
 def imported(code: str, *argv: str) -> set[str]:
-    """Modules a fresh interpreter imports to run code with argv."""
+    """Modules a fresh interpreter without `site` imports to run code
+    with argv."""
     script = (
         "import runpy, sys\n"
         "before = set(sys.modules)\n"
@@ -52,7 +69,7 @@ def imported(code: str, *argv: str) -> set[str]:
         "    print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script, *argv],
+        [sys.executable, "-S", "-c", script, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -86,6 +103,24 @@ class TestPublicNames:
         assert not hasattr(exosim, "no_such_name")
 
 
+class TestRecords:
+    def test_records_are_the_public_named_tuples(self):
+        named_tuples = {
+            name for name in exosim.__all__
+            if isinstance(value := getattr(exosim, name), type)
+            and issubclass(value, tuple) and hasattr(value, "_fields")
+        }
+        assert named_tuples == set(RECORDS)
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_record_field_cannot_be_assigned(self, name):
+        cls = getattr(exosim, name)
+        record = cls._make(range(len(cls._fields)))
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[0], "changed")
+        assert record == tuple(range(len(cls._fields)))
+
+
 class TestLoadedModules:
     def test_load_document_loads_no_harness_or_metrics(self):
         loaded = imported("from exosim import load_document")
@@ -94,6 +129,7 @@ class TestLoadedModules:
             *(f"exosim.{m}" for m in ("dsl", "architectures", "digits", "representation", "universe")),
         }
         assert "statistics" not in loaded
+        assert not loaded & CLASS_BUILDERS
 
     def test_experiment_loads_no_metrics(self, reference_path, tmp_path):
         loaded = imported(
@@ -101,7 +137,7 @@ class TestLoadedModules:
             "--max-steps", "9", "--seed", "1", "--out", str(tmp_path / "out.csv"),
         )
         assert "exosim.harness" in loaded
-        assert not loaded & {"exosim.metrics", "fractions", "json"}
+        assert not loaded & {"exosim.metrics", "fractions", "json", *CLASS_BUILDERS}
 
     def test_metrics_loads_no_harness(self, reference_path):
         loaded = imported(CLI, "metrics", str(reference_path), "--agent", "pathfinder")
@@ -112,3 +148,4 @@ class TestLoadedModules:
             "--format", "json",
         )
         assert "json" in loaded
+        assert not loaded & CLASS_BUILDERS

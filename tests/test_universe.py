@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -146,7 +145,7 @@ class TestLibraryBuiltErrors:
         ids=["missing-transition", "no-standing", "undeclared-target"],
     )
     def test_run_raises_universe_error(self, change, needle):
-        broken = replace(tiny_universe(), **change)
+        broken = tiny_universe()._replace(**change)
         # One hop from x: every broken entry sits on that step.
         hopper = AgentArchitecture(
             "hopper",
