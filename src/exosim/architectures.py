@@ -67,23 +67,19 @@ class InconsistentMetadata(ArchitectureError):
 
 
 class RandomFasa(NamedTuple):
-    """Seeded uniform random act generation over a fixed act order."""
+    """Seeded uniform random act generation over a fixed act order: step
+    t takes act_order[int(unit_draw(seed, t) * len(act_order))]."""
 
     seed: int
     act_order: tuple[ActId, ...]
 
-    def act_at(self, t: int) -> ActId:
-        return self.act_order[int(unit_draw(self.seed, t) * len(self.act_order))]
-
 
 class PositionalFasa(NamedTuple):
-    """Acts read off a digit stream in base len(act_order)."""
+    """Acts read off a digit stream in base len(act_order): step t takes
+    act_order[d] for the stream's digit d at position t."""
 
-    source: object  # anything with digit(position) -> int
+    source: object  # anything with read(limit) -> iterator of int
     act_order: tuple[ActId, ...]
-
-    def act_at(self, t: int) -> ActId:
-        return self.act_order[self.source.digit(t)]
 
 
 class RouteTable(NamedTuple):

@@ -10,41 +10,55 @@ A request for n digits in base b reads the constant once, as the integer
 floor(x * b**k) where k is the number of fractional digits, at about
 n * log2(b) bits plus guard bits. The floor is certified: the guard grows
 until both ends of the constant's error interval give the same integer.
-That integer is then written in base b in one pass that splits it by
-b**(n // 2) and recurses on both halves (radix divide-and-conquer, Brent
-and Zimmermann, *Modern Computer Arithmetic*, section 1.7).
+That integer is then written in base b. A base whose digits fill whole
+bytes (2, 4, 16, 256) reads them off the integer's bytes through a
+256-entry table of each byte's digits, in linear time. Any other base
+takes one pass that splits the integer by b**(n // 2) and recurses on
+both halves (radix divide-and-conquer, Brent and Zimmermann, *Modern
+Computer Arithmetic*, section 1.7).
 
 Cost: the constant is a series summed by binary splitting on Python
 ints (Brent and Zimmermann, section 4.9): Chudnovsky's for pi, with
-sqrt(10005) from math.isqrt, and the sum of 1/k! for e. The conversion
-does one big-integer division per split; where big-integer division is
-schoolbook (CPython 3.11 and older) that is still quadratic in n, but
-with a far smaller constant than one full-width divmod per digit.
+sqrt(10005) from math.isqrt, and the sum of 1/k! for e. The
+divide-and-conquer conversion does one big-integer division per split;
+where big-integer division is schoolbook (CPython 3.11 and older) that
+is still quadratic in n, but with a far smaller constant than one
+full-width divmod per digit.
 
-A ConstantDigits stream computes each digit once. When a read passes its
-end it extends to a quarter past that position, resuming what the last
-extension left: the series state (P, Q, T) gains only its new terms, the
-last read's quotient is a first guess that leaves a division with a short
-quotient, and only the new digits are converted. pi's square root does
-not resume: each extension takes it afresh with math.isqrt. The floor is
-certified afresh at each new width. Each extension is then a few
-full-width multiplications and one short division, each about a fifth of
-a full schoolbook division, plus pi's full-width square root; with a
-growth of 5/4 the quadratic costs of all extensions sum to under three
-times those of the last. Read to position 200000 in base 3, 4 and 10, a
-stream takes about 0.9, 1.3 and 3.3 s for pi (of which the square roots
-0.4, 0.7 and 1.8 s) and 0.4, 0.4 and 1.2 s for e on a 2-core x86 machine
-with Python 3.11.
+A ConstantDigits stream computes each digit once, and resumes what its
+last extension left: the series state (P, Q, T) gains only its new
+terms, the last read's quotient is a first guess that leaves a division
+with a short quotient, and only the new digits are converted. pi's
+square root does not resume: each extension takes it afresh with
+math.isqrt. The floor is certified afresh at each new width. Each
+extension is then a few full-width multiplications and one short
+division, each about a fifth of a full schoolbook division, plus pi's
+full-width square root.
+
+When a read passes the cache's end, the stream extends to a quarter
+past that position (64 digits at first); read(limit) extends the same
+way but never past limit. With a growth of 5/4 the quadratic costs of
+all extensions sum to under three times those of the last, and a read
+that stops at any step has computed 64 digits or a quarter more than it
+used, whichever is more. Doubling would take fewer extensions, but a
+read that stops just past a doubling would compute twice the digits it
+used, in about twice the time of 5/4 growth at 65537 digits. To
+position 200000 in base 3, 4 and 10 on a 2-core x86 machine with Python
+3.11, pi takes about 1.2, 1.3 and 3.3 s, of which the square roots 0.45,
+0.65 and 1.7 s, and e 0.35, 0.35 and 1.1 s.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 from .universe import ExosimError
 
 _GUARD_BITS = 64
 _LEAF_DIGITS = 32
+# Base -> the digits of each byte value, built on a base's first use.
+_BYTE_DIGITS: dict[int, list[bytes]] = {}
 
 
 class DigitError(ExosimError):
@@ -142,9 +156,24 @@ def _radix_digits(value: int, base: int, width: int) -> list[int]:
     """The width base-b digits of 0 <= value < base**width, most
     significant first (leading zeros included).
 
-    Splits value by base**(width // 2) and recurses on both halves
-    (radix divide-and-conquer), down to leaves of a few digits.
+    A base whose digits fill whole bytes (2, 4, 16, 256) reads them off
+    value.to_bytes through a 256-entry table of each byte's digits.
+    Any other base splits value by base**(width // 2) and recurses on
+    both halves (radix divide-and-conquer), down to leaves of a few
+    digits.
     """
+    if base in (2, 4, 16, 256):
+        bits = base.bit_length() - 1
+        table = _BYTE_DIGITS.get(base)
+        if table is None:
+            table = _BYTE_DIGITS[base] = [
+                bytes(byte >> shift & base - 1 for shift in range(8 - bits, -1, -bits))
+                for byte in range(256)
+            ]
+        per_byte = 8 // bits
+        size = -(-width // per_byte)
+        packed = b"".join(map(table.__getitem__, value.to_bytes(size, "big")))
+        return list(packed[size * per_byte - width:])
     powers: dict[int, int] = {}
     out: list[int] = []
 
@@ -228,13 +257,30 @@ class ConstantDigits:
         if position < 0:
             raise DigitError(f"digit position must be non-negative, got {position}")
         if position >= len(self._cache):
-            # Each digit is computed once, so the waste is the overshoot
-            # past the read: extend to a quarter past it.
-            end = max(64, (position + 1) * 5 // 4)
-            self._cache += constant_digits(
-                self.name, self.base, end - len(self._cache), self._resume
-            )
+            self._extend(position)
         return self._cache[position]
+
+    def read(self, limit: int) -> Iterator[int]:
+        """Digits 0 to limit - 1 in turn, from the cache that digit shares.
+
+        Extends the cache as digit does, but never past limit, and only
+        when a digit past the cache is asked for: a read dropped at any
+        step has computed no more than digit would to reach it.
+        """
+        cache, position = self._cache, 0
+        while position < limit:
+            if position == len(cache):
+                self._extend(position, limit)
+            stop = min(len(cache), limit)
+            yield from cache[position:stop]
+            position = stop
+
+    def _extend(self, position: int, limit: float = math.inf) -> None:
+        """Extend the cache past position, to a quarter past it (at least
+        64 digits) but not past limit. Each digit is computed once, so
+        the waste of a read that stops is this overshoot."""
+        end = min(max(64, (position + 1) * 5 // 4), limit)
+        self._cache += constant_digits(self.name, self.base, end - len(self._cache), self._resume)
 
 
 class ExplicitDigits:
@@ -272,6 +318,13 @@ class ExplicitDigits:
                 f"explicit digit list of length {len(self.digits)} has no position {position}"
             )
         return self.digits[position]
+
+    def read(self, limit: int) -> Iterator[int]:
+        """Digits 0 to limit - 1 in turn; past the list's end, raises
+        DigitSourceExhausted where digit would."""
+        yield from self.digits[: max(limit, 0)]
+        if limit > len(self.digits):
+            self.digit(len(self.digits))
 
 
 def parse_digit_string(text: str, base: int) -> ExplicitDigits:

@@ -155,8 +155,13 @@ def run_trajectory(
     ``agent.stream``, a ``RandomFasa`` or ``PositionalFasa`` as its kind
     says, and a routed kind looks routes up in ``agent.tables[active]``.
     Seed, when given, replaces a random stream's seed, so the same inputs
-    replay the same run. A run's state is local: afs2b's target (the
-    goal, then the formula perceived at the previous step), and afs3a's
+    replay the same run. A positional run takes its acts in turn from one
+    ``read(max_steps)`` of its digit source, which extends a constant's
+    digits as the run reaches them, by a quarter at a time from 64 on and
+    never past max_steps: a run that dies within 64 steps computes at most
+    64 digits whatever its bound. An explicit list raises ``DigitSourceExhausted`` at the
+    step past its end. A run's state is local: afs2b's target (the goal,
+    then the formula perceived at the previous step), and afs3a's
     active table index (always 0 for the other kinds), pending episode
     (table index, age) and per-table tallies. An episode opens when the
     active table generates and none is pending, and succeeds if the goal
@@ -185,7 +190,7 @@ def run_trajectory(
     recall = kind is ArchitectureKind.AFS2B
     learner = kind is ArchitectureKind.AFS3A
     stream = agent.stream
-    digit = None
+    digits = None
     if elementary and max_steps > 0:
         if stream is None:
             raise ArchitectureError(f"{kind.value} agent {agent.name!r} has no act stream")
@@ -194,13 +199,13 @@ def run_trajectory(
             raise ArchitectureError(
                 f"{kind.value} agent {agent.name!r} has a {type(stream).__name__} act stream"
             )
-        # The stream's fields, read once per run; a step draws its act as
-        # the stream's act_at does.
+        # The stream's fields, read once per run: a random step draws its
+        # act by position, a positional step takes the read's next digit.
         order = stream.act_order
         if wanted is RandomFasa:
             draw_seed, n = stream.seed if seed is None else seed, len(order)
         else:
-            digit = stream.source.digit
+            digits = stream.source.read(max_steps)
     rmap, goal, tables, c = agent.representation, agent.goal, agent.tables, agent.projection_index
     if kind.is_sensitive and kind is not ArchitectureKind.AFS1 and not tables and max_steps > 0:
         raise ArchitectureError(f"{kind.value} agent {agent.name!r} has no route table")
@@ -220,7 +225,7 @@ def run_trajectory(
     reason = TerminalReason.STEP_LIMIT
     for t in range(max_steps):
         if elementary:
-            act = order[int(unit_draw(draw_seed, t) * n) if digit is None else digit(t)]
+            act = order[int(unit_draw(draw_seed, t) * n) if digits is None else next(digits)]
             key = (state, act)
         elif learner:
             if pending is not None:

@@ -91,47 +91,75 @@ class TestSplitmix:
         assert a != b
 
 
+def wheel(acts: tuple[str, ...]) -> Universe:
+    """One neutral state where every act idles at no cost, so an
+    elementary run through it lives to its bound."""
+    return Universe(
+        name="wheel",
+        states=frozenset(("w",)),
+        acts=frozenset(acts),
+        initial="w",
+        neutral_act=acts[0],
+        transitions={("w", act): "w" for act in acts},
+        classes={"w": StateClass.NEUTRAL},
+        energy=EnergyRules(1, 0, 0, 0, 1),
+    )
+
+
+def stream_acts(fasa, steps):
+    """The acts of a run of steps steps through the wheel of fasa's act
+    order by an elementary agent reading fasa."""
+    kind = ArchitectureKind.RANDOM if isinstance(fasa, RandomFasa) else ArchitectureKind.POSITIONAL
+    agent = AgentArchitecture(name="e", kind=kind, stream=fasa)
+    return [step.act for step in run_trajectory(wheel(fasa.act_order), agent, steps).steps]
+
+
 class TestRandomFasa:
     def test_uniform_draw_formula(self):
         order = ("a", "b", "c", "d")
-        fasa = RandomFasa(42, order)
-        for t in range(50):
-            assert fasa.act_at(t) == order[int(unit_draw(42, t) * 4)]
+        assert stream_acts(RandomFasa(42, order), 50) == [
+            order[int(unit_draw(42, t) * 4)] for t in range(50)
+        ]
 
     def test_frequencies_within_four_sigma(self):
         order = ("a", "b", "c", "d")
-        fasa = RandomFasa(42, order)
-        counts = collections.Counter(fasa.act_at(t) for t in range(10000))
+        counts = collections.Counter(stream_acts(RandomFasa(42, order), 10000))
         sigma = (10000 * 0.25 * 0.75) ** 0.5
         for act in order:
             assert abs(counts[act] - 2500) <= 4 * sigma
 
     def test_reproducible_and_seed_sensitive(self):
         order = ("a", "b")
-        run1 = [RandomFasa(5, order).act_at(t) for t in range(200)]
-        run2 = [RandomFasa(5, order).act_at(t) for t in range(200)]
-        run3 = [RandomFasa(6, order).act_at(t) for t in range(200)]
+        run1 = stream_acts(RandomFasa(5, order), 200)
+        run2 = stream_acts(RandomFasa(5, order), 200)
+        run3 = stream_acts(RandomFasa(6, order), 200)
         assert run1 == run2
         assert run1 != run3
 
 
 class TestPositionalFasa:
     def test_explicit_zeros_replay_first_act(self):
-        fasa = PositionalFasa(ExplicitDigits((0, 0, 0), 3), ("a", "b", "c"))
-        assert [fasa.act_at(t) for t in range(3)] == ["a", "a", "a"]
+        source = ExplicitDigits((0, 0, 0), 3)
+        assert list(source.read(3)) == [0, 0, 0]
+        assert stream_acts(PositionalFasa(source, ("a", "b", "c")), 3) == ["a", "a", "a"]
 
     def test_pi_digits_select_acts(self):
         order = tuple(f"a{i}" for i in range(10))
-        fasa = PositionalFasa(ConstantDigits("pi", 10), order)
-        assert [fasa.act_at(t) for t in range(6)] == [
-            "a3", "a1", "a4", "a1", "a5", "a9",
-        ]
+        want = ["a3", "a1", "a4", "a1", "a5", "a9"]
+        assert stream_acts(PositionalFasa(ConstantDigits("pi", 10), order), 6) == want
+        source = ConstantDigits("pi", 10)
+        assert [order[source.digit(t)] for t in range(6)] == want
+        assert [order[d] for d in source.read(6)] == want
 
     def test_exhaustion_propagates(self):
-        fasa = PositionalFasa(ExplicitDigits((1,), 2), ("a", "b"))
-        assert fasa.act_at(0) == "b"
+        source = ExplicitDigits((1,), 2)
+        digits = source.read(2)
+        assert next(digits) == 1
         with pytest.raises(DigitSourceExhausted):
-            fasa.act_at(1)
+            next(digits)
+        assert stream_acts(PositionalFasa(source, ("a", "b")), 1) == ["b"]
+        with pytest.raises(DigitSourceExhausted):
+            stream_acts(PositionalFasa(source, ("a", "b")), 2)
 
 
 class TestKinds:
@@ -462,9 +490,9 @@ class TestCloneForRun:
             name="r", kind=ArchitectureKind.RANDOM, stream=RandomFasa(7, order)
         )
         acts = lambda seed: [s.act for s in run_trajectory(micro3(), base, 30, seed=seed).steps]
-        assert acts(99) == [RandomFasa(99, order).act_at(t) for t in range(30)]
+        assert acts(99) == [order[int(unit_draw(99, t) * 2)] for t in range(30)]
         assert base.stream.seed == 7
-        assert acts(None) == [RandomFasa(7, order).act_at(t) for t in range(30)]
+        assert acts(None) == [order[int(unit_draw(7, t) * 2)] for t in range(30)]
         assert acts(None) != acts(99)
 
 
@@ -488,7 +516,7 @@ class TestStep:
             tables=(GOOD_ROUTES,),
             goal="rg",
         )
-        assert run_trajectory(u, rand, 5).steps[4].act == rand.stream.act_at(4)
+        assert run_trajectory(u, rand, 5).steps[4].act == ("go", "sit")[int(unit_draw(3, 4) * 2)]
         assert run_trajectory(u, pos, 2).steps[1].act == "go"
         assert run_trajectory(u, routed, 1).steps[0].act == "go"
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +129,16 @@ class TestFixedPoint:
         assert proc.stdout == "False\n"
 
 
+def plain_digits(value: int, base: int, width: int) -> list[int]:
+    """The width base-b digits of value, most significant first, one
+    divmod at a time."""
+    out = []
+    for _ in range(width):
+        value, d = divmod(value, base)
+        out.append(d)
+    return out[::-1]
+
+
 class TestConversion:
     """The certified floor and the radix conversion, each against a plain
     recomputation."""
@@ -149,12 +160,19 @@ class TestConversion:
     @settings(max_examples=200)
     def test_radix_conversion_pads_and_splits(self, base, width, data):
         value = data.draw(st.integers(0, base**width - 1))
-        want = []
-        rest = value
-        for _ in range(width):
-            rest, d = divmod(rest, base)
-            want.append(d)
-        assert digits_module._radix_digits(value, base, width) == want[::-1]
+        assert digits_module._radix_digits(value, base, width) == plain_digits(value, base, width)
+
+    @pytest.mark.parametrize("base", [2, 4, 8, 16, 256])
+    @pytest.mark.parametrize("width", [0, 1, 3, 5, 7, 9, 33, 1001])
+    def test_byte_table_bases_and_base_8(self, base, width):
+        # 2, 4, 16 and 256 read their digits off the value's bytes, here at
+        # widths that leave the first byte part full; 8, whose digits cross
+        # byte edges, takes the divide-and-conquer path.
+        rng = random.Random(base * 10007 + width)
+        for value in {0, base**width - 1, rng.randrange(base**width)}:
+            got = digits_module._radix_digits(value, base, width)
+            assert got == plain_digits(value, base, width)
+        assert (base in digits_module._BYTE_DIGITS) == (base != 8)
 
 
 class TestLazyStream:
@@ -239,10 +257,16 @@ class TestResumedStream:
         # More resumed reads of the constant than resumed extensions.
         assert resumed["reads"] > resumed["extensions"] > 0
 
-    @pytest.mark.parametrize("name,base", [("pi", 4), ("e", 10)])
-    def test_sequential_read_computes_few_digits_twice(self, monkeypatch, name, base):
-        # Each digit is computed once: what a read to position 5000 makes
-        # past it is the overshoot of the last extension.
+    @pytest.mark.parametrize(
+        "name,base,reader",
+        [("pi", 4, "digit"), ("e", 10, "digit"), ("pi", 4, "read"), ("e", 10, "read")],
+        ids=["pi-4", "e-10", "pi-4-read", "e-10-read"],
+    )
+    def test_sequential_read_computes_few_digits_twice(self, monkeypatch, name, base, reader):
+        # Each digit is computed once: what digit() reads to position 5000
+        # makes past it is the overshoot of the last extension, and a read
+        # bounded by limit extends as digit() does but makes no digit past
+        # its bound.
         counts = []
 
         def counted(*args):
@@ -250,11 +274,33 @@ class TestResumedStream:
             return constant_digits(*args)
 
         monkeypatch.setattr(digits_module, "constant_digits", counted)
+        if reader == "digit":
+            stream = ConstantDigits(name, base)
+            for position in range(5001):
+                stream.digit(position)
+            assert sum(counts) <= 1.3 * 5001
+            assert sum(counts) == len(stream._cache)
+            return
+        want = oracles.certified_constant_digits(name, base, 5001)
+        for limit in (1, 64, 65, 5001):
+            counts.clear()
+            stream = ConstantDigits(name, base)
+            for position in range(limit):
+                stream.digit(position)
+            unbounded = counts[:]
+            counts.clear()
+            assert list(ConstantDigits(name, base).read(limit)) == want[:limit]
+            # digit()'s extensions, the last cut at the bound.
+            assert counts[:-1] == unbounded[:-1]
+            assert sum(counts) == limit
+        # digit() and read() share one cache, whichever extended it.
         stream = ConstantDigits(name, base)
-        for position in range(5001):
-            stream.digit(position)
-        assert sum(counts) <= 1.3 * 5001
-        assert sum(counts) == len(stream._cache)
+        for position in (70, 3, 300):
+            assert stream.digit(position) == want[position]
+        assert list(stream.read(10)) == want[:10]
+        assert list(stream.read(5001)) == want
+        assert [stream.digit(position) for position in range(5001)] == want
+        assert len(stream._cache) == 5001
 
     def test_read_position_hidden_from_equality_and_repr(self):
         ahead, behind = ConstantDigits("pi", 4), ConstantDigits("pi", 4)

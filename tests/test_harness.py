@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import exosim.digits
 import exosim.harness
 from exosim import (
     AgentArchitecture,
@@ -16,6 +17,7 @@ from exosim import (
     EnergyRules,
     ExperimentConfig,
     ExperimentResult,
+    ExplicitDigits,
     MissingAgentKind,
     PositionalFasa,
     ProjectionOutOfRange,
@@ -28,11 +30,13 @@ from exosim import (
     TrajectoryStep,
     UnknownAct,
     UnknownState,
+    Universe,
     derive_seed,
     parse,
     run_experiment,
     run_experiment_from_document,
     run_trajectory,
+    unit_draw,
     write_csv,
 )
 
@@ -257,6 +261,89 @@ class TestReferenceStepper:
         assert at_x0 == [("sit",), ("sit",), ("go", "go")]
 
 
+def dial(base: int) -> Universe:
+    """Seven states on a dial; act a{j} turns it j + 1 notches. d0 rewards
+    two units of energy and d1 and d4 cost one each, so a run's energy
+    moves."""
+    states = tuple(f"d{i}" for i in range(7))
+    acts = tuple(f"a{j}" for j in range(base))
+    return Universe(
+        name=f"dial{base}",
+        states=frozenset(states),
+        acts=frozenset(acts),
+        initial="d0",
+        neutral_act="a0",
+        transitions={
+            (s, a): states[(i + j + 1) % 7]
+            for i, s in enumerate(states)
+            for j, a in enumerate(acts)
+        },
+        classes={
+            s: StateClass.POSITIVE if s == "d0"
+            else StateClass.NEGATIVE if s in ("d1", "d4") else StateClass.NEUTRAL
+            for s in states
+        },
+        energy=EnergyRules(60, 0, 1, 2, 60),
+    )
+
+
+def dial_agent(source, base: int) -> AgentArchitecture:
+    order = tuple(f"a{j}" for j in range(base))
+    return AgentArchitecture(
+        name="dialer", kind=ArchitectureKind.POSITIONAL, stream=PositionalFasa(source, order)
+    )
+
+
+class TestPositionalRead:
+    """A positional run takes its acts from one read of its digit stream,
+    bounded by the run's max_steps and extended in chunks; the reference
+    stepper indexes a certified digit list."""
+
+    @pytest.mark.parametrize("max_steps", [1, 63, 64, 65, 129, 1000])
+    @pytest.mark.parametrize("base", [2, 3, 4, 10])
+    @pytest.mark.parametrize("name", ["pi", "e"])
+    def test_constant_streams(self, name, base, max_steps):
+        agent = dial_agent(ConstantDigits(name, base), base)
+        steps = assert_matches_reference(dial(base), agent, max_steps)
+        assert len(steps) == max_steps
+        assert len({r[6] for r in steps}) > 1 or max_steps == 1
+
+    @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 129])
+    def test_explicit_list_runs_out_at_its_length(self, length):
+        want = oracles.certified_constant_digits("pi", 3, length)
+        agent = dial_agent(ExplicitDigits(tuple(want), 3), 3)
+        universe = dial(3)
+        got = run_trajectory(universe, agent, length)
+        assert [r.act for r in got.steps] == [f"a{d}" for d in want]
+        with pytest.raises(DigitSourceExhausted):
+            run_trajectory(universe, agent, length + 1)
+        assert_matches_reference(universe, agent, length + 65)
+
+    @pytest.mark.parametrize("energy", [30, 300])
+    def test_a_run_that_dies_computes_what_digit_would(self, monkeypatch, energy):
+        # A billion-step bound computes nothing up front: a run that dies
+        # extends its stream as digit() reads to its last step would, and
+        # one that dies within its first 64 steps reads one chunk.
+        counts = []
+        real = exosim.digits.constant_digits
+
+        def counted(*args):
+            counts.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(exosim.digits, "constant_digits", counted)
+        universe = dial(4)._replace(energy=EnergyRules(energy, 1, 0, 0, energy))
+        got = run_trajectory(universe, dial_agent(ConstantDigits("pi", 4), 4), 10**9)
+        assert (got.persistence, got.terminal_reason) == (energy, TerminalReason.EXOINACTIVE)
+        by_run = counts[:]
+        counts.clear()
+        stream = ConstantDigits("pi", 4)
+        for position in range(energy):
+            stream.digit(position)
+        assert by_run == counts
+        assert energy > 64 or by_run == [64]
+
+
 DETERMINISTIC = (ArchitectureKind.AFS1, ArchitectureKind.AFS2A, ArchitectureKind.AFS2B)
 
 
@@ -399,7 +486,8 @@ class TestExceptionParity:
             kind=ArchitectureKind.RANDOM,
             stream=RandomFasa(4, ("go", "sit", "fly")),
         )
-        acts = [agent.stream.act_at(t) for t in range(40)]
+        order = agent.stream.act_order
+        acts = [order[int(unit_draw(4, t) * len(order))] for t in range(40)]
         first = acts.index("fly")
         assert first > 0
         with pytest.raises(UnknownAct):
