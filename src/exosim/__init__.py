@@ -26,16 +26,12 @@ _EXPORTS = {
         "AgentArchitecture",
         "ArchitectureError",
         "ArchitectureKind",
-        "FunctionalUnit",
-        "InconsistentMetadata",
         "OrientedViolation",
         "PositionalFasa",
         "ProjectionOutOfRange",
         "RandomFasa",
         "RouteTable",
-        "UnitGraph",
         "check_oriented_table",
-        "detect_redundancy",
         "splitmix64",
         "unit_draw",
         "update_learning",
@@ -81,16 +77,11 @@ _EXPORTS = {
         "write_csv",
     ),
     "metrics": (
-        "MetricsError",
-        "MismatchedContext",
         "ObjectiveSets",
         "PersistenceCase",
-        "StabilityDelta",
         "StabilityReport",
         "TriValue",
         "TruthTableRow",
-        "compare_learning",
-        "departure_set",
         "derive_objectives",
         "evaluate_persistence_claim",
         "persistence_truth_table",

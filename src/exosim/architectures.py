@@ -62,10 +62,6 @@ class ProjectionOutOfRange(ArchitectureError):
     """The projection index is below 1 or past the end of a generated sequence."""
 
 
-class InconsistentMetadata(ArchitectureError):
-    """Unit graph inverse/bijectivity declarations contradict each other."""
-
-
 class RandomFasa(NamedTuple):
     """Seeded uniform random act generation over a fixed act order: step
     t takes act_order[int(unit_draw(seed, t) * len(act_order))]."""
@@ -187,62 +183,4 @@ def check_oriented_table(
             state = universe.successor(state, token)
         if state != expected:
             out.append(OrientedViolation(source_f, goal_f, seq, state, expected))
-    return out
-
-
-class FunctionalUnit(NamedTuple):
-    """A node in a composition graph of functional units."""
-
-    id: str
-    bijective: bool = False
-    inverse_of: str | None = None
-
-
-class UnitGraph(NamedTuple):
-    """Functional units wired output-to-input; edges are (from, to)."""
-
-    units: tuple[FunctionalUnit, ...]
-    edges: frozenset[tuple[str, str]]
-
-
-def detect_redundancy(graph: UnitGraph) -> list[tuple[str, str, str]]:
-    """Find compositions g(f_inv(f(x))) that collapse to g(x).
-
-    A triple (f, f_inv, g) is redundant when f is bijective, f_inv is
-    declared its inverse, f feeds f_inv, and f_inv feeds g. Declarations
-    must be mutual and bijective on both sides, else the metadata is
-    inconsistent.
-    """
-    by_id: dict[str, FunctionalUnit] = {}
-    for u in graph.units:
-        if u.id in by_id:
-            raise InconsistentMetadata(f"duplicate unit id {u.id!r}")
-        by_id[u.id] = u
-    for u in graph.units:
-        if u.inverse_of is None:
-            continue
-        partner = by_id.get(u.inverse_of)
-        if partner is None:
-            raise InconsistentMetadata(
-                f"{u.id!r} claims to invert unknown unit {u.inverse_of!r}"
-            )
-        if partner.inverse_of != u.id:
-            raise InconsistentMetadata(
-                f"{u.id!r} inverts {partner.id!r} but not vice versa"
-            )
-        if not (u.bijective and partner.bijective):
-            raise InconsistentMetadata(
-                f"inverse pair ({u.id!r}, {partner.id!r}) must both be bijective"
-            )
-    for a, b in graph.edges:
-        if a not in by_id or b not in by_id:
-            raise InconsistentMetadata(f"edge ({a!r}, {b!r}) references unknown units")
-    out: list[tuple[str, str, str]] = []
-    for f_id, inv_id in sorted(graph.edges):
-        inv = by_id[inv_id]
-        if inv.inverse_of != f_id:
-            continue
-        for tail, g_id in sorted(graph.edges):
-            if tail == inv_id:
-                out.append((f_id, inv_id, g_id))
     return out

@@ -120,21 +120,6 @@ class Trajectory(NamedTuple):
     def steps(self) -> tuple[TrajectoryStep, ...]:
         return tuple(self.iter_steps())
 
-    def _last(self) -> int:
-        """The index into choices of the last step."""
-        stepped, last = len(self.choices), self.persistence - 1
-        if last < stepped:
-            return last
-        return self.cycle_start + (last - stepped) % (stepped - self.cycle_start)
-
-    @property
-    def final_state(self) -> StateId:
-        return self.choices[self._last()][3] if self.persistence else self.initial_state
-
-    @property
-    def final_energy(self) -> int:
-        return self.energies[self._last()] if self.persistence else self.initial_energy
-
 
 def derive_seed(master_seed: int, k: int) -> int:
     """Seed for run k: two scrambling rounds keep runs k and k+1 apart."""

@@ -28,21 +28,8 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .architectures import RouteTable
-from .representation import (
-    AmbiguousRepresentation,
-    Formula,
-    RepresentationMap,
-    UnrepresentedFormula,
-)
-from .universe import ExosimError, StateClass, StateId, Universe
-
-
-class MetricsError(ExosimError):
-    pass
-
-
-class MismatchedContext(MetricsError):
-    """Two reports compared across different universes or objectives."""
+from .representation import AmbiguousRepresentation, Formula, RepresentationMap
+from .universe import StateClass, StateId, Universe
 
 
 class ObjectiveSets(NamedTuple):
@@ -84,31 +71,12 @@ def derive_objectives(
     return ObjectiveSets(objectives, frozenset(positive), frozenset(negative))
 
 
-def departure_set(
-    table: RouteTable, rmap: RepresentationMap, target: Formula, universe: Universe
-) -> frozenset[StateId]:
-    """States from which the table routes toward target.
-
-    A state departs when it is represented and the table holds a route
-    from its formula to the target formula.
-    """
-    if target not in rmap.by_formula:
-        raise UnrepresentedFormula(f"target {target!r} is outside the representation image")
-    return frozenset(
-        state
-        for state in universe.states
-        if (f := rmap.entries.get(state)) is not None
-        and table.entries.get((f, target)) is not None
-    )
-
-
 class StabilityReport(NamedTuple):
     """Exact stability accounting for one table in one universe.
 
     departures maps each objective formula to |P_i|, the size of its
     departure set. negative_escapes / positive_escapes map each neutral
-    state j to |A-_j| / |A+_j|. The context fingerprint pins the
-    universe and objectives so reports are only compared like for like.
+    state j to |A-_j| / |A+_j|.
     """
 
     departures: Mapping[Formula, int]
@@ -117,7 +85,6 @@ class StabilityReport(NamedTuple):
     basic_stability: Fraction
     instability: Fraction
     total_stability: Fraction
-    context: tuple
 
     @staticmethod
     def _term_toward(
@@ -167,12 +134,6 @@ def stability_report(
     if n:
         instability += Fraction(sum(pos_escapes.values()), n)
 
-    context = (
-        universe.name,
-        tuple(sorted(universe.states)),
-        tuple(sorted((s, cls.value) for s, cls in classes.items())),
-        tuple(sorted(objectives.objectives)),
-    )
     return StabilityReport(
         departures=departures,
         negative_escapes=neg_escapes,
@@ -180,26 +141,6 @@ def stability_report(
         basic_stability=basic,
         instability=instability,
         total_stability=basic - instability,
-        context=context,
-    )
-
-
-class StabilityDelta(NamedTuple):
-    basic: Fraction
-    instability: Fraction
-    total: Fraction
-
-
-def compare_learning(before: StabilityReport, after: StabilityReport) -> StabilityDelta:
-    """after minus before, refusing to compare across contexts."""
-    if before.context != after.context:
-        raise MismatchedContext(
-            "stability reports come from different universes or objectives"
-        )
-    return StabilityDelta(
-        basic=after.basic_stability - before.basic_stability,
-        instability=after.instability - before.instability,
-        total=after.total_stability - before.total_stability,
     )
 
 

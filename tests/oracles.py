@@ -3,11 +3,10 @@
 Everything in this module recomputes expected values from first
 principles: spigots and fixed-point series for constants, a rescan of
 the whole history for learning, plain step-by-step stepping for runs,
-exhaustive set enumeration for the stability metrics, breadth-first
-search for routes, and brute-force scans for redundancy patterns.
-Nothing here calls into exosim (the stepper only reads the fields of
-the objects it is given), so each test compares two independent routes
-to the same answer.
+exhaustive set enumeration for the stability metrics, and
+breadth-first search for routes. Nothing here calls into exosim (the
+stepper only reads the fields of the objects it is given), so each test
+compares two independent routes to the same answer.
 """
 
 from __future__ import annotations
@@ -404,32 +403,6 @@ def chi_square_bound_4_sigma(bins: int) -> float:
     bins - 1 degrees of freedom."""
     df = bins - 1
     return df + 4 * math.sqrt(2 * df)
-
-
-# ---------------------------------------------------------------------------
-# Redundancy brute force
-
-
-def redundancy_scan(
-    units: dict[str, tuple[bool, str | None]],
-    edges: set[tuple[str, str]],
-) -> set[tuple[str, str, str]]:
-    """All (f, f_inv, g) chains found by scanning every triple."""
-    out = set()
-    for f in units:
-        for fi in units:
-            for g in units:
-                f_bij, _ = units[f]
-                fi_bij, fi_inv = units[fi]
-                if (
-                    f_bij
-                    and fi_bij
-                    and fi_inv == f
-                    and (f, fi) in edges
-                    and (fi, g) in edges
-                ):
-                    out.add((f, fi, g))
-    return out
 
 
 # ---------------------------------------------------------------------------

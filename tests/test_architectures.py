@@ -14,8 +14,6 @@ from exosim import (
     DigitSourceExhausted,
     EnergyRules,
     ExplicitDigits,
-    FunctionalUnit,
-    InconsistentMetadata,
     PositionalFasa,
     ProjectionOutOfRange,
     RandomFasa,
@@ -24,9 +22,7 @@ from exosim import (
     StateClass,
     Universe,
     UnrepresentedFormula,
-    UnitGraph,
     check_oriented_table,
-    detect_redundancy,
     run_trajectory,
     splitmix64,
     unit_draw,
@@ -566,88 +562,3 @@ class TestOriented:
         with pytest.raises(UnrepresentedFormula):
             check_oriented_table(table, RMAP3, u)
 
-
-def unit(uid, bijective=False, inverse_of=None):
-    return FunctionalUnit(uid, bijective, inverse_of)
-
-
-class TestRedundancy:
-    def test_inverse_chain_found(self):
-        graph = UnitGraph(
-            units=(
-                unit("f", True, "finv"),
-                unit("finv", True, "f"),
-                unit("g"),
-            ),
-            edges=frozenset({("f", "finv"), ("finv", "g")}),
-        )
-        assert detect_redundancy(graph) == [("f", "finv", "g")]
-
-    def test_no_declared_inverse_no_findings(self):
-        graph = UnitGraph(
-            units=(unit("f", True), unit("g", True)),
-            edges=frozenset({("f", "g")}),
-        )
-        assert detect_redundancy(graph) == []
-
-    def test_fanout_reports_each_consumer(self):
-        graph = UnitGraph(
-            units=(
-                unit("f", True, "finv"),
-                unit("finv", True, "f"),
-                unit("g1"),
-                unit("g2"),
-            ),
-            edges=frozenset({("f", "finv"), ("finv", "g1"), ("finv", "g2")}),
-        )
-        assert detect_redundancy(graph) == [
-            ("f", "finv", "g1"),
-            ("f", "finv", "g2"),
-        ]
-
-    @pytest.mark.parametrize(
-        "units,edges",
-        [
-            ((unit("a"), unit("a")), set()),
-            ((unit("a", True, "ghost"),), set()),
-            ((unit("a", True, "b"), unit("b", True)), set()),
-            ((unit("a", True, "b"), unit("b", False, "a")), set()),
-            ((unit("a"),), {("a", "zz")}),
-        ],
-        ids=["dup-id", "unknown-partner", "one-sided", "non-bijective", "ghost-edge"],
-    )
-    def test_inconsistent_metadata(self, units, edges):
-        graph = UnitGraph(units=tuple(units), edges=frozenset(edges))
-        with pytest.raises(InconsistentMetadata):
-            detect_redundancy(graph)
-
-    @given(data=st.data())
-    @settings(max_examples=80)
-    def test_matches_triple_scan(self, data):
-        n = data.draw(st.integers(2, 6))
-        ids = [f"u{i}" for i in range(n)]
-        # Pair up a prefix of units as mutual bijective inverses.
-        pairs = data.draw(st.integers(0, n // 2))
-        units = []
-        meta = {}
-        for k in range(pairs):
-            a, b = ids[2 * k], ids[2 * k + 1]
-            units += [unit(a, True, b), unit(b, True, a)]
-            meta[a] = (True, b)
-            meta[b] = (True, a)
-        for uid in ids[2 * pairs:]:
-            bij = data.draw(st.booleans())
-            units.append(unit(uid, bij))
-            meta[uid] = (bij, None)
-        edges = set(
-            data.draw(
-                st.sets(
-                    st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
-                    max_size=12,
-                )
-            )
-        )
-        graph = UnitGraph(units=tuple(units), edges=frozenset(edges))
-        found = detect_redundancy(graph)
-        assert set(found) == oracles.redundancy_scan(meta, edges)
-        assert found == sorted(found)

@@ -16,7 +16,6 @@ from exosim import (
     ArchitectureError,
     DigitError,
     HarnessError,
-    MetricsError,
     RepresentationError,
     SpecInvalid,
     UniverseError,
@@ -604,7 +603,6 @@ class TestModuleNames:
         RepresentationError,
         ArchitectureError,
         DigitError,
-        MetricsError,
         HarnessError,
         CliError,
     ],

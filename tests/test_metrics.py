@@ -10,18 +10,13 @@ import pytest
 from exosim import (
     AmbiguousRepresentation,
     EnergyRules,
-    MismatchedContext,
     PersistenceCase,
     RepresentationMap,
     RouteTable,
-    StabilityDelta,
     StateClass,
     TriValue,
     Universe,
-    UnrepresentedFormula,
-    compare_learning,
     derive_objectives,
-    departure_set,
     evaluate_persistence_claim,
     persistence_truth_table,
     stability_report,
@@ -88,20 +83,6 @@ class TestDeriveObjectives:
         assert sets.positive == sets.negative == frozenset()
 
 
-class TestDepartureSet:
-    def test_fixture_departures_toward_goal(self, ejemplo_pair):
-        table, rmap, universe = ejemplo_table(ejemplo_pair)
-        assert departure_set(table, rmap, "psi1", universe) == frozenset(
-            {"e1", "e2", "e3"}
-        )
-        assert departure_set(table, rmap, "psi2", universe) == frozenset({"e4"})
-
-    def test_target_outside_image_rejected(self, ejemplo_pair):
-        table, rmap, universe = ejemplo_table(ejemplo_pair)
-        with pytest.raises(UnrepresentedFormula):
-            departure_set(table, rmap, "psi9", universe)
-
-
 class TestStabilityReport:
     def test_fixture_golden_values(self, ejemplo_pair):
         table, rmap, universe = ejemplo_table(ejemplo_pair)
@@ -146,55 +127,6 @@ class TestStabilityReport:
         assert report.basic_stability == Fraction(0)
         assert report.instability == Fraction(0)
         assert report.total_stability == Fraction(0)
-
-
-class TestCompareLearning:
-    def reports(self, ejemplo_pair, extra=None):
-        table, rmap, universe = ejemplo_table(ejemplo_pair)
-        sets = derive_objectives(table, rmap, universe)
-        before = stability_report(table, rmap, sets, universe)
-        if extra is None:
-            return before, before
-        entries = dict(table.entries)
-        entries.update(extra)
-        grown = RouteTable(entries, table.depth_max)
-        after = stability_report(grown, rmap, derive_objectives(grown, rmap, universe), universe)
-        return before, after
-
-    def test_identical_reports_delta_zero(self, ejemplo_pair):
-        before, after = self.reports(ejemplo_pair)
-        assert compare_learning(before, after) == StabilityDelta(
-            Fraction(0), Fraction(0), Fraction(0)
-        )
-
-    def test_learned_escape_gains_one_fifth(self, ejemplo_pair):
-        # A new route from the remaining negative state toward neutral
-        # ground adds one escape over five states.
-        before, after = self.reports(
-            ejemplo_pair, extra={("psi5", "psi2"): ("go2",)}
-        )
-        delta = compare_learning(before, after)
-        assert delta.basic == Fraction(1, 5)
-        assert delta.instability == Fraction(0)
-        assert delta.total == Fraction(1, 5)
-        assert after.basic_stability == Fraction(1)
-
-    def test_antisymmetric(self, ejemplo_pair):
-        before, after = self.reports(
-            ejemplo_pair, extra={("psi5", "psi2"): ("go2",)}
-        )
-        forward = compare_learning(before, after)
-        backward = compare_learning(after, before)
-        assert backward.basic == -forward.basic
-        assert backward.total == -forward.total
-
-    def test_cross_universe_comparison_rejected(self, ejemplo_pair, pathfinder_pair):
-        before, _ = self.reports(ejemplo_pair)
-        agent, universe = pathfinder_pair
-        sets = derive_objectives(agent.tables[0], agent.representation, universe)
-        other = stability_report(agent.tables[0], agent.representation, sets, universe)
-        with pytest.raises(MismatchedContext):
-            compare_learning(before, other)
 
 
 class TestOracleEquivalence:
