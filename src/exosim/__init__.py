@@ -12,8 +12,8 @@ behavior families.
 
 Every public name of the submodules below is read from here, and a
 submodule is imported when one of its names is first read (PEP 562), so
-`from exosim import load_document` loads only dsl and the four modules
-it builds on, and never harness, metrics or stats.
+`from exosim import load_document` loads only dsl and the three modules
+it builds on, and never digits, harness, metrics or stats.
 """
 
 from __future__ import annotations

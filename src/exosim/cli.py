@@ -10,16 +10,20 @@ Subcommands:
 Exit codes: 0 success, 1 usage, 2 invalid document, 3 runtime failure.
 
 A command imports only the modules it runs: every command reads its
-document through dsl, trace and experiment also load harness, metrics
-and logic-table load metrics, and only `metrics --format json` loads
-json. A name a command takes from harness or metrics is an attribute of
-this module (see _LAZY) that the command reads at each call, so a
-wrapper set on it sees every call.
+document through dsl, trace and experiment also load harness (and digits
+for a positional agent), metrics and logic-table load metrics, and only
+`metrics --format json` loads json. A name a command takes from harness
+or metrics is an attribute of this module (see _LAZY) that the command
+reads at each call, so a wrapper set on it sees every call. run() pauses
+the cyclic garbage collector for the command, then restores it: a
+command leaves the same few hundred unreachable objects whatever its
+document, so a pass frees next to nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -261,6 +265,8 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         # argparse raises for --help (code 0) and usage errors (code 1 here).
         return int(exc.code or 0)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command](args, out)
     except SpecInvalid as exc:
@@ -270,6 +276,9 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except (ExosimError, OSError, ValueError) as exc:  # CliError is an ExosimError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main() -> None:

@@ -52,7 +52,6 @@ from .architectures import (
     RandomFasa,
     RouteTable,
 )
-from .digits import ConstantDigits, parse_digit_string
 from .representation import Formula, RepresentationMap
 from .universe import ActId, EnergyRules, StateClass, StateId, Universe
 
@@ -158,6 +157,7 @@ class AgentDecl(NamedTuple):
             stream = RandomFasa(seed=self.seed or 0, act_order=act_order)
             return AgentArchitecture(name=self.name, kind=self.kind, stream=stream)
         if self.kind is ArchitectureKind.POSITIONAL:
+            from .digits import ConstantDigits, parse_digit_string  # no other kind loads it
             kind, payload = self.constant or ("pi", None)
             if kind == "digits":
                 source = parse_digit_string(payload or "", len(act_order))
@@ -382,7 +382,8 @@ class _Reader:
     The reader only moves forward and lexes each token once, into self.tok,
     where each decision looks at it once until it is stepped past; only a
     list looks ahead, past an item keyword (_starts_item). A block holds
-    only strings and offsets, which the garbage collector stops tracking."""
+    only strings, offsets and tuples of them, which make no reference
+    cycle, so a collector pass frees none of it (exosim.cli pauses it)."""
 
     def __init__(self, text: str):
         self.text = text

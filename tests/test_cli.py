@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
@@ -23,7 +24,7 @@ from exosim import (
 from exosim.cli import CliError, run
 from exosim.universe import ExosimError
 
-from test_dsl import INT_DIGIT_LIMIT, MINI, agent_block, needs_int_digit_limit
+from test_dsl import INT_DIGIT_LIMIT, MINI, agent_block, needs_int_digit_limit, ring_document
 
 
 def cli(*argv) -> tuple[int, str]:
@@ -594,6 +595,79 @@ class TestModuleNames:
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'write_csv'"):
             exosim.cli.write_csv
+
+
+@pytest.fixture()
+def keep_collector_state():
+    """Gives the cyclic collector back its state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """run() pauses the cyclic garbage collector for a command and leaves
+    it as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_is_restored(
+        self, enabled, keep_collector_state, ejemplo5_path, reference_path, broken_spec
+    ):
+        # A clean command, a usage error, an invalid document and a
+        # runtime error.
+        runs = [
+            (("validate", str(ejemplo5_path)), 0),
+            (("validate",), 1),
+            (("validate", str(broken_spec)), 2),
+            (("metrics", str(reference_path), "--agent", "nobody"), 3),
+        ]
+        (gc.enable if enabled else gc.disable)()
+        for argv, code in runs:
+            assert (cli(*argv)[0], gc.isenabled()) == (code, enabled)
+
+    def test_command_runs_with_collection_off(self, monkeypatch, reference_path):
+        seen = []
+
+        def wrapper(*args, _fn=exosim.cli.stability_report, **kwargs):
+            seen.append(gc.isenabled())
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(exosim.cli, "stability_report", wrapper)
+        assert gc.isenabled()
+        assert cli("metrics", str(reference_path), "--agent", "pathfinder")[0] == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("command", ["metrics", "validate", "experiment"])
+    def test_garbage_does_not_grow_with_the_document(self, command, keep_collector_state, tmp_path):
+        # The pause is safe because a command leaves the same cycles for
+        # the collector however large its document is.
+        gc.disable()
+
+        def garbage(n: int) -> int:
+            # A random and a positional agent give an experiment its groups.
+            path = tmp_path / f"ring{n}.exo"
+            path.write_text(
+                ring_document(n)
+                + agent_block("  architecture: random;\n  seed: 3;", "drifter", "ring")
+                + agent_block("  architecture: positional;\n  constant: e;", "ticker", "ring"),
+                encoding="utf-8",
+            )
+            argv = {
+                "metrics": ("--agent", "walker"),
+                "validate": (),
+                "experiment": ("--runs", "3", "--max-steps", "40", "--seed", "1",
+                               "--out", str(tmp_path / "out.csv")),
+            }[command]
+            gc.collect()
+            assert cli(command, str(path), *argv)[0] == 0
+            return gc.collect()
+
+        garbage(40)  # the first run imports what the command loads
+        small, large = garbage(40), garbage(400)
+        sizes = [(tmp_path / f"ring{n}.exo").stat().st_size for n in (40, 400)]
+        assert sizes[1] > 9 * sizes[0]
+        assert large == small
 
 
 @pytest.mark.parametrize(

@@ -121,26 +121,52 @@ class TestRecords:
         assert record == tuple(range(len(cls._fields)))
 
 
+def unused_imports(scope: ast.AST, imports: list[ast.stmt]) -> set[str]:
+    """The names the imports bind that no name or attribute in scope reads."""
+    bound = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in imports
+        if not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    used = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return bound - used
+
+
+def is_import(node: ast.AST) -> bool:
+    return isinstance(node, (ast.Import, ast.ImportFrom))
+
+
+MODULES = pytest.mark.parametrize(
+    "path", sorted((SRC / "exosim").glob("*.py")), ids=lambda path: path.name
+)
+
+
 class TestImports:
-    @pytest.mark.parametrize(
-        "path", sorted((SRC / "exosim").glob("*.py")), ids=lambda path: path.name
-    )
+    @MODULES
     def test_every_top_level_import_is_used(self, path):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        imported_names = {
-            (alias.asname or alias.name).split(".")[0]
-            for node in tree.body
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
-            for alias in node.names
+        assert unused_imports(tree, [node for node in tree.body if is_import(node)]) == set()
+
+    @MODULES
+    def test_every_import_in_a_function_is_used_there(self, path):
+        # A lazy import (cli's json, the package's resources, dsl's digits)
+        # must be read in the function that makes it.
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        unused = {
+            (function.name, name)
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for name in unused_imports(
+                function, [node for node in ast.walk(function) if is_import(node)]
+            )
         }
-        used = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-        assert imported_names - used == set()
+        assert unused == set()
 
 
 class TestLoadedModules:
@@ -148,7 +174,7 @@ class TestLoadedModules:
         loaded = imported("from exosim import load_document")
         assert {m for m in loaded if m.startswith("exosim")} == {
             "exosim",
-            *(f"exosim.{m}" for m in ("dsl", "architectures", "digits", "representation", "universe")),
+            *(f"exosim.{m}" for m in ("dsl", "architectures", "representation", "universe")),
         }
         assert "statistics" not in loaded
         assert not loaded & CLASS_BUILDERS
@@ -158,16 +184,22 @@ class TestLoadedModules:
             CLI, "experiment", str(reference_path), "--runs", "2",
             "--max-steps", "9", "--seed", "1", "--out", str(tmp_path / "out.csv"),
         )
-        assert "exosim.harness" in loaded
+        # Its metronome is positional, so it reads digits.
+        assert {"exosim.harness", "exosim.digits"} <= loaded
         assert not loaded & {"exosim.metrics", "fractions", "json", *CLASS_BUILDERS}
 
     def test_metrics_loads_no_harness(self, reference_path):
         loaded = imported(CLI, "metrics", str(reference_path), "--agent", "pathfinder")
         assert "exosim.metrics" in loaded
-        assert not loaded & {"exosim.harness", "exosim.stats", "statistics", "json"}
+        assert not loaded & {"exosim.harness", "exosim.stats", "exosim.digits", "statistics", "json"}
         loaded = imported(
             CLI, "metrics", str(reference_path), "--agent", "pathfinder",
             "--format", "json",
         )
         assert "json" in loaded
         assert not loaded & CLASS_BUILDERS
+
+    def test_validate_loads_no_digits(self, reference_path):
+        loaded = imported(CLI, "validate", str(reference_path))
+        assert "exosim.dsl" in loaded
+        assert not loaded & {"exosim.digits", "exosim.harness", "exosim.metrics"}
