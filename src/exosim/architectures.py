@@ -24,8 +24,9 @@ to encounter but expensive to linger in.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .representation import Formula, RepresentationMap
 from .universe import ActId, ExosimError, StateId, Universe
@@ -46,12 +47,86 @@ def splitmix64(x: int) -> int:
 def unit_draw(seed: int, t: int) -> float:
     """Deterministic draw in [0, 1) for step t of a seeded stream.
 
-    Addressable by position: the stream never needs to be replayed from
-    the start to know its value at step t.
+    The reference definition of a random agent's stream: ``draw_chunks``
+    computes the same draws many at a time, and the tests check it
+    against this one. Addressable by position: the stream never needs to
+    be replayed from the start to know its value at step t.
     """
     u = splitmix64((seed + t * _GOLDEN) & _MASK64) / 2**64
     # The top 2**10 outputs round up to 1.0; keep them inside the range.
     return u if u < 1.0 else _BELOW_ONE
+
+
+# A random run computes its draws in chunks of at most this many steps.
+_DRAW_CHUNK_CAP = 1024
+# Chunk size -> (ones, lane mask, i * _GOLDEN) with slot i of each in bits
+# 128 * i and up, for the power-of-two sizes; each is built once, from
+# the one half its size.
+_LANE_PACKS: dict[int, tuple[int, int, int]] = {1: (1, _MASK64, 0)}
+# Where each slot's high 64-bit word sits, in step order, among a packed
+# chunk's bytes read as native words, by the machine's byte order.
+_HIGH_WORDS = {"little": slice(1, None, 2), "big": slice(-2, None, -2)}
+
+
+def _lane_pack(size: int) -> tuple[int, int, int]:
+    pack = _LANE_PACKS.get(size)
+    if pack is None:
+        half = size // 2
+        ones, lanes, steps = _lane_pack(half)
+        # The upper half's slot i holds (half + i) * _GOLDEN.
+        upper = steps + half * _GOLDEN * ones
+        shift = 128 * half
+        pack = (ones | ones << shift, lanes | lanes << shift, steps | upper << shift)
+        _LANE_PACKS[size] = pack
+    return pack
+
+
+def draw_chunks(seed: int, n: int, limit: int) -> Iterator[list[int]]:
+    """The act indices int(unit_draw(seed, t) * n) for t in 0..limit-1, in
+    chunks: 4 steps, then each chunk as long as all before it, up to
+    _DRAW_CHUNK_CAP, and never past limit. A caller that stops after k
+    steps has had at most max(4, 2k) computed.
+
+    A chunk runs splitmix64 for all its steps at once over one int that
+    holds step t + i in its 128-bit slot i. Each xor-shift is masked back
+    to 64 bits a slot, which drops the bits shifted in from the next slot,
+    and each multiply is by a 64-bit constant or by n, so a slot's product
+    stays below 2**128 and never carries into the next.
+
+    Slot i then holds splitmix64's output v times n, whose high word is
+    floor(v * n / 2**64). unit_draw's int(v / 2**64 * n) rounds twice to
+    53 bits, which moves v * n / 2**64 by less than n * 2**-51; so when
+    every slot's low word lies at least n * 2**16 from a multiple of
+    2**64, the high words are the draws. A chunk with a slot that close,
+    such as one whose draw unit_draw clamps below 1.0, takes its draws
+    from unit_draw itself; a slot lands there once in about 2**47 / n
+    steps. n is an act count, so well below 2**47.
+    """
+    high = _HIGH_WORDS[sys.byteorder]
+    margin = n << 16
+    t, size = 0, 4
+    while t < limit:
+        k = min(size, limit - t)
+        ones, lanes, steps = _lane_pack(size)
+        if k < size:
+            low = (1 << 128 * k) - 1
+            ones, lanes, steps = ones & low, lanes & low, steps & low
+        # Slot i holds step t + i's splitmix64 input plus _GOLDEN.
+        z = (((seed + (t + 1) * _GOLDEN) & _MASK64) * ones + steps) & lanes
+        z = ((z ^ (z >> 30)) & lanes) * 0xBF58476D1CE4E5B9 & lanes
+        z = ((z ^ (z >> 27)) & lanes) * 0x94D049BB133111EB & lanes
+        z = ((z ^ (z >> 31)) & lanes) * n
+        # Bit 64 of a slot ends up set exactly when its low word lies in
+        # [margin, 2**64 - margin).
+        shifted = ((z & lanes) + margin * ones) & lanes
+        carries = ones << 64
+        if (shifted + ((1 << 64) - 2 * margin) * ones) & carries == carries:
+            draws = memoryview(z.to_bytes(16 * k, sys.byteorder)).cast("Q")[high].tolist()
+        else:
+            draws = [int(unit_draw(seed, step) * n) for step in range(t, t + k)]
+        yield draws
+        t += k
+        size = min(t, _DRAW_CHUNK_CAP)
 
 
 class ArchitectureError(ExosimError):
@@ -64,7 +139,9 @@ class ProjectionOutOfRange(ArchitectureError):
 
 class RandomFasa(NamedTuple):
     """Seeded uniform random act generation over a fixed act order: step
-    t takes act_order[int(unit_draw(seed, t) * len(act_order))]."""
+    t takes act_order[int(unit_draw(seed, t) * len(act_order))]. A run
+    computes those indices in batches through ``draw_chunks``, so step t's
+    act still depends on the seed and t alone."""
 
     seed: int
     act_order: tuple[ActId, ...]

@@ -33,7 +33,7 @@ from typing import Iterator, NamedTuple, Sequence
 from . import architectures
 from .architectures import AgentArchitecture, ArchitectureError, ArchitectureKind
 from .architectures import PositionalFasa, ProjectionOutOfRange, RandomFasa
-from .architectures import splitmix64, unit_draw
+from .architectures import splitmix64
 from .dsl import SpecDocument
 from .stats import rank_sum_test
 from .universe import ActId, ExosimError, StateId, Universe
@@ -140,7 +140,12 @@ def run_trajectory(
     ``agent.stream``, a ``RandomFasa`` or ``PositionalFasa`` as its kind
     says, and a routed kind looks routes up in ``agent.tables[active]``.
     Seed, when given, replaces a random stream's seed, so the same inputs
-    replay the same run. A positional run takes its acts in turn from one
+    replay the same run. Both elementary kinds step through one iterator
+    of indices into the stream's act_order. A random run's comes from
+    ``architectures.draw_chunks``, which computes ``unit_draw``'s draws in
+    chunks that grow from 4 steps to about a thousand and never pass
+    max_steps: a run that dies at step k has had at most max(4, 2k) draws
+    computed whatever its bound. A positional run's is one
     ``read(max_steps)`` of its digit source, which extends a constant's
     digits as the run reaches them, by a quarter at a time from 64 on and
     never past max_steps: a run that dies within 64 steps computes at most
@@ -175,7 +180,6 @@ def run_trajectory(
     recall = kind is ArchitectureKind.AFS2B
     learner = kind is ArchitectureKind.AFS3A
     stream = agent.stream
-    digits = None
     if elementary and max_steps > 0:
         if stream is None:
             raise ArchitectureError(f"{kind.value} agent {agent.name!r} has no act stream")
@@ -184,13 +188,18 @@ def run_trajectory(
             raise ArchitectureError(
                 f"{kind.value} agent {agent.name!r} has a {type(stream).__name__} act stream"
             )
-        # The stream's fields, read once per run: a random step draws its
-        # act by position, a positional step takes the read's next digit.
+        # Either kind steps through one stream of act indices: a random
+        # run's draws, computed a chunk at a time, or a positional run's
+        # digits. draw_chunks is read off the module, so a wrapper of it
+        # sees every chunk.
         order = stream.act_order
         if wanted is RandomFasa:
-            draw_seed, n = stream.seed if seed is None else seed, len(order)
+            chunks = architectures.draw_chunks(
+                stream.seed if seed is None else seed, len(order), max_steps
+            )
+            indices = chain.from_iterable(chunks)
         else:
-            digits = stream.source.read(max_steps)
+            indices = stream.source.read(max_steps)
     rmap, goal, tables, c = agent.representation, agent.goal, agent.tables, agent.projection_index
     if kind.is_sensitive and kind is not ArchitectureKind.AFS1 and not tables and max_steps > 0:
         raise ArchitectureError(f"{kind.value} agent {agent.name!r} has no route table")
@@ -210,7 +219,7 @@ def run_trajectory(
     reason = TerminalReason.STEP_LIMIT
     for t in range(max_steps):
         if elementary:
-            act = order[int(unit_draw(draw_seed, t) * n) if digits is None else next(digits)]
+            act = order[next(indices)]
             key = (state, act)
         elif learner:
             if pending is not None:

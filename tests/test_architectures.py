@@ -87,6 +87,65 @@ class TestSplitmix:
         assert a != b
 
 
+CAP = exosim.architectures._DRAW_CHUNK_CAP
+# The last seed's step 0 is a splitmix64 output that rounds to 1.0, which
+# unit_draw clamps; -12345 is a seed only a library caller can pass.
+DRAW_SEEDS = [0, 1, 2**64 - 1, 2**64 + 5, -12345, 3558559446808474027]
+DRAW_ALPHABETS = [1, 2, 3, 4, 5, 10, 36]
+DRAW_LIMITS = [0, 1, 3, 4, 5, 7, 8, 9, CAP - 1, CAP, CAP + 1, 3 * CAP + 5]
+
+
+def drawn(seed: int, n: int, limit: int) -> list[int]:
+    return [d for chunk in exosim.architectures.draw_chunks(seed, n, limit) for d in chunk]
+
+
+class TestDrawChunks:
+    """draw_chunks computes many of unit_draw's draws at once, one 128-bit
+    slot of an int a step; unit_draw is the reference."""
+
+    @pytest.mark.parametrize("n", DRAW_ALPHABETS)
+    @pytest.mark.parametrize("seed", DRAW_SEEDS)
+    def test_matches_unit_draw(self, seed, n):
+        reference = [int(unit_draw(seed, t) * n) for t in range(max(DRAW_LIMITS))]
+        for limit in DRAW_LIMITS:
+            assert drawn(seed, n, limit) == reference[:limit], limit
+
+    @pytest.mark.parametrize("limit", DRAW_LIMITS)
+    def test_chunks_grow_to_the_cap_and_stop_at_the_limit(self, limit):
+        sizes = [len(chunk) for chunk in exosim.architectures.draw_chunks(1, 4, limit)]
+        assert sum(sizes) == limit
+        for i, size in enumerate(sizes):
+            before = sum(sizes[:i])
+            assert size == min(max(before, 4), CAP, limit - before)
+
+    def test_a_chunk_near_a_boundary_comes_from_unit_draw(self, monkeypatch):
+        # Step 0 of this seed is clamped below 1.0, so its chunk, steps 0
+        # to 3, is drawn by unit_draw; the next two chunks are not.
+        seed = DRAW_SEEDS[-1]
+        reference = [int(unit_draw(seed, t) * 5) for t in range(16)]
+        called = []
+
+        def spy(seed, t):
+            called.append(t)
+            return unit_draw(seed, t)
+
+        monkeypatch.setattr(exosim.architectures, "unit_draw", spy)
+        assert drawn(seed, 5, 16) == reference
+        assert reference[0] == 4
+        assert called == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("order", ["little", "big"])
+    def test_high_words_on_either_byte_order(self, order):
+        # The bytes of a packed chunk in the given order, read as 64-bit
+        # words the way a machine of that order reads them.
+        slots = [(i * 0x0123456789ABCDEF + 7, (i + 9) * 0x0FEDCBA987654321) for i in range(5)]
+        packed = sum((high << 64 | low) << 128 * i for i, (high, low) in enumerate(slots))
+        raw = packed.to_bytes(16 * len(slots), order)
+        words = [int.from_bytes(raw[j:j + 8], order) for j in range(0, len(raw), 8)]
+        high_words = exosim.architectures._HIGH_WORDS[order]
+        assert words[high_words] == [high for high, _ in slots]
+
+
 def wheel(acts: tuple[str, ...]) -> Universe:
     """One neutral state where every act idles at no cost, so an
     elementary run through it lives to its bound."""

@@ -44,7 +44,8 @@ import docgen
 import oracles
 from case_builder import CountingDict
 from test_universe import tiny_universe
-from test_architectures import GOOD_ROUTES, RMAP3, SIT_ROUTES, learner, micro3
+from test_architectures import DRAW_ALPHABETS, DRAW_LIMITS, DRAW_SEEDS
+from test_architectures import GOOD_ROUTES, RMAP3, SIT_ROUTES, learner, micro3, wheel
 from test_cli import SIX_KINDS
 
 
@@ -337,6 +338,55 @@ class TestPositionalRead:
             stream.digit(position)
         assert by_run == counts
         assert energy > 64 or by_run == [64]
+
+
+def wheel_drifter(n: int, seed: int) -> tuple[Universe, AgentArchitecture]:
+    order = tuple(f"a{j}" for j in range(n))
+    agent = AgentArchitecture(
+        name="drifter", kind=ArchitectureKind.RANDOM, stream=RandomFasa(seed, order)
+    )
+    return wheel(order), agent
+
+
+class TestRandomDraws:
+    """A random run takes its acts from draws computed a chunk at a time;
+    the reference stepper calls its own splitmix64 draw at every step."""
+
+    @pytest.mark.parametrize("n", DRAW_ALPHABETS)
+    @pytest.mark.parametrize("seed", DRAW_SEEDS)
+    def test_matches_the_reference_stepper(self, seed, n):
+        universe, agent = wheel_drifter(n, seed)
+        for max_steps in DRAW_LIMITS:
+            assert len(assert_matches_reference(universe, agent, max_steps)) == max_steps
+
+    @staticmethod
+    def count_draws(monkeypatch) -> list[int]:
+        """The length of each chunk a run draws from now on."""
+        drawn: list[int] = []
+        real = exosim.architectures.draw_chunks
+
+        def counted(*args):
+            for chunk in real(*args):
+                drawn.append(len(chunk))
+                yield chunk
+
+        monkeypatch.setattr(exosim.architectures, "draw_chunks", counted)
+        return drawn
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 300])
+    def test_a_run_that_starves_at_step_k_draws_at_most_twice_k(self, monkeypatch, k):
+        # A billion-step bound computes nothing up front.
+        drawn = self.count_draws(monkeypatch)
+        universe, agent = wheel_drifter(3, 7)
+        universe = universe._replace(energy=EnergyRules(k, 1, 0, 0, k))
+        got = run_trajectory(universe, agent, 10**9)
+        assert (got.persistence, got.terminal_reason) == (k, TerminalReason.EXOINACTIVE)
+        assert k <= sum(drawn) <= max(4, 2 * k)
+
+    def test_a_run_of_no_steps_draws_nothing(self, monkeypatch):
+        drawn = self.count_draws(monkeypatch)
+        assert run_trajectory(*wheel_drifter(3, 7), 0).persistence == 0
+        assert drawn == []
 
 
 DETERMINISTIC = (ArchitectureKind.AFS1, ArchitectureKind.AFS2A, ArchitectureKind.AFS2B)

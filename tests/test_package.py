@@ -184,9 +184,10 @@ class TestLoadedModules:
             CLI, "experiment", str(reference_path), "--runs", "2",
             "--max-steps", "9", "--seed", "1", "--out", str(tmp_path / "out.csv"),
         )
-        # Its metronome is positional, so it reads digits.
+        # Its metronome is positional, so it reads digits; its wanderer is
+        # random, and its draws are unpacked with no array module.
         assert {"exosim.harness", "exosim.digits"} <= loaded
-        assert not loaded & {"exosim.metrics", "fractions", "json", *CLASS_BUILDERS}
+        assert not loaded & {"exosim.metrics", "fractions", "json", "array", *CLASS_BUILDERS}
 
     def test_metrics_loads_no_harness(self, reference_path):
         loaded = imported(CLI, "metrics", str(reference_path), "--agent", "pathfinder")
@@ -198,6 +199,14 @@ class TestLoadedModules:
         )
         assert "json" in loaded
         assert not loaded & CLASS_BUILDERS
+
+    def test_random_draws_load_nothing(self):
+        # Both ways a chunk is drawn run here: in lanes, and through
+        # unit_draw for the chunk holding this seed's clamped step 0.
+        kernel = "list(a.draw_chunks(3558559446808474027, 5, 3000))"
+        assert imported(f"import exosim.architectures as a; {kernel}") == imported(
+            "import exosim.architectures as a"
+        )
 
     def test_validate_loads_no_digits(self, reference_path):
         loaded = imported(CLI, "validate", str(reference_path))
