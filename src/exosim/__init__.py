@@ -61,7 +61,6 @@ _EXPORTS = {
     "harness": (
         "CSV_HEADER",
         "AgentSummary",
-        "ExperimentConfig",
         "ExperimentResult",
         "GroupComparison",
         "HarnessError",
@@ -72,7 +71,6 @@ _EXPORTS = {
         "TrajectoryStep",
         "derive_seed",
         "run_experiment",
-        "run_experiment_from_document",
         "run_trajectory",
         "write_csv",
     ),

@@ -14,10 +14,11 @@ document through dsl, trace and experiment also load harness (and digits
 for a positional agent), metrics and logic-table load metrics, and only
 `metrics --format json` loads json. A name a command takes from harness
 or metrics is an attribute of this module (see _LAZY) that the command
-reads at each call, so a wrapper set on it sees every call. run() pauses
-the cyclic garbage collector for the command, then restores it: a
-command leaves the same few hundred unreachable objects whatever its
-document, so a pass frees next to nothing.
+reads at each call, so a wrapper set on it sees every call; experiment
+takes its result from run_experiment and writes the CSV with write_csv.
+run() pauses the cyclic garbage collector for the command, then
+restores it: a command leaves the same few hundred unreachable objects
+whatever its document, so a pass frees next to nothing.
 """
 
 from __future__ import annotations
@@ -38,10 +39,12 @@ EXIT_RUNTIME = 3
 
 
 # The names the commands take from harness and metrics. The first read of
-# one imports its module through the package.
+# one imports its module through the package and keeps what its module
+# holds then, so a wrapper set on exosim.harness.write_csv before
+# experiment runs sees the call.
 _LAZY = (
-    "ExperimentConfig",
     "run_experiment",
+    "write_csv",
     "run_trajectory",
     "derive_objectives",
     "persistence_truth_table",
@@ -198,13 +201,8 @@ def _cmd_experiment(args, out) -> int:
     if args.max_steps < 0:
         raise CliError("--max-steps must be non-negative")
     doc = _load_checked(args.file, out)
-    cfg = _cli.ExperimentConfig(
-        runs_per_agent=args.runs,
-        max_steps=args.max_steps,
-        master_seed=args.seed,
-        output_path=args.out,
-    )
-    result = _cli.run_experiment(doc, cfg)
+    result = _cli.run_experiment(doc, args.runs, args.max_steps, args.seed)
+    _cli.write_csv(result, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}", file=out)
     for s in result.summaries:
         print(

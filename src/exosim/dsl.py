@@ -151,16 +151,17 @@ class AgentDecl(NamedTuple):
 
     def build(self, universe: Universe) -> AgentArchitecture:
         """The agent this declaration describes; the one place that maps
-        a kind to the slots of ``AgentArchitecture`` it fills."""
+        a kind to the slots of ``AgentArchitecture`` it fills. It reads
+        the fields as the checker set them, defaults included."""
         act_order = tuple(sorted(universe.acts))
         if self.kind is ArchitectureKind.RANDOM:
-            stream = RandomFasa(seed=self.seed or 0, act_order=act_order)
+            stream = RandomFasa(seed=self.seed, act_order=act_order)
             return AgentArchitecture(name=self.name, kind=self.kind, stream=stream)
         if self.kind is ArchitectureKind.POSITIONAL:
             from .digits import ConstantDigits, parse_digit_string  # no other kind loads it
-            kind, payload = self.constant or ("pi", None)
+            kind, payload = self.constant
             if kind == "digits":
-                source = parse_digit_string(payload or "", len(act_order))
+                source = parse_digit_string(payload, len(act_order))
             else:
                 source = ConstantDigits(kind, len(act_order))
             stream = PositionalFasa(source=source, act_order=act_order)
@@ -173,7 +174,7 @@ class AgentDecl(NamedTuple):
             tables = tuple(
                 RouteTable(
                     {(s, g): seq for i, s, g, seq in self.route_rows if i == index},
-                    depth_max=self.depth or 1,
+                    depth_max=self.depth,
                 )
                 for index in range(1 + max((row[0] for row in self.route_rows), default=0))
             )
@@ -181,7 +182,7 @@ class AgentDecl(NamedTuple):
             name=self.name,
             kind=self.kind,
             representation=RepresentationMap(dict(self.representation)),
-            projection_index=self.projection or 1,
+            projection_index=self.projection,
             reaction=reaction,
             tables=tables,
             goal=self.goal,

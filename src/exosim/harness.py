@@ -4,14 +4,14 @@ A trajectory steps one agent through its universe until it goes
 exoinactive or hits the step bound. ``run_trajectory`` is the only
 stepping loop: it owns every piece of a run's state and memoizes each
 choice for the run, recording a step as a reference to its memo entry
-and its energy in a ``Trajectory``, kept beside it as the one reader of
-those entries, whose ``steps`` builds the ``TrajectoryStep`` records on
-read. An afs1, afs2a or afs2b run stops stepping at its first repeat,
-from where it survives to the bound. The experiment repeats that for
-every agent in a document, derives one fresh seed per run from the
-master seed, and collects persistence times into a CSV plus per-agent
-summaries with rank-sum comparisons of the sensitive group against the
-random and positional groups.
+and its energy in a ``Trajectory``, whose ``iter_steps`` is the one
+reader of those entries and yields the ``TrajectoryStep`` records. An
+afs1, afs2a or afs2b run stops stepping at its first repeat, from where
+it survives to the bound. The experiment repeats that for every agent
+in a document, derives one fresh seed per run from the master seed, and
+returns the persistence times as CSV rows plus per-agent summaries with
+rank-sum comparisons of the sensitive group against the random and
+positional groups; ``write_csv`` writes the rows, and the CLI calls it.
 
 Identical inputs reproduce identical output bytes: rows are emitted in
 run_id order and every random stream is positioned by its derived seed
@@ -87,14 +87,11 @@ class Trajectory(NamedTuple):
     bound: cycle_start is the step where that pair was first met, and
     steps len(choices) to persistence - 1 replay steps cycle_start to
     len(choices) - 1 in turn. Otherwise cycle_start is None and
-    persistence is len(choices). ``steps`` builds the ``TrajectoryStep``
-    tuple afresh on every read, so a caller that reads it more than once
-    keeps it; ``iter_steps`` yields the same records without keeping
-    them.
+    persistence is len(choices). ``iter_steps`` yields the
+    ``TrajectoryStep`` records without keeping them.
     """
 
     initial_state: StateId
-    initial_energy: int
     choices: Sequence[tuple]
     energies: Sequence[int]
     terminal_reason: TerminalReason
@@ -115,10 +112,6 @@ class Trajectory(NamedTuple):
             formula, sequence, act, after = choices[i][:4]
             yield TrajectoryStep(t, state, formula, sequence, act, after, energies[i])
             state = after
-
-    @property
-    def steps(self) -> tuple[TrajectoryStep, ...]:
-        return tuple(self.iter_steps())
 
 
 def derive_seed(master_seed: int, k: int) -> int:
@@ -281,17 +274,7 @@ def run_trajectory(
             reason = TerminalReason.EXOINACTIVE
             break
     persistence = len(choices) if cycle_start is None else max_steps
-    return Trajectory(
-        universe.initial, universe.energy.initial_energy, choices, energies,
-        reason, persistence, cycle_start,
-    )
-
-
-class ExperimentConfig(NamedTuple):
-    runs_per_agent: int
-    max_steps: int
-    master_seed: int
-    output_path: Path
+    return Trajectory(universe.initial, choices, energies, reason, persistence, cycle_start)
 
 
 class RunRecord(NamedTuple):
@@ -333,9 +316,11 @@ class ExperimentResult(NamedTuple):
     comparisons: tuple[GroupComparison, ...]
 
 
-def run_experiment_from_document(
-    doc: SpecDocument, cfg: ExperimentConfig
+def run_experiment(
+    doc: SpecDocument, runs_per_agent: int, max_steps: int, master_seed: int
 ) -> ExperimentResult:
+    """Run every agent of a checked document runs_per_agent times and
+    return the rows, summaries and comparisons; write_csv writes the rows."""
     agents: list[tuple[AgentArchitecture, Universe, str]] = []
     for decl in doc.agents:
         universe = doc.build_universe(decl.universe_name)
@@ -352,13 +337,13 @@ def run_experiment_from_document(
     for agent_index, (agent, universe, kind) in enumerate(agents):
         persistences: list[int] = []
         trajectory: Trajectory | None = None
-        for run_index in range(cfg.runs_per_agent):
-            run_id = agent_index * cfg.runs_per_agent + run_index
-            seed = derive_seed(cfg.master_seed, run_id)
+        for run_index in range(runs_per_agent):
+            run_id = agent_index * runs_per_agent + run_index
+            seed = derive_seed(master_seed, run_id)
             # The seed reaches only the random stream: any other agent
             # replays its first run under every seed.
             if trajectory is None or agent.kind is ArchitectureKind.RANDOM:
-                trajectory = run_trajectory(universe, agent, cfg.max_steps, seed)
+                trajectory = run_trajectory(universe, agent, max_steps, seed)
             rows.append(
                 RunRecord(
                     run_id=run_id,
@@ -402,13 +387,6 @@ def run_experiment_from_document(
                 )
             )
     return ExperimentResult(tuple(rows), tuple(summaries), tuple(comparisons))
-
-
-def run_experiment(doc: SpecDocument, cfg: ExperimentConfig) -> ExperimentResult:
-    """Run every agent of a checked document and write the CSV."""
-    result = run_experiment_from_document(doc, cfg)
-    write_csv(result, cfg.output_path)
-    return result
 
 
 def write_csv(result: ExperimentResult, path: Path | str) -> None:

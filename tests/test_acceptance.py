@@ -25,7 +25,7 @@ from exosim import (
     run_trajectory,
     serialize,
     stability_report,
-    ExperimentConfig,
+    write_csv,
 )
 from exosim.cli import run as cli_run
 
@@ -116,7 +116,7 @@ def _acts(agent, universe, steps: int) -> list[str]:
     """The acts of agent's first steps in universe with free steps, so
     no run ends before steps."""
     free = universe._replace(energy=universe.energy._replace(per_step_cost=0, negative_penalty=0))
-    return [record.act for record in run_trajectory(free, agent, steps).steps]
+    return [record.act for record in run_trajectory(free, agent, steps).iter_steps()]
 
 
 def test_criterion_4_generator_semantics(reference_doc):
@@ -140,7 +140,7 @@ def test_criterion_4_generator_semantics(reference_doc):
     # Sensitive: the issued act is always the projected element of the
     # generated sequence.
     pathfinder, universe = reference_doc.build_agent("pathfinder")
-    traces = run_trajectory(universe, pathfinder, max_steps=1000).steps
+    traces = list(run_trajectory(universe, pathfinder, max_steps=1000).iter_steps())
     assert len(traces) == 1000
     c = pathfinder.projection_index
     for record in traces:
@@ -171,15 +171,9 @@ def test_criterion_5_oriented_check(reference_doc):
     _report(5, f"clean table passes; injected detour lands in {v.reached!r}")
 
 
-def test_criterion_6_persistence_experiment(reference_path, tmp_path):
+def test_criterion_6_persistence_experiment(reference_path):
     started = time.perf_counter()
-    cfg = ExperimentConfig(
-        runs_per_agent=100,
-        max_steps=500,
-        master_seed=1,
-        output_path=tmp_path / "runs.csv",
-    )
-    result = run_experiment(load_document(reference_path), cfg)
+    result = run_experiment(load_document(reference_path), 100, 500, 1)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"experiment took {elapsed:.1f}s"
     assert len(result.rows) == 300
@@ -237,13 +231,8 @@ def test_criterion_7_dsl_round_trip_and_fuzz(ejemplo5_path, reference_path):
 def test_criterion_8_deterministic_reruns(reference_path, tmp_path):
     outputs = []
     for name in ("first.csv", "second.csv"):
-        cfg = ExperimentConfig(
-            runs_per_agent=25,
-            max_steps=120,
-            master_seed=7,
-            output_path=tmp_path / name,
-        )
-        run_experiment(load_document(reference_path), cfg)
+        result = run_experiment(load_document(reference_path), 25, 120, 7)
+        write_csv(result, tmp_path / name)
         outputs.append((tmp_path / name).read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith(b"run_id,agent,kind,seed,persistence_steps,terminal_reason\n")

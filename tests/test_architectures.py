@@ -62,7 +62,7 @@ RMAP3 = RepresentationMap({"x0": "r0", "x1": "r1", "gg": "rg"})
 def run_from(state, agent, steps=1, universe=None):
     """The steps of agent's run through micro3 (or universe) from state."""
     start = (universe or micro3())._replace(initial=state)
-    return run_trajectory(start, agent, steps).steps
+    return tuple(run_trajectory(start, agent, steps).iter_steps())
 
 
 class TestSplitmix:
@@ -166,7 +166,7 @@ def stream_acts(fasa, steps):
     order by an elementary agent reading fasa."""
     kind = ArchitectureKind.RANDOM if isinstance(fasa, RandomFasa) else ArchitectureKind.POSITIONAL
     agent = AgentArchitecture(name="e", kind=kind, stream=fasa)
-    return [step.act for step in run_trajectory(wheel(fasa.act_order), agent, steps).steps]
+    return [step.act for step in run_trajectory(wheel(fasa.act_order), agent, steps).iter_steps()]
 
 
 class TestRandomFasa:
@@ -544,7 +544,9 @@ class TestCloneForRun:
         base = AgentArchitecture(
             name="r", kind=ArchitectureKind.RANDOM, stream=RandomFasa(7, order)
         )
-        acts = lambda seed: [s.act for s in run_trajectory(micro3(), base, 30, seed=seed).steps]
+        acts = lambda seed: [
+            s.act for s in run_trajectory(micro3(), base, 30, seed=seed).iter_steps()
+        ]
         assert acts(99) == [order[int(unit_draw(99, t) * 2)] for t in range(30)]
         assert base.stream.seed == 7
         assert acts(None) == [order[int(unit_draw(7, t) * 2)] for t in range(30)]
@@ -571,9 +573,10 @@ class TestStep:
             tables=(GOOD_ROUTES,),
             goal="rg",
         )
-        assert run_trajectory(u, rand, 5).steps[4].act == ("go", "sit")[int(unit_draw(3, 4) * 2)]
-        assert run_trajectory(u, pos, 2).steps[1].act == "go"
-        assert run_trajectory(u, routed, 1).steps[0].act == "go"
+        fifth = tuple(run_trajectory(u, rand, 5).iter_steps())[4]
+        assert fifth.act == ("go", "sit")[int(unit_draw(3, 4) * 2)]
+        assert tuple(run_trajectory(u, pos, 2).iter_steps())[1].act == "go"
+        assert next(run_trajectory(u, routed, 1).iter_steps()).act == "go"
 
     def test_elementary_has_no_perception(self):
         u = micro3()
@@ -582,7 +585,7 @@ class TestStep:
             kind=ArchitectureKind.POSITIONAL,
             stream=PositionalFasa(ExplicitDigits((1,), 2), ("go", "sit")),
         )
-        trace = run_trajectory(u, pos, 1).steps[0]
+        trace = next(run_trajectory(u, pos, 1).iter_steps())
         assert trace.formula is None
         assert trace.sequence is None
         assert trace.act == "sit"

@@ -570,6 +570,7 @@ class TestModuleNames:
             "stability_report",
             "run_trajectory",
             "run_experiment",
+            "write_csv",
             "persistence_truth_table",
         ):
             def wrapper(*args, _fn=getattr(exosim.cli, name), _name=name, **kwargs):
@@ -589,12 +590,13 @@ class TestModuleNames:
             "stability_report",
             "run_trajectory",
             "run_experiment",
+            "write_csv",
             "persistence_truth_table",
         ]
 
     def test_unknown_name_is_an_attribute_error(self):
-        with pytest.raises(AttributeError, match="no attribute 'write_csv'"):
-            exosim.cli.write_csv
+        with pytest.raises(AttributeError, match="no attribute 'derive_seed'"):
+            exosim.cli.derive_seed
 
 
 @pytest.fixture()

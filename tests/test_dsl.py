@@ -216,7 +216,7 @@ class TestBuild:
         assert agent.kind is ArchitectureKind.AFS2B
         assert agent.goal is None
         # With no goal to route toward, the first step generates nothing.
-        first = run_trajectory(universe, agent, 1).steps[0]
+        first = next(run_trajectory(universe, agent, 1).iter_steps())
         assert (first.formula, first.sequence, first.act) == ("fa", None, "stay")
 
     def test_pool_indices_build_one_table_each(self):

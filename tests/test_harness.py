@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import tracemalloc
 from collections import Counter
 
@@ -15,7 +16,6 @@ from exosim import (
     ConstantDigits,
     DigitSourceExhausted,
     EnergyRules,
-    ExperimentConfig,
     ExperimentResult,
     ExplicitDigits,
     MissingAgentKind,
@@ -32,9 +32,9 @@ from exosim import (
     UnknownState,
     Universe,
     derive_seed,
+    load_document,
     parse,
     run_experiment,
-    run_experiment_from_document,
     run_trajectory,
     unit_draw,
     write_csv,
@@ -63,7 +63,7 @@ class TestRunTrajectory:
         trajectory = run_trajectory(u, drifter(), max_steps=100)
         assert trajectory.persistence == 5
         assert trajectory.terminal_reason is TerminalReason.EXOINACTIVE
-        assert [s.energy_after for s in trajectory.steps] == [4, 3, 2, 1, 0]
+        assert [s.energy_after for s in trajectory.iter_steps()] == [4, 3, 2, 1, 0]
         assert trajectory.initial_state == "x"
 
     def test_step_limit_reached(self, pathfinder_pair):
@@ -71,7 +71,7 @@ class TestRunTrajectory:
         trajectory = run_trajectory(universe, agent, max_steps=40)
         assert trajectory.persistence == 40
         assert trajectory.terminal_reason is TerminalReason.STEP_LIMIT
-        assert trajectory.steps[0] == TrajectoryStep(
+        assert next(trajectory.iter_steps()) == TrajectoryStep(
             0, "c0", "at_c0", ("move",) * 5, "move", "c1", 11
         )
 
@@ -80,19 +80,20 @@ class TestRunTrajectory:
         trajectory = run_trajectory(universe, agent, max_steps=0)
         assert trajectory.persistence == 0
         assert trajectory.terminal_reason is TerminalReason.STEP_LIMIT
-        assert trajectory.steps == ()
+        assert tuple(trajectory.iter_steps()) == ()
 
     def test_trajectory_bookkeeping_consistent(self, pathfinder_pair):
         agent, universe = pathfinder_pair
         trajectory = run_trajectory(universe, agent, max_steps=17)
-        assert trajectory.persistence == len(trajectory.steps)
-        for before, after in zip(trajectory.steps, trajectory.steps[1:]):
+        steps = tuple(trajectory.iter_steps())
+        assert trajectory.persistence == len(steps)
+        for before, after in zip(steps, steps[1:]):
             assert after.state_before == before.state_after
             assert after.t == before.t + 1
 
     def test_trace_records_align_with_steps(self, pathfinder_pair):
         agent, universe = pathfinder_pair
-        steps = run_trajectory(universe, agent, max_steps=10).steps
+        steps = tuple(run_trajectory(universe, agent, max_steps=10).iter_steps())
         assert len(steps) == 10
         for record in steps:
             # pathfinder always generates, so every act is the projection.
@@ -109,9 +110,9 @@ class TestRunTrajectory:
 
     def test_seed_override_steers_random_agent(self):
         u = tiny_universe(energy=EnergyRules(30, 1, 0, 0, 30))
-        same1 = run_trajectory(u, drifter(), 20, seed=8).steps
-        same2 = run_trajectory(u, drifter(), 20, seed=8).steps
-        other = run_trajectory(u, drifter(), 20, seed=9).steps
+        same1 = tuple(run_trajectory(u, drifter(), 20, seed=8).iter_steps())
+        same2 = tuple(run_trajectory(u, drifter(), 20, seed=8).iter_steps())
+        other = tuple(run_trajectory(u, drifter(), 20, seed=9).iter_steps())
         assert same1 == same2
         acts = lambda traces: [r.act for r in traces]
         assert acts(same1) != acts(other)
@@ -161,7 +162,7 @@ class TestRunTrajectory:
     def test_learning_happens_inside_the_run(self):
         # Same scenario driven through the harness: the routes fire, so
         # the trace shows goal-directed movement from the first step.
-        traces = run_trajectory(micro3(), learner([GOOD_ROUTES]), 4).steps
+        traces = tuple(run_trajectory(micro3(), learner([GOOD_ROUTES]), 4).iter_steps())
         assert [r.act for r in traces] == ["go", "go", "go", "go"]
         assert traces[2].formula == "rg"
 
@@ -191,7 +192,7 @@ def assert_matches_reference(universe, agent, max_steps, seed=None, credit=()):
         reason = "StepLimit"
     else:
         got = run_trajectory(universe, agent, max_steps, seed)
-    assert list(got.steps) == expected, agent.name
+    assert list(got.iter_steps()) == expected, agent.name
     assert got.terminal_reason.value == reason, agent.name
     assert got.persistence == len(expected), agent.name
     return expected
@@ -310,7 +311,7 @@ class TestPositionalRead:
         agent = dial_agent(ExplicitDigits(tuple(want), 3), 3)
         universe = dial(3)
         got = run_trajectory(universe, agent, length)
-        assert [r.act for r in got.steps] == [f"a{d}" for d in want]
+        assert [r.act for r in got.iter_steps()] == [f"a{d}" for d in want]
         with pytest.raises(DigitSourceExhausted):
             run_trajectory(universe, agent, length + 1)
         assert_matches_reference(universe, agent, length + 65)
@@ -475,7 +476,7 @@ class TestFirstRepeat:
         for universe, agent in ((universe, drifter()), (universe, counter), (six, learner_agent)):
             got = run_trajectory(universe, agent, 3000, seed=5)
             assert (len(got.choices), got.cycle_start, got.persistence) == (3000, None, 3000)
-            assert len({(r.state_after, r.energy_after) for r in got.steps}) < 3000
+            assert len({(r.state_after, r.energy_after) for r in got.iter_steps()}) < 3000
             assert_matches_reference(universe, agent, 3000, seed=5)
 
 
@@ -543,13 +544,13 @@ class TestExceptionParity:
         agent = one_route_agent(("warp",))
         with pytest.raises(UnknownAct, match="unknown act 'warp' in universe"):
             run_trajectory(micro3(), agent, 2)
-        assert run_trajectory(micro3(), agent, 1).steps[0].act == "go"
+        assert next(run_trajectory(micro3(), agent, 1).iter_steps()).act == "go"
 
     def test_projection_past_the_route_end(self):
         agent = one_route_agent(("go",), projection=2)
         with pytest.raises(ProjectionOutOfRange):
             run_trajectory(micro3(), agent, 2)
-        assert run_trajectory(micro3(), agent, 1).steps[0].act == "go"
+        assert next(run_trajectory(micro3(), agent, 1).iter_steps()).act == "go"
 
     @pytest.mark.parametrize("projection", [0, -1])
     def test_projection_below_one(self, projection):
@@ -652,17 +653,8 @@ agent "lone" in "solo" { architecture: random; }
 
 
 class TestExperiment:
-    def config(self, out, runs=5, max_steps=30, seed=3):
-        return ExperimentConfig(
-            runs_per_agent=runs,
-            max_steps=max_steps,
-            master_seed=seed,
-            output_path=out,
-        )
-
-    def test_row_layout(self, reference_doc, tmp_path):
-        cfg = self.config(tmp_path / "out.csv")
-        result = run_experiment_from_document(reference_doc, cfg)
+    def test_row_layout(self, reference_doc):
+        result = run_experiment(reference_doc, 5, 30, 3)
         assert len(result.rows) == 15
         assert [r.run_id for r in result.rows] == list(range(15))
         assert {r.agent for r in result.rows[:5]} == {"wanderer"}
@@ -672,16 +664,14 @@ class TestExperiment:
         for row in result.rows:
             assert row.seed == derive_seed(3, row.run_id)
 
-    def test_sensitive_agent_outlasts_the_bound(self, reference_doc, tmp_path):
-        cfg = self.config(tmp_path / "out.csv")
-        result = run_experiment_from_document(reference_doc, cfg)
+    def test_sensitive_agent_outlasts_the_bound(self, reference_doc):
+        result = run_experiment(reference_doc, 5, 30, 3)
         pathfinder_rows = [r for r in result.rows if r.agent == "pathfinder"]
         assert all(r.persistence_steps == 30 for r in pathfinder_rows)
         assert all(r.terminal_reason == "StepLimit" for r in pathfinder_rows)
 
-    def test_summaries_and_comparisons(self, reference_doc, tmp_path):
-        cfg = self.config(tmp_path / "out.csv")
-        result = run_experiment_from_document(reference_doc, cfg)
+    def test_summaries_and_comparisons(self, reference_doc):
+        result = run_experiment(reference_doc, 5, 30, 3)
         assert [s.agent for s in result.summaries] == [
             "wanderer",
             "metronome",
@@ -696,19 +686,17 @@ class TestExperiment:
             assert comparison.sensitive_mean == 30.0
             assert comparison.other_mean < comparison.sensitive_mean
 
-    def test_sensitive_group_required(self, tmp_path):
+    def test_sensitive_group_required(self):
         doc = parse(ONLY_RANDOM).document
         assert doc is not None
-        cfg = self.config(tmp_path / "out.csv")
         with pytest.raises(MissingAgentKind) as exc:
-            run_experiment_from_document(doc, cfg)
+            run_experiment(doc, 5, 30, 3)
         assert "positional" in str(exc.value) or "sensitive" in str(exc.value)
 
-    def test_master_seed_only_moves_random_agents(self, reference_doc, tmp_path):
+    def test_master_seed_only_moves_random_agents(self, reference_doc):
         runs = {}
         for master in (3, 4):
-            cfg = self.config(tmp_path / f"out{master}.csv", seed=master)
-            runs[master] = run_experiment_from_document(reference_doc, cfg)
+            runs[master] = run_experiment(reference_doc, 5, 30, master)
 
         def persists(result, name):
             return [r.persistence_steps for r in result.rows if r.agent == name]
@@ -722,8 +710,7 @@ class TestExperiment:
     def test_file_runs_are_byte_identical(self, reference_doc, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):
-            cfg = self.config(tmp_path / name, runs=4, max_steps=20)
-            run_experiment(reference_doc, cfg)
+            write_csv(run_experiment(reference_doc, 4, 20, 3), tmp_path / name)
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
         text = outs[0].decode("utf-8")
@@ -741,14 +728,14 @@ class TestSimulateOnce:
         return {"reference": reference_doc, "six": parse(SIX_KINDS).document}
 
     @staticmethod
-    def plain_rows(doc, cfg) -> tuple[RunRecord, ...]:
+    def plain_rows(doc, runs_per_agent, max_steps, master_seed) -> tuple[RunRecord, ...]:
         rows = []
         for agent_index, decl in enumerate(doc.agents):
             agent, universe = doc.build_agent(decl.name)
-            for run_index in range(cfg.runs_per_agent):
-                run_id = agent_index * cfg.runs_per_agent + run_index
-                seed = derive_seed(cfg.master_seed, run_id)
-                trajectory = run_trajectory(universe, agent, cfg.max_steps, seed)
+            for run_index in range(runs_per_agent):
+                run_id = agent_index * runs_per_agent + run_index
+                seed = derive_seed(master_seed, run_id)
+                trajectory = run_trajectory(universe, agent, max_steps, seed)
                 rows.append(
                     RunRecord(
                         run_id,
@@ -762,13 +749,12 @@ class TestSimulateOnce:
         return tuple(rows)
 
     @pytest.mark.parametrize("master", [1, 3, 5])
-    def test_rows_match_a_run_per_row(self, reference_doc, tmp_path, master):
+    def test_rows_match_a_run_per_row(self, reference_doc, master):
         for name, doc in self.documents(reference_doc).items():
-            cfg = ExperimentConfig(4, 300, master, tmp_path / "out.csv")
-            got = run_experiment_from_document(doc, cfg).rows
-            assert got == self.plain_rows(doc, cfg), name
+            got = run_experiment(doc, 4, 300, master).rows
+            assert got == self.plain_rows(doc, 4, 300, master), name
 
-    def test_only_random_agents_run_per_seed(self, reference_doc, tmp_path, monkeypatch):
+    def test_only_random_agents_run_per_seed(self, reference_doc, monkeypatch):
         calls: dict[str, int] = {}
         plain = exosim.harness.run_trajectory
 
@@ -780,8 +766,7 @@ class TestSimulateOnce:
         runs = 6
         for doc in self.documents(reference_doc).values():
             calls.clear()
-            cfg = ExperimentConfig(runs, 50, 1, tmp_path / "out.csv")
-            run_experiment_from_document(doc, cfg)
+            run_experiment(doc, runs, 50, 1)
             expected = {
                 decl.name: runs if decl.kind is ArchitectureKind.RANDOM else 1
                 for decl in doc.agents
@@ -805,4 +790,17 @@ class TestWriteCsv:
             "run_id,agent,kind,seed,persistence_steps,terminal_reason\n"
             "0,a,random,5,3,ExoinactiveEnergy\n"
             "1,b,afs2a,6,9,StepLimit\n"
+        )
+
+    def test_library_run_writes_only_through_write_csv(self, reference_path, tmp_path, monkeypatch):
+        # The 100x500 seed-1 anchor, reached without the CLI: the
+        # experiment returns its rows and leaves the working directory
+        # empty, and write_csv alone writes them.
+        monkeypatch.chdir(tmp_path)
+        result = run_experiment(load_document(reference_path), 100, 500, 1)
+        assert list(tmp_path.iterdir()) == []
+        path = tmp_path / "runs.csv"
+        write_csv(result, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "65e72fbd46491fafaf4dda8ea189fbd70517ba070ddf791db190003dde458448"
         )

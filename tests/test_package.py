@@ -25,12 +25,14 @@ SRC = Path(exosim.__file__).parents[1]
 
 # Every name the package re-exported while it imported all its modules
 # at once, less the unit graph, learning delta, departure set and
-# metrics error names that nothing but their own tests used.
+# metrics error names that nothing but their own tests used, and less
+# ExperimentConfig and run_experiment_from_document, whose work
+# run_experiment now does with its three settings as arguments.
 PUBLIC_NAMES = [
     "ActId", "AgentArchitecture", "AgentDecl", "AgentSummary", "AmbiguousRepresentation",
     "ArchitectureError", "ArchitectureKind", "CSV_HEADER", "ConstantDigits", "DigitError",
-    "DigitOutOfRange", "DigitSourceExhausted", "EnergyRules", "ExperimentConfig",
-    "ExperimentResult", "ExplicitDigits", "Formula", "GroupComparison", "HarnessError",
+    "DigitOutOfRange", "DigitSourceExhausted", "EnergyRules", "ExperimentResult",
+    "ExplicitDigits", "Formula", "GroupComparison", "HarnessError",
     "MissingAgentKind", "ObjectiveSets", "OrientedViolation", "ParseDiagnostic", "ParseResult",
     "PersistenceCase", "PositionalFasa", "ProjectionOutOfRange", "RandomFasa",
     "RepresentationError", "RepresentationMap", "RouteTable", "RunRecord", "Severity",
@@ -39,15 +41,14 @@ PUBLIC_NAMES = [
     "UniverseDecl", "UniverseError", "UnknownAct", "UnknownState", "UnrepresentedFormula",
     "check_oriented_table", "constant_digits", "derive_objectives", "derive_seed",
     "evaluate_persistence_claim", "load_document", "parse", "parse_digit_string", "parse_file",
-    "persistence_truth_table", "rank_sum_test", "run_experiment",
-    "run_experiment_from_document", "run_trajectory", "serialize", "splitmix64",
-    "stability_report", "unit_draw", "update_learning", "write_csv",
+    "persistence_truth_table", "rank_sum_test", "run_experiment", "run_trajectory",
+    "serialize", "splitmix64", "stability_report", "unit_draw", "update_learning", "write_csv",
 ]
 
 
 # Every record of the public API that is a named tuple.
 RECORDS = [
-    "AgentArchitecture", "AgentDecl", "AgentSummary", "EnergyRules", "ExperimentConfig",
+    "AgentArchitecture", "AgentDecl", "AgentSummary", "EnergyRules",
     "ExperimentResult", "GroupComparison", "ObjectiveSets", "OrientedViolation",
     "ParseDiagnostic", "ParseResult", "PersistenceCase", "PositionalFasa", "RandomFasa",
     "RouteTable", "RunRecord", "StabilityReport", "Trajectory", "TrajectoryStep",
