@@ -124,6 +124,4 @@ def __dir__() -> list[str]:
 
 def fixture_path(name: str) -> Path:
     """Filesystem path of a shipped .exo fixture (e.g. "reference.exo")."""
-    from importlib import resources  # tens of ms to import where site has not
-
-    return Path(resources.files(__name__) / "fixtures" / name)
+    return Path(__file__).with_name("fixtures") / name

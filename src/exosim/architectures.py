@@ -193,10 +193,11 @@ class AgentArchitecture(NamedTuple):
     empty; afs3a's candidate pool is ``tables`` in pool-index order.
     ``dsl.AgentDecl.build`` is the one place that fills these slots by kind.
 
-    A fixed description that no run changes. A run's own state (afs2b's
-    remembered formula, afs3a's active table, pending episode and
-    tallies) lives in ``harness.run_trajectory``, which only reads the
-    agent.
+    A fixed description that no run changes, positional sources
+    included: a digit stream is a value, and each read keeps its own
+    place. A run's own state (afs2b's remembered formula, afs3a's
+    active table, pending episode and tallies) lives in
+    ``harness.run_trajectory``, which only reads the agent.
     """
 
     name: str

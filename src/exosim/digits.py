@@ -25,33 +25,33 @@ where big-integer division is schoolbook (CPython 3.11 and older) that
 is still quadratic in n, but with a far smaller constant than one
 full-width divmod per digit.
 
-A ConstantDigits stream computes each digit once, and resumes what its
-last extension left: the series state (P, Q, T) gains only its new
-terms, the last read's quotient is a first guess that leaves a division
-with a short quotient, and only the new digits are converted. pi's
-square root does not resume: each extension takes it afresh with
-math.isqrt. The floor is certified afresh at each new width. Each
-extension is then a few full-width multiplications and one short
+A ConstantDigits stream is a (name, base) value that keeps nothing
+between reads. One read(limit) computes each digit once: each extension
+resumes what the last one left, so the series state (P, Q, T) gains only
+its new terms, the last extension's quotient is a first guess that
+leaves a division with a short quotient, and only the new digits are
+converted. pi's square root does not resume: each extension takes it
+afresh with math.isqrt. The floor is certified afresh at each new width.
+Each extension is then a few full-width multiplications and one short
 division, each about a fifth of a full schoolbook division, plus pi's
-full-width square root.
+full-width square root. A second read computes its digits again.
 
-When a read passes the cache's end, the stream extends to a quarter
-past that position (64 digits at first); read(limit) extends the same
-way but never past limit. With a growth of 5/4 the quadratic costs of
-all extensions sum to under three times those of the last, and a read
-that stops at any step has computed 64 digits or a quarter more than it
-used, whichever is more. Doubling would take fewer extensions, but a
-read that stops just past a doubling would compute twice the digits it
-used, in about twice the time of 5/4 growth at 65537 digits. To
-position 200000 in base 3, 4 and 10 on a 2-core x86 machine with Python
-3.11, pi takes about 1.2, 1.3 and 3.3 s, of which the square roots 0.45,
-0.65 and 1.7 s, and e 0.35, 0.35 and 1.1 s.
+A read extends to a quarter past the position it reaches (64 digits at
+first), but never past its limit. With a growth of 5/4 the quadratic
+costs of all extensions sum to under three times those of the last, and
+a read that stops at any step has computed 64 digits or a quarter more
+than it used, whichever is more. Doubling would take fewer extensions,
+but a read that stops just past a doubling would compute twice the
+digits it used, in about twice the time of 5/4 growth at 65537 digits.
+To position 200000 in base 3, 4 and 10 on a 2-core x86 machine with
+Python 3.11, pi takes about 1.2, 1.3 and 3.3 s, of which the square
+roots 0.45, 0.65 and 1.7 s, and e 0.35, 0.35 and 1.1 s.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .universe import ExosimError
 
@@ -228,59 +228,26 @@ def constant_digits(name: str, base: int, count: int, resume: list | None = None
     return digits
 
 
-class ConstantDigits:
-    """Lazily extended digit stream of a named constant in one base.
+class ConstantDigits(NamedTuple):
+    """Digit stream of a named constant in one base: a value that no read
+    changes, so a second read computes its digits again."""
 
-    A plain class, not a named tuple, because reading a digit extends its
-    cache; two streams are equal when their name and base are.
-    """
-
-    __slots__ = ("name", "base", "_cache", "_resume")
-
-    def __init__(self, name: str, base: int) -> None:
-        self.name = name
-        self.base = base
-        self._cache: list[int] = []
-        # What constant_digits resumes from: the digits in _cache, their
-        # value and the series summed so far.
-        self._resume: list = []
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.base) == (other.name, other.base)
-
-    def __repr__(self) -> str:
-        return f"ConstantDigits(name={self.name!r}, base={self.base!r})"
-
-    def digit(self, position: int) -> int:
-        if position < 0:
-            raise DigitError(f"digit position must be non-negative, got {position}")
-        if position >= len(self._cache):
-            self._extend(position)
-        return self._cache[position]
+    name: str
+    base: int
 
     def read(self, limit: int) -> Iterator[int]:
-        """Digits 0 to limit - 1 in turn, from the cache that digit shares.
+        """Digits 0 to limit - 1 in turn, computed as they are reached.
 
-        Extends the cache as digit does, but never past limit, and only
-        when a digit past the cache is asked for: a read dropped at any
-        step has computed no more than digit would to reach it.
+        Each extension runs to a quarter past the position reached (64
+        digits at first) but never past limit, and resumes what the last
+        one left: a read dropped at any step has computed each digit once,
+        and at most 64 or a quarter more than it used.
         """
-        cache, position = self._cache, 0
+        position, resume = 0, []
         while position < limit:
-            if position == len(cache):
-                self._extend(position, limit)
-            stop = min(len(cache), limit)
-            yield from cache[position:stop]
-            position = stop
-
-    def _extend(self, position: int, limit: float = math.inf) -> None:
-        """Extend the cache past position, to a quarter past it (at least
-        64 digits) but not past limit. Each digit is computed once, so
-        the waste of a read that stops is this overshoot."""
-        end = min(max(64, (position + 1) * 5 // 4), limit)
-        self._cache += constant_digits(self.name, self.base, end - len(self._cache), self._resume)
+            end = min(max(64, (position + 1) * 5 // 4), limit)
+            yield from constant_digits(self.name, self.base, end - position, resume)
+            position = end
 
 
 class ExplicitDigits:
@@ -310,21 +277,15 @@ class ExplicitDigits:
     def __repr__(self) -> str:
         return f"ExplicitDigits(digits={self.digits!r}, base={self.base!r})"
 
-    def digit(self, position: int) -> int:
-        if position < 0:
-            raise DigitError(f"digit position must be non-negative, got {position}")
-        if position >= len(self.digits):
-            raise DigitSourceExhausted(
-                f"explicit digit list of length {len(self.digits)} has no position {position}"
-            )
-        return self.digits[position]
-
     def read(self, limit: int) -> Iterator[int]:
         """Digits 0 to limit - 1 in turn; past the list's end, raises
-        DigitSourceExhausted where digit would."""
+        DigitSourceExhausted."""
         yield from self.digits[: max(limit, 0)]
-        if limit > len(self.digits):
-            self.digit(len(self.digits))
+        length = len(self.digits)
+        if limit > length:
+            raise DigitSourceExhausted(
+                f"explicit digit list of length {length} has no position {length}"
+            )
 
 
 def parse_digit_string(text: str, base: int) -> ExplicitDigits:

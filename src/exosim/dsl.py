@@ -1081,7 +1081,19 @@ def parse(text: str) -> ParseResult:
 
 
 def parse_file(path: str | Path) -> ParseResult:
-    return parse(Path(path).read_text(encoding="utf-8"))
+    """Parse a UTF-8 file. A file that is not UTF-8 draws one error, at
+    its first bad byte."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        # Each bad byte decodes to one code point in U+DC80..U+DCFF.
+        text = path.read_bytes().decode("utf-8", "surrogateescape")
+        bad = re.search("[\udc80-\udcff]", text).start()
+        line, column = text.count("\n", 0, bad) + 1, bad - text.rfind("\n", 0, bad)
+        message = f"byte 0x{ord(text[bad]) - 0xDC00:02x} is not UTF-8"
+        return ParseResult(None, [ParseDiagnostic(Severity.ERROR, message, line, column)])
+    return parse(text)
 
 
 def load_document(path: str | Path) -> SpecDocument:

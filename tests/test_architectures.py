@@ -202,9 +202,7 @@ class TestPositionalFasa:
         order = tuple(f"a{i}" for i in range(10))
         want = ["a3", "a1", "a4", "a1", "a5", "a9"]
         assert stream_acts(PositionalFasa(ConstantDigits("pi", 10), order), 6) == want
-        source = ConstantDigits("pi", 10)
-        assert [order[source.digit(t)] for t in range(6)] == want
-        assert [order[d] for d in source.read(6)] == want
+        assert [order[d] for d in ConstantDigits("pi", 10).read(6)] == want
 
     def test_exhaustion_propagates(self):
         source = ExplicitDigits((1,), 2)

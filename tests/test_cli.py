@@ -79,6 +79,13 @@ class TestValidate:
         assert code == 2
         assert f"16:10: error: integer of {len(digits)} digits is too long" in text
 
+    def test_a_file_that_is_not_utf8_is_invalid_spec(self, tmp_path):
+        path = tmp_path / "bytes.exo"
+        path.write_bytes(b"\xff\xfe")
+        code, text = cli("validate", str(path))
+        assert code == 2
+        assert text == f"{path}:1:1: error: byte 0xff is not UTF-8\n"
+
     def test_missing_file_is_runtime_error(self, tmp_path):
         code, _ = cli("validate", str(tmp_path / "nope.exo"))
         assert code == 3

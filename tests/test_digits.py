@@ -179,20 +179,7 @@ class TestLazyStream:
     def test_digit_access_matches_batch(self):
         stream = ConstantDigits("pi", 10)
         batch = constant_digits("pi", 10, 40)
-        for pos in (0, 5, 39, 2):
-            assert stream.digit(pos) == batch[pos]
-
-    def test_cache_grows_monotonically(self):
-        stream = ConstantDigits("e", 4)
-        first = stream.digit(3)
-        later = stream.digit(100)
-        # Re-reading an early position after growth must be stable.
-        assert stream.digit(3) == first
-        assert stream.digit(100) == later
-
-    def test_negative_position_rejected(self):
-        with pytest.raises(DigitError):
-            ConstantDigits("pi", 10).digit(-1)
+        assert list(stream.read(40)) == batch
 
     @pytest.mark.parametrize("name,base", [("pi", 4), ("e", 3)])
     def test_stream_across_doublings_equals_one_call(self, monkeypatch, name, base):
@@ -205,9 +192,22 @@ class TestLazyStream:
         # The stream must look constant_digits up through the module.
         monkeypatch.setattr(digits_module, "constant_digits", counted)
         stream = ConstantDigits(name, base)
-        read = [stream.digit(position) for position in range(5001)]
+        read = list(stream.read(5001))
         assert len(calls) >= 6
         assert read == constant_digits(name, base, 5001)
+
+
+@pytest.fixture()
+def counts(monkeypatch) -> list[int]:
+    """The digit count of each constant_digits call, in call order."""
+    made: list[int] = []
+
+    def counted(*args):
+        made.append(args[2])
+        return constant_digits(*args)
+
+    monkeypatch.setattr(digits_module, "constant_digits", counted)
+    return made
 
 
 class TestResumedStream:
@@ -219,18 +219,17 @@ class TestResumedStream:
     def test_stream_matches_certified_oracle(self, name, base):
         # Read to 1500: the stream extends a dozen times past its first 64.
         stream = ConstantDigits(name, base)
-        read = [stream.digit(position) for position in range(1500)]
+        read = list(stream.read(1500))
         assert read == oracles.certified_constant_digits(name, base, 1500)
 
     @pytest.mark.parametrize("name,base", [("pi", 10), ("e", 7), ("pi", 2)])
     def test_out_of_order_reads(self, name, base):
         # Far ahead of the first 64 digits, back to the start, then between:
-        # each extension starts where the last one ended, whatever the order
-        # of reads.
+        # each read starts from the first digit, whatever reads came before.
         want = oracles.certified_constant_digits(name, base, 4000)
         stream = ConstantDigits(name, base)
-        for position in (10, 3000, 0, 5, 1499, 2999, 3749, 3999, 3750, 100):
-            assert stream.digit(position) == want[position], position
+        for limit in (10, 3000, 0, 5, 1499, 2999, 3749, 4000, 3750, 100):
+            assert list(stream.read(limit)) == want[:limit], limit
 
     def test_resumed_extensions_retry_the_guard(self, monkeypatch):
         # One guard bit leaves the floor in doubt at many widths: a resumed
@@ -251,61 +250,41 @@ class TestResumedStream:
         monkeypatch.setattr(digits_module, "_fixed", counted_fixed)
         for name in ("pi", "e"):
             for base in (3, 4, 10):
-                stream = ConstantDigits(name, base)
-                read = [stream.digit(position) for position in range(1000)]
+                read = list(ConstantDigits(name, base).read(1000))
                 assert read == oracles.certified_constant_digits(name, base, 1000)
         # More resumed reads of the constant than resumed extensions.
         assert resumed["reads"] > resumed["extensions"] > 0
 
-    @pytest.mark.parametrize(
-        "name,base,reader",
-        [("pi", 4, "digit"), ("e", 10, "digit"), ("pi", 4, "read"), ("e", 10, "read")],
-        ids=["pi-4", "e-10", "pi-4-read", "e-10-read"],
-    )
-    def test_sequential_read_computes_few_digits_twice(self, monkeypatch, name, base, reader):
-        # Each digit is computed once: what digit() reads to position 5000
-        # makes past it is the overshoot of the last extension, and a read
-        # bounded by limit extends as digit() does but makes no digit past
-        # its bound.
-        counts = []
-
-        def counted(*args):
-            counts.append(args[2])
-            return constant_digits(*args)
-
-        monkeypatch.setattr(digits_module, "constant_digits", counted)
-        if reader == "digit":
-            stream = ConstantDigits(name, base)
-            for position in range(5001):
-                stream.digit(position)
-            assert sum(counts) <= 1.3 * 5001
-            assert sum(counts) == len(stream._cache)
-            return
+    @pytest.mark.parametrize("name,base", [("pi", 4), ("e", 10)])
+    def test_sequential_read_computes_few_digits_twice(self, counts, name, base):
+        # Each digit is computed once: a read bounded by limit extends to 64
+        # digits, then to a quarter past each extension's end, the last cut
+        # at the bound, and makes no digit past its bound.
         want = oracles.certified_constant_digits(name, base, 5001)
         for limit in (1, 64, 65, 5001):
             counts.clear()
-            stream = ConstantDigits(name, base)
-            for position in range(limit):
-                stream.digit(position)
-            unbounded = counts[:]
-            counts.clear()
             assert list(ConstantDigits(name, base).read(limit)) == want[:limit]
-            # digit()'s extensions, the last cut at the bound.
-            assert counts[:-1] == unbounded[:-1]
+            assert counts == growth_schedule(limit)
             assert sum(counts) == limit
-        # digit() and read() share one cache, whichever extended it.
-        stream = ConstantDigits(name, base)
-        for position in (70, 3, 300):
-            assert stream.digit(position) == want[position]
-        assert list(stream.read(10)) == want[:10]
-        assert list(stream.read(5001)) == want
-        assert [stream.digit(position) for position in range(5001)] == want
-        assert len(stream._cache) == 5001
+        assert len(counts) == 21
+        assert counts[:6] == [64, 17, 21, 26, 33, 41]
+
+    def test_two_reads_give_the_same_digits_and_extensions(self, counts):
+        # A stream is a value: a read changes nothing, so a second read
+        # computes the same digits through the same extensions.
+        stream = ConstantDigits("pi", 4)
+        first = list(stream.read(3000))
+        first_counts = counts[:]
+        counts.clear()
+        assert list(stream.read(3000)) == first
+        assert counts == first_counts
+        assert stream == ConstantDigits("pi", 4)
+        assert tuple(stream) == ("pi", 4)
 
     def test_read_position_hidden_from_equality_and_repr(self):
         ahead, behind = ConstantDigits("pi", 4), ConstantDigits("pi", 4)
-        ahead.digit(3000)
-        behind.digit(10)
+        list(ahead.read(3001))
+        list(behind.read(11))
         assert ahead == behind == ConstantDigits("pi", 4)
         assert repr(ahead) == repr(behind) == "ConstantDigits(name='pi', base=4)"
         acts = ("a", "b", "c", "d")
@@ -320,14 +299,26 @@ class TestResumedStream:
         assert ahead != ConstantDigits("e", 4)
 
 
+def growth_schedule(limit: int) -> list[int]:
+    """The digit counts of a read's extensions: to 64 digits, then to a
+    quarter past each end, never past limit."""
+    counts, position = [], 0
+    while position < limit:
+        end = min(max(64, (position + 1) * 5 // 4), limit)
+        counts.append(end - position)
+        position = end
+    return counts
+
+
 class TestExplicitDigits:
     def test_lookup_and_exhaustion(self):
         src = ExplicitDigits((1, 0, 2), 3)
-        assert [src.digit(i) for i in range(3)] == [1, 0, 2]
-        with pytest.raises(DigitSourceExhausted):
-            src.digit(3)
-        with pytest.raises(DigitError):
-            src.digit(-1)
+        assert list(src.read(3)) == [1, 0, 2]
+        got = []
+        with pytest.raises(DigitSourceExhausted, match="of length 3 has no position 3"):
+            got.extend(src.read(4))
+        assert got == [1, 0, 2]
+        assert list(src.read(-1)) == []
 
     def test_out_of_range_digit_rejected_at_build(self):
         with pytest.raises(DigitOutOfRange):
@@ -351,4 +342,4 @@ class TestExplicitDigits:
     @settings(max_examples=50)
     def test_explicit_round_trip(self, digits):
         src = ExplicitDigits(tuple(digits), 10)
-        assert [src.digit(i) for i in range(len(digits))] == digits
+        assert list(src.read(len(digits))) == digits

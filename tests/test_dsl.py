@@ -119,6 +119,15 @@ class TestFixtures:
             assert result.diagnostics == []
             assert result.document is not None
 
+    def test_a_file_that_is_not_utf8_draws_one_error(self, tmp_path):
+        # Line 3 holds two-byte characters before the bad byte: the column
+        # counts code points, as the reader's columns do.
+        path = tmp_path / "bytes.exo"
+        path.write_bytes(b"# caf\xc3\xa9\n\n  \xc3\xa9t\xc3\xa9 \xff;\n")
+        result = parse_file(path)
+        assert result.document is None
+        assert result.diagnostics == [(Severity.ERROR, "byte 0xff is not UTF-8", 3, 7)]
+
     def test_fixture_shapes(self, ejemplo5_doc, reference_doc):
         assert [u.name for u in ejemplo5_doc.universes] == ["ejemplo5"]
         assert [a.name for a in ejemplo5_doc.agents] == ["ejemplo"]

@@ -319,8 +319,9 @@ class TestPositionalRead:
     @pytest.mark.parametrize("energy", [30, 300])
     def test_a_run_that_dies_computes_what_digit_would(self, monkeypatch, energy):
         # A billion-step bound computes nothing up front: a run that dies
-        # extends its stream as digit() reads to its last step would, and
-        # one that dies within its first 64 steps reads one chunk.
+        # extends its stream to 64 digits, then a quarter past each end, up
+        # to its last step, so one that dies within its first 64 steps
+        # reads one chunk.
         counts = []
         real = exosim.digits.constant_digits
 
@@ -332,13 +333,50 @@ class TestPositionalRead:
         universe = dial(4)._replace(energy=EnergyRules(energy, 1, 0, 0, energy))
         got = run_trajectory(universe, dial_agent(ConstantDigits("pi", 4), 4), 10**9)
         assert (got.persistence, got.terminal_reason) == (energy, TerminalReason.EXOINACTIVE)
-        by_run = counts[:]
-        counts.clear()
-        stream = ConstantDigits("pi", 4)
-        for position in range(energy):
-            stream.digit(position)
-        assert by_run == counts
-        assert energy > 64 or by_run == [64]
+        want, end = [64], 64
+        while end < energy:
+            want.append((end + 1) * 5 // 4 - end)
+            end += want[-1]
+        assert counts == want
+        assert energy > 64 or counts == [64]
+
+    def test_a_run_leaves_its_agent_as_built(self):
+        # The stream keeps no digits: once the run is dropped, its 20000
+        # digits are freed, and the agent still equals a fresh build.
+        doc = parse(LOOP_PIPER).document
+        agent, universe = doc.build_agent("piper")
+        run_trajectory(universe, doc.build_agent("piper")[0], 100)  # loads what a run loads
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            persistence = run_trajectory(universe, agent, 20000).persistence
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert persistence == 20000
+        assert retained < 64 * 1024
+        assert agent == doc.build_agent("piper")[0]
+
+
+# One state that every act keeps, at no energy cost: a positional agent
+# lives to any bound.
+LOOP_PIPER = """
+universe "loop" {
+  states: s;
+  acts: a b c d;
+  initial: s;
+  neutral_act: a;
+  transition s a s;
+  transition s b s;
+  transition s c s;
+  transition s d s;
+  energy { initial: 5; per_step: 0; negative_penalty: 0; positive_reward: 0; cap: 5; }
+}
+agent "piper" in "loop" {
+  architecture: positional;
+  constant: pi;
+}
+""".lstrip()
 
 
 def wheel_drifter(n: int, seed: int) -> tuple[Universe, AgentArchitecture]:

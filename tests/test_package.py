@@ -48,7 +48,7 @@ PUBLIC_NAMES = [
 
 # Every record of the public API that is a named tuple.
 RECORDS = [
-    "AgentArchitecture", "AgentDecl", "AgentSummary", "EnergyRules",
+    "AgentArchitecture", "AgentDecl", "AgentSummary", "ConstantDigits", "EnergyRules",
     "ExperimentResult", "GroupComparison", "ObjectiveSets", "OrientedViolation",
     "ParseDiagnostic", "ParseResult", "PersistenceCase", "PositionalFasa", "RandomFasa",
     "RouteTable", "RunRecord", "StabilityReport", "Trajectory", "TrajectoryStep",
@@ -156,7 +156,7 @@ class TestImports:
 
     @MODULES
     def test_every_import_in_a_function_is_used_there(self, path):
-        # A lazy import (cli's json, the package's resources, dsl's digits)
+        # A lazy import (cli's json, dsl's digits)
         # must be read in the function that makes it.
         tree = ast.parse(path.read_text(encoding="utf-8"))
         unused = {
