@@ -255,12 +255,24 @@ class TestResumedStream:
         # More resumed reads of the constant than resumed extensions.
         assert resumed["reads"] > resumed["extensions"] > 0
 
-    @pytest.mark.parametrize("name,base", [("pi", 4), ("e", 10)])
-    def test_sequential_read_computes_few_digits_twice(self, counts, name, base):
-        # Each digit is computed once: a read bounded by limit extends to 64
-        # digits, then to a quarter past each extension's end, the last cut
-        # at the bound, and makes no digit past its bound.
+    @pytest.mark.parametrize(
+        "name,base,reader",
+        [("pi", 4, "step"), ("e", 10, "step"), ("pi", 4, "read"), ("e", 10, "read")],
+        ids=["pi-4", "e-10", "pi-4-read", "e-10-read"],
+    )
+    def test_sequential_read_computes_few_digits_twice(self, counts, name, base, reader):
         want = oracles.certified_constant_digits(name, base, 5001)
+        if reader == "step":
+            # Taken one digit at a time, a read has computed each digit once
+            # and at most 64 or a quarter more than it has handed out.
+            for position, digit in enumerate(ConstantDigits(name, base).read(5001)):
+                assert digit == want[position], position
+                assert position < sum(counts) <= max(64, (position + 1) * 5 // 4)
+            assert counts == growth_schedule(5001)
+            return
+        # A read bounded by limit extends to 64 digits, then to a quarter
+        # past each extension's end, the last cut at the bound, and makes
+        # no digit past its bound.
         for limit in (1, 64, 65, 5001):
             counts.clear()
             assert list(ConstantDigits(name, base).read(limit)) == want[:limit]
