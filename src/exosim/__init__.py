@@ -27,9 +27,7 @@ _EXPORTS = {
         "ArchitectureError",
         "ArchitectureKind",
         "OrientedViolation",
-        "PositionalFasa",
         "ProjectionOutOfRange",
-        "RandomFasa",
         "RouteTable",
         "check_oriented_table",
         "splitmix64",

@@ -1,11 +1,15 @@
 """Behavior generators and sensitive functional architectures.
 
-Three elementary ways of generating acts:
+Three ways of generating acts:
 
 * random: a seeded pseudo-random draw over the act alphabet,
 * positional: replaying the digits of a fixed constant in base |acts|,
 * sensitive: reading the current state through a representation map and
   looking the perceived formula up in a prediction table.
+
+The two elementary kinds, random and positional, keep only their seed or
+their digits; the act alphabet they index, in sorted order, is the
+universe's, which the run is given.
 
 Sensitive generation comes in four architectures. ``afs1`` reacts to the
 formula directly with one act. ``afs2a`` keeps routes (act sequences)
@@ -137,24 +141,6 @@ class ProjectionOutOfRange(ArchitectureError):
     """The projection index is below 1 or past the end of a generated sequence."""
 
 
-class RandomFasa(NamedTuple):
-    """Seeded uniform random act generation over a fixed act order: step
-    t takes act_order[int(unit_draw(seed, t) * len(act_order))]. A run
-    computes those indices in batches through ``draw_chunks``, so step t's
-    act still depends on the seed and t alone."""
-
-    seed: int
-    act_order: tuple[ActId, ...]
-
-
-class PositionalFasa(NamedTuple):
-    """Acts read off a digit stream in base len(act_order): step t takes
-    act_order[d] for the stream's digit d at position t."""
-
-    source: object  # anything with read(limit) -> iterator of int
-    act_order: tuple[ActId, ...]
-
-
 class RouteTable(NamedTuple):
     """(source formula, goal formula) -> act token sequence.
 
@@ -187,13 +173,16 @@ class ArchitectureKind(Enum):
 class AgentArchitecture(NamedTuple):
     """One agent: an architecture kind plus the act source that kind reads.
 
-    An elementary agent (random, positional) reads its ``stream``. afs1
-    reacts through ``reaction``, a plain formula -> act mapping. afs2a and
-    afs2b route through exactly one table in ``tables``, which may be
-    empty; afs3a's candidate pool is ``tables`` in pool-index order.
+    A random agent draws from ``seed`` and a positional one reads
+    ``digits``; both pick from the universe's acts in sorted order, so
+    step t takes sorted(acts)[i] for the draw int(unit_draw(seed, t) *
+    len(acts)) or the digit at position t. afs1 reacts through
+    ``reaction``, a plain formula -> act mapping. afs2a and afs2b route
+    through exactly one table in ``tables``, which may be empty; afs3a's
+    candidate pool is ``tables`` in pool-index order.
     ``dsl.AgentDecl.build`` is the one place that fills these slots by kind.
 
-    A fixed description that no run changes, positional sources
+    A fixed description that no run changes, positional digits
     included: a digit stream is a value, and each read keeps its own
     place. A run's own state (afs2b's remembered formula, afs3a's
     active table, pending episode and tallies) lives in
@@ -204,7 +193,10 @@ class AgentArchitecture(NamedTuple):
     kind: ArchitectureKind
     representation: RepresentationMap | None = None
     projection_index: int = 1
-    stream: RandomFasa | PositionalFasa | None = None
+    seed: int = 0
+    # A ConstantDigits or ExplicitDigits: anything with read(limit) ->
+    # iterator of int. Only a positional agent loads exosim.digits.
+    digits: object = None
     reaction: Mapping[Formula, ActId] | None = None
     tables: tuple[RouteTable, ...] = ()
     goal: Formula | None = None

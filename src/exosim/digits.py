@@ -250,36 +250,19 @@ class ConstantDigits(NamedTuple):
             position = end
 
 
-class ExplicitDigits:
-    """A finite digit list given directly in the declaration.
+class ExplicitDigits(NamedTuple):
+    """A finite digit list given directly in the declaration."""
 
-    A plain class, not a named tuple, because its constructor checks
-    every digit against the base.
-    """
-
-    __slots__ = ("digits", "base")
-
-    def __init__(self, digits: tuple[int, ...], base: int) -> None:
-        for i, d in enumerate(digits):
-            if not 0 <= d < max(base, 1):
-                raise DigitOutOfRange(f"digit {d} at position {i} does not fit base {base}")
-        self.digits = digits
-        self.base = base
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.digits, self.base) == (other.digits, other.base)
-
-    def __hash__(self) -> int:
-        return hash((self.digits, self.base))
-
-    def __repr__(self) -> str:
-        return f"ExplicitDigits(digits={self.digits!r}, base={self.base!r})"
+    digits: tuple[int, ...]
+    base: int
 
     def read(self, limit: int) -> Iterator[int]:
         """Digits 0 to limit - 1 in turn; past the list's end, raises
-        DigitSourceExhausted."""
+        DigitSourceExhausted. A digit that does not fit the base raises
+        DigitOutOfRange before the first digit is given."""
+        for i, d in enumerate(self.digits):
+            if not 0 <= d < max(self.base, 1):
+                raise DigitOutOfRange(f"digit {d} at position {i} does not fit base {self.base}")
         yield from self.digits[: max(limit, 0)]
         length = len(self.digits)
         if limit > length:

@@ -45,13 +45,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .architectures import (
-    AgentArchitecture,
-    ArchitectureKind,
-    PositionalFasa,
-    RandomFasa,
-    RouteTable,
-)
+from .architectures import AgentArchitecture, ArchitectureKind, RouteTable
 from .representation import Formula, RepresentationMap
 from .universe import ActId, EnergyRules, StateClass, StateId, Universe
 
@@ -153,19 +147,17 @@ class AgentDecl(NamedTuple):
         """The agent this declaration describes; the one place that maps
         a kind to the slots of ``AgentArchitecture`` it fills. It reads
         the fields as the checker set them, defaults included."""
-        act_order = tuple(sorted(universe.acts))
         if self.kind is ArchitectureKind.RANDOM:
-            stream = RandomFasa(seed=self.seed, act_order=act_order)
-            return AgentArchitecture(name=self.name, kind=self.kind, stream=stream)
+            return AgentArchitecture(name=self.name, kind=self.kind, seed=self.seed)
         if self.kind is ArchitectureKind.POSITIONAL:
             from .digits import ConstantDigits, parse_digit_string  # no other kind loads it
             kind, payload = self.constant
+            base = len(universe.acts)
             if kind == "digits":
-                source = parse_digit_string(payload, len(act_order))
+                digits = parse_digit_string(payload, base)
             else:
-                source = ConstantDigits(kind, len(act_order))
-            stream = PositionalFasa(source=source, act_order=act_order)
-            return AgentArchitecture(name=self.name, kind=self.kind, stream=stream)
+                digits = ConstantDigits(kind, base)
+            return AgentArchitecture(name=self.name, kind=self.kind, digits=digits)
         reaction = None
         tables: tuple[RouteTable, ...] = ()
         if self.kind is ArchitectureKind.AFS1:
@@ -1081,17 +1073,18 @@ def parse(text: str) -> ParseResult:
 
 
 def parse_file(path: str | Path) -> ParseResult:
-    """Parse a UTF-8 file. A file that is not UTF-8 draws one error, at
-    its first bad byte."""
-    path = Path(path)
+    """Parse a UTF-8 file as ``parse`` parses its text, line ends
+    included. A file that is not UTF-8 draws one error, at its first bad
+    byte."""
+    data = Path(path).read_bytes()
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        # Each bad byte decodes to one code point in U+DC80..U+DCFF.
-        text = path.read_bytes().decode("utf-8", "surrogateescape")
-        bad = re.search("[\udc80-\udcff]", text).start()
-        line, column = text.count("\n", 0, bad) + 1, bad - text.rfind("\n", 0, bad)
-        message = f"byte 0x{ord(text[bad]) - 0xDC00:02x} is not UTF-8"
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = exc.start
+        # Everything before the bad byte is valid, and a line starts after a b"\n".
+        start = data.rfind(b"\n", 0, bad) + 1
+        line, column = data.count(b"\n", 0, bad) + 1, len(data[start:bad].decode("utf-8")) + 1
+        message = f"byte 0x{data[bad]:02x} is not UTF-8"
         return ParseResult(None, [ParseDiagnostic(Severity.ERROR, message, line, column)])
     return parse(text)
 

@@ -14,8 +14,8 @@ rank-sum comparisons of the sensitive group against the random and
 positional groups; ``write_csv`` writes the rows, and the CLI calls it.
 
 Identical inputs reproduce identical output bytes: rows are emitted in
-run_id order and every random stream is positioned by its derived seed
-alone. The seed reaches nothing but a random agent's stream, so an
+run_id order and every random run is positioned by its derived seed
+alone. The seed reaches nothing but a random agent's draws, so an
 agent of any other kind is simulated once per experiment; its row
 repeats for every run, each with that run's id and derived seed. The
 experiment takes an already checked document; the CLI loads it.
@@ -32,8 +32,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import architectures
 from .architectures import AgentArchitecture, ArchitectureError, ArchitectureKind
-from .architectures import PositionalFasa, ProjectionOutOfRange, RandomFasa
-from .architectures import splitmix64
+from .architectures import ProjectionOutOfRange, splitmix64
 from .dsl import SpecDocument
 from .stats import rank_sum_test
 from .universe import ActId, ExosimError, StateId, Universe
@@ -129,21 +128,23 @@ def run_trajectory(
     takes max_steps steps; each step records the memo entry of what the
     agent perceived, generated and chose, and its energy after.
 
-    The agent is only read: an elementary kind steps through
-    ``agent.stream``, a ``RandomFasa`` or ``PositionalFasa`` as its kind
-    says, and a routed kind looks routes up in ``agent.tables[active]``.
-    Seed, when given, replaces a random stream's seed, so the same inputs
-    replay the same run. Both elementary kinds step through one iterator
-    of indices into the stream's act_order. A random run's comes from
+    The agent is only read: a random kind draws from ``agent.seed``, a
+    positional kind reads ``agent.digits``, and a routed kind looks routes
+    up in ``agent.tables[active]``. Seed, when given, replaces a random
+    agent's seed, so the same inputs replay the same run. Both elementary
+    kinds step through one iterator of indices into the universe's acts
+    in sorted order. A random run's comes from
     ``architectures.draw_chunks``, which computes ``unit_draw``'s draws in
     chunks that grow from 4 steps to about a thousand and never pass
     max_steps: a run that dies at step k has had at most max(4, 2k) draws
     computed whatever its bound. A positional run's is one
-    ``read(max_steps)`` of its digit source, which extends a constant's
+    ``read(max_steps)`` of its digits, which extends a constant's
     digits as the run reaches them, by a quarter at a time from 64 on and
     never past max_steps: a run that dies within 64 steps computes at most
-    64 digits whatever its bound. An explicit list raises ``DigitSourceExhausted`` at the
-    step past its end. A run's state is local: afs2b's target (the goal,
+    64 digits whatever its bound. An explicit list raises
+    ``DigitSourceExhausted`` at the step past its end, and
+    ``DigitOutOfRange`` at the first step if any digit does not fit its
+    base. A run's state is local: afs2b's target (the goal,
     then the formula perceived at the previous step), and afs3a's
     active table index (always 0 for the other kinds), pending episode
     (table index, age) and per-table tallies. An episode opens when the
@@ -172,27 +173,21 @@ def run_trajectory(
     elementary = not kind.is_sensitive
     recall = kind is ArchitectureKind.AFS2B
     learner = kind is ArchitectureKind.AFS3A
-    stream = agent.stream
     if elementary and max_steps > 0:
-        if stream is None:
-            raise ArchitectureError(f"{kind.value} agent {agent.name!r} has no act stream")
-        wanted = RandomFasa if kind is ArchitectureKind.RANDOM else PositionalFasa
-        if not isinstance(stream, wanted):
-            raise ArchitectureError(
-                f"{kind.value} agent {agent.name!r} has a {type(stream).__name__} act stream"
-            )
         # Either kind steps through one stream of act indices: a random
         # run's draws, computed a chunk at a time, or a positional run's
         # digits. draw_chunks is read off the module, so a wrapper of it
         # sees every chunk.
-        order = stream.act_order
-        if wanted is RandomFasa:
+        order = tuple(sorted(universe.acts))
+        if kind is ArchitectureKind.RANDOM:
             chunks = architectures.draw_chunks(
-                stream.seed if seed is None else seed, len(order), max_steps
+                agent.seed if seed is None else seed, len(order), max_steps
             )
             indices = chain.from_iterable(chunks)
+        elif agent.digits is None:
+            raise ArchitectureError(f"positional agent {agent.name!r} has no digits")
         else:
-            indices = stream.source.read(max_steps)
+            indices = agent.digits.read(max_steps)
     rmap, goal, tables, c = agent.representation, agent.goal, agent.tables, agent.projection_index
     if kind.is_sensitive and kind is not ArchitectureKind.AFS1 and not tables and max_steps > 0:
         raise ArchitectureError(f"{kind.value} agent {agent.name!r} has no route table")
@@ -340,7 +335,7 @@ def run_experiment(
         for run_index in range(runs_per_agent):
             run_id = agent_index * runs_per_agent + run_index
             seed = derive_seed(master_seed, run_id)
-            # The seed reaches only the random stream: any other agent
+            # The seed reaches only the random draws: any other agent
             # replays its first run under every seed.
             if trajectory is None or agent.kind is ArchitectureKind.RANDOM:
                 trajectory = run_trajectory(universe, agent, max_steps, seed)

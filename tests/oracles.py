@@ -289,12 +289,11 @@ def reference_trajectory(universe, agent, max_steps: int, seed: int | None = Non
     kind = agent.kind.value
     rmap = agent.representation.entries if agent.representation is not None else {}
     e = universe.energy
+    order = sorted(universe.acts)
     if kind == "random":
-        order = agent.stream.act_order
-        seed = agent.stream.seed if seed is None else seed
+        seed = agent.seed if seed is None else seed
     elif kind == "positional":
-        order = agent.stream.act_order
-        source = agent.stream.source
+        source = agent.digits
         if hasattr(source, "digits"):
             digits = list(source.digits)
         else:

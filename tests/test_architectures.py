@@ -14,9 +14,7 @@ from exosim import (
     DigitSourceExhausted,
     EnergyRules,
     ExplicitDigits,
-    PositionalFasa,
     ProjectionOutOfRange,
-    RandomFasa,
     RepresentationMap,
     RouteTable,
     StateClass,
@@ -161,47 +159,56 @@ def wheel(acts: tuple[str, ...]) -> Universe:
     )
 
 
-def stream_acts(fasa, steps):
-    """The acts of a run of steps steps through the wheel of fasa's act
-    order by an elementary agent reading fasa."""
-    kind = ArchitectureKind.RANDOM if isinstance(fasa, RandomFasa) else ArchitectureKind.POSITIONAL
-    agent = AgentArchitecture(name="e", kind=kind, stream=fasa)
-    return [step.act for step in run_trajectory(wheel(fasa.act_order), agent, steps).iter_steps()]
+def elementary_acts(acts, steps, **source):
+    """The acts of a run of steps steps through the wheel of acts, given
+    in sorted order, by a random agent given seed= or a positional one
+    given digits=."""
+    kind = ArchitectureKind.POSITIONAL if "digits" in source else ArchitectureKind.RANDOM
+    agent = AgentArchitecture(name="e", kind=kind, **source)
+    return [step.act for step in run_trajectory(wheel(acts), agent, steps).iter_steps()]
 
 
-class TestRandomFasa:
+class TestRandomActs:
     def test_uniform_draw_formula(self):
         order = ("a", "b", "c", "d")
-        assert stream_acts(RandomFasa(42, order), 50) == [
+        assert elementary_acts(order, 50, seed=42) == [
             order[int(unit_draw(42, t) * 4)] for t in range(50)
         ]
 
     def test_frequencies_within_four_sigma(self):
         order = ("a", "b", "c", "d")
-        counts = collections.Counter(stream_acts(RandomFasa(42, order), 10000))
+        counts = collections.Counter(elementary_acts(order, 10000, seed=42))
         sigma = (10000 * 0.25 * 0.75) ** 0.5
         for act in order:
             assert abs(counts[act] - 2500) <= 4 * sigma
 
     def test_reproducible_and_seed_sensitive(self):
         order = ("a", "b")
-        run1 = stream_acts(RandomFasa(5, order), 200)
-        run2 = stream_acts(RandomFasa(5, order), 200)
-        run3 = stream_acts(RandomFasa(6, order), 200)
+        run1 = elementary_acts(order, 200, seed=5)
+        run2 = elementary_acts(order, 200, seed=5)
+        run3 = elementary_acts(order, 200, seed=6)
         assert run1 == run2
         assert run1 != run3
 
+    def test_draws_index_the_universes_acts_in_sorted_order(self):
+        # However the universe lists its acts, draw i issues the i-th in
+        # sorted order, and the default seed is 0.
+        universe = wheel(("d", "b", "a", "c"))
+        agent = AgentArchitecture(name="e", kind=ArchitectureKind.RANDOM)
+        got = [step.act for step in run_trajectory(universe, agent, 50).iter_steps()]
+        assert got == [("a", "b", "c", "d")[int(unit_draw(0, t) * 4)] for t in range(50)]
 
-class TestPositionalFasa:
+
+class TestPositionalActs:
     def test_explicit_zeros_replay_first_act(self):
         source = ExplicitDigits((0, 0, 0), 3)
         assert list(source.read(3)) == [0, 0, 0]
-        assert stream_acts(PositionalFasa(source, ("a", "b", "c")), 3) == ["a", "a", "a"]
+        assert elementary_acts(("a", "b", "c"), 3, digits=source) == ["a", "a", "a"]
 
     def test_pi_digits_select_acts(self):
         order = tuple(f"a{i}" for i in range(10))
         want = ["a3", "a1", "a4", "a1", "a5", "a9"]
-        assert stream_acts(PositionalFasa(ConstantDigits("pi", 10), order), 6) == want
+        assert elementary_acts(order, 6, digits=ConstantDigits("pi", 10)) == want
         assert [order[d] for d in ConstantDigits("pi", 10).read(6)] == want
 
     def test_exhaustion_propagates(self):
@@ -210,9 +217,9 @@ class TestPositionalFasa:
         assert next(digits) == 1
         with pytest.raises(DigitSourceExhausted):
             next(digits)
-        assert stream_acts(PositionalFasa(source, ("a", "b")), 1) == ["b"]
+        assert elementary_acts(("a", "b"), 1, digits=source) == ["b"]
         with pytest.raises(DigitSourceExhausted):
-            stream_acts(PositionalFasa(source, ("a", "b")), 2)
+            elementary_acts(("a", "b"), 2, digits=source)
 
 
 class TestKinds:
@@ -430,27 +437,15 @@ class TestLearning:
             run_trajectory(micro3(), bare, 1)
         assert run_trajectory(micro3(), bare, 0).persistence == 0
 
-    @pytest.mark.parametrize("kind", [ArchitectureKind.RANDOM, ArchitectureKind.POSITIONAL])
+    # A random agent always has a seed (0 unless set), so only a
+    # positional one can lack its act source.
+    @pytest.mark.parametrize("kind", [ArchitectureKind.POSITIONAL])
     @pytest.mark.parametrize("seed", [None, 3])
     def test_rejects_elementary_agent_without_stream(self, kind, seed):
         bare = AgentArchitecture(name="r", kind=kind)
-        with pytest.raises(ArchitectureError, match=f"{kind.value} agent 'r' has no act stream"):
+        with pytest.raises(ArchitectureError, match=f"{kind.value} agent 'r' has no digits"):
             run_trajectory(micro3(), bare, 1, seed=seed)
         assert run_trajectory(micro3(), bare, 0, seed=seed).persistence == 0
-
-    @pytest.mark.parametrize("seed", [None, 3])
-    def test_rejects_stream_of_the_other_elementary_kind(self, seed):
-        acts = tuple(sorted(micro3().acts))
-        streams = {
-            ArchitectureKind.RANDOM: PositionalFasa(ExplicitDigits((0, 1), len(acts)), acts),
-            ArchitectureKind.POSITIONAL: RandomFasa(seed=1, act_order=acts),
-        }
-        for kind, stream in streams.items():
-            agent = AgentArchitecture(name="m", kind=kind, stream=stream)
-            name = type(stream).__name__
-            with pytest.raises(ArchitectureError, match=f"{kind.value} agent 'm' has a {name}"):
-                run_trajectory(micro3(), agent, 1, seed=seed)
-            assert run_trajectory(micro3(), agent, 0, seed=seed).persistence == 0
 
 
 Scored = collections.namedtuple("Scored", "table_index success")
@@ -539,14 +534,12 @@ class TestCloneForRun:
 
     def test_seed_override_only_touches_clone(self):
         order = ("go", "sit")
-        base = AgentArchitecture(
-            name="r", kind=ArchitectureKind.RANDOM, stream=RandomFasa(7, order)
-        )
+        base = AgentArchitecture(name="r", kind=ArchitectureKind.RANDOM, seed=7)
         acts = lambda seed: [
             s.act for s in run_trajectory(micro3(), base, 30, seed=seed).iter_steps()
         ]
         assert acts(99) == [order[int(unit_draw(99, t) * 2)] for t in range(30)]
-        assert base.stream.seed == 7
+        assert base.seed == 7
         assert acts(None) == [order[int(unit_draw(7, t) * 2)] for t in range(30)]
         assert acts(None) != acts(99)
 
@@ -554,15 +547,9 @@ class TestCloneForRun:
 class TestStep:
     def test_dispatch_matches_kind(self):
         u = micro3()
-        rand = AgentArchitecture(
-            name="r",
-            kind=ArchitectureKind.RANDOM,
-            stream=RandomFasa(3, ("go", "sit")),
-        )
+        rand = AgentArchitecture(name="r", kind=ArchitectureKind.RANDOM, seed=3)
         pos = AgentArchitecture(
-            name="p",
-            kind=ArchitectureKind.POSITIONAL,
-            stream=PositionalFasa(ExplicitDigits((1, 0), 2), ("go", "sit")),
+            name="p", kind=ArchitectureKind.POSITIONAL, digits=ExplicitDigits((1, 0), 2)
         )
         routed = AgentArchitecture(
             name="s",
@@ -579,9 +566,7 @@ class TestStep:
     def test_elementary_has_no_perception(self):
         u = micro3()
         pos = AgentArchitecture(
-            name="p",
-            kind=ArchitectureKind.POSITIONAL,
-            stream=PositionalFasa(ExplicitDigits((1,), 2), ("go", "sit")),
+            name="p", kind=ArchitectureKind.POSITIONAL, digits=ExplicitDigits((1,), 2)
         )
         trace = next(run_trajectory(u, pos, 1).iter_steps())
         assert trace.formula is None

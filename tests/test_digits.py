@@ -18,7 +18,6 @@ from exosim import (
     DigitOutOfRange,
     DigitSourceExhausted,
     ExplicitDigits,
-    PositionalFasa,
     constant_digits,
     parse_digit_string,
 )
@@ -299,15 +298,12 @@ class TestResumedStream:
         list(behind.read(11))
         assert ahead == behind == ConstantDigits("pi", 4)
         assert repr(ahead) == repr(behind) == "ConstantDigits(name='pi', base=4)"
-        acts = ("a", "b", "c", "d")
-        for wrap in (
-            lambda source: PositionalFasa(source, acts),
-            lambda source: AgentArchitecture(
-                "piper", ArchitectureKind.POSITIONAL, stream=PositionalFasa(source, acts)
-            ),
-        ):
-            assert wrap(ahead) == wrap(behind)
-            assert repr(wrap(ahead)) == repr(wrap(behind))
+        first, second = (
+            AgentArchitecture("piper", ArchitectureKind.POSITIONAL, digits=digits)
+            for digits in (ahead, behind)
+        )
+        assert first == second
+        assert repr(first) == repr(second)
         assert ahead != ConstantDigits("e", 4)
 
 
@@ -332,11 +328,16 @@ class TestExplicitDigits:
         assert got == [1, 0, 2]
         assert list(src.read(-1)) == []
 
-    def test_out_of_range_digit_rejected_at_build(self):
-        with pytest.raises(DigitOutOfRange):
-            ExplicitDigits((0, 5), 4)
-        with pytest.raises(DigitOutOfRange):
-            ExplicitDigits((-1,), 4)
+    def test_out_of_range_digit_rejected_at_read(self):
+        # The record holds any digits; its read rejects one that does not
+        # fit the base before it gives the first digit.
+        for digits, at in (((0, 5), 1), ((-1,), 0)):
+            src = ExplicitDigits(digits, 4)
+            assert src == (digits, 4)
+            got = []
+            with pytest.raises(DigitOutOfRange, match=f"at position {at} does not fit base 4"):
+                got.extend(src.read(1))
+            assert got == []
 
     def test_parse_digit_string(self):
         assert parse_digit_string("3141", 10).digits == (3, 1, 4, 1)
@@ -344,7 +345,7 @@ class TestExplicitDigits:
 
     def test_parse_rejects_foreign_symbols(self):
         with pytest.raises(DigitOutOfRange):
-            parse_digit_string("19", 8)
+            next(parse_digit_string("19", 8).read(2))
         with pytest.raises(DigitOutOfRange):
             parse_digit_string("x!", 10)
 

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from exosim import (
     ArchitectureKind,
+    ConstantDigits,
     DigitSourceExhausted,
+    ExplicitDigits,
     SpecDocument,
     SpecInvalid,
     StateClass,
@@ -128,6 +130,29 @@ class TestFixtures:
         assert result.document is None
         assert result.diagnostics == [(Severity.ERROR, "byte 0xff is not UTF-8", 3, 7)]
 
+    def test_a_file_reads_as_its_text_parses(self, tmp_path):
+        # Only a line feed ends a line: a lone '\r' is one column, so the
+        # file's diagnostics are those of its decoded bytes.
+        data = 'universe "u" {\r  states: a;\r  bogus\n}\n'.encode("utf-8")
+        path = tmp_path / "cr.exo"
+        path.write_bytes(data)
+        got = parse_file(path).diagnostics
+        assert got == parse(data.decode("utf-8")).diagnostics
+        assert (got[0].message, got[0].line, got[0].column) == (
+            "unknown universe item 'bogus'", 1, 31,
+        )
+
+    def test_two_parses_of_a_fixture_are_one_value(self, reference_path):
+        first, second = (parse_file(reference_path).document for _ in range(2))
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        # The repr names the declarations and leaves the spans out, as
+        # equality does.
+        assert repr(first) == (
+            f"SpecDocument(universes={first.universes!r}, agents={first.agents!r})"
+        )
+
     def test_fixture_shapes(self, ejemplo5_doc, reference_doc):
         assert [u.name for u in ejemplo5_doc.universes] == ["ejemplo5"]
         assert [a.name for a in ejemplo5_doc.agents] == ["ejemplo"]
@@ -183,21 +208,20 @@ class TestBuild:
         decl = doc.agent("crew")
         assert decl.seed == 0
         agent, _ = doc.build_agent("crew")
-        assert agent.stream.seed == 0
-        assert agent.stream.act_order == ("hop", "stay")
+        assert agent.seed == 0
+        assert agent.digits is None
 
     def test_positional_agent_defaults_to_pi(self):
         doc = clean_parse(MINI + agent_block("  architecture: positional;")).document
         assert doc.agent("crew").constant == ("pi", None)
         agent, _ = doc.build_agent("crew")
-        assert agent.stream.source.name == "pi"
-        assert agent.stream.source.base == 2
+        assert agent.digits == ConstantDigits("pi", 2)
 
     def test_positional_digits_source(self):
         body = '  architecture: positional;\n  constant: digits "0110";'
         doc = clean_parse(MINI + agent_block(body)).document
         agent, _ = doc.build_agent("crew")
-        assert agent.stream.source.digits == (0, 1, 1, 0)
+        assert agent.digits == ExplicitDigits((0, 1, 1, 0), 2)
 
     def test_depth_defaults_to_longest_route(self):
         body = (

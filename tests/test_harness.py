@@ -19,9 +19,7 @@ from exosim import (
     ExperimentResult,
     ExplicitDigits,
     MissingAgentKind,
-    PositionalFasa,
     ProjectionOutOfRange,
-    RandomFasa,
     RepresentationMap,
     RouteTable,
     RunRecord,
@@ -36,7 +34,6 @@ from exosim import (
     parse,
     run_experiment,
     run_trajectory,
-    unit_draw,
     write_csv,
 )
 
@@ -50,11 +47,7 @@ from test_cli import SIX_KINDS
 
 
 def drifter(seed=1) -> AgentArchitecture:
-    return AgentArchitecture(
-        name="drifter",
-        kind=ArchitectureKind.RANDOM,
-        stream=RandomFasa(seed, ("hop", "stay")),
-    )
+    return AgentArchitecture(name="drifter", kind=ArchitectureKind.RANDOM, seed=seed)
 
 
 class TestRunTrajectory:
@@ -131,7 +124,7 @@ class TestRunTrajectory:
 
     def test_each_kind_fills_only_its_slots(self, reference_doc, ejemplo5_doc):
         # A built agent holds exactly the act source its kind reads: a
-        # stream, a reaction, one route table (afs2a, afs2b; possibly
+        # seed, digits, a reaction, one route table (afs2a, afs2b; possibly
         # empty), or one table per pool index in index order (afs3a).
         docs = [reference_doc, ejemplo5_doc, parse(SIX_KINDS).document]
         docs += [parse(docgen.random_document_text(s)).document for s in range(50)]
@@ -141,11 +134,12 @@ class TestRunTrajectory:
                 agent, _ = doc.build_agent(decl.name)
                 kind = agent.kind
                 seen.add(kind)
+                assert agent.seed == (decl.seed if kind is ArchitectureKind.RANDOM else 0)
+                assert (agent.digits is not None) is (kind is ArchitectureKind.POSITIONAL)
                 if not kind.is_sensitive:
-                    assert agent.stream is not None and agent.reaction is None
+                    assert agent.reaction is None
                     assert agent.tables == ()
                     continue
-                assert agent.stream is None
                 if kind is ArchitectureKind.AFS1:
                     assert agent.reaction is not None and agent.tables == ()
                     continue
@@ -284,11 +278,8 @@ def dial(base: int) -> Universe:
     )
 
 
-def dial_agent(source, base: int) -> AgentArchitecture:
-    order = tuple(f"a{j}" for j in range(base))
-    return AgentArchitecture(
-        name="dialer", kind=ArchitectureKind.POSITIONAL, stream=PositionalFasa(source, order)
-    )
+def dial_agent(digits) -> AgentArchitecture:
+    return AgentArchitecture(name="dialer", kind=ArchitectureKind.POSITIONAL, digits=digits)
 
 
 class TestPositionalRead:
@@ -300,7 +291,7 @@ class TestPositionalRead:
     @pytest.mark.parametrize("base", [2, 3, 4, 10])
     @pytest.mark.parametrize("name", ["pi", "e"])
     def test_constant_streams(self, name, base, max_steps):
-        agent = dial_agent(ConstantDigits(name, base), base)
+        agent = dial_agent(ConstantDigits(name, base))
         steps = assert_matches_reference(dial(base), agent, max_steps)
         assert len(steps) == max_steps
         assert len({r[6] for r in steps}) > 1 or max_steps == 1
@@ -308,7 +299,7 @@ class TestPositionalRead:
     @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 129])
     def test_explicit_list_runs_out_at_its_length(self, length):
         want = oracles.certified_constant_digits("pi", 3, length)
-        agent = dial_agent(ExplicitDigits(tuple(want), 3), 3)
+        agent = dial_agent(ExplicitDigits(tuple(want), 3))
         universe = dial(3)
         got = run_trajectory(universe, agent, length)
         assert [r.act for r in got.iter_steps()] == [f"a{d}" for d in want]
@@ -331,7 +322,7 @@ class TestPositionalRead:
 
         monkeypatch.setattr(exosim.digits, "constant_digits", counted)
         universe = dial(4)._replace(energy=EnergyRules(energy, 1, 0, 0, energy))
-        got = run_trajectory(universe, dial_agent(ConstantDigits("pi", 4), 4), 10**9)
+        got = run_trajectory(universe, dial_agent(ConstantDigits("pi", 4)), 10**9)
         assert (got.persistence, got.terminal_reason) == (energy, TerminalReason.EXOINACTIVE)
         want, end = [64], 64
         while end < energy:
@@ -380,10 +371,9 @@ agent "piper" in "loop" {
 
 
 def wheel_drifter(n: int, seed: int) -> tuple[Universe, AgentArchitecture]:
-    order = tuple(f"a{j}" for j in range(n))
-    agent = AgentArchitecture(
-        name="drifter", kind=ArchitectureKind.RANDOM, stream=RandomFasa(seed, order)
-    )
+    # Two-digit names keep the sorted act order the index order.
+    order = tuple(f"a{j:02}" for j in range(n))
+    agent = AgentArchitecture(name="drifter", kind=ArchitectureKind.RANDOM, seed=seed)
     return wheel(order), agent
 
 
@@ -506,9 +496,7 @@ class TestFirstRepeat:
         # repeated (state, energy) says nothing about what comes next.
         universe = ring(EnergyRules(5, 0, 0, 0, 10))
         counter = AgentArchitecture(
-            name="counter",
-            kind=ArchitectureKind.POSITIONAL,
-            stream=PositionalFasa(ConstantDigits("pi", 2), ("hop", "stay")),
+            name="counter", kind=ArchitectureKind.POSITIONAL, digits=ConstantDigits("pi", 2)
         )
         learner_agent, six = parse(SIX_KINDS).document.build_agent("learner")
         for universe, agent in ((universe, drifter()), (universe, counter), (six, learner_agent)):
@@ -563,20 +551,6 @@ def one_route_agent(route, projection=1):
 class TestExceptionParity:
     """Library-built models the .exo checker would reject raise at the
     first step that meets the bad entry, and not before."""
-
-    def test_random_order_with_an_undeclared_act(self):
-        agent = AgentArchitecture(
-            name="r",
-            kind=ArchitectureKind.RANDOM,
-            stream=RandomFasa(4, ("go", "sit", "fly")),
-        )
-        order = agent.stream.act_order
-        acts = [order[int(unit_draw(4, t) * len(order))] for t in range(40)]
-        first = acts.index("fly")
-        assert first > 0
-        with pytest.raises(UnknownAct):
-            run_trajectory(micro3(), agent, 40)
-        assert run_trajectory(micro3(), agent, first).persistence == first
 
     def test_route_token_that_is_no_act(self):
         agent = one_route_agent(("warp",))

@@ -27,14 +27,16 @@ SRC = Path(exosim.__file__).parents[1]
 # at once, less the unit graph, learning delta, departure set and
 # metrics error names that nothing but their own tests used, and less
 # ExperimentConfig and run_experiment_from_document, whose work
-# run_experiment now does with its three settings as arguments.
+# run_experiment now does with its three settings as arguments, and less
+# the two elementary act-stream records, whose seed or digits an
+# AgentArchitecture now holds itself.
 PUBLIC_NAMES = [
     "ActId", "AgentArchitecture", "AgentDecl", "AgentSummary", "AmbiguousRepresentation",
     "ArchitectureError", "ArchitectureKind", "CSV_HEADER", "ConstantDigits", "DigitError",
     "DigitOutOfRange", "DigitSourceExhausted", "EnergyRules", "ExperimentResult",
     "ExplicitDigits", "Formula", "GroupComparison", "HarnessError",
     "MissingAgentKind", "ObjectiveSets", "OrientedViolation", "ParseDiagnostic", "ParseResult",
-    "PersistenceCase", "PositionalFasa", "ProjectionOutOfRange", "RandomFasa",
+    "PersistenceCase", "ProjectionOutOfRange",
     "RepresentationError", "RepresentationMap", "RouteTable", "RunRecord", "Severity",
     "SpecDocument", "SpecInvalid", "StabilityReport", "StateClass", "StateId",
     "TerminalReason", "Trajectory", "TrajectoryStep", "TriValue", "TruthTableRow", "Universe",
@@ -49,8 +51,8 @@ PUBLIC_NAMES = [
 # Every record of the public API that is a named tuple.
 RECORDS = [
     "AgentArchitecture", "AgentDecl", "AgentSummary", "ConstantDigits", "EnergyRules",
-    "ExperimentResult", "GroupComparison", "ObjectiveSets", "OrientedViolation",
-    "ParseDiagnostic", "ParseResult", "PersistenceCase", "PositionalFasa", "RandomFasa",
+    "ExperimentResult", "ExplicitDigits", "GroupComparison", "ObjectiveSets",
+    "OrientedViolation", "ParseDiagnostic", "ParseResult", "PersistenceCase",
     "RouteTable", "RunRecord", "StabilityReport", "Trajectory", "TrajectoryStep",
     "TruthTableRow", "Universe", "UniverseDecl",
 ]

@@ -27,6 +27,10 @@ class TestLookup:
         with pytest.raises(AmbiguousRepresentation):
             rmap.inverse("f")
 
+    def test_repr_names_the_entries(self):
+        rmap = RepresentationMap({"a": "f"})
+        assert repr(rmap) == "RepresentationMap(entries={'a': 'f'})"
+
     def test_inverse_missing(self):
         rmap = RepresentationMap({"a": "f"})
         with pytest.raises(UnrepresentedFormula):

@@ -10,7 +10,6 @@ from exosim import (
     ArchitectureKind,
     EnergyRules,
     ExplicitDigits,
-    PositionalFasa,
     StateClass,
     Universe,
     UniverseError,
@@ -146,11 +145,10 @@ class TestLibraryBuiltErrors:
     )
     def test_run_raises_universe_error(self, change, needle):
         broken = tiny_universe()._replace(**change)
-        # One hop from x: every broken entry sits on that step.
+        # One hop from x: every broken entry sits on that step. Digit 0
+        # is "hop", the first of the acts in sorted order.
         hopper = AgentArchitecture(
-            "hopper",
-            ArchitectureKind.POSITIONAL,
-            stream=PositionalFasa(ExplicitDigits((1,), 2), ("stay", "hop")),
+            "hopper", ArchitectureKind.POSITIONAL, digits=ExplicitDigits((0,), 2)
         )
         with pytest.raises(UniverseError, match=needle):
             run_trajectory(broken, hopper, 1)
