@@ -19,11 +19,17 @@ Computer Arithmetic*, section 1.7).
 
 Cost: the constant is a series summed by binary splitting on Python
 ints (Brent and Zimmermann, section 4.9): Chudnovsky's for pi, with
-sqrt(10005) from math.isqrt, and the sum of 1/k! for e. The
-divide-and-conquer conversion does one big-integer division per split;
-where big-integer division is schoolbook (CPython 3.11 and older) that
-is still quadratic in n, but with a far smaller constant than one
-full-width divmod per digit.
+sqrt(10005) from math.isqrt, and the sum of 1/k! for e. The splitting
+stops at ranges of up to 16 terms, each summed in one loop by the
+constant's leaf function; its sums and products are exact, so they are
+the same integers a split down to single terms gives. e's term count
+is found by bisecting on math.lgamma. For a power-of-two base 2**j,
+base**k is 1 << j * k, so the scale, the cut of the integer part and the
+split from the digits given before are shifts, not full-width
+multiplications and divisions. The divide-and-conquer conversion does
+one big-integer division per split; where big-integer division is
+schoolbook (CPython 3.11 and older) that is still quadratic in n, but
+with a far smaller constant than one full-width divmod per digit.
 
 A ConstantDigits stream is a (name, base) value that keeps nothing
 between reads. One read(limit) computes each digit once: each extension
@@ -44,19 +50,21 @@ than it used, whichever is more. Doubling would take fewer extensions,
 but a read that stops just past a doubling would compute twice the
 digits it used, in about twice the time of 5/4 growth at 65537 digits.
 To position 200000 in base 3, 4 and 10 on a 2-core x86 machine with
-Python 3.11, pi takes about 1.2, 1.3 and 3.3 s, of which the square
-roots 0.45, 0.65 and 1.7 s, and e 0.35, 0.35 and 1.1 s.
+Python 3.11, pi takes about 1.2, 1.6 and 4.4 s, of which the square
+roots 0.46, 0.72 and 2.0 s, and e 0.47, 0.42 and 1.5 s.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .universe import ExosimError
 
 _GUARD_BITS = 64
 _LEAF_DIGITS = 32
+_LEAF_TERMS = 16
 # Base -> the digits of each byte value, built on a base's first use.
 _BYTE_DIGITS: dict[int, list[bytes]] = {}
 
@@ -73,15 +81,57 @@ class DigitOutOfRange(DigitError):
     """An explicit digit is too large for the requested base."""
 
 
-def _split(p, q, a, lo: int, hi: int) -> tuple[int, int, int]:
+def _split(leaf, lo: int, hi: int) -> tuple[int, int, int]:
     """(P, Q, T) by binary splitting: P and Q the products of p(k) and q(k) over
-    lo <= k < hi, and T / Q the sum of a(k) p(lo)...p(k) / (q(lo)...q(k))."""
-    if hi - lo == 1:
-        return p(lo), q(lo), a(lo) * p(lo)
+    lo <= k < hi, and T / Q the sum of a(k) p(lo)...p(k) / (q(lo)...q(k)).
+
+    A range of up to _LEAF_TERMS terms is summed by leaf(lo, hi) in one loop.
+    P, Q and T are exact, so where the recursion stops changes no bit."""
+    if hi - lo <= _LEAF_TERMS:
+        return leaf(lo, hi)
     mid = (lo + hi) // 2
-    p1, q1, t1 = _split(p, q, a, lo, mid)
-    p2, q2, t2 = _split(p, q, a, mid, hi)
+    p1, q1, t1 = _split(leaf, lo, mid)
+    p2, q2, t2 = _split(leaf, mid, hi)
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _pi_leaf(lo: int, hi: int) -> tuple[int, int, int]:
+    """_split's (P, Q, T) over Chudnovsky terms lo <= k < hi, one term at a
+    time: p(k) = -(6k - 5)(2k - 1)(6k - 1), q(k) = k**3 640320**3 / 24 and
+    a(k) = 13591409 + 545140134 k."""
+    p, q, t = 1, 1, 0
+    for k in range(lo, hi):
+        p *= -(6 * k - 5) * (2 * k - 1) * (6 * k - 1)
+        qk = k * k * k * 10939058860032000  # 640320**3 // 24
+        q *= qk
+        t = t * qk + p * (13591409 + 545140134 * k)
+    return p, q, t
+
+
+def _e_leaf(lo: int, hi: int) -> tuple[int, int, int]:
+    """_split's (P, Q, T) over the terms lo <= k < hi of the sum of 1/k!:
+    p(k) = a(k) = 1 and q(k) = k."""
+    q, t = 1, 0
+    for k in range(lo, hi):
+        q *= k
+        t = t * k + 1
+    return 1, q, t
+
+
+def _e_terms(work: int, done: int) -> int:
+    """The least hi >= max(done, 2) with lgamma(hi + 1) >= (work + 1) log 2,
+    that is hi! >= 2**(work + 1), by bisection: lgamma rises over the
+    integers from 3 on, and max(work + 1, 4) passes, since k! > 2**k from
+    k = 4 on."""
+    target = (work + 1) * math.log(2)
+    low, high = max(done, 2) - 1, max(done, work + 1, 4)
+    while high - low > 1:  # low fails (or lies below the range), high passes
+        mid = (low + high) // 2
+        if math.lgamma(mid + 1) < target:
+            low = mid
+        else:
+            high = mid
+    return high
 
 
 def _fixed(name: str, bits: int, series: list | None = None) -> int:
@@ -107,19 +157,15 @@ def _fixed(name: str, bits: int, series: list | None = None) -> int:
         # Chudnovsky: 1/pi = 12 / 640320**1.5 * sum (-1)**k (6k)! (13591409
         # + 545140134 k) / ((3k)! k!**3 640320**(3k)), over 47 bits a term.
         hi = max(work // 47 + 2, done)
-        terms = (lambda k: -(6 * k - 5) * (2 * k - 1) * (6 * k - 1),
-                 lambda k: k**3 * 10939058860032000,  # 640320**3 // 24
-                 lambda k: 13591409 + 545140134 * k)
+        leaf = _pi_leaf
     elif name == "e":
         # e = sum 1/k!; the tail from term hi on is below 2 / hi!.
-        hi = max(done, 2)
-        while math.lgamma(hi + 1) < (work + 1) * math.log(2):
-            hi += 1
-        terms = (lambda k: 1, lambda k: k, lambda k: 1)
+        hi = _e_terms(work, done)
+        leaf = _e_leaf
     else:
         raise DigitError(f"unknown constant {name!r}")
     if hi > done:
-        p2, q2, t2 = _split(*terms, done, hi)
+        p2, q2, t2 = _split(leaf, done, hi)
         p, q, t = p * p2, q * q2, t * q2 + p * t2
     if name == "pi":
         total = t + 13591409 * q  # add term 0, then cut it to work + 64 bits and q alike
@@ -134,20 +180,24 @@ def _fixed(name: str, bits: int, series: list | None = None) -> int:
     return scaled >> 8
 
 
-def _scaled_constant(name: str, scale: int, series: list | None = None) -> int:
-    """floor(constant * scale) for an integer scale >= 1, certified.
+def _scaled_constant(name: str, scale: int, series: list | None = None, shift: int = 0) -> int:
+    """floor(constant * scale * 2**shift) for integers scale >= 1 and shift >= 0,
+    certified.
 
-    The constant is read to f fractional bits as X = _fixed(name, f). When both
-    ends of its interval ((X - 1) / 2**f, (X + 2) / 2**f), times scale, have the
-    same floor, that floor is exact; otherwise the guard doubles and the read
-    repeats, resuming the series from where the last read left it.
+    The constant is read to f = c + shift fractional bits as X = _fixed(name, f),
+    for c = scale.bit_length() + guard. When both ends of its interval
+    ((X - 1) / 2**f, (X + 2) / 2**f), times scale * 2**shift, that is
+    (X - 1) * scale and (X + 2) * scale over 2**c, have the same floor, that
+    floor is exact; otherwise the guard doubles and the read repeats, resuming
+    the series from where the last read left it. A power-of-two factor passed
+    as shift costs no multiplication.
     """
     guard = _GUARD_BITS
     while True:
-        bits = scale.bit_length() + guard
-        product = _fixed(name, bits, series) * scale
-        low = (product - scale) >> bits
-        if low == (product + 2 * scale) >> bits:
+        cut = scale.bit_length() + guard
+        product = _fixed(name, cut + shift, series) * scale
+        low = (product - scale) >> cut
+        if low == (product + 2 * scale) >> cut:
             return low
         guard *= 2
 
@@ -220,12 +270,28 @@ def constant_digits(name: str, base: int, count: int, resume: list | None = None
     given, prefix, series = resume or (0, 0, [])
     end = given + count
     fraction = max(end - head, 0)
-    # head + fraction - end > 0 only while the integer part is not all given.
-    value = _scaled_constant(name, base**fraction, series) // base ** (head + fraction - end)
-    digits = _radix_digits(value - prefix * base**count, base, count)
+    # drop > 0 only while the integer part is not all given.
+    drop = head + fraction - end
+    if base & (base - 1):
+        value = _scaled_constant(name, base**fraction, series) // base**drop
+        digits = _radix_digits(value - prefix * base**count, base, count)
+    else:
+        # base**k is 1 << bits * k: scale, cut and split by shifts.
+        bits = base.bit_length() - 1
+        value = _scaled_constant(name, 1, series, bits * fraction) >> bits * drop
+        digits = _radix_digits(value - (prefix << bits * count), base, count)
     if resume is not None:
         resume[:] = end, value, series
     return digits
+
+
+def _extensions(name: str, base: int, limit: int) -> Iterator[list[int]]:
+    """The digit lists of one read's extensions, each made when asked for."""
+    position, resume = 0, []
+    while position < limit:
+        end = min(max(64, (position + 1) * 5 // 4), limit)
+        yield constant_digits(name, base, end - position, resume)
+        position = end
 
 
 class ConstantDigits(NamedTuple):
@@ -243,11 +309,7 @@ class ConstantDigits(NamedTuple):
         one left: a read dropped at any step has computed each digit once,
         and at most 64 or a quarter more than it used.
         """
-        position, resume = 0, []
-        while position < limit:
-            end = min(max(64, (position + 1) * 5 // 4), limit)
-            yield from constant_digits(self.name, self.base, end - position, resume)
-            position = end
+        return chain.from_iterable(_extensions(self.name, self.base, limit))
 
 
 class ExplicitDigits(NamedTuple):

@@ -7,11 +7,12 @@ choice for the run, recording a step as a reference to its memo entry
 and its energy in a ``Trajectory``, whose ``iter_steps`` is the one
 reader of those entries and yields the ``TrajectoryStep`` records. An
 afs1, afs2a or afs2b run stops stepping at its first repeat, from where
-it survives to the bound. The experiment repeats that for every agent
-in a document, derives one fresh seed per run from the master seed, and
-returns the persistence times as CSV rows plus per-agent summaries with
-rank-sum comparisons of the sensitive group against the random and
-positional groups; ``write_csv`` writes the rows, and the CLI calls it.
+it survives to the bound. The experiment repeats that, recording no
+step, for every agent in a document, derives one fresh seed per run
+from the master seed, and returns the persistence times as CSV rows
+plus per-agent summaries with rank-sum comparisons of the sensitive
+group against the random and positional groups; ``write_csv`` writes
+the rows, and the CLI calls it.
 
 Identical inputs reproduce identical output bytes: rows are emitted in
 run_id order and every random run is positioned by its derived seed
@@ -88,11 +89,14 @@ class Trajectory(NamedTuple):
     len(choices) - 1 in turn. Otherwise cycle_start is None and
     persistence is len(choices). ``iter_steps`` yields the
     ``TrajectoryStep`` records without keeping them.
+
+    A run made with record=False keeps no step: choices and energies are
+    None, and iter_steps raises HarnessError.
     """
 
     initial_state: StateId
-    choices: Sequence[tuple]
-    energies: Sequence[int]
+    choices: Sequence[tuple] | None
+    energies: Sequence[int] | None
     terminal_reason: TerminalReason
     persistence: int
     cycle_start: int | None
@@ -107,6 +111,8 @@ class Trajectory(NamedTuple):
 
     def iter_steps(self) -> Iterator[TrajectoryStep]:
         state, choices, energies = self.initial_state, self.choices, self.energies
+        if choices is None:
+            raise HarnessError("the run was made with record=False and kept no steps")
         for t, i in enumerate(self._order()):
             formula, sequence, act, after = choices[i][:4]
             yield TrajectoryStep(t, state, formula, sequence, act, after, energies[i])
@@ -123,10 +129,16 @@ def run_trajectory(
     agent: AgentArchitecture,
     max_steps: int,
     seed: int | None = None,
+    *,
+    record: bool = True,
 ) -> Trajectory:
     """Run one agent from the initial state until it goes exoinactive or
     takes max_steps steps; each step records the memo entry of what the
-    agent perceived, generated and chose, and its energy after.
+    agent perceived, generated and chose, and its energy after. With
+    record=False no step is recorded, so a run that only needs its
+    persistence and terminal reason holds memory that does not grow with
+    its length beyond what its kind keeps (afs1, afs2a and afs2b runs
+    still note each (memo key, energy) pair they meet).
 
     The agent is only read: a random kind draws from ``agent.seed``, a
     positional kind reads ``agent.digits``, and a routed kind looks routes
@@ -205,6 +217,7 @@ def run_trajectory(
     choices: list[tuple] = []
     energies: list[int] = []
     reason = TerminalReason.STEP_LIMIT
+    persistence = max(max_steps, 0)  # unless the agent goes exoinactive first
     for t in range(max_steps):
         if elementary:
             act = order[next(indices)]
@@ -263,12 +276,15 @@ def run_trajectory(
         energy += change
         if energy > ceiling:
             energy = ceiling
-        choices.append(choice)
-        energies.append(energy)
+        if record:
+            choices.append(choice)
+            energies.append(energy)
         if energy <= 0:
             reason = TerminalReason.EXOINACTIVE
+            persistence = t + 1
             break
-    persistence = len(choices) if cycle_start is None else max_steps
+    if not record:
+        choices = energies = None
     return Trajectory(universe.initial, choices, energies, reason, persistence, cycle_start)
 
 
@@ -338,7 +354,7 @@ def run_experiment(
             # The seed reaches only the random draws: any other agent
             # replays its first run under every seed.
             if trajectory is None or agent.kind is ArchitectureKind.RANDOM:
-                trajectory = run_trajectory(universe, agent, max_steps, seed)
+                trajectory = run_trajectory(universe, agent, max_steps, seed, record=False)
             rows.append(
                 RunRecord(
                     run_id=run_id,

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -316,6 +318,89 @@ def growth_schedule(limit: int) -> list[int]:
         counts.append(end - position)
         position = end
     return counts
+
+
+# Each series one term at a time, as (p(k), q(k), a(k)).
+SERIES_TERMS = {
+    "pi": (
+        lambda k: -(6 * k - 5) * (2 * k - 1) * (6 * k - 1),
+        lambda k: k**3 * 640320**3 // 24,
+        lambda k: 13591409 + 545140134 * k,
+    ),
+    "e": (lambda k: 1, lambda k: k, lambda k: 1),
+}
+
+
+def split_by_terms(name: str, lo: int, hi: int) -> tuple[int, int, int]:
+    """Binary splitting down to single terms."""
+    p, q, a = SERIES_TERMS[name]
+    if hi - lo == 1:
+        return p(lo), q(lo), a(lo) * p(lo)
+    mid = (lo + hi) // 2
+    p1, q1, t1 = split_by_terms(name, lo, mid)
+    p2, q2, t2 = split_by_terms(name, mid, hi)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def e_terms_linear(work: int, done: int) -> int:
+    """e's term count, one lgamma call per term."""
+    hi = max(done, 2)
+    while math.lgamma(hi + 1) < (work + 1) * math.log(2):
+        hi += 1
+    return hi
+
+
+def extension_ends(limit: int) -> list[int]:
+    """Where a read's extensions end: 64, 80, 101, ..., limit."""
+    return list(itertools.accumulate(growth_schedule(limit)))
+
+
+class TestKernel:
+    """The series leaves, e's term count and the power-of-two bases, each
+    against a plain recomputation."""
+
+    @pytest.mark.parametrize("name", ["pi", "e"])
+    def test_leaf_loops_match_single_term_splitting(self, name):
+        leaf = digits_module._pi_leaf if name == "pi" else digits_module._e_leaf
+        for lo in (1, 2, 7, 100):
+            for terms in range(1, 41):
+                want = split_by_terms(name, lo, lo + terms)
+                assert digits_module._split(leaf, lo, lo + terms) == want, (lo, terms)
+                if terms <= digits_module._LEAF_TERMS:
+                    assert leaf(lo, lo + terms) == want, (lo, terms)
+
+    def test_e_term_count_matches_the_linear_search(self):
+        # The bisection against one lgamma call per term, for widths from
+        # 1 to 10**5 bits and counts resumed below, at and past the answer.
+        works = {*range(1, 200), *(int(1.1**i) for i in range(60, 121)), 10**5}
+        for work in sorted(works):
+            want = e_terms_linear(work, 0)
+            for done in {0, 1, 2, 3, want - 7, want - 1, want, want + 1, want + 50}:
+                if done >= 0:
+                    assert digits_module._e_terms(work, done) == e_terms_linear(work, done)
+
+    @pytest.mark.parametrize("guard", [64, 1])
+    @pytest.mark.parametrize("name", ["pi", "e"])
+    @pytest.mark.parametrize("base", [2, 4, 8, 16, 256])
+    def test_power_of_two_bases_across_extensions(self, monkeypatch, guard, name, base):
+        # Reads that end at, just before and just past each extension's end;
+        # one guard bit sends the shifted scale through guard retries.
+        monkeypatch.setattr(digits_module, "_GUARD_BITS", guard)
+        calls = Counter()
+        for spied in ("_fixed", "_scaled_constant"):
+            real = getattr(digits_module, spied)
+
+            def counted(*args, real=real, spied=spied):
+                calls[spied] += 1
+                return real(*args)
+
+            monkeypatch.setattr(digits_module, spied, counted)
+        want = oracles.certified_constant_digits(name, base, 1501)
+        for end in extension_ends(1500):
+            for limit in (end - 1, end, end + 1):
+                assert list(ConstantDigits(name, base).read(limit)) == want[:limit], limit
+        # A floor left in doubt reads the constant again.
+        assert (calls["_fixed"] > calls["_scaled_constant"]) == (guard == 1)
 
 
 class TestExplicitDigits:

@@ -18,6 +18,7 @@ from exosim import (
     EnergyRules,
     ExperimentResult,
     ExplicitDigits,
+    HarnessError,
     MissingAgentKind,
     ProjectionOutOfRange,
     RepresentationMap,
@@ -535,6 +536,66 @@ class TestLongRunBounds:
         assert retained / 20000 <= 40
 
 
+def payback() -> Universe:
+    """One positive state that pays back each step's cost: a random agent
+    lives to any bound."""
+    acts = frozenset(("a", "b", "c"))
+    return Universe(
+        name="payback", states=frozenset({"p"}), acts=acts, initial="p",
+        neutral_act="a", transitions={("p", act): "p" for act in acts},
+        classes={"p": StateClass.POSITIVE}, energy=EnergyRules(5, 1, 0, 1, 5),
+    )
+
+
+class TestRecordsOff:
+    """record=False keeps no step and changes no outcome."""
+
+    @staticmethod
+    def outcome(trajectory):
+        return trajectory.persistence, trajectory.terminal_reason, trajectory.cycle_start
+
+    @pytest.mark.parametrize("max_steps", [0, 1, 7, 300, 5000])
+    def test_same_outcome_as_the_recording_run(self, reference_doc, max_steps):
+        # Every kind, runs that starve, that hit the bound and that stop
+        # at their first repeat.
+        ends = set()
+        for doc in (reference_doc, parse(SIX_KINDS).document):
+            for decl in doc.agents:
+                agent, universe = doc.build_agent(decl.name)
+                for seed in (None, 3):
+                    plain = run_trajectory(universe, agent, max_steps, seed)
+                    bare = run_trajectory(universe, agent, max_steps, seed, record=False)
+                    assert self.outcome(bare) == self.outcome(plain), decl.name
+                    assert bare.choices is bare.energies is None
+                    ends.add((bare.terminal_reason, bare.cycle_start is None))
+        assert len(ends) == 3 or max_steps < 7
+
+    def test_iter_steps_raises(self, pathfinder_pair):
+        agent, universe = pathfinder_pair
+        bare = run_trajectory(universe, agent, 10, record=False)
+        with pytest.raises(HarnessError, match="record=False"):
+            list(bare.iter_steps())
+
+    def test_peak_does_not_grow_with_the_run(self):
+        # A random agent that lives to its bound: the peak at 2e6 steps is
+        # that at 2e4 give or take the draw chunks, not 17 B a step.
+        universe, agent = payback(), drifter(2**64 - 3)
+        peaks, outcomes = [], []
+        tracemalloc.start()
+        try:
+            for max_steps in (20000, 2000000):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                got = run_trajectory(universe, agent, max_steps, record=False)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                outcomes.append(got.persistence)
+                del got
+        finally:
+            tracemalloc.stop()
+        assert outcomes == [20000, 2000000]
+        assert peaks[1] - peaks[0] <= 64 * 1024, peaks
+
+
 def one_route_agent(route, projection=1):
     """An afs2a agent on micro3 that walks x0 -> x1 by (r0, rg) and then
     issues route (r1, rg)."""
@@ -770,9 +831,9 @@ class TestSimulateOnce:
         calls: dict[str, int] = {}
         plain = exosim.harness.run_trajectory
 
-        def counting(universe, agent, max_steps, seed=None):
+        def counting(universe, agent, max_steps, seed=None, *, record=True):
             calls[agent.name] = calls.get(agent.name, 0) + 1
-            return plain(universe, agent, max_steps, seed)
+            return plain(universe, agent, max_steps, seed, record=record)
 
         monkeypatch.setattr(exosim.harness, "run_trajectory", counting)
         runs = 6
@@ -784,6 +845,18 @@ class TestSimulateOnce:
                 for decl in doc.agents
             }
             assert calls == expected
+
+    def test_experiment_records_no_steps(self, reference_doc, monkeypatch):
+        made = []
+        plain = exosim.harness.run_trajectory
+
+        def spy(*args, **kwargs):
+            made.append(plain(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(exosim.harness, "run_trajectory", spy)
+        run_experiment(reference_doc, 3, 50, 1)
+        assert made and all(t.choices is None for t in made)
 
 
 class TestWriteCsv:
