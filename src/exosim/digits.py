@@ -23,13 +23,15 @@ sqrt(10005) from math.isqrt, and the sum of 1/k! for e. The splitting
 stops at ranges of up to 16 terms, each summed in one loop by the
 constant's leaf function; its sums and products are exact, so they are
 the same integers a split down to single terms gives. e's term count
-is found by bisecting on math.lgamma. For a power-of-two base 2**j,
-base**k is 1 << j * k, so the scale, the cut of the integer part and the
-split from the digits given before are shifts, not full-width
-multiplications and divisions. The divide-and-conquer conversion does
-one big-integer division per split; where big-integer division is
-schoolbook (CPython 3.11 and older) that is still quadratic in n, but
-with a far smaller constant than one full-width divmod per digit.
+is found by bisecting on math.lgamma. A base b = o * 2**j, o odd, has
+b**k = o**k << j * k: the scale, the cut of the integer part and the
+split from the digits given before shift by the power of two and
+multiply or divide only by o**k, which is 1 for a power-of-two base
+(2, 4, 8, 16, 256) and 5**k for base 10. The divide-and-conquer
+conversion does one big-integer division per split; where big-integer
+division is schoolbook (CPython 3.11 and older) that is still quadratic
+in n, but with a far smaller constant than one full-width divmod per
+digit.
 
 A ConstantDigits stream is a (name, base) value that keeps nothing
 between reads. One read(limit) computes each digit once: each extension
@@ -50,14 +52,14 @@ than it used, whichever is more. Doubling would take fewer extensions,
 but a read that stops just past a doubling would compute twice the
 digits it used, in about twice the time of 5/4 growth at 65537 digits.
 To position 200000 in base 3, 4 and 10 on a 2-core x86 machine with
-Python 3.11, pi takes about 1.2, 1.6 and 4.4 s, of which the square
-roots 0.46, 0.72 and 2.0 s, and e 0.47, 0.42 and 1.5 s.
+Python 3.11 (medians of three runs), pi takes about 1.3, 1.7 and 4.7 s,
+of which the square roots 0.50, 0.78 and 2.1 s, and e 0.53, 0.42 and
+1.7 s.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .universe import ExosimError
@@ -272,26 +274,16 @@ def constant_digits(name: str, base: int, count: int, resume: list | None = None
     fraction = max(end - head, 0)
     # drop > 0 only while the integer part is not all given.
     drop = head + fraction - end
-    if base & (base - 1):
-        value = _scaled_constant(name, base**fraction, series) // base**drop
-        digits = _radix_digits(value - prefix * base**count, base, count)
-    else:
-        # base**k is 1 << bits * k: scale, cut and split by shifts.
-        bits = base.bit_length() - 1
-        value = _scaled_constant(name, 1, series, bits * fraction) >> bits * drop
-        digits = _radix_digits(value - (prefix << bits * count), base, count)
+    # base = odd << shift, so base**k = odd**k << shift * k: the power of two
+    # scales, cuts and splits by shifts, and only odd**k multiplies or divides.
+    shift = (base & -base).bit_length() - 1
+    odd = base >> shift
+    scaled = _scaled_constant(name, odd**fraction, series, shift * fraction)
+    value = (scaled >> shift * drop) // odd**drop
+    digits = _radix_digits(value - (prefix * odd**count << shift * count), base, count)
     if resume is not None:
         resume[:] = end, value, series
     return digits
-
-
-def _extensions(name: str, base: int, limit: int) -> Iterator[list[int]]:
-    """The digit lists of one read's extensions, each made when asked for."""
-    position, resume = 0, []
-    while position < limit:
-        end = min(max(64, (position + 1) * 5 // 4), limit)
-        yield constant_digits(name, base, end - position, resume)
-        position = end
 
 
 class ConstantDigits(NamedTuple):
@@ -309,7 +301,11 @@ class ConstantDigits(NamedTuple):
         one left: a read dropped at any step has computed each digit once,
         and at most 64 or a quarter more than it used.
         """
-        return chain.from_iterable(_extensions(self.name, self.base, limit))
+        position, resume = 0, []
+        while position < limit:
+            end = min(max(64, (position + 1) * 5 // 4), limit)
+            yield from constant_digits(self.name, self.base, end - position, resume)
+            position = end
 
 
 class ExplicitDigits(NamedTuple):

@@ -356,8 +356,8 @@ def extension_ends(limit: int) -> list[int]:
 
 
 class TestKernel:
-    """The series leaves, e's term count and the power-of-two bases, each
-    against a plain recomputation."""
+    """The series leaves, e's term count and the split of a base into its odd
+    part and its power of two, each against a plain recomputation."""
 
     @pytest.mark.parametrize("name", ["pi", "e"])
     def test_leaf_loops_match_single_term_splitting(self, name):
@@ -381,10 +381,11 @@ class TestKernel:
 
     @pytest.mark.parametrize("guard", [64, 1])
     @pytest.mark.parametrize("name", ["pi", "e"])
-    @pytest.mark.parametrize("base", [2, 4, 8, 16, 256])
-    def test_power_of_two_bases_across_extensions(self, monkeypatch, guard, name, base):
-        # Reads that end at, just before and just past each extension's end;
-        # one guard bit sends the shifted scale through guard retries.
+    @pytest.mark.parametrize("base", [2, 3, 4, 8, 10, 12, 16, 256])
+    def test_bases_across_extensions(self, monkeypatch, guard, name, base):
+        # Reads that end at, just before and just past each extension's end,
+        # in powers of two, an odd base and bases with both factors; one
+        # guard bit sends the scale through guard retries.
         monkeypatch.setattr(digits_module, "_GUARD_BITS", guard)
         calls = Counter()
         for spied in ("_fixed", "_scaled_constant"):
