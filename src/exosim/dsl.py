@@ -38,6 +38,7 @@ defaults), and parsing a serialized document reproduces it structurally.
 
 from __future__ import annotations
 
+import gc
 import re
 import sys
 from bisect import bisect_left
@@ -376,7 +377,7 @@ class _Reader:
     where each decision looks at it once until it is stepped past; only a
     list looks ahead, past an item keyword (_starts_item). A block holds
     only strings, offsets and tuples of them, which make no reference
-    cycle, so a collector pass frees none of it (exosim.cli pauses it)."""
+    cycle, so a collector pass frees none of it (parse pauses it)."""
 
     def __init__(self, text: str):
         self.text = text
@@ -1068,8 +1069,14 @@ class _Reader:
 
 
 def parse(text: str) -> ParseResult:
-    """Parse a document; the document is withheld if any error occurred."""
-    return ParseResult(*_Reader(text).check())
+    """Parse a document, withheld if any error occurred; the collector is paused."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return ParseResult(*_Reader(text).check())
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def parse_file(path: str | Path) -> ParseResult:

@@ -2,10 +2,11 @@
 
 A trajectory steps one agent through its universe until it goes
 exoinactive or hits the step bound. ``run_trajectory`` is the only
-stepping loop: it owns every piece of a run's state and memoizes each
-choice for the run, recording a step as a reference to its memo entry
-and its energy in a ``Trajectory``, whose ``iter_steps`` is the one
-reader of those entries and yields the ``TrajectoryStep`` records. An
+stepping loop: it owns every piece of a run's state, memoizes each
+choice in one row per state keyed by the kind's slot, and records a
+step as a reference to its memo entry and its energy in a
+``Trajectory``, whose ``iter_steps`` is the one reader of those entries
+and yields the ``TrajectoryStep`` records. An
 afs1, afs2a or afs2b run stops stepping at its first repeat, from where
 it survives to the bound. The experiment repeats that, recording no
 step, for every agent in a document, derives one fresh seed per run
@@ -27,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from enum import Enum
-from itertools import chain, cycle, islice
+from itertools import chain, cycle, islice, repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -77,16 +78,16 @@ class Trajectory(NamedTuple):
     taken.
 
     choices[i] is the memo entry step i used, shared by every step of
-    the run with the same memo key; its first four slots are the step's
-    formula, sequence, act and state_after. energies[i] is the budget
-    after step i. A step's state_before is the previous step's
+    the run with the same state and slot; its first four fields are the
+    step's formula, sequence, act and state_after. energies[i] is the
+    budget after step i. A step's state_before is the previous step's
     state_after, or initial_state.
 
-    A deterministic run that meets a (memo key, budget) pair again stops
-    stepping there, at step len(choices), and survives to the step
-    bound: cycle_start is the step where that pair was first met, and
-    steps len(choices) to persistence - 1 replay steps cycle_start to
-    len(choices) - 1 in turn. Otherwise cycle_start is None and
+    A deterministic run that meets a (state, slot, budget) triple again
+    stops stepping there, at step len(choices), and survives to the
+    step bound: cycle_start is the step where that triple was first
+    met, and steps len(choices) to persistence - 1 replay steps
+    cycle_start to len(choices) - 1 in turn. Otherwise cycle_start is None and
     persistence is len(choices). ``iter_steps`` yields the
     ``TrajectoryStep`` records without keeping them.
 
@@ -136,118 +137,108 @@ def run_trajectory(
     takes max_steps steps; each step records the memo entry of what the
     agent perceived, generated and chose, and its energy after. With
     record=False no step is recorded, so a run that only needs its
-    persistence and terminal reason holds memory that does not grow with
-    its length beyond what its kind keeps (afs1, afs2a and afs2b runs
-    still note each (memo key, energy) pair they meet).
+    persistence and terminal reason holds memory that does not grow with its
+    length beyond what its kind keeps (afs1, afs2a and afs2b runs still note
+    each (state, slot, energy) triple they meet).
 
     The agent is only read: a random kind draws from ``agent.seed``, a
     positional kind reads ``agent.digits``, and a routed kind looks routes
     up in ``agent.tables[active]``. Seed, when given, replaces a random
     agent's seed, so the same inputs replay the same run. Both elementary
-    kinds step through one iterator of indices into the universe's acts
-    in sorted order. A random run's comes from
-    ``architectures.draw_chunks``, which computes ``unit_draw``'s draws in
-    chunks that grow from 4 steps to about a thousand and never pass
-    max_steps: a run that dies at step k has had at most max(4, 2k) draws
-    computed whatever its bound. A positional run's is one
-    ``read(max_steps)`` of its digits, which extends a constant's
-    digits as the run reaches them, by a quarter at a time from 64 on and
-    never past max_steps: a run that dies within 64 steps computes at most
-    64 digits whatever its bound. An explicit list raises
+    kinds step through one iterator of indices into the universe's acts in
+    sorted order, computed as the run reaches them: a random run's from
+    ``architectures.draw_chunks`` (a run that dies at step k has had at most
+    max(4, 2k) draws computed whatever its bound), a positional run's from
+    one ``read(max_steps)`` of its digits (a run that dies within 64 steps
+    computes at most 64 digits). An explicit list raises
     ``DigitSourceExhausted`` at the step past its end, and
     ``DigitOutOfRange`` at the first step if any digit does not fit its
-    base. A run's state is local: afs2b's target (the goal,
-    then the formula perceived at the previous step), and afs3a's
-    active table index (always 0 for the other kinds), pending episode
-    (table index, age) and per-table tallies. An episode opens when the
-    active table generates and none is pending, and succeeds if the goal
-    is perceived within depth_max steps.
+    base. A run's state is local: afs2b's target (the goal, then the formula
+    perceived at the previous step), and afs3a's active table index (always
+    0 for the other kinds), pending episode and per-table tallies. An
+    episode opens when the active table generates and none is pending; it is
+    scored as a success at the first step that perceives the goal, or as a
+    failure depth_max steps after it opened.
 
-    A sensitive choice depends only on the state, afs2b's target and
-    afs3a's active table (read after its pending episode is scored), so
-    the run memoizes it and its landing under that key. A key's first
-    step perceives the state, reacts (afs1) or looks up the route toward
-    the target, projects the generation to one act, and lands through
-    ``Universe.successor`` and ``Universe.class_of``, so every error is
-    raised at the first step that meets it. Each memo entry is
-    (formula, sequence, act, next state, change, ceiling), the last two
-    the landing's ``EnergyRules.bill``; elementary kinds memoize the
-    landing of each (state, act).
+    A step's choice depends only on its state and its slot: the act index
+    for the elementary kinds, afs3a's active table (read after its pending
+    episode is scored), afs2b's target, and None for afs1 and afs2a. The run
+    memoizes each choice and its landing in one row per state, a dict keyed
+    by slot, and a step takes the row of the state it lands on, so it builds
+    no key. Each memo entry is (formula, sequence, act, next state, change,
+    ceiling), the last two the landing's ``EnergyRules.bill``, and refers to
+    no row. An entry's first step perceives, generates and projects to one
+    act, and lands through ``Universe.successor`` and ``Universe.class_of``,
+    so every error is raised at the first step that meets it.
 
-    An afs1, afs2a or afs2b step depends only on its memo key and its
-    energy, which stays in 1..energy_cap while a checked document's run
-    lives. So the run meets such a pair again within (number of keys) *
-    energy_cap steps unless it dies first, and from there repeats the steps since
-    the pair's first meeting forever. The loop stops at that repeat and
-    returns ``StepLimit`` at persistence max_steps; see ``Trajectory``.
+    An afs1, afs2a or afs2b step depends only on its state, slot and energy
+    (in 1..energy_cap while a checked document's run lives), so a run that
+    lives meets a triple again within energy_cap times its memo entries
+    steps and repeats from there forever: the loop stops at that repeat and
+    returns ``StepLimit`` at persistence max_steps.
     """
     kind = agent.kind
     elementary = not kind.is_sensitive
     recall = kind is ArchitectureKind.AFS2B
     learner = kind is ArchitectureKind.AFS3A
+    slots: Iterator = repeat(None)
     if elementary and max_steps > 0:
-        # Either kind steps through one stream of act indices: a random
-        # run's draws, computed a chunk at a time, or a positional run's
-        # digits. draw_chunks is read off the module, so a wrapper of it
-        # sees every chunk.
         order = tuple(sorted(universe.acts))
         if kind is ArchitectureKind.RANDOM:
-            chunks = architectures.draw_chunks(
-                agent.seed if seed is None else seed, len(order), max_steps
-            )
-            indices = chain.from_iterable(chunks)
+            # Read off the module, so a wrapper of draw_chunks sees every chunk.
+            seed = agent.seed if seed is None else seed
+            slots = chain.from_iterable(architectures.draw_chunks(seed, len(order), max_steps))
         elif agent.digits is None:
             raise ArchitectureError(f"positional agent {agent.name!r} has no digits")
         else:
-            indices = agent.digits.read(max_steps)
+            slots = agent.digits.read(max_steps)
     rmap, goal, tables, c = agent.representation, agent.goal, agent.tables, agent.projection_index
     if kind.is_sensitive and kind is not ArchitectureKind.AFS1 and not tables and max_steps > 0:
         raise ArchitectureError(f"{kind.value} agent {agent.name!r} has no route table")
     target = goal
     active = 0
-    pending: tuple[int, int] | None = None
+    opened = -1  # the step the pending episode opened at, or -1 when none is
+    # afs3a perceives its goal on exactly the states the goal formula represents.
+    at_goal = rmap.by_formula.get(goal, ()) if rmap is not None and goal is not None else ()
     attempts = [0] * len(tables)
     successes = [0] * len(tables)
-    memo: dict = {}
-    # afs1, afs2a and afs2b steps are a function of (memo key, energy).
+    # afs1, afs2a and afs2b steps are a function of (state, slot, energy).
     seen: dict | None = {} if kind.is_sensitive and not learner else None
     cycle_start = None
     state = universe.initial
+    row: dict = {}
+    rows = {state: row}
     energy = universe.energy.initial_energy
     choices: list[tuple] = []
     energies: list[int] = []
     reason = TerminalReason.STEP_LIMIT
     persistence = max(max_steps, 0)  # unless the agent goes exoinactive first
-    for t in range(max_steps):
-        if elementary:
-            act = order[next(indices)]
-            key = (state, act)
-        elif learner:
-            if pending is not None:
-                index, age = pending
-                formula = rmap.entries.get(state) if rmap is not None else None
-                hit = formula is not None and formula == goal
-                if hit or age + 1 >= tables[index].depth_max:
+    for t, slot in zip(range(max_steps), slots):
+        if learner:
+            if opened >= 0:
+                hit = state in at_goal
+                if hit or t - opened >= depth:
                     # Read off the module, so a wrapper of update_learning sees every score.
                     active = architectures.update_learning(attempts, successes, index, hit)
-                    pending = None
-                else:
-                    pending = (index, age + 1)
-            key = (state, active)
+                    opened = -1
+            slot = active
         elif recall:
-            key = (state, target)
-        else:
-            key = state
+            slot = target
         if seen is not None:
-            first = seen.setdefault((key, energy), t)
+            first = seen.setdefault((state, slot, energy), t)
             if first != t:
                 # Back where step `first` stood: steps first..t-1 repeat forever.
                 cycle_start = first
                 break
-        choice = memo.get(key)
+        try:
+            choice = row[slot]
+        except KeyError:
+            choice = None  # a miss is met below, so its errors do not chain to this one
         if choice is None:
             formula = sequence = None
-            if not elementary:
+            if elementary:
+                act = order[slot]
+            else:
                 # Perceive, generate, project. A blind spot (no formula) or
                 # a missing entry (no sequence) issues the neutral act.
                 formula = rmap.entries.get(state) if rmap is not None else None
@@ -266,13 +257,15 @@ def run_trajectory(
                     act = sequence[c - 1]
             nxt = universe.successor(state, act)
             bill = universe.energy.bill(universe.class_of(nxt))
-            choice = memo[key] = (formula, sequence, act, nxt, *bill)
+            choice = row[slot] = (formula, sequence, act, nxt, *bill)
+            rows.setdefault(nxt, {})
         formula, sequence, act, state, change, ceiling = choice
+        row = rows[state]
         if recall:
             # One-step recall: next step routes toward what was just seen.
             target = formula
-        elif learner and sequence and pending is None:
-            pending = (active, 0)
+        elif learner and sequence and opened < 0:
+            opened, index, depth = t, active, tables[active].depth_max
         energy += change
         if energy > ceiling:
             energy = ceiling

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from exosim import fixture_path, load_document
@@ -34,3 +36,11 @@ def ejemplo_pair(ejemplo5_doc):
 @pytest.fixture()
 def pathfinder_pair(reference_doc):
     return reference_doc.build_agent("pathfinder")
+
+
+@pytest.fixture()
+def keep_collector_state():
+    """Gives the cyclic collector back its state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()

@@ -273,7 +273,9 @@ def _draw(seed: int, t: int) -> float:
     return u if u < 1.0 else 1.0 - 2.0**-53
 
 
-def reference_trajectory(universe, agent, max_steps: int, seed: int | None = None, credit=()):
+def reference_trajectory(
+    universe, agent, max_steps: int, seed: int | None = None, credit=(), scores=None
+):
     """Plain stepping from first principles: ([step tuples], reason).
 
     Each step is (t, state_before, formula, sequence, act, state_after,
@@ -283,7 +285,9 @@ def reference_trajectory(universe, agent, max_steps: int, seed: int | None = Non
     reading the agent's and the universe's fields; a learner re-picks
     its table by rescanning its whole history with active_index.
     credit holds (table index, success) records that join the history
-    each time an episode is scored, as an outside scorer would add them.
+    each time an episode is scored, as an outside scorer would add them;
+    scores, when a list, receives the (table index, success) of each
+    episode as it is scored.
     Models are assumed well formed.
     """
     kind = agent.kind.value
@@ -319,6 +323,8 @@ def reference_trajectory(universe, agent, max_steps: int, seed: int | None = Non
                 episode[3] += 1
                 hit = formula is not None and formula == agent.goal
                 if hit or episode[3] >= episode[2]:
+                    if scores is not None:
+                        scores.append((episode[1], hit))
                     history.append(_Scored(episode[1], hit))
                     history.extend(_Scored(i, ok) for i, ok in credit)
                     active = active_index(history, len(pool))

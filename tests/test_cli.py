@@ -606,14 +606,6 @@ class TestModuleNames:
             exosim.cli.derive_seed
 
 
-@pytest.fixture()
-def keep_collector_state():
-    """Gives the cyclic collector back its state after the test."""
-    enabled = gc.isenabled()
-    yield
-    (gc.enable if enabled else gc.disable)()
-
-
 class TestCollectorPause:
     """run() pauses the cyclic garbage collector for a command and leaves
     it as it found it."""

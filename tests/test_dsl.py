@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import re
 import sys
@@ -1429,6 +1430,34 @@ class TestCleanReader:
         result, broken = counted_parse(text)
         assert result.document is None
         assert reads[1000] < broken < reads[1000] + 5
+
+
+class TestCollectorPause:
+    """parse pauses the cyclic collector while its reader runs and leaves
+    it as the caller had it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_is_restored(self, enabled, keep_collector_state, monkeypatch):
+        seen = []
+        real = _Reader.check
+
+        def check(reader):
+            seen.append(gc.isenabled())
+            if reader.text == "boom":
+                raise RuntimeError("boom")
+            return real(reader)
+
+        monkeypatch.setattr(_Reader, "check", check)
+        (gc.enable if enabled else gc.disable)()
+        # A clean document, a withheld one, and a reader that raises.
+        assert parse(MINI).document is not None
+        assert gc.isenabled() is enabled
+        assert parse(MINI.replace("initial: a;", "initial: zz;")).document is None
+        assert gc.isenabled() is enabled
+        with pytest.raises(RuntimeError, match="boom"):
+            parse("boom")
+        assert gc.isenabled() is enabled
+        assert seen == [False, False, False]
 
 
 class TestLoadDocument:

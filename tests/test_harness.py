@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import tracemalloc
 from collections import Counter
 
@@ -30,11 +31,13 @@ from exosim import (
     UnknownAct,
     UnknownState,
     Universe,
+    UniverseError,
     derive_seed,
     load_document,
     parse,
     run_experiment,
     run_trajectory,
+    unit_draw,
     write_csv,
 )
 
@@ -252,6 +255,39 @@ class TestReferenceStepper:
         at_x0 = [r[3] for r in steps if r[1] == "x0"]
         assert at_x0 == [("sit",), ("sit",), ("go", "go")]
 
+    def test_learner_scores_the_references_episodes(self, reference_doc, ejemplo5_doc, monkeypatch):
+        # Each update_learning call is one scored episode, in step order.
+        calls: list[tuple[int, bool]] = []
+        real = exosim.architectures.update_learning
+
+        def spy(attempts, successes, index, success):
+            calls.append((index, success))
+            return real(attempts, successes, index, success)
+
+        monkeypatch.setattr(exosim.architectures, "update_learning", spy)
+        # GOOD_ROUTES opens an episode at x0 and sees the goal two steps
+        # later: at depth 2 that is the episode's last allowed step.
+        edge = learner([GOOD_ROUTES._replace(depth_max=2), SIT_ROUTES], name="edge")
+        runs = [(micro3(), edge)]
+        docs = [reference_doc, ejemplo5_doc, parse(SIX_KINDS).document]
+        docs += [parse(docgen.random_document_text(seed)).document for seed in range(300)]
+        for doc in docs:
+            for decl in doc.agents:
+                if decl.kind is ArchitectureKind.AFS3A:
+                    runs.append(doc.build_agent(decl.name)[::-1])
+        depths = set()
+        for universe, agent in runs:
+            expected: list[tuple[int, bool]] = []
+            oracles.reference_trajectory(universe, agent, 3000, scores=expected)
+            calls.clear()
+            run_trajectory(universe, agent, 3000, record=False)
+            assert calls == expected, agent.name
+            depths.update(table.depth_max for table in agent.tables)
+        assert {1, 2, 3, 4} <= depths
+        edge_scores: list[tuple[int, bool]] = []
+        oracles.reference_trajectory(micro3(), edge, 3, scores=edge_scores)
+        assert edge_scores == [(0, True)]
+
 
 def dial(base: int) -> Universe:
     """Seven states on a dial; act a{j} turns it j + 1 notches. d0 rewards
@@ -445,7 +481,7 @@ def hopper() -> AgentArchitecture:
 
 class TestFirstRepeat:
     """An afs1, afs2a or afs2b run stops stepping at its first repeated
-    (memo key, energy) and replays its cycle up to the step bound; the
+    (state, slot, energy) and replays its cycle up to the step bound; the
     reference stepper takes every step, so each replayed step is
     checked against a stepped one."""
 
@@ -640,9 +676,38 @@ class TestExceptionParity:
                 run_trajectory(outside, agent, 1)
             assert run_trajectory(outside, agent, 0).persistence == 0
 
+    @staticmethod
+    def first_b_at(kind, k) -> AgentArchitecture:
+        """An elementary agent whose act index is 0 ("a") at steps 0 to
+        k - 1 and 1 ("b") at step k."""
+        if kind is ArchitectureKind.POSITIONAL:
+            digits = ExplicitDigits((0,) * k + (1, 0, 1), 2)
+            return AgentArchitecture(name="ticker", kind=kind, digits=digits)
+        want = [0] * k + [1]
+        seed = next(
+            s for s in itertools.count()
+            if [int(unit_draw(s, t) * 2) for t in range(k + 1)] == want
+        )
+        return AgentArchitecture(name="drifter", kind=kind, seed=seed)
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 9])
+    @pytest.mark.parametrize("kind", [ArchitectureKind.POSITIONAL, ArchitectureKind.RANDOM])
+    def test_elementary_landing_is_checked_when_first_taken(self, kind, k):
+        # "w" has no "b" transition. Steps 0 to k - 1 stand on "w" and take
+        # "a"; step k is the first to take "b", and it raises whatever the
+        # bound past it.
+        universe = wheel(("a", "b"))._replace(transitions={("w", "a"): "w"})
+        agent = self.first_b_at(kind, k)
+        for max_steps in (k + 1, k + 3):
+            with pytest.raises(UniverseError, match=r"no transition declared for \('w', 'b'\)"):
+                run_trajectory(universe, agent, max_steps)
+        got = run_trajectory(universe, agent, k)
+        assert (got.persistence, got.terminal_reason) == (k, TerminalReason.STEP_LIMIT)
+        assert [step.act for step in got.iter_steps()] == ["a"] * k
+
 
 class TestCostBound:
-    """A sensitive agent generates once per memo key of a run, not once
+    """A sensitive agent generates once per state and slot of a run, not once
     per step (counted, not timed)."""
 
     @staticmethod
