@@ -19,7 +19,6 @@ it builds on, and never digits, harness, metrics or stats.
 from __future__ import annotations
 
 from importlib import import_module
-from pathlib import Path
 
 _EXPORTS = {
     "architectures": (
@@ -120,6 +119,9 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
 
-def fixture_path(name: str) -> Path:
-    """Filesystem path of a shipped .exo fixture (e.g. "reference.exo")."""
+def fixture_path(name: str):
+    """The Path of a shipped .exo fixture (e.g. "reference.exo"). No
+    command calls this, so its import stays out of every command's."""
+    from pathlib import Path
+
     return Path(__file__).with_name("fixtures") / name

@@ -27,7 +27,6 @@ import argparse
 import gc
 import sys
 from importlib import import_module
-from pathlib import Path
 
 from .dsl import SpecInvalid, parse_file
 from .universe import ExosimError
@@ -79,38 +78,38 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a document")
-    p.add_argument("file", type=Path)
+    p.add_argument("file")
 
     p = sub.add_parser("metrics", help="stability metrics for one agent")
-    p.add_argument("file", type=Path)
+    p.add_argument("file")
     p.add_argument("--agent", required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("trace", help="per-step trace of one agent")
-    p.add_argument("file", type=Path)
+    p.add_argument("file")
     p.add_argument("--agent", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("experiment", help="persistence experiment over all agents")
-    p.add_argument("file", type=Path)
+    p.add_argument("file")
     p.add_argument("--runs", type=int, required=True)
     p.add_argument("--max-steps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", required=True)
 
     sub.add_parser("logic-table", help="persistence-claim truth tables")
     return parser
 
 
-def _load_checked(path: Path, out):
+def _load_checked(path: str, out):
     """Parse a document and print its warnings. An invalid one raises
     SpecInvalid, whose diagnostics run() prints."""
     result = parse_file(path)
     if result.document is None:
-        raise SpecInvalid(str(path), result.diagnostics)
+        raise SpecInvalid(path, result.diagnostics)
     for diag in result.diagnostics:
-        print(diag.render(str(path)), file=out)
+        print(diag.render(path), file=out)
     return result.document
 
 

@@ -21,9 +21,9 @@ values and offsets, so layout never changes what a document means or what
 it draws. Lexical errors are kept apart and come first.
 
 A token is a (kind, value, offset) tuple, and a block keeps only the offsets
-of the tokens its checks point at. A diagnostic, lexical or not, and a
-source span get their 1-based line and column from that offset when they
-are made: only a line feed ends a line, and a column counts code points.
+of the tokens its checks point at. A diagnostic, lexical or not, gets
+its 1-based line and column from that offset when it is made: only a line
+feed ends a line, and a column counts code points.
 
 Diagnostics come in this order: lexical errors; then, in document order,
 each item's parse errors, with a universe's checks after its block; then
@@ -39,11 +39,11 @@ defaults), and parsing a serialized document reproduces it structurally.
 from __future__ import annotations
 
 import gc
+import os
 import re
 import sys
 from bisect import bisect_left
 from enum import Enum
-from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .architectures import AgentArchitecture, ArchitectureKind, RouteTable
@@ -103,8 +103,7 @@ class SpecInvalid(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Declarations. These are the structural content of a document; spans are
-# excluded from equality so round-tripped documents compare equal.
+# Declarations. These are the structural content of a document.
 
 
 class UniverseDecl(NamedTuple):
@@ -186,21 +185,14 @@ class SpecDocument:
     """A checked document: its universes and agents in declaration order.
 
     A plain class, not a named tuple, because it indexes both by name when
-    it is made. source_spans maps ("universe" | "agent", name) to the
-    (line, column) of a declaration's keyword; equality ignores it.
+    it is made; equality and the hash compare the declarations alone.
     """
 
-    __slots__ = ("universes", "agents", "source_spans", "_universes", "_agents")
+    __slots__ = ("universes", "agents", "_universes", "_agents")
 
-    def __init__(
-        self,
-        universes: tuple[UniverseDecl, ...],
-        agents: tuple[AgentDecl, ...],
-        source_spans: dict | None = None,
-    ) -> None:
+    def __init__(self, universes: tuple[UniverseDecl, ...], agents: tuple[AgentDecl, ...]) -> None:
         self.universes = universes
         self.agents = agents
-        self.source_spans = {} if source_spans is None else source_spans
         # Name indexes, built from the end so the first declaration wins.
         self._universes = {u.name: u for u in reversed(universes)}
         self._agents = {a.name: a for a in reversed(agents)}
@@ -416,7 +408,6 @@ class _Reader:
         declaration order; the document is withheld if any error occurred."""
         universes: dict[str, UniverseDecl] = {}
         agents: list[_Block] = []
-        spans: dict = {}
         for block in self.blocks():
             if block.keyword == "agent":
                 agents.append(block)
@@ -428,7 +419,6 @@ class _Reader:
                 self.error_at(f"duplicate universe {decl.name!r}", block.offset)
             else:
                 universes[decl.name] = decl
-                spans[("universe", decl.name)] = self.position(block.offset)
         decls: list[AgentDecl] = []
         seen: set[str] = set()
         for block in agents:
@@ -439,13 +429,11 @@ class _Reader:
                 self.error_at(f"duplicate agent {decl.name!r}", block.offset)
                 continue
             seen.add(decl.name)
-            spans[("agent", decl.name)] = self.position(block.offset)
             decls.append(decl)
         diags = self.lexical + self.diags
         if any(d.severity is Severity.ERROR for d in diags):
             return None, diags
-        doc = SpecDocument(tuple(universes.values()), tuple(decls), spans)
-        return doc, diags
+        return SpecDocument(tuple(universes.values()), tuple(decls)), diags
 
     # -- universe resolution ---------------------------------------------------
 
@@ -1079,11 +1067,12 @@ def parse(text: str) -> ParseResult:
             gc.enable()
 
 
-def parse_file(path: str | Path) -> ParseResult:
+def parse_file(path: str | os.PathLike[str]) -> ParseResult:
     """Parse a UTF-8 file as ``parse`` parses its text, line ends
     included. A file that is not UTF-8 draws one error, at its first bad
     byte."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -1096,11 +1085,11 @@ def parse_file(path: str | Path) -> ParseResult:
     return parse(text)
 
 
-def load_document(path: str | Path) -> SpecDocument:
+def load_document(path: str | os.PathLike[str]) -> SpecDocument:
     """Parse a file, raising SpecInvalid when it does not check out."""
     result = parse_file(path)
     if result.document is None:
-        raise SpecInvalid(str(path), result.diagnostics)
+        raise SpecInvalid(os.fspath(path), result.diagnostics)
     return result.document
 
 

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from enum import Enum
 from itertools import chain, cycle, islice, repeat
-from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 from . import architectures
@@ -393,7 +393,7 @@ def run_experiment(
     return ExperimentResult(tuple(rows), tuple(summaries), tuple(comparisons))
 
 
-def write_csv(result: ExperimentResult, path: Path | str) -> None:
+def write_csv(result: ExperimentResult, path: str | os.PathLike[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)

@@ -86,6 +86,16 @@ class TestValidate:
         assert code == 2
         assert text == f"{path}:1:1: error: byte 0xff is not UTF-8\n"
 
+    def test_the_path_is_echoed_as_typed(self, tmp_path, monkeypatch):
+        (tmp_path / "x.exo").write_text(MINI, encoding="utf-8")
+        broken = MINI.replace("initial: a;", "initial: zz;")
+        (tmp_path / "y.exo").write_text(broken, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert cli("validate", "./x.exo") == (0, "./x.exo: ok (1 universes, 0 agents)\n")
+        code, text = cli("validate", "./y.exo")
+        assert code == 2
+        assert text.startswith("./y.exo:4:")
+
     def test_missing_file_is_runtime_error(self, tmp_path):
         code, _ = cli("validate", str(tmp_path / "nope.exo"))
         assert code == 3

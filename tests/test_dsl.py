@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import os
 import re
 import sys
 from pathlib import Path
@@ -148,8 +149,7 @@ class TestFixtures:
         assert first is not second
         assert first == second
         assert hash(first) == hash(second)
-        # The repr names the declarations and leaves the spans out, as
-        # equality does.
+        # The repr names the declarations, which equality compares.
         assert repr(first) == (
             f"SpecDocument(universes={first.universes!r}, agents={first.agents!r})"
         )
@@ -162,11 +162,6 @@ class TestFixtures:
             "metronome",
             "pathfinder",
         ]
-
-    def test_spans_point_at_declarations(self, ejemplo5_path):
-        doc = parse_file(ejemplo5_path).document
-        assert doc.source_spans[("universe", "ejemplo5")] == (6, 1)
-        assert doc.source_spans[("agent", "ejemplo")] == (38, 1)
 
 
 class TestBuild:
@@ -1182,7 +1177,7 @@ _PREFIXES = [
 ]
 
 
-DIAGNOSTICS_SHA256 = "1ded0ba05f8c9f20d264a0124b85ac51c560fe845cc08625a335a8c93f830a24"
+DIAGNOSTICS_SHA256 = "81b8a9d015729da9b391ed4fab4f9e09666dd7ccdda9369c2dd5b0ac87cd764f"
 
 
 @pytest.fixture(scope="module")
@@ -1227,17 +1222,13 @@ class TestFuzz:
         assert ran > 0
 
     def test_diagnostics_stream_is_pinned(self, pinned_texts):
-        # Every diagnostic, rendered in order, and every accepted document's
-        # source spans, over the pinned texts. The hash pins positions and
-        # order, which the per-rule tables only sample.
+        # Every diagnostic, rendered in order, over the pinned texts. The
+        # hash pins positions and order, which the per-rule tables only
+        # sample.
         digest = hashlib.sha256()
         for text in pinned_texts:
-            result = parse(text)
-            for d in result.diagnostics:
+            for d in parse(text).diagnostics:
                 digest.update(d.render().encode() + b"\n")
-            if result.document is not None:
-                spans = sorted(result.document.source_spans.items())
-                digest.update(repr(spans).encode() + b"\n")
         assert digest.hexdigest() == DIAGNOSTICS_SHA256
 
     def test_layout_never_changes_meaning(self, pinned_texts):
@@ -1282,14 +1273,12 @@ def _no_rows(reader, block, offset):
 
 def same_reading(text: str):
     """parse(text), checked against reading every item of text by tokens:
-    the same diagnostics at the same positions, document and source spans."""
+    the same diagnostics at the same positions, and the same document."""
     result = parse(text)
     with mock.patch.object(dsl._Reader, "_rows", _no_rows):
         by_tokens = parse(text)
     assert result.diagnostics == by_tokens.diagnostics
     assert result.document == by_tokens.document
-    if result.document is not None:
-        assert result.document.source_spans == by_tokens.document.source_spans
     return result
 
 
@@ -1460,10 +1449,41 @@ class TestCollectorPause:
         assert seen == [False, False, False]
 
 
+class FsPath:
+    """The least os.PathLike: its str() is not its path."""
+
+    def __init__(self, path) -> None:
+        self.path = os.fspath(path)
+
+    def __fspath__(self) -> str:
+        return self.path
+
+
+# A path as a library caller may pass it.
+PATH_TYPES = pytest.mark.parametrize(
+    "as_path", [str, Path, FsPath], ids=["str", "Path", "PathLike"]
+)
+
+
 class TestLoadDocument:
     def test_good_file_loads(self, ejemplo5_path):
         doc = load_document(ejemplo5_path)
         assert doc.universe("ejemplo5").name == "ejemplo5"
+
+    @PATH_TYPES
+    def test_any_path_type_reads_the_file(self, as_path, ejemplo5_path):
+        expected = parse(ejemplo5_path.read_text(encoding="utf-8"))
+        assert parse_file(as_path(ejemplo5_path)) == expected
+        assert load_document(as_path(ejemplo5_path)) == expected.document
+
+    @PATH_TYPES
+    def test_an_invalid_file_is_named_by_its_path(self, as_path, tmp_path):
+        bad = tmp_path / "broken.exo"
+        bad.write_text(MINI.replace("initial: a;", "initial: zz;"), encoding="utf-8")
+        with pytest.raises(SpecInvalid) as exc:
+            load_document(as_path(bad))
+        assert exc.value.filename == str(bad)
+        assert str(exc.value).startswith(f"{bad}:4:")
 
     def test_bad_file_raises_with_rendered_errors(self, tmp_path):
         bad = tmp_path / "broken.exo"

@@ -48,6 +48,7 @@ from test_universe import tiny_universe
 from test_architectures import DRAW_ALPHABETS, DRAW_LIMITS, DRAW_SEEDS
 from test_architectures import GOOD_ROUTES, RMAP3, SIT_ROUTES, learner, micro3, wheel
 from test_cli import SIX_KINDS
+from test_dsl import PATH_TYPES
 
 
 def drifter(seed=1) -> AgentArchitecture:
@@ -940,6 +941,15 @@ class TestWriteCsv:
             "run_id,agent,kind,seed,persistence_steps,terminal_reason\n"
             "0,a,random,5,3,ExoinactiveEnergy\n"
             "1,b,afs2a,6,9,StepLimit\n"
+        )
+
+    @PATH_TYPES
+    def test_any_path_type_names_the_file(self, as_path, tmp_path):
+        result = ExperimentResult((RunRecord(0, "a", "random", 5, 3, "StepLimit"),), (), ())
+        path = tmp_path / "any.csv"
+        write_csv(result, as_path(path))
+        assert path.read_text(encoding="utf-8") == (
+            "run_id,agent,kind,seed,persistence_steps,terminal_reason\n0,a,random,5,3,StepLimit\n"
         )
 
     def test_library_run_writes_only_through_write_csv(self, reference_path, tmp_path, monkeypatch):

@@ -2,9 +2,9 @@
 
 `exosim` imports a submodule when one of its names is first read, and a
 CLI command imports only the modules it runs, and none of them imports
-`dataclasses` or `inspect`. Each load test runs one fresh interpreter
-under `-S`, so that no module `site` loads hides one the code loads, and
-reads the modules the code added to sys.modules. (`-X importtime` does
+`pathlib`, `dataclasses` or `inspect`. Each load test runs one fresh
+interpreter under `-S`, so that no module `site` loads hides one the code
+loads, and reads the modules the code added to sys.modules. (`-X importtime` does
 not list a module that importlib.import_module loads, which is how both
 lazy paths import.)
 """
@@ -180,6 +180,7 @@ class TestLoadedModules:
             *(f"exosim.{m}" for m in ("dsl", "architectures", "representation", "universe")),
         }
         assert "statistics" not in loaded
+        assert "pathlib" not in loaded
         assert not loaded & CLASS_BUILDERS
 
     def test_experiment_loads_no_metrics(self, reference_path, tmp_path):
@@ -202,6 +203,27 @@ class TestLoadedModules:
         )
         assert "json" in loaded
         assert not loaded & CLASS_BUILDERS
+
+    def test_pathlib_is_not_loaded_before_the_code(self):
+        # So a command that does not list it leaves it out of sys.modules.
+        assert "pathlib" in imported("import pathlib")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate", "{doc}"),
+            ("metrics", "{doc}", "--agent", "pathfinder"),
+            ("metrics", "{doc}", "--agent", "pathfinder", "--format", "json"),
+            ("trace", "{doc}", "--agent", "metronome", "--steps", "5"),
+            ("experiment", "{doc}", "--runs", "2", "--max-steps", "9", "--seed", "1",
+             "--out", "{out}"),
+            ("logic-table",),
+        ],
+        ids=["validate", "metrics", "metrics-json", "trace", "experiment", "logic-table"],
+    )
+    def test_no_command_loads_pathlib(self, argv, reference_path, tmp_path):
+        paths = {"doc": str(reference_path), "out": str(tmp_path / "out.csv")}
+        assert "pathlib" not in imported(CLI, *(arg.format(**paths) for arg in argv))
 
     def test_random_draws_load_nothing(self):
         # Both ways a chunk is drawn run here: in lanes, and through
