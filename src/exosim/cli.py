@@ -3,7 +3,7 @@
 Subcommands:
   validate    check a document and print positioned diagnostics
   metrics     stability accounting for one agent's route table
-  trace       per-step perception/generation/choice records
+  trace       per-step perception/generation/choice lines, printed as taken
   experiment  persistence runs for every agent, CSV output
   logic-table the eight-row persistence-claim truth tables
 
@@ -178,8 +178,8 @@ def _cmd_trace(args, out) -> int:
         agent, universe = doc.build_agent(args.agent)
     except KeyError:
         raise CliError(f"no agent named {args.agent!r} in {args.file}") from None
-    trajectory = _cli.run_trajectory(universe, agent, args.steps, args.seed)
-    for rec in trajectory.iter_steps():
+
+    def show(rec) -> None:
         formula = rec.formula if rec.formula is not None else "-"
         sequence = " ".join(rec.sequence) if rec.sequence else "-"
         print(
@@ -187,6 +187,10 @@ def _cmd_trace(args, out) -> int:
             f"sequence=[{sequence}] act={rec.act} energy={rec.energy_after}",
             file=out,
         )
+
+    # Each step is printed as the loop takes it, so a run that fails shows
+    # the steps before the failure.
+    trajectory = _cli.run_trajectory(universe, agent, args.steps, args.seed, on_step=show)
     print(
         f"persistence {trajectory.persistence} ({trajectory.terminal_reason.value})",
         file=out,

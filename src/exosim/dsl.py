@@ -375,8 +375,9 @@ class _Reader:
         self.text = text
         self.diags: list[ParseDiagnostic] = []
         self.lexical: list[ParseDiagnostic] = []  # reported before self.diags
-        # The offset of every '\n', after a -1 that starts the first line.
-        self.newlines = [-1, *(m.start() for m in re.finditer("\n", text))]
+        # The offset of every '\n', after a -1 that starts the first line,
+        # found at the first position() call: a clean parse needs none.
+        self.newlines: list[int] | None = None
         self.lex = re.compile(_TOKEN, re.VERBOSE).match
         self.offset = 0  # just past the last token or row consumed
         self.tok: _Token | None = None  # the next token, once lexed
@@ -388,6 +389,8 @@ class _Reader:
 
     def position(self, offset: int) -> tuple[int, int]:
         """The 1-based (line, column) of a text offset."""
+        if self.newlines is None:
+            self.newlines = [-1, *(m.start() for m in re.finditer("\n", self.text))]
         line = bisect_left(self.newlines, offset)
         return line, offset - self.newlines[line - 1]
 

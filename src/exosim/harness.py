@@ -3,13 +3,13 @@
 A trajectory steps one agent through its universe until it goes
 exoinactive or hits the step bound. ``run_trajectory`` is the only
 stepping loop: it owns every piece of a run's state, memoizes each
-choice in one row per state keyed by the kind's slot, and records a
-step as a reference to its memo entry and its energy in a
-``Trajectory``, whose ``iter_steps`` is the one reader of those entries
-and yields the ``TrajectoryStep`` records. An
-afs1, afs2a or afs2b run stops stepping at its first repeat, from where
-it survives to the bound. The experiment repeats that, recording no
-step, for every agent in a document, derives one fresh seed per run
+choice in one row per state keyed by the kind's slot, and returns only
+the run's outcome, a ``Trajectory``. A caller that reads each step
+passes an on_step callback, which the loop calls with a
+``TrajectoryStep`` as it takes the step; ``exosim trace`` prints it.
+Without one, an afs1, afs2a or afs2b run stops stepping at its first
+repeat, from where it survives to the bound. The experiment runs that
+way for every agent in a document, derives one fresh seed per run
 from the master seed, and returns the persistence times as CSV rows
 plus per-agent summaries with rank-sum comparisons of the sensitive
 group against the random and positional groups; ``write_csv`` writes
@@ -29,8 +29,8 @@ import csv
 import math
 import os
 from enum import Enum
-from itertools import chain, cycle, islice, repeat
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain, repeat
+from typing import Callable, Iterator, NamedTuple
 
 from . import architectures
 from .architectures import AgentArchitecture, ArchitectureError, ArchitectureKind
@@ -74,50 +74,16 @@ class TrajectoryStep(NamedTuple):
 
 
 class Trajectory(NamedTuple):
-    """A run as its loop recorded it: one choice and one budget per step
-    taken.
+    """A run's outcome. steps counts the steps its loop took: it is
+    persistence unless an afs1, afs2a or afs2b run made with no on_step
+    stopped at step steps, which stood where step cycle_start stood, in
+    the same (state, slot, energy); steps cycle_start to steps - 1 then
+    repeat up to the bound. Otherwise cycle_start is None."""
 
-    choices[i] is the memo entry step i used, shared by every step of
-    the run with the same state and slot; its first four fields are the
-    step's formula, sequence, act and state_after. energies[i] is the
-    budget after step i. A step's state_before is the previous step's
-    state_after, or initial_state.
-
-    A deterministic run that meets a (state, slot, budget) triple again
-    stops stepping there, at step len(choices), and survives to the
-    step bound: cycle_start is the step where that triple was first
-    met, and steps len(choices) to persistence - 1 replay steps
-    cycle_start to len(choices) - 1 in turn. Otherwise cycle_start is None and
-    persistence is len(choices). ``iter_steps`` yields the
-    ``TrajectoryStep`` records without keeping them.
-
-    A run made with record=False keeps no step: choices and energies are
-    None, and iter_steps raises HarnessError.
-    """
-
-    initial_state: StateId
-    choices: Sequence[tuple] | None
-    energies: Sequence[int] | None
     terminal_reason: TerminalReason
     persistence: int
+    steps: int
     cycle_start: int | None
-
-    def _order(self) -> Iterator[int]:
-        """The index into choices of each step, in step order."""
-        stepped = range(len(self.choices))
-        if self.cycle_start is None:
-            return iter(stepped)
-        replayed = cycle(range(self.cycle_start, len(self.choices)))
-        return chain(stepped, islice(replayed, self.persistence - len(self.choices)))
-
-    def iter_steps(self) -> Iterator[TrajectoryStep]:
-        state, choices, energies = self.initial_state, self.choices, self.energies
-        if choices is None:
-            raise HarnessError("the run was made with record=False and kept no steps")
-        for t, i in enumerate(self._order()):
-            formula, sequence, act, after = choices[i][:4]
-            yield TrajectoryStep(t, state, formula, sequence, act, after, energies[i])
-            state = after
 
 
 def derive_seed(master_seed: int, k: int) -> int:
@@ -131,15 +97,13 @@ def run_trajectory(
     max_steps: int,
     seed: int | None = None,
     *,
-    record: bool = True,
+    on_step: Callable[[TrajectoryStep], object] | None = None,
 ) -> Trajectory:
     """Run one agent from the initial state until it goes exoinactive or
-    takes max_steps steps; each step records the memo entry of what the
-    agent perceived, generated and chose, and its energy after. With
-    record=False no step is recorded, so a run that only needs its
-    persistence and terminal reason holds memory that does not grow with its
-    length beyond what its kind keeps (afs1, afs2a and afs2b runs still note
-    each (state, slot, energy) triple they meet).
+    takes max_steps steps, and return the outcome. on_step, when given, is
+    called with each step's ``TrajectoryStep`` as the step is taken; the
+    run keeps no step, so its memory does not grow with its length beyond
+    what its kind keeps.
 
     The agent is only read: a random kind draws from ``agent.seed``, a
     positional kind reads ``agent.digits``, and a routed kind looks routes
@@ -174,8 +138,9 @@ def run_trajectory(
     An afs1, afs2a or afs2b step depends only on its state, slot and energy
     (in 1..energy_cap while a checked document's run lives), so a run that
     lives meets a triple again within energy_cap times its memo entries
-    steps and repeats from there forever: the loop stops at that repeat and
-    returns ``StepLimit`` at persistence max_steps.
+    steps and repeats from there forever. With no on_step the run notes
+    each triple it meets, stops at that repeat and returns ``StepLimit`` at
+    persistence max_steps; with on_step it takes every step.
     """
     kind = agent.kind
     elementary = not kind.is_sensitive
@@ -203,14 +168,12 @@ def run_trajectory(
     attempts = [0] * len(tables)
     successes = [0] * len(tables)
     # afs1, afs2a and afs2b steps are a function of (state, slot, energy).
-    seen: dict | None = {} if kind.is_sensitive and not learner else None
+    seen: dict | None = {} if kind.is_sensitive and not learner and on_step is None else None
     cycle_start = None
     state = universe.initial
     row: dict = {}
     rows = {state: row}
     energy = universe.energy.initial_energy
-    choices: list[tuple] = []
-    energies: list[int] = []
     reason = TerminalReason.STEP_LIMIT
     persistence = max(max_steps, 0)  # unless the agent goes exoinactive first
     for t, slot in zip(range(max_steps), slots):
@@ -259,6 +222,8 @@ def run_trajectory(
             bill = universe.energy.bill(universe.class_of(nxt))
             choice = row[slot] = (formula, sequence, act, nxt, *bill)
             rows.setdefault(nxt, {})
+        if on_step is not None:
+            on_step(TrajectoryStep(t, state, *choice[:4], min(energy + choice[4], choice[5])))
         formula, sequence, act, state, change, ceiling = choice
         row = rows[state]
         if recall:
@@ -269,16 +234,11 @@ def run_trajectory(
         energy += change
         if energy > ceiling:
             energy = ceiling
-        if record:
-            choices.append(choice)
-            energies.append(energy)
         if energy <= 0:
             reason = TerminalReason.EXOINACTIVE
             persistence = t + 1
             break
-    if not record:
-        choices = energies = None
-    return Trajectory(universe.initial, choices, energies, reason, persistence, cycle_start)
+    return Trajectory(reason, persistence, persistence if cycle_start is None else t, cycle_start)
 
 
 class RunRecord(NamedTuple):
@@ -347,7 +307,7 @@ def run_experiment(
             # The seed reaches only the random draws: any other agent
             # replays its first run under every seed.
             if trajectory is None or agent.kind is ArchitectureKind.RANDOM:
-                trajectory = run_trajectory(universe, agent, max_steps, seed, record=False)
+                trajectory = run_trajectory(universe, agent, max_steps, seed)
             rows.append(
                 RunRecord(
                     run_id=run_id,

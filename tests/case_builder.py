@@ -3,7 +3,8 @@
 oracles.random_universe_case speaks plain dicts and strings so the
 oracle side stays import-free; tests use this module to materialize the
 same case as library values. CountingDict lets a test bound the lookups
-a computation makes in a library object's mappings.
+a computation makes in a library object's mappings, and stepped collects
+a run's steps through its on_step callback.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from exosim import (
     RepresentationMap,
     RouteTable,
     StateClass,
+    TrajectoryStep,
     Universe,
+    run_trajectory,
 )
 
 _CLASSES = {
@@ -35,6 +38,13 @@ class CountingDict(dict):
     def get(self, key, default=None):
         self.calls[self.name] += 1
         return super().get(key, default)
+
+
+def stepped(universe, agent, max_steps: int, seed: int | None = None):
+    """run_trajectory's outcome and the TrajectoryStep of every step it
+    took, in step order, as its on_step callback received them."""
+    steps: list[TrajectoryStep] = []
+    return run_trajectory(universe, agent, max_steps, seed, on_step=steps.append), steps
 
 
 def build_case(case: dict) -> tuple[Universe, RepresentationMap, RouteTable]:

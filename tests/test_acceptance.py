@@ -22,7 +22,6 @@ from exosim import (
     parse_file,
     persistence_truth_table,
     run_experiment,
-    run_trajectory,
     serialize,
     stability_report,
     write_csv,
@@ -31,7 +30,7 @@ from exosim.cli import run as cli_run
 
 import docgen
 import oracles
-from case_builder import build_case
+from case_builder import build_case, stepped
 
 
 def _report(criterion: int, detail: str) -> None:
@@ -116,7 +115,7 @@ def _acts(agent, universe, steps: int) -> list[str]:
     """The acts of agent's first steps in universe with free steps, so
     no run ends before steps."""
     free = universe._replace(energy=universe.energy._replace(per_step_cost=0, negative_penalty=0))
-    return [record.act for record in run_trajectory(free, agent, steps).iter_steps()]
+    return [record.act for record in stepped(free, agent, steps)[1]]
 
 
 def test_criterion_4_generator_semantics(reference_doc):
@@ -139,7 +138,7 @@ def test_criterion_4_generator_semantics(reference_doc):
     # Sensitive: the issued act is always the projected element of the
     # generated sequence.
     pathfinder, universe = reference_doc.build_agent("pathfinder")
-    traces = list(run_trajectory(universe, pathfinder, max_steps=1000).iter_steps())
+    _, traces = stepped(universe, pathfinder, max_steps=1000)
     assert len(traces) == 1000
     c = pathfinder.projection_index
     for record in traces:

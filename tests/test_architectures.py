@@ -29,6 +29,7 @@ from exosim import (
 
 import exosim.architectures
 import oracles
+from case_builder import stepped
 
 
 def micro3() -> Universe:
@@ -60,7 +61,7 @@ RMAP3 = RepresentationMap({"x0": "r0", "x1": "r1", "gg": "rg"})
 def run_from(state, agent, steps=1, universe=None):
     """The steps of agent's run through micro3 (or universe) from state."""
     start = (universe or micro3())._replace(initial=state)
-    return tuple(run_trajectory(start, agent, steps).iter_steps())
+    return tuple(stepped(start, agent, steps)[1])
 
 
 class TestSplitmix:
@@ -165,7 +166,7 @@ def elementary_acts(acts, steps, **source):
     given digits=."""
     kind = ArchitectureKind.POSITIONAL if "digits" in source else ArchitectureKind.RANDOM
     agent = AgentArchitecture(name="e", kind=kind, **source)
-    return [step.act for step in run_trajectory(wheel(acts), agent, steps).iter_steps()]
+    return [step.act for step in stepped(wheel(acts), agent, steps)[1]]
 
 
 class TestRandomActs:
@@ -195,7 +196,7 @@ class TestRandomActs:
         # sorted order, and the default seed is 0.
         universe = wheel(("d", "b", "a", "c"))
         agent = AgentArchitecture(name="e", kind=ArchitectureKind.RANDOM)
-        got = [step.act for step in run_trajectory(universe, agent, 50).iter_steps()]
+        got = [step.act for step in stepped(universe, agent, 50)[1]]
         assert got == [("a", "b", "c", "d")[int(unit_draw(0, t) * 4)] for t in range(50)]
 
 
@@ -536,7 +537,7 @@ class TestCloneForRun:
         order = ("go", "sit")
         base = AgentArchitecture(name="r", kind=ArchitectureKind.RANDOM, seed=7)
         acts = lambda seed: [
-            s.act for s in run_trajectory(micro3(), base, 30, seed=seed).iter_steps()
+            s.act for s in stepped(micro3(), base, 30, seed=seed)[1]
         ]
         assert acts(99) == [order[int(unit_draw(99, t) * 2)] for t in range(30)]
         assert base.seed == 7
@@ -558,17 +559,17 @@ class TestStep:
             tables=(GOOD_ROUTES,),
             goal="rg",
         )
-        fifth = tuple(run_trajectory(u, rand, 5).iter_steps())[4]
+        fifth = stepped(u, rand, 5)[1][4]
         assert fifth.act == ("go", "sit")[int(unit_draw(3, 4) * 2)]
-        assert tuple(run_trajectory(u, pos, 2).iter_steps())[1].act == "go"
-        assert next(run_trajectory(u, routed, 1).iter_steps()).act == "go"
+        assert stepped(u, pos, 2)[1][1].act == "go"
+        assert stepped(u, routed, 1)[1][0].act == "go"
 
     def test_elementary_has_no_perception(self):
         u = micro3()
         pos = AgentArchitecture(
             name="p", kind=ArchitectureKind.POSITIONAL, digits=ExplicitDigits((1,), 2)
         )
-        trace = next(run_trajectory(u, pos, 1).iter_steps())
+        trace = stepped(u, pos, 1)[1][0]
         assert trace.formula is None
         assert trace.sequence is None
         assert trace.act == "sit"

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -370,6 +371,21 @@ agent "learner" in "ring" {
 }
 """
 
+# One positive state that pays back each step's cost under either act.
+ONE_POSITIVE_STATE = """\
+universe "one" {
+  states: p;
+  acts: a b;
+  initial: p;
+  neutral_act: a;
+  classify positive: p;
+  transition p a p;
+  transition p b p;
+  energy { initial: 5; per_step: 1; negative_penalty: 0; positive_reward: 1; cap: 5; }
+}
+"""
+
+
 # sha256 of the full `trace --steps 300 --seed 5` stdout of each agent.
 SIX_KIND_TRACES = {
     "drifter": "997623c7fdc3b0d8fa539c550ba026a61df9a1eeb8c8b0dca3782257918e0a65",
@@ -428,6 +444,48 @@ class TestTrace:
         )
         assert code == 0
         assert text.splitlines()[-1] == "persistence 2 (StepLimit)"
+
+    def test_a_failed_trace_shows_the_steps_before_it(self, tmp_path, capsys):
+        # Each step is printed as the loop takes it: an explicit digit list
+        # of length 3 runs out at step 3, after steps 0 to 2 are printed.
+        path = tmp_path / "short.exo"
+        path.write_text(
+            ONE_POSITIVE_STATE
+            + agent_block('  architecture: positional;\n  constant: digits "000";', "ticker", "one"),
+            encoding="utf-8",
+        )
+        code, text = cli("trace", str(path), "--agent", "ticker", "--steps", "10")
+        assert code == 3
+        assert text.splitlines() == [
+            f"t={t} state=p formula=- sequence=[-] act=a energy=5" for t in range(3)
+        ]
+        assert capsys.readouterr().err == (
+            "error: explicit digit list of length 3 has no position 3\n"
+        )
+
+    def test_memory_is_flat(self, reference_path):
+        # The trace prints each step as it is taken and keeps none: the
+        # peak of a 2e5-step trace is that of a 2e4-step one.
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        path = str(reference_path)
+        argv = ["trace", path, "--agent", "pathfinder", "--steps"]
+        peaks = []
+        tracemalloc.start()
+        try:
+            # The first trace loads what a trace loads, and fills caches.
+            assert run([*argv, "100"], out=Discard()) == 0
+            for steps in (20000, 200000):
+                gc.collect()  # frees what the last command left in cycles
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                assert run([*argv, str(steps)], out=Discard()) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 4096, peaks
 
     @pytest.mark.parametrize("agent", sorted(SIX_KIND_TRACES))
     def test_every_kind_trace_pinned(self, agent, tmp_path):

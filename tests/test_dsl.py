@@ -30,6 +30,7 @@ from exosim import dsl
 from exosim.dsl import _Reader
 
 import docgen
+from case_builder import stepped
 
 
 MINI = """\
@@ -245,7 +246,7 @@ class TestBuild:
         assert agent.kind is ArchitectureKind.AFS2B
         assert agent.goal is None
         # With no goal to route toward, the first step generates nothing.
-        first = next(run_trajectory(universe, agent, 1).iter_steps())
+        first = stepped(universe, agent, 1)[1][0]
         assert (first.formula, first.sequence, first.act) == ("fa", None, "stay")
 
     def test_pool_indices_build_one_table_each(self):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import copy
 import hashlib
 import itertools
+import os
+import runpy
 import tracemalloc
 from collections import Counter
 
@@ -19,7 +21,6 @@ from exosim import (
     EnergyRules,
     ExperimentResult,
     ExplicitDigits,
-    HarnessError,
     MissingAgentKind,
     ProjectionOutOfRange,
     RepresentationMap,
@@ -43,7 +44,7 @@ from exosim import (
 
 import docgen
 import oracles
-from case_builder import CountingDict
+from case_builder import CountingDict, stepped
 from test_universe import tiny_universe
 from test_architectures import DRAW_ALPHABETS, DRAW_LIMITS, DRAW_SEEDS
 from test_architectures import GOOD_ROUTES, RMAP3, SIT_ROUTES, learner, micro3, wheel
@@ -58,32 +59,30 @@ def drifter(seed=1) -> AgentArchitecture:
 class TestRunTrajectory:
     def test_neutral_world_runs_out_of_energy_linearly(self):
         u = tiny_universe(energy=EnergyRules(5, 1, 0, 0, 10))
-        trajectory = run_trajectory(u, drifter(), max_steps=100)
+        trajectory, steps = stepped(u, drifter(), max_steps=100)
         assert trajectory.persistence == 5
         assert trajectory.terminal_reason is TerminalReason.EXOINACTIVE
-        assert [s.energy_after for s in trajectory.iter_steps()] == [4, 3, 2, 1, 0]
-        assert trajectory.initial_state == "x"
+        assert [s.energy_after for s in steps] == [4, 3, 2, 1, 0]
 
     def test_step_limit_reached(self, pathfinder_pair):
         agent, universe = pathfinder_pair
-        trajectory = run_trajectory(universe, agent, max_steps=40)
+        trajectory, steps = stepped(universe, agent, max_steps=40)
         assert trajectory.persistence == 40
         assert trajectory.terminal_reason is TerminalReason.STEP_LIMIT
-        assert next(trajectory.iter_steps()) == TrajectoryStep(
+        assert steps[0] == TrajectoryStep(
             0, "c0", "at_c0", ("move",) * 5, "move", "c1", 11
         )
 
     def test_zero_steps(self, pathfinder_pair):
         agent, universe = pathfinder_pair
-        trajectory = run_trajectory(universe, agent, max_steps=0)
+        trajectory, steps = stepped(universe, agent, max_steps=0)
         assert trajectory.persistence == 0
         assert trajectory.terminal_reason is TerminalReason.STEP_LIMIT
-        assert tuple(trajectory.iter_steps()) == ()
+        assert steps == []
 
     def test_trajectory_bookkeeping_consistent(self, pathfinder_pair):
         agent, universe = pathfinder_pair
-        trajectory = run_trajectory(universe, agent, max_steps=17)
-        steps = tuple(trajectory.iter_steps())
+        trajectory, steps = stepped(universe, agent, max_steps=17)
         assert trajectory.persistence == len(steps)
         for before, after in zip(steps, steps[1:]):
             assert after.state_before == before.state_after
@@ -91,7 +90,7 @@ class TestRunTrajectory:
 
     def test_trace_records_align_with_steps(self, pathfinder_pair):
         agent, universe = pathfinder_pair
-        steps = tuple(run_trajectory(universe, agent, max_steps=10).iter_steps())
+        _, steps = stepped(universe, agent, max_steps=10)
         assert len(steps) == 10
         for record in steps:
             # pathfinder always generates, so every act is the projection.
@@ -108,9 +107,9 @@ class TestRunTrajectory:
 
     def test_seed_override_steers_random_agent(self):
         u = tiny_universe(energy=EnergyRules(30, 1, 0, 0, 30))
-        same1 = tuple(run_trajectory(u, drifter(), 20, seed=8).iter_steps())
-        same2 = tuple(run_trajectory(u, drifter(), 20, seed=8).iter_steps())
-        other = tuple(run_trajectory(u, drifter(), 20, seed=9).iter_steps())
+        same1 = stepped(u, drifter(), 20, seed=8)[1]
+        same2 = stepped(u, drifter(), 20, seed=8)[1]
+        other = stepped(u, drifter(), 20, seed=9)[1]
         assert same1 == same2
         acts = lambda traces: [r.act for r in traces]
         assert acts(same1) != acts(other)
@@ -161,7 +160,7 @@ class TestRunTrajectory:
     def test_learning_happens_inside_the_run(self):
         # Same scenario driven through the harness: the routes fire, so
         # the trace shows goal-directed movement from the first step.
-        traces = tuple(run_trajectory(micro3(), learner([GOOD_ROUTES]), 4).iter_steps())
+        _, traces = stepped(micro3(), learner([GOOD_ROUTES]), 4)
         assert [r.act for r in traces] == ["go", "go", "go", "go"]
         assert traces[2].formula == "rg"
 
@@ -182,18 +181,18 @@ class TestGeneratedDocuments:
 
 def assert_matches_reference(universe, agent, max_steps, seed=None, credit=()):
     """run_trajectory agrees with the plain reference stepper step by
-    step, and on why the run ended; returns the reference steps."""
+    step through its on_step callback, and on why the run ended with and
+    without one; returns the reference steps."""
     expected, reason = oracles.reference_trajectory(universe, agent, max_steps, seed, credit)
     if reason == "DigitsExhausted":
         with pytest.raises(DigitSourceExhausted):
             run_trajectory(universe, agent, max_steps, seed)
-        got = run_trajectory(universe, agent, len(expected), seed)
-        reason = "StepLimit"
-    else:
-        got = run_trajectory(universe, agent, max_steps, seed)
-    assert list(got.iter_steps()) == expected, agent.name
+        max_steps, reason = len(expected), "StepLimit"
+    got, steps = stepped(universe, agent, max_steps, seed)
+    assert steps == expected, agent.name
     assert got.terminal_reason.value == reason, agent.name
     assert got.persistence == len(expected), agent.name
+    assert run_trajectory(universe, agent, max_steps, seed)[:2] == got[:2], agent.name
     return expected
 
 
@@ -281,7 +280,7 @@ class TestReferenceStepper:
             expected: list[tuple[int, bool]] = []
             oracles.reference_trajectory(universe, agent, 3000, scores=expected)
             calls.clear()
-            run_trajectory(universe, agent, 3000, record=False)
+            run_trajectory(universe, agent, 3000)
             assert calls == expected, agent.name
             depths.update(table.depth_max for table in agent.tables)
         assert {1, 2, 3, 4} <= depths
@@ -339,8 +338,8 @@ class TestPositionalRead:
         want = oracles.certified_constant_digits("pi", 3, length)
         agent = dial_agent(ExplicitDigits(tuple(want), 3))
         universe = dial(3)
-        got = run_trajectory(universe, agent, length)
-        assert [r.act for r in got.iter_steps()] == [f"a{d}" for d in want]
+        _, steps = stepped(universe, agent, length)
+        assert [r.act for r in steps] == [f"a{d}" for d in want]
         with pytest.raises(DigitSourceExhausted):
             run_trajectory(universe, agent, length + 1)
         assert_matches_reference(universe, agent, length + 65)
@@ -495,7 +494,7 @@ class TestFirstRepeat:
                 got = run_trajectory(universe, agent, max_steps)
                 if max_steps >= 1000:
                     assert got.cycle_start is not None, agent.name
-                    assert len(got.choices) <= len(universe.states) * universe.energy.energy_cap
+                    assert got.steps <= len(universe.states) * universe.energy.energy_cap
                 runs += 1
         assert runs == 2
 
@@ -516,7 +515,7 @@ class TestFirstRepeat:
         # return to x at step 3 repeats step 0's (x, 5).
         universe = ring(EnergyRules(5, 0, 0, 0, 10))
         got = run_trajectory(universe, hopper(), 1000)
-        assert (len(got.choices), got.cycle_start, got.persistence) == (3, 0, 1000)
+        assert (got.steps, got.cycle_start, got.persistence) == (3, 0, 1000)
         assert_matches_reference(universe, hopper(), 1000)
 
     def test_state_repeating_with_another_energy_is_no_repeat(self):
@@ -525,7 +524,7 @@ class TestFirstRepeat:
         classes = {"x": StateClass.POSITIVE, "y": StateClass.NEUTRAL, "z": StateClass.NEUTRAL}
         universe = ring(EnergyRules(5, 1, 0, 2, 10), classes)
         got = run_trajectory(universe, hopper(), 1000)
-        assert (len(got.choices), got.cycle_start, got.persistence) == (11, None, 11)
+        assert (got.steps, got.cycle_start, got.persistence) == (11, None, 11)
         assert got.terminal_reason is TerminalReason.EXOINACTIVE
         assert_matches_reference(universe, hopper(), 1000)
 
@@ -539,8 +538,9 @@ class TestFirstRepeat:
         learner_agent, six = parse(SIX_KINDS).document.build_agent("learner")
         for universe, agent in ((universe, drifter()), (universe, counter), (six, learner_agent)):
             got = run_trajectory(universe, agent, 3000, seed=5)
-            assert (len(got.choices), got.cycle_start, got.persistence) == (3000, None, 3000)
-            assert len({(r.state_after, r.energy_after) for r in got.iter_steps()}) < 3000
+            assert (got.steps, got.cycle_start, got.persistence) == (3000, None, 3000)
+            _, steps = stepped(universe, agent, 3000, seed=5)
+            assert len({(r.state_after, r.energy_after) for r in steps}) < 3000
             assert_matches_reference(universe, agent, 3000, seed=5)
 
 
@@ -550,27 +550,37 @@ class TestLongRunBounds:
         got = run_trajectory(universe, agent, 10**9)
         assert got.persistence == 10**9
         assert got.terminal_reason is TerminalReason.STEP_LIMIT
-        assert len(got.choices) <= len(universe.states) * universe.energy.energy_cap
-        # The last step is the cycle's step at the same phase.
+        assert got.steps <= len(universe.states) * universe.energy.energy_cap
+        # The last step is the cycle's step at the same phase, among the
+        # steps the run took.
         start = got.cycle_start
-        last = start + (10**9 - 1 - start) % (len(got.choices) - start)
+        last = start + (10**9 - 1 - start) % (got.steps - start)
+        _, steps = stepped(universe, agent, got.steps)
         expected, _ = oracles.reference_trajectory(universe, agent, last + 1)
-        assert (got.choices[last][3], got.energies[last]) == expected[-1][5:]
+        assert steps[last][5:] == expected[-1][5:]
 
-    def test_a_run_keeps_a_memo_reference_and_an_energy_per_step(self):
-        # About 17 B/step: two list slots. A TrajectoryStep kept per
-        # step took about 152 B.
+    def test_a_run_with_a_callback_retains_no_step(self):
+        # The run hands each step to on_step and keeps none: what it leaves
+        # allocated does not grow with its 20000 steps.
         universe = ring(EnergyRules(5, 0, 0, 0, 10))
         agent = drifter()
+        run_trajectory(universe, agent, 20000)  # fills the module's draw-chunk cache
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            got = run_trajectory(universe, agent, 20000)
+            got = run_trajectory(universe, agent, 20000, on_step=lambda step: None)
             retained = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
         assert got.persistence == 20000
-        assert retained / 20000 <= 40
+        assert retained <= 4096, retained
+
+
+def mixed_long_document() -> str:
+    """The benchmark's seed-1 mixed-long document: a 24-state ring where
+    an agent of each kind but afs2a lives long."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    return runpy.run_path(path)["mixed_long_document"](1)
 
 
 def payback() -> Universe:
@@ -585,33 +595,57 @@ def payback() -> Universe:
 
 
 class TestRecordsOff:
-    """record=False keeps no step and changes no outcome."""
+    """A run with no on_step callback keeps no step and holds flat memory.
+    It stops an afs1, afs2a or afs2b run at its first repeated (state,
+    slot, energy), where a run with a callback takes every step, and
+    both end alike."""
 
     @staticmethod
-    def outcome(trajectory):
-        return trajectory.persistence, trajectory.terminal_reason, trajectory.cycle_start
+    def standing(steps, t, agent, universe):
+        """The (state, energy, slot) step t starts from: afs2b's slot is
+        the formula perceived at the step before, or its goal."""
+        if t == 0:
+            state, energy, formula = universe.initial, universe.energy.initial_energy, agent.goal
+        else:
+            _, _, formula, _, _, state, energy = steps[t - 1]
+        return state, energy, formula if agent.kind is ArchitectureKind.AFS2B else None
 
     @pytest.mark.parametrize("max_steps", [0, 1, 7, 300, 5000])
-    def test_same_outcome_as_the_recording_run(self, reference_doc, max_steps):
+    def test_same_outcome_as_the_recording_run(self, reference_doc, ejemplo5_doc, max_steps):
         # Every kind, runs that starve, that hit the bound and that stop
         # at their first repeat.
+        docs = [reference_doc, ejemplo5_doc, parse(SIX_KINDS).document]
+        docs.append(parse(mixed_long_document()).document)
+        docs += [parse(docgen.random_document_text(s)).document for s in range(300)]
         ends = set()
-        for doc in (reference_doc, parse(SIX_KINDS).document):
+        stopped = 0
+        for doc in docs:
             for decl in doc.agents:
                 agent, universe = doc.build_agent(decl.name)
                 for seed in (None, 3):
-                    plain = run_trajectory(universe, agent, max_steps, seed)
-                    bare = run_trajectory(universe, agent, max_steps, seed, record=False)
-                    assert self.outcome(bare) == self.outcome(plain), decl.name
-                    assert bare.choices is bare.energies is None
+                    try:
+                        bare = run_trajectory(universe, agent, max_steps, seed)
+                    except DigitSourceExhausted:
+                        with pytest.raises(DigitSourceExhausted):
+                            stepped(universe, agent, max_steps, seed)
+                        continue
+                    plain, steps = stepped(universe, agent, max_steps, seed)
+                    assert bare[:2] == plain[:2], decl.name
+                    assert (plain.steps, plain.cycle_start) == (len(steps), None), decl.name
+                    assert len(steps) == plain.persistence, decl.name
                     ends.add((bare.terminal_reason, bare.cycle_start is None))
+                    if agent.kind in DETERMINISTIC:
+                        assert bare.steps <= len(universe.states) * universe.energy.energy_cap
+                    if bare.cycle_start is None:
+                        assert bare.steps == bare.persistence, decl.name
+                        continue
+                    stopped += 1
+                    assert bare.cycle_start < bare.steps < bare.persistence, decl.name
+                    assert self.standing(steps, bare.steps, agent, universe) == self.standing(
+                        steps, bare.cycle_start, agent, universe
+                    ), decl.name
         assert len(ends) == 3 or max_steps < 7
-
-    def test_iter_steps_raises(self, pathfinder_pair):
-        agent, universe = pathfinder_pair
-        bare = run_trajectory(universe, agent, 10, record=False)
-        with pytest.raises(HarnessError, match="record=False"):
-            list(bare.iter_steps())
+        assert stopped > 100 or max_steps < 7
 
     def test_peak_does_not_grow_with_the_run(self):
         # A random agent that lives to its bound: the peak at 2e6 steps is
@@ -623,7 +657,7 @@ class TestRecordsOff:
             for max_steps in (20000, 2000000):
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
-                got = run_trajectory(universe, agent, max_steps, record=False)
+                got = run_trajectory(universe, agent, max_steps)
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
                 outcomes.append(got.persistence)
                 del got
@@ -654,13 +688,13 @@ class TestExceptionParity:
         agent = one_route_agent(("warp",))
         with pytest.raises(UnknownAct, match="unknown act 'warp' in universe"):
             run_trajectory(micro3(), agent, 2)
-        assert next(run_trajectory(micro3(), agent, 1).iter_steps()).act == "go"
+        assert stepped(micro3(), agent, 1)[1][0].act == "go"
 
     def test_projection_past_the_route_end(self):
         agent = one_route_agent(("go",), projection=2)
         with pytest.raises(ProjectionOutOfRange):
             run_trajectory(micro3(), agent, 2)
-        assert next(run_trajectory(micro3(), agent, 1).iter_steps()).act == "go"
+        assert stepped(micro3(), agent, 1)[1][0].act == "go"
 
     @pytest.mark.parametrize("projection", [0, -1])
     def test_projection_below_one(self, projection):
@@ -702,9 +736,9 @@ class TestExceptionParity:
         for max_steps in (k + 1, k + 3):
             with pytest.raises(UniverseError, match=r"no transition declared for \('w', 'b'\)"):
                 run_trajectory(universe, agent, max_steps)
-        got = run_trajectory(universe, agent, k)
+        got, steps = stepped(universe, agent, k)
         assert (got.persistence, got.terminal_reason) == (k, TerminalReason.STEP_LIMIT)
-        assert [step.act for step in got.iter_steps()] == ["a"] * k
+        assert [step.act for step in steps] == ["a"] * k
 
 
 class TestCostBound:
@@ -749,7 +783,7 @@ class TestCostBound:
             )
         )
         trajectory = run_trajectory(universe, agent, 5000)
-        assert (len(trajectory.choices), trajectory.cycle_start) == (144, 141)
+        assert (trajectory.steps, trajectory.cycle_start) == (144, 141)
         assert trajectory.persistence == 5000
         assert 0 < calls.total() <= len(universe.states)
 
@@ -897,9 +931,9 @@ class TestSimulateOnce:
         calls: dict[str, int] = {}
         plain = exosim.harness.run_trajectory
 
-        def counting(universe, agent, max_steps, seed=None, *, record=True):
+        def counting(universe, agent, max_steps, seed=None, *, on_step=None):
             calls[agent.name] = calls.get(agent.name, 0) + 1
-            return plain(universe, agent, max_steps, seed, record=record)
+            return plain(universe, agent, max_steps, seed, on_step=on_step)
 
         monkeypatch.setattr(exosim.harness, "run_trajectory", counting)
         runs = 6
@@ -917,12 +951,12 @@ class TestSimulateOnce:
         plain = exosim.harness.run_trajectory
 
         def spy(*args, **kwargs):
-            made.append(plain(*args, **kwargs))
-            return made[-1]
+            made.append(kwargs.get("on_step"))
+            return plain(*args, **kwargs)
 
         monkeypatch.setattr(exosim.harness, "run_trajectory", spy)
         run_experiment(reference_doc, 3, 50, 1)
-        assert made and all(t.choices is None for t in made)
+        assert made and all(on_step is None for on_step in made)
 
 
 class TestWriteCsv:
