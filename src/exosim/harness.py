@@ -13,7 +13,9 @@ way for every agent in a document, derives one fresh seed per run
 from the master seed, and returns the persistence times as CSV rows
 plus per-agent summaries with rank-sum comparisons of the sensitive
 group against the random and positional groups; ``write_csv`` writes
-the rows, and the CLI calls it.
+the rows, and the CLI calls it. Where no act sequence can starve within
+the bound, it writes a run as ``StepLimit`` unstepped, as stepping would
+give it, unless the run reads an explicit digit list; ``trace`` steps.
 
 Identical inputs reproduce identical output bytes: rows are emitted in
 run_id order and every random run is positioned by its derived seed
@@ -37,7 +39,7 @@ from .architectures import AgentArchitecture, ArchitectureError, ArchitectureKin
 from .architectures import ProjectionOutOfRange, splitmix64
 from .dsl import SpecDocument
 from .stats import rank_sum_test
-from .universe import ActId, ExosimError, StateId, Universe
+from .universe import ActId, ExosimError, StateId, Universe, UniverseError
 
 
 class HarnessError(ExosimError):
@@ -280,16 +282,58 @@ class ExperimentResult(NamedTuple):
     comparisons: tuple[GroupComparison, ...]
 
 
+def starves_within(universe: Universe, max_steps: int) -> bool:
+    """Whether some act sequence from the initial state may take the energy
+    to 0 within max_steps steps. A step's energy is monotone in the energy
+    before it, so the search keeps each state's least energy, and each
+    round steps every act from the states whose least energy fell in the
+    last. A landing at or below 0 gives True; a fixed point, or max_steps
+    rounds, gives False. Unless some reachable lap loses energy, every least
+    energy is met within 2·|states| steps, so energy still falling after
+    that many rounds gives True: a death lies ahead, and the runs step to
+    it. So does a universe that is not total, and the runs meet its error."""
+    bill, least = universe.energy.bill, {universe.initial: universe.energy.initial_energy}
+    lowered = dict(least)
+    rounds = min(max_steps, 2 * len(universe.states))
+    try:
+        for _ in range(rounds):
+            frontier, lowered = lowered, {}
+            for state, energy in frontier.items():
+                for act in universe.acts:
+                    nxt = universe.successor(state, act)
+                    change, ceiling = bill(universe.class_of(nxt))
+                    landed = min(energy + change, ceiling)
+                    if landed <= 0:
+                        return True
+                    if landed < least.get(nxt, math.inf):
+                        least[nxt] = lowered[nxt] = landed
+            if not lowered:
+                return False
+    except UniverseError:
+        return True
+    return rounds < max_steps
+
+
 def run_experiment(
     doc: SpecDocument, runs_per_agent: int, max_steps: int, master_seed: int
 ) -> ExperimentResult:
     """Run every agent of a checked document runs_per_agent times and
-    return the rows, summaries and comparisons; write_csv writes the rows."""
-    agents: list[tuple[AgentArchitecture, Universe, str]] = []
+    return the rows, summaries and comparisons; write_csv writes the rows.
+    Each universe is built and searched once: where no act sequence can
+    starve within max_steps (``starves_within``), its runs are written as
+    ``StepLimit`` unstepped, except an explicit digit list's, which still
+    raises past its end. The rows and their bytes are what stepping gives;
+    ``trace`` steps every step."""
+    universes: dict[str, tuple[Universe, bool]] = {}
+    agents: list[tuple[AgentArchitecture, Universe, str, bool]] = []
     for decl in doc.agents:
-        universe = doc.build_universe(decl.universe_name)
-        agents.append((decl.build(universe), universe, decl.kind.value))
-    groups = ["sensitive" if a.kind.is_sensitive else a.kind.value for a, _, _ in agents]
+        if decl.universe_name not in universes:
+            universe = doc.build_universe(decl.universe_name)
+            universes[decl.universe_name] = universe, not starves_within(universe, max_steps)
+        universe, safe = universes[decl.universe_name]
+        explicit = decl.constant is not None and decl.constant[0] == "digits"
+        agents.append((decl.build(universe), universe, decl.kind.value, safe and not explicit))
+    groups = ["sensitive" if a.kind.is_sensitive else a.kind.value for a, *_ in agents]
     for required in ("random", "positional", "sensitive"):
         if required not in groups:
             raise MissingAgentKind(
@@ -298,15 +342,16 @@ def run_experiment(
     rows: list[RunRecord] = []
     by_group: dict[str, list[int]] = {"random": [], "positional": [], "sensitive": []}
     summaries: list[AgentSummary] = []
-    for agent_index, (agent, universe, kind) in enumerate(agents):
+    outlived = Trajectory(TerminalReason.STEP_LIMIT, max(max_steps, 0), 0, None)
+    for agent_index, (agent, universe, kind, safe) in enumerate(agents):
         persistences: list[int] = []
-        trajectory: Trajectory | None = None
+        trajectory = outlived if safe else None
         for run_index in range(runs_per_agent):
             run_id = agent_index * runs_per_agent + run_index
             seed = derive_seed(master_seed, run_id)
             # The seed reaches only the random draws: any other agent
             # replays its first run under every seed.
-            if trajectory is None or agent.kind is ArchitectureKind.RANDOM:
+            if trajectory is None or (agent.kind is ArchitectureKind.RANDOM and not safe):
                 trajectory = run_trajectory(universe, agent, max_steps, seed)
             rows.append(
                 RunRecord(

@@ -616,6 +616,33 @@ class TestExperiment:
         assert code == 3
 
 
+    def test_explicit_list_runs_out_where_no_act_sequence_starves(self, tmp_path, capsys):
+        # Both states pay back each step, so no run can starve; the digit
+        # list is still read and runs out at its fifth step.
+        path = tmp_path / "payback.exo"
+        path.write_text(
+            'universe "payback" {\n  states: p q;\n  acts: a b;\n  initial: p;\n'
+            "  neutral_act: a;\n  classify positive: p q;\n"
+            "  transition p a p;\n  transition p b q;\n  transition q a q;\n"
+            "  transition q b p;\n  energy { initial: 5; per_step: 1; negative_penalty: 0;"
+            " positive_reward: 1; cap: 5; }\n}\n"
+            + agent_block("  architecture: random;", "drifter", "payback")
+            + agent_block('  architecture: positional;\n  constant: digits "0110";',
+                          "short", "payback")
+            + agent_block('  architecture: afs1;\n  represents p -> "p";\n'
+                          '  represents q -> "q";\n  react "p" : a;', "keeper", "payback"),
+            encoding="utf-8",
+        )
+        code, text = cli(
+            "experiment", str(path), "--runs", "2", "--max-steps", "9", "--seed", "1",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert (code, text) == (3, "")
+        err = capsys.readouterr().err
+        assert err == "error: explicit digit list of length 4 has no position 4\n"
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestLogicTable:
     def test_blocks_and_rows(self):
         code, text = cli("logic-table")

@@ -26,6 +26,7 @@ from exosim import (
     RepresentationMap,
     RouteTable,
     RunRecord,
+    SpecDocument,
     StateClass,
     TerminalReason,
     TrajectoryStep,
@@ -41,6 +42,7 @@ from exosim import (
     unit_draw,
     write_csv,
 )
+from exosim.harness import starves_within
 
 import docgen
 import oracles
@@ -957,6 +959,258 @@ class TestSimulateOnce:
         monkeypatch.setattr(exosim.harness, "run_trajectory", spy)
         run_experiment(reference_doc, 3, 50, 1)
         assert made and all(on_step is None for on_step in made)
+
+
+def fall_document(k: int, rungs: int) -> str:
+    """A positive home whose "stay" pays back its step, and a "drop" onto a
+    ladder of neutral rungs, each act going one rung down and the last rung
+    to itself: energy k at the cap, so the earliest death is at step k, by
+    dropping at once, as jumper does. keeper stays home and lives to any
+    bound."""
+    ladder = [f"r{i}" for i in range(1, rungs + 1)]
+    lines = [
+        'universe "fall" {', "  states: home " + " ".join(ladder) + ";", "  acts: drop stay;",
+        "  initial: home;", "  neutral_act: stay;", "  classify positive: home;",
+        "  classify neutral: " + " ".join(ladder) + ";",
+        "  transition home stay home;", "  transition home drop r1;",
+    ]
+    for here, below in zip(ladder, ladder[1:] + ladder[-1:]):
+        lines += [f"  transition {here} stay {below};", f"  transition {here} drop {below};"]
+    lines += [
+        f"  energy {{ initial: {k}; per_step: 1; negative_penalty: 0; positive_reward: 1;"
+        f" cap: {k}; }}",
+        "}",
+        'agent "faller" in "fall" { architecture: random; seed: 5; }',
+        'agent "piper" in "fall" { architecture: positional; constant: pi; }',
+    ]
+    for name, act in (("keeper", "stay"), ("jumper", "drop")):
+        lines += [f'agent "{name}" in "fall" {{ architecture: afs1; represents home -> "home";',
+                  f'  represents r1 -> "low"; react "home" : {act}; }}']
+    return "\n".join(lines) + "\n"
+
+
+# One reachable state that costs 1 a step from 10^12 energy at the cap:
+# no run starves for 10^12 steps, and each round of the search lowers the
+# state's least energy by 1. "den" is unreachable; it gives the sensitive
+# agent the second formula a representation needs.
+DRAIN = """\
+universe "drain" {
+  states: s den;
+  acts: a b;
+  initial: s;
+  neutral_act: a;
+  classify neutral: s den;
+  transition s a s;
+  transition s b s;
+  transition den a s;
+  transition den b s;
+  energy {
+    initial: 1000000000000; per_step: 1; negative_penalty: 0;
+    positive_reward: 0; cap: 1000000000000;
+  }
+}
+agent "drifter" in "drain" { architecture: random; }
+agent "piper" in "drain" { architecture: positional; constant: pi; }
+agent "euler" in "drain" { architecture: positional; constant: e; }
+agent "idler" in "drain" {
+  architecture: afs1;
+  represents s -> "here";
+  represents den -> "there";
+  react "here" : b;
+}
+"""
+
+
+def padded_document(seed: int) -> SpecDocument:
+    """docgen's document for seed, plus a random, a positional and an afs1
+    agent in world0, so the experiment has every group it needs."""
+    text = docgen.random_document_text(seed)
+    first, second = parse(text).document.universe("world0").states[:2]
+    text += (
+        'agent "pad random" in "world0" { architecture: random; }\n'
+        'agent "pad positional" in "world0" { architecture: positional; constant: e; }\n'
+        f'agent "pad afs1" in "world0" {{ architecture: afs1; represents {first} -> "p0";'
+        f' represents {second} -> "p1"; }}\n'
+    )
+    return parse(text).document
+
+
+class TestProvenSurvival:
+    """Where no act sequence can starve within max_steps, the experiment
+    writes every run but an explicit digit list's as StepLimit without
+    stepping it. Its rows must equal one plain run_trajectory call per
+    row, and an explicit list must still run out where it did."""
+
+    @staticmethod
+    def stepping(monkeypatch) -> list[str]:
+        calls: list[str] = []
+        plain = exosim.harness.run_trajectory
+
+        def spy(universe, agent, *args, **kwargs):
+            calls.append(agent.name)
+            return plain(universe, agent, *args, **kwargs)
+
+        monkeypatch.setattr(exosim.harness, "run_trajectory", spy)
+        return calls
+
+    @staticmethod
+    def plain(doc, runs_per_agent, max_steps, master_seed) -> list:
+        """Per agent, its rows from one run_trajectory call per row, or the
+        message of the DigitSourceExhausted its run raised."""
+        outcomes: list = []
+        for agent_index, decl in enumerate(doc.agents):
+            agent, universe = doc.build_agent(decl.name)
+            rows: list | str = []
+            for run_index in range(runs_per_agent):
+                run_id = agent_index * runs_per_agent + run_index
+                seed = derive_seed(master_seed, run_id)
+                try:
+                    got = run_trajectory(universe, agent, max_steps, seed)
+                except DigitSourceExhausted as exc:
+                    rows = str(exc)
+                    break
+                rows.append(RunRecord(run_id, decl.name, decl.kind.value, seed,
+                                      got.persistence, got.terminal_reason.value))
+            outcomes.append(rows)
+        return outcomes
+
+    @pytest.mark.parametrize(
+        "max_steps, tally", [(0, (447, 633, 0)), (1, (391, 567, 0)), (64, (69, 98, 7)),
+                             (3000, (69, 98, 7))],
+    )
+    def test_rows_equal_stepping_on_generated_documents(self, max_steps, tally, monkeypatch):
+        # tally: docgen's universes that no act sequence can starve within
+        # max_steps, the agents they hold, and the explicit digit lists of
+        # those agents that run out.
+        calls = self.stepping(monkeypatch)
+        safe = safe_agents = exhausted = 0
+        for seed in range(300):
+            doc = padded_document(seed)
+            proven = {u.name for u in doc.universes if not starves_within(u.build(), max_steps)}
+            safe += len(proven)
+            outcomes = self.plain(doc, 2, max_steps, 1)
+            for decl, outcome in zip(doc.agents, outcomes):
+                if decl.universe_name in proven and not decl.name.startswith("pad "):
+                    safe_agents += 1
+                    exhausted += isinstance(outcome, str)
+            failed = [o for o in outcomes if isinstance(o, str)]
+            if failed:
+                # The first list to run out stops the experiment, as it did;
+                # without those agents, the rest must match.
+                with pytest.raises(DigitSourceExhausted) as exc:
+                    run_experiment(doc, 2, max_steps, 1)
+                assert str(exc.value) == failed[0], seed
+                kept = tuple(d for d, o in zip(doc.agents, outcomes) if not isinstance(o, str))
+                doc = SpecDocument(doc.universes, kept)
+                outcomes = self.plain(doc, 2, max_steps, 1)
+            calls.clear()
+            got = run_experiment(doc, 2, max_steps, 1).rows
+            assert got == tuple(itertools.chain.from_iterable(outcomes)), seed
+            for decl in doc.agents:
+                explicit = decl.constant is not None and decl.constant[0] == "digits"
+                stepped_here = decl.universe_name not in proven or explicit
+                assert (decl.name in calls) is stepped_here, (seed, decl.name)
+        assert (safe, safe_agents, exhausted) == tally
+
+    @pytest.mark.parametrize("k, rungs", [(1, 1), (2, 1), (9, 9), (40, 40), (9, 1)])
+    def test_rows_at_the_earliest_death_equal_stepping(self, k, rungs, monkeypatch):
+        doc = parse(fall_document(k, rungs)).document
+        calls = self.stepping(monkeypatch)
+        for max_steps in (k - 1, k, k + 1):
+            calls.clear()
+            got = run_experiment(doc, 3, max_steps, 1).rows
+            assert got == TestSimulateOnce.plain_rows(doc, 3, max_steps, 1), max_steps
+            # Proven below the earliest death, unless energy still falls
+            # after 2·|states| rounds; stepped from the death on.
+            proven = max_steps < k and max_steps <= 2 * (rungs + 1)
+            assert bool(calls) is not proven, max_steps
+            jumper = {(r.persistence_steps, r.terminal_reason) for r in got if r.agent == "jumper"}
+            assert jumper == {(k, "ExoinactiveEnergy") if max_steps >= k else (k - 1, "StepLimit")}
+
+    def test_a_drain_of_a_trillion_steps_is_searched_in_bounded_rounds(self, monkeypatch):
+        # A search that followed the falling energy would take 10^12
+        # rounds, or 10^4 up to the bound, where stepping each run costs
+        # 10^4 steps. It stops after 2·|states| rounds, and the runs step.
+        edges = []
+        successor = Universe.successor
+
+        def counted(universe, state, act):
+            edges.append(act)
+            return successor(universe, state, act)
+
+        monkeypatch.setattr(Universe, "successor", counted)
+        universe = parse(DRAIN).document.build_universe("drain")
+        assert starves_within(universe, 10**4) and len(edges) == 2 * 2 * len(universe.acts)
+        assert not starves_within(universe, 4)
+        monkeypatch.undo()
+        doc = parse(DRAIN).document
+        result = run_experiment(doc, 3, 10**4, 1)
+        assert {(r.persistence_steps, r.terminal_reason) for r in result.rows} == {
+            (10**4, "StepLimit")
+        }
+        assert result.rows == TestSimulateOnce.plain_rows(doc, 3, 10**4, 1)
+
+    def test_a_landing_past_the_cap_is_clamped(self):
+        # The first step lands on a positive state whose reward of 9 net is
+        # clamped at the cap of 5, so a drop into the drain dies at step 6,
+        # not at step 15 as an unclamped budget of 14 would.
+        universe = Universe(
+            name="clamp", states=frozenset({"gate", "top", "drain"}),
+            acts=frozenset({"drop", "stay"}), initial="gate", neutral_act="stay",
+            transitions={("gate", "drop"): "top", ("gate", "stay"): "top",
+                         ("top", "drop"): "drain", ("top", "stay"): "top",
+                         ("drain", "drop"): "drain", ("drain", "stay"): "drain"},
+            classes={"gate": StateClass.NEUTRAL, "top": StateClass.POSITIVE,
+                     "drain": StateClass.NEUTRAL},
+            energy=EnergyRules(5, 1, 0, 10, 5),
+        )
+        assert not starves_within(universe, 5) and starves_within(universe, 6)
+        # Digit 0 is "drop", the first act in sorted order.
+        jumper = dial_agent(ExplicitDigits((1, 0, 0, 0, 0, 0), 2))
+        assert run_trajectory(universe, jumper, 6)[:2] == (TerminalReason.EXOINACTIVE, 6)
+
+    def test_a_universe_that_is_not_total_is_left_to_the_runs(self):
+        # Both states pay back each step, so no act sequence starves; an
+        # entry the search cannot read sends the runs to step and meet it.
+        payback = {s: StateClass.POSITIVE for s in ("x", "y")}
+        whole = tiny_universe(payback, EnergyRules(5, 1, 0, 1, 5))
+        assert not starves_within(whole, 100)
+        holed = whole._replace(transitions={k: v for k, v in whole.transitions.items()
+                                            if k != ("y", "stay")})
+        unknown = whole._replace(transitions={**whole.transitions, ("y", "stay"): "z"})
+        unranked = whole._replace(classes={"x": StateClass.POSITIVE})
+        for universe in (holed, unknown, unranked):
+            assert starves_within(universe, 100)
+            with pytest.raises(UniverseError):
+                run_trajectory(universe, drifter(), 100)
+
+
+# Every labelled act-sensitive universe of each shape, with the initial
+# state fixed and reference.exo's energy rules (12, 1, 4, 6, 24): how many
+# no act sequence can ever starve, as the ROADMAP's census tallied them on
+# the (state, energy) graph ("a random mover surely lives").
+CENSUS = [((2, 2), 24, 108), ((2, 3), 96, 540), ((3, 2), 3862, 18954)]
+
+
+@pytest.mark.parametrize("shape, safe, total", CENSUS, ids=["2x2", "2x3", "3x2"])
+def test_census_of_universes_no_act_sequence_can_starve(shape, safe, total):
+    n_states, n_acts = shape
+    states = tuple(f"s{i}" for i in range(n_states))
+    acts = tuple(f"a{j}" for j in range(n_acts))
+    pairs = [(state, act) for state in states for act in acts]
+    energy = EnergyRules(12, 1, 4, 6, 24)
+    counts = Counter()
+    for targets in itertools.product(states, repeat=len(pairs)):
+        rows = [targets[i : i + n_acts] for i in range(0, len(targets), n_acts)]
+        if all(len(set(row)) == 1 for row in rows):
+            continue  # act-insensitive: every act of every state goes alike
+        transitions = dict(zip(pairs, targets))
+        for classes in itertools.product(StateClass, repeat=n_states):
+            universe = Universe("census", frozenset(states), frozenset(acts), states[0],
+                                acts[0], transitions, dict(zip(states, classes)), energy)
+            # No bound binds: the search ends at a fixed point or a death.
+            counts[starves_within(universe, 10**9)] += 1
+    assert (counts[False], sum(counts.values())) == (safe, total)
 
 
 class TestWriteCsv:
