@@ -7,8 +7,8 @@ choice in one row per state keyed by the kind's slot, and returns only
 the run's outcome, a ``Trajectory``. A caller that reads each step
 passes an on_step callback, which the loop calls with a
 ``TrajectoryStep`` as it takes the step; ``exosim trace`` prints it.
-Without one, an afs1, afs2a or afs2b run stops stepping at its first
-repeat, from where it survives to the bound. The experiment runs that
+Without one, an afs1, afs2a or afs2b run stops at its first lap that
+loses no energy; it survives to the bound. The experiment runs that
 way for every agent in a document, derives one fresh seed per run
 from the master seed, and returns the persistence times as CSV rows
 plus per-agent summaries with rank-sum comparisons of the sensitive
@@ -78,9 +78,9 @@ class TrajectoryStep(NamedTuple):
 class Trajectory(NamedTuple):
     """A run's outcome. steps counts the steps its loop took: it is
     persistence unless an afs1, afs2a or afs2b run made with no on_step
-    stopped at step steps, which stood where step cycle_start stood, in
-    the same (state, slot, energy); steps cycle_start to steps - 1 then
-    repeat up to the bound. Otherwise cycle_start is None."""
+    stopped at step steps, in the (state, slot) of step cycle_start with
+    no less energy; steps cycle_start to steps - 1 then repeat up to the
+    bound, never with less energy. Otherwise cycle_start is None."""
 
     terminal_reason: TerminalReason
     persistence: int
@@ -137,12 +137,13 @@ def run_trajectory(
     act, and lands through ``Universe.successor`` and ``Universe.class_of``,
     so every error is raised at the first step that meets it.
 
-    An afs1, afs2a or afs2b step depends only on its state, slot and energy
-    (in 1..energy_cap while a checked document's run lives), so a run that
-    lives meets a triple again within energy_cap times its memo entries
-    steps and repeats from there forever. With no on_step the run notes
-    each triple it meets, stops at that repeat and returns ``StepLimit`` at
-    persistence max_steps; with on_step it takes every step.
+    An afs1, afs2a or afs2b choice depends only on its state and slot, and
+    a step's energy, min(e + change, ceiling), is monotone in the energy e
+    before it, so a lap back to the (state, slot) it started from with no
+    less energy never dies. With no on_step the run keeps the last step and
+    energy of each (state, slot) it meets, stops at the first such lap and
+    returns ``StepLimit`` at persistence max_steps; a lap that loses energy
+    steps on. With on_step it takes every step.
     """
     kind = agent.kind
     elementary = not kind.is_sensitive
@@ -169,7 +170,7 @@ def run_trajectory(
     at_goal = rmap.by_formula.get(goal, ()) if rmap is not None and goal is not None else ()
     attempts = [0] * len(tables)
     successes = [0] * len(tables)
-    # afs1, afs2a and afs2b steps are a function of (state, slot, energy).
+    # afs1, afs2a and afs2b choices are a function of (state, slot).
     seen: dict | None = {} if kind.is_sensitive and not learner and on_step is None else None
     cycle_start = None
     state = universe.initial
@@ -190,11 +191,12 @@ def run_trajectory(
         elif recall:
             slot = target
         if seen is not None:
-            first = seen.setdefault((state, slot, energy), t)
-            if first != t:
-                # Back where step `first` stood: steps first..t-1 repeat forever.
-                cycle_start = first
+            last = seen.get(key := (state, slot))
+            if last is not None and energy >= last[1]:
+                # Steps last[0]..t-1 repeat forever, each with no less energy.
+                cycle_start = last[0]
                 break
+            seen[key] = t, energy
         try:
             choice = row[slot]
         except KeyError:
@@ -292,7 +294,7 @@ def starves_within(universe: Universe, max_steps: int) -> bool:
     energy is met within 2·|states| steps, so energy still falling after
     that many rounds gives True: a death lies ahead, and the runs step to
     it. So does a universe that is not total, and the runs meet its error."""
-    bill, least = universe.energy.bill, {universe.initial: universe.energy.initial_energy}
+    least = {universe.initial: universe.energy.initial_energy}
     lowered = dict(least)
     rounds = min(max_steps, 2 * len(universe.states))
     try:
@@ -300,10 +302,8 @@ def starves_within(universe: Universe, max_steps: int) -> bool:
             frontier, lowered = lowered, {}
             for state, energy in frontier.items():
                 for act in universe.acts:
-                    nxt = universe.successor(state, act)
-                    change, ceiling = bill(universe.class_of(nxt))
-                    landed = min(energy + change, ceiling)
-                    if landed <= 0:
+                    nxt, landed, alive = universe.advance(state, act, energy)
+                    if not alive:
                         return True
                     if landed < least.get(nxt, math.inf):
                         least[nxt] = lowered[nxt] = landed

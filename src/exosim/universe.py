@@ -6,7 +6,7 @@ act, and a total deterministic transition function on (state, act) pairs.
 Every state carries a standing (Positive, Neutral, Negative) and stepping
 through the universe is paid for out of an integer energy budget. An
 entity whose budget is exhausted can no longer act: it is exoinactive.
-``harness`` steps agents through a universe and keeps each run's record.
+``harness`` steps agents through a universe and returns each run's outcome.
 """
 
 from __future__ import annotations

@@ -481,11 +481,33 @@ def hopper() -> AgentArchitecture:
     )
 
 
+def standing(steps, t, agent, universe):
+    """The (state, slot) step t starts from and its energy: afs2b's slot
+    is the formula perceived at the step before, or its goal."""
+    if t == 0:
+        state, energy, formula = universe.initial, universe.energy.initial_energy, agent.goal
+    else:
+        _, _, formula, _, _, state, energy = steps[t - 1]
+    return (state, formula if agent.kind is ArchitectureKind.AFS2B else None), energy
+
+
+def reference_variant(reward, cap, initial=12):
+    """pathfinder and its universe from reference.exo with the oasis paying
+    reward and the given cap and initial energy: a lap costs 6."""
+    with open(exosim.fixture_path("reference.exo"), encoding="utf-8") as handle:
+        text = handle.read()
+    text = text.replace("initial: 12;", f"initial: {initial};").replace("cap: 24;", f"cap: {cap};")
+    text = text.replace("positive_reward: 6;", f"positive_reward: {reward};")
+    return parse(text).document.build_agent("pathfinder")
+
+
 class TestFirstRepeat:
-    """An afs1, afs2a or afs2b run stops stepping at its first repeated
-    (state, slot, energy) and replays its cycle up to the step bound; the
-    reference stepper takes every step, so each replayed step is
-    checked against a stepped one."""
+    """An afs1, afs2a or afs2b run stops stepping at its first lap that
+    starts in the (state, slot) of the lap before it with no less energy.
+    A step's energy is monotone in the energy before it, so such a lap
+    never dies, and the run replays it up to the step bound. The
+    reference stepper takes every step, so each replayed step is checked
+    against a stepped one."""
 
     @pytest.mark.parametrize("max_steps", [1, 7, 1000, 10**5])
     def test_fixtures(self, reference_doc, ejemplo5_doc, max_steps):
@@ -530,6 +552,49 @@ class TestFirstRepeat:
         assert got.terminal_reason is TerminalReason.EXOINACTIVE
         assert_matches_reference(universe, hopper(), 1000)
 
+    @pytest.mark.parametrize("reward", [3, 4, 7])
+    def test_a_lap_that_falls_then_holds_at_the_cap_stops_at_its_second_lap(self, reward):
+        # Entered at neutral x with the cap of 10: the first lap falls to 9
+        # at x, but z refunds at least 2 and holds at the cap from then on,
+        # so step 5 stands on z with the 10 that step 2 had.
+        classes = {"x": StateClass.NEUTRAL, "y": StateClass.NEUTRAL, "z": StateClass.POSITIVE}
+        universe = ring(EnergyRules(10, 1, 0, reward, 10), classes)
+        got = run_trajectory(universe, hopper(), 1000)
+        assert (got.steps, got.cycle_start, got.persistence) == (5, 2, 1000)
+        assert_matches_reference(universe, hopper(), 1000)
+
+    @pytest.mark.parametrize(
+        "max_steps, tally",
+        [(0, (303, 0)), (1, (303, 0)), (7, (303, 88)), (300, (303, 90)), (5000, (303, 90)),
+         (20000, (303, 90))],
+    )
+    def test_every_run_matches_stepping(self, reference_doc, ejemplo5_doc, max_steps, tally):
+        # A run that stops stands in the (state, slot) its lap started in
+        # with no less energy. It first repeats a (state, slot) after its
+        # K keys and stops within a lap of that, so within 2K steps: a lap
+        # that loses energy and still lives has met the cap, and the next
+        # lap meets it too.
+        docs = [reference_doc, ejemplo5_doc, parse(SIX_KINDS).document]
+        docs.append(parse(mixed_long_document()).document)
+        docs += [parse(docgen.random_document_text(s)).document for s in range(300)]
+        runs = stopped = 0
+        for doc in docs:
+            for agent, universe in deterministic_agents(doc):
+                bare = run_trajectory(universe, agent, max_steps)
+                plain, steps = stepped(universe, agent, max_steps)
+                assert bare[:2] == plain[:2], agent.name
+                runs += 1
+                if bare.cycle_start is None:
+                    assert bare.steps == bare.persistence, agent.name
+                    continue
+                stopped += 1
+                key, energy = standing(steps, bare.steps, agent, universe)
+                start_key, start_energy = standing(steps, bare.cycle_start, agent, universe)
+                assert key == start_key and energy >= start_energy, agent.name
+                keys = {standing(steps, t, agent, universe)[0] for t in range(bare.steps)}
+                assert bare.steps <= 2 * len(keys), agent.name
+        assert (runs, stopped) == tally
+
     def test_random_positional_and_learner_runs_take_every_step(self):
         # Their steps hang on the step index or on growing tallies, so a
         # repeated (state, energy) says nothing about what comes next.
@@ -560,6 +625,15 @@ class TestLongRunBounds:
         _, steps = stepped(universe, agent, got.steps)
         expected, _ = oracles.reference_trajectory(universe, agent, last + 1)
         assert steps[last][5:] == expected[-1][5:]
+
+    def test_a_lap_that_gains_energy_stops_after_one_lap(self):
+        # The oasis pays 7 for a 6-step lap, so each lap gains 1 and no
+        # (state, energy) repeats before the cap of 10^12, about 6*10^12
+        # steps on. Step 6 stands where step 0 stood with more energy.
+        agent, universe = reference_variant(7, 10**12)
+        got = run_trajectory(universe, agent, 10**9)
+        assert got == (TerminalReason.STEP_LIMIT, 10**9, 6, 0)
+        assert_matches_reference(universe, agent, 5000)
 
     def test_a_run_with_a_callback_retains_no_step(self):
         # The run hands each step to on_step and keeps none: what it leaves
@@ -598,24 +672,14 @@ def payback() -> Universe:
 
 class TestRecordsOff:
     """A run with no on_step callback keeps no step and holds flat memory.
-    It stops an afs1, afs2a or afs2b run at its first repeated (state,
-    slot, energy), where a run with a callback takes every step, and
-    both end alike."""
-
-    @staticmethod
-    def standing(steps, t, agent, universe):
-        """The (state, energy, slot) step t starts from: afs2b's slot is
-        the formula perceived at the step before, or its goal."""
-        if t == 0:
-            state, energy, formula = universe.initial, universe.energy.initial_energy, agent.goal
-        else:
-            _, _, formula, _, _, state, energy = steps[t - 1]
-        return state, energy, formula if agent.kind is ArchitectureKind.AFS2B else None
+    It stops an afs1, afs2a or afs2b run at its first lap that starts
+    with no less energy than the lap before it, a lap that never dies,
+    where a run with a callback takes every step, and both end alike."""
 
     @pytest.mark.parametrize("max_steps", [0, 1, 7, 300, 5000])
     def test_same_outcome_as_the_recording_run(self, reference_doc, ejemplo5_doc, max_steps):
         # Every kind, runs that starve, that hit the bound and that stop
-        # at their first repeat.
+        # at their first lap that loses no energy.
         docs = [reference_doc, ejemplo5_doc, parse(SIX_KINDS).document]
         docs.append(parse(mixed_long_document()).document)
         docs += [parse(docgen.random_document_text(s)).document for s in range(300)]
@@ -643,9 +707,9 @@ class TestRecordsOff:
                         continue
                     stopped += 1
                     assert bare.cycle_start < bare.steps < bare.persistence, decl.name
-                    assert self.standing(steps, bare.steps, agent, universe) == self.standing(
-                        steps, bare.cycle_start, agent, universe
-                    ), decl.name
+                    key, energy = standing(steps, bare.steps, agent, universe)
+                    start_key, start_energy = standing(steps, bare.cycle_start, agent, universe)
+                    assert key == start_key and energy >= start_energy, decl.name
         assert len(ends) == 3 or max_steps < 7
         assert stopped > 100 or max_steps < 7
 
@@ -667,6 +731,27 @@ class TestRecordsOff:
             tracemalloc.stop()
         assert outcomes == [20000, 2000000]
         assert peaks[1] - peaks[0] <= 64 * 1024, peaks
+
+    def test_a_falling_lap_steps_to_its_death_in_flat_memory(self):
+        # From the cap of 10^5 each 6-step lap loses 1, so the run steps
+        # to its death at step 599980, and the run keeps one entry per
+        # (state, slot): its peak at a 10^6 bound is its peak at 10^4.
+        agent, universe = reference_variant(5, 10**5, 10**5)
+        peaks, outcomes = [], []
+        tracemalloc.start()
+        try:
+            for max_steps in (10**4, 10**6):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                outcomes.append(run_trajectory(universe, agent, max_steps))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert outcomes == [
+            (TerminalReason.STEP_LIMIT, 10**4, 10**4, None),
+            (TerminalReason.EXOINACTIVE, 599980, 599980, None),
+        ]
+        assert abs(peaks[1] - peaks[0]) <= 4096, peaks
 
 
 def one_route_agent(route, projection=1):
@@ -766,28 +851,26 @@ class TestCostBound:
         assert 0 < calls.total() <= len(universe.states)
 
     def test_afs2a_repeats_after_many_laps_with_one_lookup_per_state(self):
-        # Each lap of the ring x -> y -> z -> x gains 1 energy until the cap,
-        # so the first repeated (state, energy) comes at step 144, far more
-        # steps than states: a run that looked its route up at every step
-        # would make 144 lookups.
-        universe = tiny_universe(
-            classes={"x": StateClass.POSITIVE, "y": StateClass.NEUTRAL, "z": StateClass.NEUTRAL},
-            energy=EnergyRules(3, 1, 0, 4, 50),
-            states=("x", "y", "z"),
+        # Each lap of the ring x -> y -> z -> x costs 3. Where x refunds 4
+        # a lap gains 1, so the run stops after its first lap. Where x
+        # refunds 2 a lap loses 1, and the run steps every lap to its
+        # death at step 296: a run that looked its route up at every step
+        # would make 296 lookups.
+        lapper = AgentArchitecture(
+            name="lapper",
+            kind=ArchitectureKind.AFS2A,
+            representation=RepresentationMap({"x": "fx", "y": "fy", "z": "fz"}),
+            tables=(RouteTable({(f, "fx"): ("hop",) for f in ("fx", "fy", "fz")}, 1),),
+            goal="fx",
         )
-        agent, calls = self.counted(
-            AgentArchitecture(
-                name="lapper",
-                kind=ArchitectureKind.AFS2A,
-                representation=RepresentationMap({"x": "fx", "y": "fy", "z": "fz"}),
-                tables=(RouteTable({(f, "fx"): ("hop",) for f in ("fx", "fy", "fz")}, 1),),
-                goal="fx",
-            )
-        )
-        trajectory = run_trajectory(universe, agent, 5000)
-        assert (trajectory.steps, trajectory.cycle_start) == (144, 141)
-        assert trajectory.persistence == 5000
-        assert 0 < calls.total() <= len(universe.states)
+        classes = {"x": StateClass.POSITIVE, "y": StateClass.NEUTRAL, "z": StateClass.NEUTRAL}
+        gains = ring(EnergyRules(3, 1, 0, 4, 50), classes)
+        assert run_trajectory(gains, lapper, 5000) == (TerminalReason.STEP_LIMIT, 5000, 3, 0)
+        falls = ring(EnergyRules(100, 1, 0, 2, 100), classes)
+        agent, calls = self.counted(lapper)
+        trajectory = run_trajectory(falls, agent, 5000)
+        assert trajectory == (TerminalReason.EXOINACTIVE, 296, 296, None)
+        assert 0 < calls.total() <= len(falls.states)
 
     @pytest.mark.parametrize("name", ["reflex", "homing", "echo", "learner"])
     def test_every_sensitive_kind_is_bounded_by_its_keys(self, name):
