@@ -13,12 +13,12 @@ ends at the next `universe` or `agent` keyword. A document containing any
 error is withheld; callers only ever receive fully checked declarations.
 
 One reader (_Reader) turns text into blocks and checks them into
-declarations and diagnostics. Inside a block it reads a transition,
-represents or predict (and pool) row in its one-line form with one regex
-match; every other item, and a row laid out any other way, it reads by
-tokens, lexed one at a time as it reaches them. Both add a row with the same
-values and offsets, so layout never changes what a document means or what
-it draws. Lexical errors are kept apart and come first.
+declarations and diagnostics. Inside a block it reads each transition,
+represents and predict (or pool) row, and each states, acts and classify
+list, that is in its one-line form with one regex match (_ITEMS); any other
+item or layout it reads by tokens, lexed one at a time as it reaches them.
+Both add the same values and offsets, so layout never changes what a
+document means or what it draws. Lexical errors are kept apart and come first.
 
 A token is a (kind, value, offset) tuple, and a block keeps only the offsets
 of the tokens its checks point at. A diagnostic, lexical or not, gets
@@ -44,18 +44,15 @@ import re
 import sys
 from bisect import bisect_left
 from enum import Enum
-from typing import Iterator, NamedTuple
+from itertools import accumulate
+from typing import Iterable, Iterator, NamedTuple
 
 from .architectures import AgentArchitecture, ArchitectureKind, RouteTable
 from .representation import Formula, RepresentationMap
 from .universe import ActId, EnergyRules, StateClass, StateId, Universe
 
 _ENERGY_FIELDS = ("initial", "per_step", "negative_penalty", "positive_reward", "cap")
-_CLASS_WORDS = {
-    "positive": StateClass.POSITIVE,
-    "neutral": StateClass.NEUTRAL,
-    "negative": StateClass.NEGATIVE,
-}
+_CLASS_WORDS = {cls.value: cls for cls in StateClass}
 _KIND_WORDS = {k.value: k for k in ArchitectureKind}
 # Items each kind reads besides its architecture; any other item present
 # draws an "is ignored" warning. afs3a reads predict rows only to reject
@@ -163,13 +160,13 @@ class AgentDecl(NamedTuple):
         if self.kind is ArchitectureKind.AFS1:
             reaction = dict(self.react_rows)
         else:
-            tables = tuple(
-                RouteTable(
-                    {(s, g): seq for i, s, g, seq in self.route_rows if i == index},
-                    depth_max=self.depth,
-                )
-                for index in range(1 + max((row[0] for row in self.route_rows), default=0))
-            )
+            # One pass groups the rows by index; an index with no row has an empty table.
+            entries: list[dict] = [{}]
+            for index, s, g, seq in self.route_rows:
+                while index >= len(entries):
+                    entries.append({})
+                entries[index][s, g] = seq
+            tables = tuple(RouteTable(table, depth_max=self.depth) for table in entries)
         return AgentArchitecture(
             name=self.name,
             kind=self.kind,
@@ -279,16 +276,16 @@ def _unescape(body: str) -> str:
 
 _GAP = r"[ \t\r\n]*(?:#[^\n]*(?=\n|\Z)[ \t\r\n]*)*"
 _ID = r"[^\W\d]\w*"
-_TERMS = {"IDS": rf"{_ID}(?:[ \t]+{_ID})*", "ID": _ID, "INT": r"\d{1,640}"}
+_TERMS = {"IDS": rf"{_ID}(?:[ \t]{_ID})*", "ID": _ID, "INT": r"\d{1,640}"}
 _STRING = r'"(?P<%s>[^"\\\n]*(?:\\.[^"\\\n]*)*)"'
 
 
 def _items(**items: str) -> str:
     """One of items, each a group named by its keyword, so that lastgroup
     says which matched. In an item, a space stands for spaces and tabs and
-    `~` for optional ones; IDS, ID and INT stand for an identifier list, an
-    identifier and an integer; "name" stands for a string token whose body,
-    escapes unread, is group name."""
+    `~` for optional ones; IDS, ID and INT stand for identifiers with one space
+    or tab between each two, an identifier and an integer; "name" stands for
+    a string token whose body, escapes unread, is group name."""
     alternatives = []
     for keyword, item in items.items():
         item = item.replace(" ", r"[ \t]+").replace("~", r"[ \t]*")
@@ -299,11 +296,15 @@ def _items(**items: str) -> str:
     return _GAP + "(?:" + "|".join(alternatives) + ")"
 
 
-# The row items that make up nearly all of a large document, in their one-line
-# form: one per state and act, or one per state. Every other item is read by
-# tokens.
+# The items that make up nearly all of a large document, in their one-line
+# form: a row per state and act, or per state, and the lists of states, acts
+# and classes. Every other item is read by tokens.
 _ITEMS = {
-    "universe": _items(transition=r"transition (?P<src>ID) (?P<act>ID) (?P<dst>ID)~;"),
+    "universe": _items(
+        transition=r"transition (?P<src>ID) (?P<act>ID) (?P<dst>ID)~;",
+        list=r"(?:(?P<key>states|acts)|classify (?P<word>positive|neutral|negative))"
+        r"~:~(?P<ids>IDS)~;",
+    ),
     "agent": _items(
         predict=r'(?:pool (?P<index>INT) )?predict~"source"~->~"target"~:~(?P<acts>IDS)~;',
         represents=r'represents (?P<state>ID)~->~"formula"~;',
@@ -335,9 +336,10 @@ _BLOCK_ENDS = {("punct", "}"), ("id", "universe"), ("id", "agent"), ("eof", "")}
 class _Block:
     """A universe or agent block as read, before its checks. Each row and
     single ends with the offset of the token its checks point at, so a block
-    holds plain strings and numbers. Agent rows are lists in document order;
-    a universe keys its states, acts, classify and transition rows, so
-    repeats are reported as read."""
+    holds plain strings and numbers. Agent rows are lists in document order,
+    a route row led by its pool index (0 in a predict row); a universe keys
+    its states, acts, classify and transition rows, so repeats are reported
+    as read."""
 
     __slots__ = ("keyword", "offset", "name", "universe_name", "rows", "singles")
 
@@ -358,17 +360,18 @@ class _ItemError(Exception):
 
 class _Reader:
     """Reads a document's blocks and checks them into declarations. At each
-    item position in a block it tries the block's row pattern (_ITEMS: a
-    transition row in a universe, a represents or predict row in an agent)
-    until it fails (_rows); an item that does not match is read by tokens,
-    with every read-time error reported where it is met. An item's error
-    skips the item; a missing ';' is reported once and ends the item before
-    the item or block keyword found in its place (read), and a list before
-    an item keyword followed by the tokens its item starts with (_id_list).
-    The reader only moves forward and lexes each token once, into self.tok,
-    where each decision looks at it once until it is stepped past; only a
-    list looks ahead, past an item keyword (_starts_item). A block holds
-    only strings, offsets and tuples of them, which make no reference
+    item position in a block it tries the block's pattern (_ITEMS: a
+    transition row or a states, acts or classify list in a universe, a
+    represents or predict row in an agent) until it fails (_rows); an item
+    that does not match, or a list that holds an item word of its block, is
+    read by tokens, with every read-time error reported where it is met. An
+    item's error skips the item; a missing ';' is reported once and ends the
+    item before the item or block keyword found in its place (read), and a
+    list before an item keyword followed by the tokens its item starts with
+    (_id_list). The reader only moves forward and lexes each token once, into
+    self.tok, where each decision looks at it once until it is stepped past;
+    only a list looks ahead, past an item keyword (_starts_item). A block
+    holds only strings, offsets and tuples of them, which make no reference
     cycle, so a collector pass frees none of it (parse pauses it)."""
 
     def __init__(self, text: str):
@@ -382,10 +385,11 @@ class _Reader:
         self.offset = 0  # just past the last token or row consumed
         self.tok: _Token | None = None  # the next token, once lexed
         self.end = 0  # just past self.tok
-        # The item words and the row pattern's match of the block being read
+        # The item words and the pattern's scanner of the block being read
         # (_ITEM_WORDS, _ITEMS).
         self.item_words: set[str] = set()
         self.row = None
+        self.seqs: dict[str, tuple] = {}  # each act sequence by its text, for rows to share
 
     def position(self, offset: int) -> tuple[int, int]:
         """The 1-based (line, column) of a text offset."""
@@ -471,9 +475,11 @@ class _Reader:
         for ident in sorted(classes.keys() - state_set):
             error(f"classified id {ident!r} is not a declared state", classes[ident][1])
         # One sort gives both the order of the checks and of the declaration.
-        ordered = sorted(transitions.items())
+        rows = []
         keyed = True  # every key names a declared state and act
-        for (src, act), (dst, offset) in ordered:
+        for key in sorted(transitions):
+            (src, act), (dst, offset) = key, transitions[key]
+            rows.append((src, act, dst))
             if src in state_set and act in act_set and dst in state_set:
                 continue
             if src not in state_set:
@@ -508,7 +514,7 @@ class _Reader:
             initial=singles["initial"][0],
             neutral_act=singles["neutral_act"][0],
             classes=tuple((s, classes.get(s, neutral)[0]) for s in states),
-            transitions=tuple((s, a, dst) for (s, a), (dst, _) in ordered),
+            transitions=tuple(rows),
             energy=energy,
         )
 
@@ -641,15 +647,16 @@ class _Reader:
         routes: dict = {}
         short: dict = {}  # key -> row offset, for routes shorter than the projection
         longest = 1
-        for row in block.rows["pool" if pooled else "predict"]:
-            key, (source, target, seq, offset) = row[:-2], row[-4:]
+        for index, source, target, seq, offset in block.rows["pool" if pooled else "predict"]:
+            key = (index, source, target) if pooled else (source, target)
             if source not in image:
                 error(f"route source {source!r} is outside the representation image", offset)
             if target not in image:
                 error(f"route goal {target!r} is outside the representation image", offset)
-            for act in seq:
-                if act not in act_set:
-                    error(f"sequence uses undeclared act {act!r}", offset)
+            if not act_set.issuperset(seq):
+                for act in seq:
+                    if act not in act_set:
+                        error(f"sequence uses undeclared act {act!r}", offset)
             if key in routes and routes[key] != seq:
                 # Reported without rejecting the agent, so a duplicate
                 # agent name is still reported.
@@ -693,7 +700,7 @@ class _Reader:
             goal=goal,
             representation=represented,
             # Sorting the keys alone compares strings, not (key, acts) pairs.
-            route_rows=tuple((*lead, *key, routes[key]) for key in sorted(routes)),
+            route_rows=tuple([lead + key + (routes[key],) for key in sorted(routes)]),
         )
 
     # -- tokens ----------------------------------------------------------------
@@ -826,7 +833,7 @@ class _Reader:
             rows = {item: [] for item in _ROWS_IGNORED}
         block = _Block(keyword, at, name, universe_name, rows)
         self.item_words = _ITEM_WORDS[keyword]
-        self.row = re.compile(_ITEMS[keyword]).match
+        self.row = re.compile(_ITEMS[keyword]).scanner
         while True:
             offset = self._rows(block, self.offset)
             if offset != self.offset:
@@ -850,27 +857,45 @@ class _Reader:
         return block
 
     def _rows(self, block: _Block, offset: int) -> int:
-        """Read the row items from offset on that are in their one-line form,
-        one match each, and add them as the token path adds them: the same
-        values, interned, and offsets. Returns the offset past the last."""
-        row, rows, text = self.row, block.rows, self.text
+        """Read the items from offset on that are in their one-line form (_ITEMS),
+        each with one match of the block's scanner (the matcher re.Scanner uses)
+        where the item before it ended, and add them as the token path adds
+        them: the same values, interned, and offsets. A list holding an item
+        word of the block is left to the token path, which may end the list
+        there. Returns the offset past the last item read."""
+        rows, seqs, m = block.rows, self.seqs, None
         transitions = rows.get("transition")
-        while m := row(text, offset):
-            offset, kind = m.end(), m.lastgroup
+        for m in iter(self.row(self.text, offset).match, None):
+            kind = m.lastgroup
             if kind == "transition":
                 key = (_intern(m["src"]), _intern(m["act"]))
                 if key in transitions:
                     self._transition(block, *key, _intern(m["dst"]), m.start("src"))
                 else:
                     transitions[key] = (_intern(m["dst"]), m.start("src"))
+            elif kind == "list":
+                ids = [*map(_intern, m["ids"].split())]
+                if not self.item_words.isdisjoint(ids):
+                    return m.start()
+                # IDS puts one space or tab between each two ids.
+                at = accumulate([len(ident) + 1 for ident in ids], initial=m.start("ids"))
+                self._ids(block, m["key"] or "classify", m["word"], zip(ids, at))
             elif kind == "represents":
-                state, formula = _intern(m["state"]), _unescape(m["formula"])
-                rows["represents"].append((state, formula, m.start("state")))
+                formula = m["formula"]
+                if "\\" in formula:
+                    formula = _unescape(formula)
+                rows["represents"].append((_intern(m["state"]), _intern(formula), m.start("state")))
             else:
-                acts = tuple(map(_intern, m["acts"].split()))
-                route = (_unescape(m["source"]), _unescape(m["target"]), acts, m.start(kind))
-                self._route(block, m["index"] and int(m["index"]), route)
-        return offset
+                index, source, target, acts = m["index"], m["source"], m["target"], m["acts"]
+                if "\\" in source or "\\" in target:
+                    source, target = _unescape(source), _unescape(target)
+                if acts not in seqs:
+                    seqs[acts] = tuple(map(_intern, acts.split()))
+                rows["pool" if index else "predict"].append((
+                    int(index) if index else 0, _intern(source), _intern(target),
+                    seqs[acts], m.start(kind),
+                ))
+        return offset if m is None else m.end()
 
     # -- universe ----------------------------------------------------------
 
@@ -885,7 +910,7 @@ class _Reader:
                     self.fail(f"expected 'positive', 'neutral' or 'negative', found {word!r}", tok)
             self.read(":")
             what = "classified states" if word else key
-            self._id_list(what, lambda ids: self._ids(block, key, word, ids))
+            self._id_list(what, lambda ids: self._ids(block, key, word, [t[1:] for t in ids]))
         elif key in ("initial", "neutral_act"):
             [(_, ident, offset)] = self.read(":", "id")
             if key in block.singles:
@@ -938,11 +963,11 @@ class _Reader:
         else:
             self.fail(f"unknown universe item {key!r}", head)
 
-    def _ids(self, block: _Block, key: str, word: str | None, toks: list[_Token]) -> None:
-        """Add the ids of a states, acts or classify row to block, reporting
-        each repeat; word is a classify row's class, else None."""
+    def _ids(self, block: _Block, key: str, word: str | None, ids: Iterable) -> None:
+        """Add the (id, offset) pairs of a states, acts or classify row to block,
+        reporting each repeat; word is a classify row's class, else None."""
         target = block.rows[key]
-        for _, ident, offset in toks:
+        for ident, offset in ids:
             if ident not in target:
                 target[ident] = offset if word is None else (word, offset)
             elif word is None:
@@ -1009,8 +1034,8 @@ class _Reader:
             (_, source, _), (_, goal, _) = self.read("string", "->", "string", ":")
             self._id_list(
                 "predicted act sequence",
-                lambda ids: self._route(
-                    block, index, (source, goal, tuple(t[1] for t in ids), at)
+                lambda ids: block.rows[key].append(
+                    (index or 0, source, goal, tuple(t[1] for t in ids), at)
                 ),
             )
             return
@@ -1046,13 +1071,6 @@ class _Reader:
             else:
                 block.singles[key] = (value, at)
         self.read(";")
-
-    @staticmethod
-    def _route(block: _Block, pool_index: int | None, row: tuple) -> None:
-        """Add a route row (source, goal, acts, offset of its keyword) to
-        block: a predict row, or a pool row led by its index."""
-        key, row = ("predict", row) if pool_index is None else ("pool", (pool_index, *row))
-        block.rows[key].append(row)
 
 
 # ---------------------------------------------------------------------------
@@ -1133,10 +1151,8 @@ def _serialize_agent(a: AgentDecl, out: list[str]) -> None:
         out.append(f"  seed: {a.seed};")
     if a.constant is not None:
         kind, payload = a.constant
-        if kind == "digits":
-            out.append(f"  constant: digits {_quote(payload)};")
-        else:
-            out.append(f"  constant: {kind};")
+        value = f"digits {_quote(payload)}" if kind == "digits" else kind
+        out.append(f"  constant: {value};")
     if a.depth is not None:
         out.append(f"  depth: {a.depth};")
     if a.projection is not None:

@@ -7,12 +7,8 @@ is the mirror image (departures toward negative objectives, exits from
 positive states toward neutral ground). Both are exact rationals; total
 stability is their difference.
 
-stability_report groups the counts by goal in one pass over the routes:
-each route adds the universe states its source formula represents to
-its goal's tally, split by standing. A departure count is a goal's whole
-tally; an escape count toward a neutral state is the Negative or
-Positive part of its formula's tally. A report thus costs
-O(|states| + |routes|) lookups.
+stability_report counts by goal and standing in one pass over the routes,
+so a report costs O(|states| + |routes|) lookups.
 
 With k positive objectives each covered from every state and every
 negative state holding an exit, basic stability reaches 1 + |E-|/|E|,
@@ -97,34 +93,32 @@ class StabilityReport(NamedTuple):
 
 
 def stability_report(
-    table: RouteTable,
-    rmap: RepresentationMap,
-    objectives: ObjectiveSets,
-    universe: Universe,
+    table: RouteTable, rmap: RepresentationMap, objectives: ObjectiveSets, universe: Universe
 ) -> StabilityReport:
-    """Exact basic stability, instability, and their difference."""
-    classes = {s: universe.class_of(s) for s in universe.states}
-    n = len(classes)
-    # (goal formula, class) -> universe states of that class that hold a
-    # route toward the goal. Each route adds the states of its source.
-    tally: Counter[tuple[Formula, StateClass]] = Counter()
+    """Exact basic stability, instability, and their difference.
+
+    One tally per class maps a goal formula to the universe states of that
+    class that hold a route toward it. Each universe state is mapped to its
+    class's tally once; a route adds each state its source represents to
+    that state's tally under the route's goal, so no class is hashed per
+    route. A departure count sums a goal's three tallies; an escape count
+    toward neutral state j is the Negative or Positive tally of j's formula."""
+    tallies: dict[StateClass, Counter[Formula]] = {cls: Counter() for cls in StateClass}
+    tally_of = {s: tallies[universe.class_of(s)] for s in universe.states}
+    n = len(tally_of)
     for source, goal in table.entries:
         for state in rmap.by_formula.get(source, ()):
-            if state in classes:
-                tally[goal, classes[state]] += 1
-    departures = {
-        f: sum(tally[f, cls] for cls in StateClass)
-        for f in sorted(objectives.objectives)
-        if f in rmap.by_formula
-    }
+            if state in tally_of:
+                tally_of[state][goal] += 1
+    positive, neutral, negative = tallies.values()  # StateClass's order
+    goals = sorted(f for f in objectives.objectives if f in rmap.by_formula)
+    departures = {f: positive[f] + neutral[f] + negative[f] for f in goals}
     # An escape toward neutral state j is a state with a route toward j's
     # formula; an unrepresented neutral state offers no target.
-    neutral = {
-        j: rmap.entries.get(j) for j in sorted(classes) if classes[j] is StateClass.NEUTRAL
-    }
+    targets = {j: rmap.entries.get(j) for j in sorted(tally_of) if tally_of[j] is neutral}
     neg_escapes, pos_escapes = (
-        {j: 0 if f is None else tally[f, cls] for j, f in neutral.items()}
-        for cls in (StateClass.NEGATIVE, StateClass.POSITIVE)
+        {j: 0 if f is None else tally[f] for j, f in targets.items()}
+        for tally in (negative, positive)
     )
 
     basic = StabilityReport._term_toward(departures, objectives.positive, n)
@@ -153,9 +147,7 @@ class TriValue(Enum):
 
 
 def _implies(antecedent: bool, consequent: TriValue) -> TriValue:
-    if not antecedent:
-        return TriValue.TRUE
-    return consequent
+    return consequent if antecedent else TriValue.TRUE
 
 
 def _tri_and(a: TriValue, b: TriValue) -> TriValue:
@@ -218,14 +210,6 @@ def persistence_truth_table() -> tuple[TruthTableRow, ...]:
     rows = []
     for group, label, s, r, n in configurations:
         case = PersistenceCase(act_sensitive=s, rep_movers=r, free_movers=n)
-        rows.append(
-            TruthTableRow(
-                group=group,
-                label=label,
-                case=case,
-                s_and_r=s and r,
-                s_and_n=s and n,
-                value=evaluate_persistence_claim(case),
-            )
-        )
+        value = evaluate_persistence_claim(case)
+        rows.append(TruthTableRow(group, label, case, s and r, s and n, value))
     return tuple(rows)

@@ -264,6 +264,36 @@ class TestBuild:
         assert agent.tables[0].entries.get(("fa", "fb")) == ("hop",)
         assert agent.tables[1].entries.get(("fa", "fb")) == ("stay", "hop")
 
+    def test_pool_tables_match_the_per_index_filter(self):
+        # A build groups the route rows by index in one pass. Every table
+        # holds the rows a filter of all rows by its index keeps, on every
+        # afs3a agent of these documents, and on a library-built agent whose
+        # rows are out of order and skip index 1, which gets an empty table.
+        from test_cli import SIX_KINDS  # test_cli imports this module
+        from test_harness import mixed_long_document
+
+        texts = [SIX_KINDS, mixed_long_document()]
+        texts += [docgen.random_document_text(seed) for seed in range(300)]
+        docs = [doc for doc in (parse(text).document for text in texts) if doc]
+        learners = [
+            (doc, a) for doc in docs for a in doc.agents if a.kind is ArchitectureKind.AFS3A
+        ]
+        assert len(learners) == 94
+        six = parse(SIX_KINDS).document
+        rows = (
+            (2, "fa", "fb", ("hop",)), (0, "fb", "fa", ("stay",)), (0, "fa", "fb", ("go",))
+        )
+        learners.append((six, six.agent("learner")._replace(route_rows=rows)))
+        for doc, decl in learners:
+            agent = decl.build(doc.build_universe(decl.universe_name))
+            last = max((row[0] for row in decl.route_rows), default=0)
+            assert [table.entries for table in agent.tables] == [
+                {(s, g): seq for i, s, g, seq in decl.route_rows if i == index}
+                for index in range(1 + last)
+            ]
+            assert {table.depth_max for table in agent.tables} == {decl.depth}
+        assert [len(table.entries) for table in agent.tables] == [2, 0, 1]
+
     def test_lookup_by_name_first_declaration_wins(self, reference_doc):
         # A library-built document may repeat a name; a parsed one never does.
         doc = SpecDocument(
@@ -1283,13 +1313,13 @@ def same_reading(text: str):
     return result
 
 
-# The row items that have a pattern (dsl._ITEMS); every other item, lists and
-# react rows among them, is read by tokens.
-_ROW_WORDS = {"transition", "represents", "predict", "pool"}
+# The items that have a pattern (dsl._ITEMS); every other item, react rows
+# among them, is read by tokens.
+_ROW_WORDS = {"transition", "states", "acts", "classify", "represents", "predict", "pool"}
 
 
 def rows_by_tokens(text: str) -> list[str]:
-    """The keyword of each row item with a pattern that parse(text) reads by
+    """The keyword of each item with a pattern that parse(text) reads by
     tokens."""
     heads: list[str] = []
 
@@ -1328,8 +1358,8 @@ class TestCleanReader:
     def test_reads_what_the_token_reader_reads(self, ejemplo5_path, reference_path):
         # Both fixtures and 300 canonical serializations, each with 3 of its
         # 15 mutations, each with '\n' and with '\r\n' line ends. Every
-        # transition, represents and predict row of an unmutated text reads by
-        # pattern.
+        # transition, represents and predict row and every states, acts and
+        # classify list of an unmutated text reads by pattern.
         bases = [path.read_text(encoding="utf-8") for path in (ejemplo5_path, reference_path)]
         bases += [serialize(parse(docgen.random_document_text(s)).document) for s in range(300)]
         mutants = withheld = 0
@@ -1356,8 +1386,9 @@ class TestCleanReader:
     def test_reads_what_the_token_reader_reads_on_pieces(self, prefix, tail):
         same_reading(prefix + tail)
 
-    # Clean: the text draws no diagnostic and reads its rows by pattern, with
-    # no token read beyond MINI's.
+    # Clean: the text draws no diagnostic and reads its rows and lists by
+    # pattern, with no token read beyond MINI's. A list takes one space or tab
+    # between its ids.
     @pytest.mark.parametrize(
         "old, new, clean",
         [
@@ -1365,6 +1396,12 @@ class TestCleanReader:
             ("transition a stay a;", "transition\ta  stay a ;", True),
             ("initial: 5;", "initial:5;", True),
             ("states: a b;", "states: a b a;", False),
+            ("states: a b;", "states: a\tb ;", True),
+            ("classify positive: b;", "classify\tpositive :b;", True),
+            ("states: a b;", "states: a  b;", False),
+            ("states: a b;", "states: a # c\n b;", False),
+            ("states: a b;", "states: a transition b c d;", False),
+            ("states: a b;", "states: a transition b;", False),
             ("transition b hop a;", "transition b hop a; transition b hop a;", False),
             ("classify positive: b;", "classify positive: b; classify negative: b;", False),
             ("neutral_act: stay;", "neutral_act: stay; neutral_act: stay;", False),
@@ -1381,9 +1418,30 @@ class TestCleanReader:
         assert (not result.diagnostics and reads == counted_parse(MINI)[1]) is clean
 
     @pytest.mark.parametrize(
+        "new, diagnostics",
+        [
+            # The token path ends the list before a transition row and
+            # reports the ';' it lacks there.
+            ("states: a transition b c d;", ["expected ';', found 'transition'"]),
+            # Followed by less than a transition row, the word is a state.
+            ("states: a transition b;", ["no transition declared for ('transition', 'hop')"]),
+        ],
+    )
+    def test_reads_a_list_holding_an_item_word_by_tokens(self, new, diagnostics):
+        text = MINI.replace("states: a b;", new)
+        assert rows_by_tokens(text) == ["states"]
+        found = [d.message for d in same_reading(text).diagnostics]
+        assert found[: len(diagnostics)] == diagnostics
+
+    @pytest.mark.parametrize(
         "old, new, expected",
         [
             ("states: a b;", "states: a b a;", ("WARNING", "state 'a' listed twice", 2, 15)),
+            (
+                "acts: stay hop;",
+                "acts: stay\thop stay;",
+                ("WARNING", "act 'stay' listed twice", 3, 18),
+            ),
             (
                 "transition b hop a;",
                 "transition b hop a; transition b hop a;",
@@ -1397,19 +1455,20 @@ class TestCleanReader:
         ],
     )
     def test_reads_repeated_rows_by_pattern(self, old, new, expected):
-        # A repeated row draws the diagnostic the token path draws, at the
-        # same line and column. A transition row reads by its pattern; a
-        # states or classify row, which has none, by tokens.
+        # A repeated row or list id draws the diagnostic the token path draws,
+        # at the same line and column, and every row and list reads by its
+        # pattern.
         text = MINI.replace(old, new)
         assert rows_by_tokens(text) == []
         diags = same_reading(text).diagnostics
         assert [(d.severity.name, d.message, d.line, d.column) for d in diags] == [expected]
 
     def test_token_reads_do_not_grow_with_rows(self):
-        # Headers, singles, lists and energy blocks are read by tokens, a list
-        # in one loop over its identifiers; transition, represents and predict
-        # rows are not, so a ring of 1000 states takes as many token reads as
-        # one of 100. A row missing its ';' is read by tokens alone.
+        # Headers, singles and energy blocks are read by tokens; transition,
+        # represents and predict rows and one-line lists are not, and a list
+        # read by tokens takes one loop over its identifiers, so a ring of 1000
+        # states takes as many token reads as one of 100. A row missing its
+        # ';' is read by tokens alone.
         reads = {}
         for n in (100, 1000):
             result, reads[n] = counted_parse(ring_document(n))

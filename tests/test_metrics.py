@@ -4,6 +4,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -241,9 +242,21 @@ class TestCostBound:
             rmap, "by_formula", CountingDict(rmap.by_formula, calls, "by_formula")
         )
         calls.clear()
-        stability_report(table, rmap, sets, universe)
+        # A class is hashed at most once per state and once per class, never
+        # per route or per escape lookup.
+        hashes = 0
+        enum_hash = StateClass.__hash__
+
+        def counting_hash(cls):
+            nonlocal hashes
+            hashes += 1
+            return enum_hash(cls)
+
+        with mock.patch.object(StateClass, "__hash__", counting_hash):
+            stability_report(table, rmap, sets, universe)
         bound = 4 * (len(states) + len(table.entries))
         assert sum(calls.values()) <= bound, (dict(calls), bound)
+        assert 0 < hashes <= len(states) + len(StateClass), hashes
 
 
 def kleene_oracle(s: bool, r: bool, n: bool, rp: TriValue, np: TriValue) -> TriValue:
