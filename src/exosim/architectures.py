@@ -11,14 +11,16 @@ The two elementary kinds, random and positional, keep only their seed or
 their digits; the act alphabet they index, in sorted order, is the
 universe's, which the run is given.
 
-Sensitive generation comes in four architectures. ``afs1`` reacts to the
-formula directly with one act. ``afs2a`` keeps routes (act sequences)
-from a source formula toward a fixed goal formula. ``afs2b`` routes
-toward a remembered formula instead, recalling the previous step's
-perception. ``afs3a`` carries a pool of candidate route tables and
-learns which one to trust by scoring its predictions against outcomes:
-``update_learning`` re-picks the table from per-table tallies of
-attempts and successes, in O(|pool|) however long the run.
+Sensitive generation comes in four architectures, and each looks the
+pair (perceived formula, target) up in a route table, a plain mapping
+to act sequences; they differ only in the target and in which table is
+active. ``afs1`` reacts: its one table maps (formula, None) to one act.
+``afs2a`` routes toward a fixed goal formula. ``afs2b`` routes toward a
+remembered formula instead, recalling the previous step's perception.
+``afs3a`` carries a pool of candidate tables and learns which one to
+trust by scoring its predictions against outcomes: ``update_learning``
+re-picks the table from per-table tallies of attempts and successes, in
+O(|pool|) however long the run.
 
 Every generated sequence is collapsed to a single act by a fixed
 projection index (1-based); an empty generation falls back to the
@@ -141,15 +143,10 @@ class ProjectionOutOfRange(ArchitectureError):
     """The projection index is below 1 or past the end of a generated sequence."""
 
 
-class RouteTable(NamedTuple):
-    """(source formula, goal formula) -> act token sequence.
-
-    Sequences are non-empty and no longer than depth_max. A missing
-    entry means the table generates nothing for that pair.
-    """
-
-    entries: Mapping[tuple[Formula, Formula], tuple[ActId, ...]]
-    depth_max: int
+# (source formula, target formula) -> act sequence. A missing entry means
+# the table generates nothing for that pair. afs1's one table keys each
+# formula it reacts to with target None.
+RouteTable = Mapping[tuple[Formula, Formula | None], tuple[ActId, ...]]
 
 
 class ArchitectureKind(Enum):
@@ -176,10 +173,12 @@ class AgentArchitecture(NamedTuple):
     A random agent draws from ``seed`` and a positional one reads
     ``digits``; both pick from the universe's acts in sorted order, so
     step t takes sorted(acts)[i] for the draw int(unit_draw(seed, t) *
-    len(acts)) or the digit at position t. afs1 reacts through
-    ``reaction``, a plain formula -> act mapping. afs2a and afs2b route
-    through exactly one table in ``tables``, which may be empty; afs3a's
-    candidate pool is ``tables`` in pool-index order.
+    len(acts)) or the digit at position t. A sensitive agent looks its
+    routes up in ``tables``: afs1, afs2a and afs2b hold exactly one table,
+    which may be empty, and afs3a's candidate pool is ``tables`` in
+    pool-index order. afs1's table keys each formula with target None,
+    its goal. ``depth`` is the declared bound on route length, and an
+    afs3a episode lasts at most ``depth`` steps.
     ``dsl.AgentDecl.build`` is the one place that fills these slots by kind.
 
     A fixed description that no run changes, positional digits
@@ -197,9 +196,9 @@ class AgentArchitecture(NamedTuple):
     # A ConstantDigits or ExplicitDigits: anything with read(limit) ->
     # iterator of int. Only a positional agent loads exosim.digits.
     digits: object = None
-    reaction: Mapping[Formula, ActId] | None = None
     tables: tuple[RouteTable, ...] = ()
     goal: Formula | None = None
+    depth: int | None = None
 
 
 def update_learning(
@@ -246,7 +245,7 @@ def check_oriented_table(
     Source and goal formulas must each represent exactly one state.
     """
     out: list[OrientedViolation] = []
-    for (source_f, goal_f), seq in sorted(table.entries.items()):
+    for (source_f, goal_f), seq in sorted(table.items()):
         state = rmap.inverse(source_f)
         expected = rmap.inverse(goal_f)
         for token in seq:

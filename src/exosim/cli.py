@@ -28,6 +28,7 @@ import gc
 import sys
 from importlib import import_module
 
+from .architectures import ArchitectureKind
 from .dsl import SpecInvalid, parse_file
 from .universe import ExosimError
 
@@ -132,7 +133,8 @@ def _cmd_metrics(args, out) -> int:
         agent, universe = doc.build_agent(args.agent)
     except KeyError:
         raise CliError(f"no agent named {args.agent!r} in {args.file}") from None
-    if not agent.tables or agent.representation is None:
+    # afs1's table holds reactions, not routes toward objectives.
+    if not agent.tables or agent.kind is ArchitectureKind.AFS1:
         raise CliError(
             f"agent {args.agent!r} is {agent.kind.value}; metrics need a route table"
         )

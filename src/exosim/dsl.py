@@ -47,7 +47,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
-from .architectures import AgentArchitecture, ArchitectureKind, RouteTable
+from .architectures import AgentArchitecture, ArchitectureKind
 from .representation import Formula, RepresentationMap
 from .universe import ActId, EnergyRules, StateClass, StateId, Universe
 
@@ -155,26 +155,23 @@ class AgentDecl(NamedTuple):
             else:
                 digits = ConstantDigits(kind, base)
             return AgentArchitecture(name=self.name, kind=self.kind, digits=digits)
-        reaction = None
-        tables: tuple[RouteTable, ...] = ()
         if self.kind is ArchitectureKind.AFS1:
-            reaction = dict(self.react_rows)
+            tables: list[dict] = [{(f, None): (act,) for f, act in self.react_rows}]
         else:
             # One pass groups the rows by index; an index with no row has an empty table.
-            entries: list[dict] = [{}]
+            tables = [{}]
             for index, s, g, seq in self.route_rows:
-                while index >= len(entries):
-                    entries.append({})
-                entries[index][s, g] = seq
-            tables = tuple(RouteTable(table, depth_max=self.depth) for table in entries)
+                while index >= len(tables):
+                    tables.append({})
+                tables[index][s, g] = seq
         return AgentArchitecture(
             name=self.name,
             kind=self.kind,
             representation=RepresentationMap(dict(self.representation)),
             projection_index=self.projection,
-            reaction=reaction,
-            tables=tables,
+            tables=tuple(tables),
             goal=self.goal,
+            depth=self.depth,
         )
 
 

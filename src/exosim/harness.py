@@ -108,8 +108,8 @@ def run_trajectory(
     what its kind keeps.
 
     The agent is only read: a random kind draws from ``agent.seed``, a
-    positional kind reads ``agent.digits``, and a routed kind looks routes
-    up in ``agent.tables[active]``. Seed, when given, replaces a random
+    positional kind reads ``agent.digits``, and a sensitive kind looks
+    (perceived formula, target) up in ``agent.tables[active]``. Seed, when given, replaces a random
     agent's seed, so the same inputs replay the same run. Both elementary
     kinds step through one iterator of indices into the universe's acts in
     sorted order, computed as the run reaches them: a random run's from
@@ -119,12 +119,14 @@ def run_trajectory(
     computes at most 64 digits). An explicit list raises
     ``DigitSourceExhausted`` at the step past its end, and
     ``DigitOutOfRange`` at the first step if any digit does not fit its
-    base. A run's state is local: afs2b's target (the goal, then the formula
-    perceived at the previous step), and afs3a's active table index (always
-    0 for the other kinds), pending episode and per-table tallies. An
-    episode opens when the active table generates and none is pending; it is
-    scored as a success at the first step that perceives the goal, or as a
-    failure depth_max steps after it opened.
+    base. A run's state is local: the target (the goal, which is None for
+    afs1, then for afs2b the formula perceived at the previous step), and
+    afs3a's active table index (always 0 for the other kinds), pending
+    episode and per-table tallies. An episode opens when the active table
+    generates and none is pending; it is scored as a success at the first
+    step that perceives the goal, or as a failure ``agent.depth`` steps
+    after it opened. A sensitive agent with no table, or an afs3a agent
+    with no depth, raises ``ArchitectureError`` before its first step.
 
     A step's choice depends only on its state and its slot: the act index
     for the elementary kinds, afs3a's active table (read after its pending
@@ -161,8 +163,11 @@ def run_trajectory(
         else:
             slots = agent.digits.read(max_steps)
     rmap, goal, tables, c = agent.representation, agent.goal, agent.tables, agent.projection_index
-    if kind.is_sensitive and kind is not ArchitectureKind.AFS1 and not tables and max_steps > 0:
+    depth = agent.depth
+    if kind.is_sensitive and not tables and max_steps > 0:
         raise ArchitectureError(f"{kind.value} agent {agent.name!r} has no route table")
+    if learner and depth is None and max_steps > 0:
+        raise ArchitectureError(f"afs3a agent {agent.name!r} has no depth")
     target = goal
     active = 0
     opened = -1  # the step the pending episode opened at, or -1 when none is
@@ -209,11 +214,8 @@ def run_trajectory(
                 # Perceive, generate, project. A blind spot (no formula) or
                 # a missing entry (no sequence) issues the neutral act.
                 formula = rmap.entries.get(state) if rmap is not None else None
-                if formula is not None and kind is ArchitectureKind.AFS1:
-                    reaction = agent.reaction.get(formula) if agent.reaction else None
-                    sequence = None if reaction is None else (reaction,)
-                elif formula is not None and target is not None:
-                    sequence = tables[active].entries.get((formula, target))
+                if formula is not None:
+                    sequence = tables[active].get((formula, target))
                 act = universe.neutral_act
                 if sequence:
                     if not 1 <= c <= len(sequence):
@@ -234,7 +236,7 @@ def run_trajectory(
             # One-step recall: next step routes toward what was just seen.
             target = formula
         elif learner and sequence and opened < 0:
-            opened, index, depth = t, active, tables[active].depth_max
+            opened, index = t, active
         energy += change
         if energy > ceiling:
             energy = ceiling
@@ -319,31 +321,29 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every agent of a checked document runs_per_agent times and
     return the rows, summaries and comparisons; write_csv writes the rows.
-    Each universe is built and searched once: where no act sequence can
-    starve within max_steps (``starves_within``), its runs are written as
-    ``StepLimit`` unstepped, except an explicit digit list's, which still
-    raises past its end. The rows and their bytes are what stepping gives;
-    ``trace`` steps every step."""
+    The document's kinds are checked before anything is built; then each
+    agent is built where its runs are made. Each universe is built and
+    searched once: where no act sequence can starve within max_steps
+    (``starves_within``), its runs are written as ``StepLimit`` unstepped,
+    except an explicit digit list's, which still raises past its end. The
+    rows and their bytes are what stepping gives; ``trace`` steps every
+    step."""
+    groups = ["sensitive" if d.kind.is_sensitive else d.kind.value for d in doc.agents]
+    for required in ("random", "positional", "sensitive"):
+        if required not in groups:
+            raise MissingAgentKind(f"experiment needs at least one {required} agent")
+    rows: list[RunRecord] = []
+    by_group: dict[str, list[int]] = {"random": [], "positional": [], "sensitive": []}
+    summaries: list[AgentSummary] = []
     universes: dict[str, tuple[Universe, bool]] = {}
-    agents: list[tuple[AgentArchitecture, Universe, str, bool]] = []
-    for decl in doc.agents:
+    outlived = Trajectory(TerminalReason.STEP_LIMIT, max(max_steps, 0), 0, None)
+    for agent_index, decl in enumerate(doc.agents):
         if decl.universe_name not in universes:
             universe = doc.build_universe(decl.universe_name)
             universes[decl.universe_name] = universe, not starves_within(universe, max_steps)
         universe, safe = universes[decl.universe_name]
-        explicit = decl.constant is not None and decl.constant[0] == "digits"
-        agents.append((decl.build(universe), universe, decl.kind.value, safe and not explicit))
-    groups = ["sensitive" if a.kind.is_sensitive else a.kind.value for a, *_ in agents]
-    for required in ("random", "positional", "sensitive"):
-        if required not in groups:
-            raise MissingAgentKind(
-                f"experiment needs at least one {required} agent"
-            )
-    rows: list[RunRecord] = []
-    by_group: dict[str, list[int]] = {"random": [], "positional": [], "sensitive": []}
-    summaries: list[AgentSummary] = []
-    outlived = Trajectory(TerminalReason.STEP_LIMIT, max(max_steps, 0), 0, None)
-    for agent_index, (agent, universe, kind, safe) in enumerate(agents):
+        safe = safe and not (decl.constant is not None and decl.constant[0] == "digits")
+        agent, kind = decl.build(universe), decl.kind.value
         persistences: list[int] = []
         trajectory = outlived if safe else None
         for run_index in range(runs_per_agent):

@@ -47,7 +47,7 @@ def derive_objectives(
     mixed standing are rejected: the table's intent is undecidable.
     Formulas representing no state stay in the plain objective set.
     """
-    objectives = frozenset(goal for (_, goal) in table.entries)
+    objectives = frozenset(goal for (_, goal) in table)
     positive = set()
     negative = set()
     for formula in objectives:
@@ -106,7 +106,7 @@ def stability_report(
     tallies: dict[StateClass, Counter[Formula]] = {cls: Counter() for cls in StateClass}
     tally_of = {s: tallies[universe.class_of(s)] for s in universe.states}
     n = len(tally_of)
-    for source, goal in table.entries:
+    for source, goal in table:
         for state in rmap.by_formula.get(source, ()):
             if state in tally_of:
                 tally_of[state][goal] += 1

@@ -14,7 +14,6 @@ from collections import Counter
 from exosim import (
     EnergyRules,
     RepresentationMap,
-    RouteTable,
     StateClass,
     TrajectoryStep,
     Universe,
@@ -47,7 +46,7 @@ def stepped(universe, agent, max_steps: int, seed: int | None = None):
     return run_trajectory(universe, agent, max_steps, seed, on_step=steps.append), steps
 
 
-def build_case(case: dict) -> tuple[Universe, RepresentationMap, RouteTable]:
+def build_case(case: dict) -> tuple[Universe, RepresentationMap, dict]:
     universe = Universe(
         name="case",
         states=frozenset(case["states"]),
@@ -59,5 +58,4 @@ def build_case(case: dict) -> tuple[Universe, RepresentationMap, RouteTable]:
         energy=EnergyRules(5, 1, 0, 0, 10),
     )
     rmap = RepresentationMap(dict(case["rmap"]))
-    table = RouteTable(dict(case["table"]), depth_max=case["depth"])
-    return universe, rmap, table
+    return universe, rmap, dict(case["table"])

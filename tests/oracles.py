@@ -331,15 +331,14 @@ def reference_trajectory(
                     episode = None
             if formula is not None:
                 if kind == "afs1":
-                    reaction = agent.reaction or {}
-                    sequence = (reaction[formula],) if formula in reaction else None
+                    sequence = agent.tables[0].get((formula, None))
                 else:
                     target = memory if kind == "afs2b" else agent.goal
                     table = pool[active] if kind == "afs3a" else agent.tables[0]
-                    if table is not None and target is not None:
-                        sequence = table.entries.get((formula, target))
+                    if target is not None:
+                        sequence = table.get((formula, target))
             if kind == "afs3a" and sequence and episode is None:
-                episode = [formula, active, pool[active].depth_max, 0]
+                episode = [formula, active, agent.depth, 0]
             if kind == "afs2b":
                 memory = formula
             act = sequence[agent.projection_index - 1] if sequence else universe.neutral_act

@@ -14,7 +14,6 @@ import statistics
 import time
 
 from exosim import (
-    RouteTable,
     check_oriented_table,
     derive_objectives,
     load_document,
@@ -157,9 +156,7 @@ def test_criterion_5_oriented_check(reference_doc):
         pathfinder.tables[0], pathfinder.representation, universe
     ) == []
 
-    entries = dict(pathfinder.tables[0].entries)
-    entries[("at_c4", "at_oasis")] = ("probe",)
-    detoured = RouteTable(entries, pathfinder.tables[0].depth_max)
+    detoured = {**pathfinder.tables[0], ("at_c4", "at_oasis"): ("probe",)}
     violations = check_oriented_table(detoured, pathfinder.representation, universe)
     assert len(violations) == 1
     v = violations[0]

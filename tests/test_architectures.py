@@ -16,7 +16,6 @@ from exosim import (
     ExplicitDigits,
     ProjectionOutOfRange,
     RepresentationMap,
-    RouteTable,
     StateClass,
     Universe,
     UnrepresentedFormula,
@@ -239,7 +238,7 @@ class TestKinds:
             kind=ArchitectureKind.AFS2A,
             representation=RMAP3,
             projection_index=2,
-            tables=(RouteTable({("r0", "rg"): ("sit", "go")}, 3),),
+            tables=({("r0", "rg"): ("sit", "go")},),
             goal="rg",
         )
         assert agent.projection_index == 2
@@ -253,7 +252,7 @@ class TestReactive:
             kind=ArchitectureKind.AFS1,
             representation=RepresentationMap({"x0": "r0", "x1": "r1"}),
             projection_index=projection,
-            reaction={"r0": "go"},
+            tables=({("r0", None): ("go",)},),
         )
 
     def test_reacts_to_known_formula(self):
@@ -286,12 +285,7 @@ class TestRouted:
             kind=ArchitectureKind.AFS2A,
             representation=RMAP3,
             projection_index=projection,
-            tables=(
-                RouteTable(
-                    {("r0", "rg"): ("go", "go"), ("r1", "rg"): ("go",)},
-                    depth_max=2,
-                ),
-            ),
+            tables=({("r0", "rg"): ("go", "go"), ("r1", "rg"): ("go",)},),
             goal="rg",
         )
 
@@ -306,7 +300,7 @@ class TestRouted:
             kind=ArchitectureKind.AFS2A,
             representation=RMAP3,
             projection_index=2,
-            tables=(RouteTable({("r0", "rg"): ("go", "sit")}, depth_max=2),),
+            tables=({("r0", "rg"): ("go", "sit")},),
             goal="rg",
         )
         assert run_from("x0", agent)[0].act == "sit"
@@ -329,16 +323,13 @@ class TestRecall:
             kind=ArchitectureKind.AFS2B,
             representation=RepresentationMap({"x0": "r0", "x1": "r1"}),
             tables=(
-                RouteTable(
-                    {
-                        ("r0", "rg"): ("go", "go"),
-                        ("r1", "r0"): ("sit",),
-                        # These two fire only when the memory holds r0 or r1.
-                        ("r0", "r0"): ("go",),
-                        ("r1", "r1"): ("go",),
-                    },
-                    depth_max=2,
-                ),
+                {
+                    ("r0", "rg"): ("go", "go"),
+                    ("r1", "r0"): ("sit",),
+                    # These two fire only when the memory holds r0 or r1.
+                    ("r0", "r0"): ("go",),
+                    ("r1", "r1"): ("go",),
+                },
             ),
             goal="rg",
         )
@@ -373,27 +364,23 @@ class TestRecall:
         assert (t3.state_before, t3.sequence) == ("x0", ("go",))
 
 
-GOOD_ROUTES = RouteTable(
-    {
-        ("r0", "rg"): ("go", "go"),
-        ("r1", "rg"): ("go",),
-        ("rg", "rg"): ("go", "go", "go"),
-    },
-    depth_max=3,
-)
-SIT_ROUTES = RouteTable(
-    {("r0", "rg"): ("sit",), ("r1", "rg"): ("go",), ("rg", "rg"): ("go",)},
-    depth_max=2,
-)
+GOOD_ROUTES = {
+    ("r0", "rg"): ("go", "go"),
+    ("r1", "rg"): ("go",),
+    ("rg", "rg"): ("go", "go", "go"),
+}
+SIT_ROUTES = {("r0", "rg"): ("sit",), ("r1", "rg"): ("go",), ("rg", "rg"): ("go",)}
 
 
-def learner(pool, name="learner"):
+def learner(pool, depth, name="learner"):
+    """An afs3a agent on micro3 whose episodes last at most depth steps."""
     return AgentArchitecture(
         name=name,
         kind=ArchitectureKind.AFS3A,
         representation=RMAP3,
         tables=tuple(pool),
         goal="rg",
+        depth=depth,
     )
 
 
@@ -431,12 +418,22 @@ class TestLearning:
             with pytest.raises(ArchitectureError, match="out of range"):
                 update_learning([0], [0], index, True)
 
-    @pytest.mark.parametrize("kind", [ArchitectureKind.AFS2A, ArchitectureKind.AFS2B])
+    # afs1 included: its reactions are its one table.
+    @pytest.mark.parametrize(
+        "kind", [ArchitectureKind.AFS1, ArchitectureKind.AFS2A, ArchitectureKind.AFS2B]
+    )
     def test_rejects_routed_agent_without_table(self, kind):
         bare = AgentArchitecture(name="s", kind=kind, representation=RMAP3, goal="rg")
         with pytest.raises(ArchitectureError, match=f"{kind.value} agent 's' has no route table"):
             run_trajectory(micro3(), bare, 1)
         assert run_trajectory(micro3(), bare, 0).persistence == 0
+
+    def test_rejects_learner_without_depth(self):
+        # Without the guard the first scored episode would compare with None.
+        shallow = learner([GOOD_ROUTES], None, name="a")
+        with pytest.raises(ArchitectureError, match="afs3a agent 'a' has no depth"):
+            run_trajectory(micro3(), shallow, 1)
+        assert run_trajectory(micro3(), shallow, 0).persistence == 0
 
     # A random agent always has a seed (0 unless set), so only a
     # positional one can lack its act source.
@@ -495,19 +492,19 @@ class TestLearningEpisodes:
     def test_successful_predictions_enter_history(self, monkeypatch):
         # x0 -> x1 -> gg resolves the first episode at step 3; the
         # episode issued at gg resolves one step later.
-        scored = self.drive(learner([GOOD_ROUTES]), 4, monkeypatch)
+        scored = self.drive(learner([GOOD_ROUTES], 3), 4, monkeypatch)
         assert scored == [(0, True, 0), (0, True, 0)]
 
     def test_failed_prediction_scored_at_depth(self, monkeypatch):
         # sit keeps the agent at x0, so the goal never shows inside the
         # 2-step budget and the episode fails.
-        scored = self.drive(learner([SIT_ROUTES]), 3, monkeypatch)
+        scored = self.drive(learner([SIT_ROUTES], 2), 3, monkeypatch)
         assert scored == [(0, False, 0)]
 
     def test_closed_loop_never_leaves_index_zero(self, monkeypatch):
         # A failing candidate at rate 0 still ties the unattempted one,
         # and ties keep the lowest index active.
-        scored = self.drive(learner([SIT_ROUTES, GOOD_ROUTES]), 9, monkeypatch)
+        scored = self.drive(learner([SIT_ROUTES, GOOD_ROUTES], 2), 9, monkeypatch)
         assert len(scored) == 4
         assert set(scored) == {(0, False, 0)}
 
@@ -521,7 +518,7 @@ class TestLearningEpisodes:
             return real(attempts, successes, 1, True)
 
         monkeypatch.setattr(exosim.architectures, "update_learning", credit_table_one)
-        steps = run_from("x0", learner([SIT_ROUTES, GOOD_ROUTES]), 4)
+        steps = run_from("x0", learner([SIT_ROUTES, GOOD_ROUTES], 2), 4)
         # Table 0 sits at x0 until its episode fails; the better table
         # then steers the revisit of x0: the agent moves instead of sitting.
         assert [r.state_before for r in steps] == ["x0", "x0", "x0", "x1"]
@@ -589,12 +586,11 @@ class TestOriented:
         for source in ("e2", "e3"):
             path = oracles.bfs_route(transitions, acts, source, "e1")
             entries[(rmap.entries[source], "psi1")] = path
-        table = RouteTable(entries, depth_max=max(len(p) for p in entries.values()))
-        assert check_oriented_table(table, rmap, u) == []
+        assert check_oriented_table(entries, rmap, u) == []
 
     def test_detour_detected(self):
         u = micro3()
-        table = RouteTable({("r0", "rg"): ("go",)}, depth_max=1)
+        table = {("r0", "rg"): ("go",)}
         violations = check_oriented_table(table, RMAP3, u)
         assert len(violations) == 1
         v = violations[0]
@@ -604,7 +600,7 @@ class TestOriented:
 
     def test_unrepresented_endpoint_raises(self):
         u = micro3()
-        table = RouteTable({("r9", "rg"): ("go",)}, depth_max=1)
+        table = {("r9", "rg"): ("go",)}
         with pytest.raises(UnrepresentedFormula):
             check_oriented_table(table, RMAP3, u)
 

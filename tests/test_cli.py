@@ -200,7 +200,8 @@ class TestMetrics:
 
     def test_route_table_needed(self, tmp_path, capsys):
         # afs2a with no predict rows holds one empty table and reports
-        # zeros; afs1 holds no table at all.
+        # zeros; afs1's one table holds reactions, not routes, so its kind
+        # is rejected.
         sight = '  represents a -> "fa";\n  represents b -> "fb";'
         path = tmp_path / "tables.exo"
         path.write_text(

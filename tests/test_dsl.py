@@ -190,7 +190,7 @@ class TestBuild:
         agent, universe = pathfinder_pair
         assert agent.kind is ArchitectureKind.AFS2A
         assert agent.goal == "at_oasis"
-        assert agent.tables[0].depth_max == 6
+        assert agent.depth == 6
         assert agent.representation.entries.get("c0") == "at_c0"
         assert agent.representation.entries.get("t0") is None
         assert universe.class_of("oasis") is StateClass.POSITIVE
@@ -261,8 +261,8 @@ class TestBuild:
         doc = clean_parse(MINI + agent_block(body)).document
         agent, _ = doc.build_agent("crew")
         assert len(agent.tables) == 2
-        assert agent.tables[0].entries.get(("fa", "fb")) == ("hop",)
-        assert agent.tables[1].entries.get(("fa", "fb")) == ("stay", "hop")
+        assert agent.tables[0].get(("fa", "fb")) == ("hop",)
+        assert agent.tables[1].get(("fa", "fb")) == ("stay", "hop")
 
     def test_pool_tables_match_the_per_index_filter(self):
         # A build groups the route rows by index in one pass. Every table
@@ -287,12 +287,12 @@ class TestBuild:
         for doc, decl in learners:
             agent = decl.build(doc.build_universe(decl.universe_name))
             last = max((row[0] for row in decl.route_rows), default=0)
-            assert [table.entries for table in agent.tables] == [
+            assert list(agent.tables) == [
                 {(s, g): seq for i, s, g, seq in decl.route_rows if i == index}
                 for index in range(1 + last)
             ]
-            assert {table.depth_max for table in agent.tables} == {decl.depth}
-        assert [len(table.entries) for table in agent.tables] == [2, 0, 1]
+            assert agent.depth == decl.depth
+        assert [len(table) for table in agent.tables] == [2, 0, 1]
 
     def test_lookup_by_name_first_declaration_wins(self, reference_doc):
         # A library-built document may repeat a name; a parsed one never does.

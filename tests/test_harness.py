@@ -24,7 +24,6 @@ from exosim import (
     MissingAgentKind,
     ProjectionOutOfRange,
     RepresentationMap,
-    RouteTable,
     RunRecord,
     SpecDocument,
     StateClass,
@@ -130,8 +129,10 @@ class TestRunTrajectory:
 
     def test_each_kind_fills_only_its_slots(self, reference_doc, ejemplo5_doc):
         # A built agent holds exactly the act source its kind reads: a
-        # seed, digits, a reaction, one route table (afs2a, afs2b; possibly
-        # empty), or one table per pool index in index order (afs3a).
+        # seed, digits, one table (afs1's reactions keyed (formula, None),
+        # or afs2a's or afs2b's routes, possibly none), or one table per
+        # pool index in index order (afs3a); a sensitive one also holds
+        # its declared depth.
         docs = [reference_doc, ejemplo5_doc, parse(SIX_KINDS).document]
         docs += [parse(docgen.random_document_text(s)).document for s in range(50)]
         seen = set()
@@ -142,19 +143,20 @@ class TestRunTrajectory:
                 seen.add(kind)
                 assert agent.seed == (decl.seed if kind is ArchitectureKind.RANDOM else 0)
                 assert (agent.digits is not None) is (kind is ArchitectureKind.POSITIONAL)
+                assert agent.depth == decl.depth
                 if not kind.is_sensitive:
-                    assert agent.reaction is None
-                    assert agent.tables == ()
+                    assert agent.tables == () and agent.depth is None
                     continue
                 if kind is ArchitectureKind.AFS1:
-                    assert agent.reaction is not None and agent.tables == ()
+                    assert agent.tables == ({(f, None): (a,) for f, a in decl.react_rows},)
+                    assert decl.route_rows == () and agent.depth is None
                     continue
-                assert agent.reaction is None
+                assert agent.depth >= 1
                 count = len({row[0] for row in decl.route_rows})
                 expected = [{} for _ in range(max(count, 1))]
                 for index, source, goal, seq in decl.route_rows:
                     expected[index][source, goal] = seq
-                assert [dict(t.entries) for t in agent.tables] == expected
+                assert list(agent.tables) == expected
                 if kind is not ArchitectureKind.AFS3A:
                     assert len(agent.tables) == 1
         assert seen == set(ArchitectureKind)
@@ -162,7 +164,7 @@ class TestRunTrajectory:
     def test_learning_happens_inside_the_run(self):
         # Same scenario driven through the harness: the routes fire, so
         # the trace shows goal-directed movement from the first step.
-        _, traces = stepped(micro3(), learner([GOOD_ROUTES]), 4)
+        _, traces = stepped(micro3(), learner([GOOD_ROUTES], 3), 4)
         assert [r.act for r in traces] == ["go", "go", "go", "go"]
         assert traces[2].formula == "rg"
 
@@ -228,12 +230,7 @@ class TestReferenceStepper:
             name="recaller",
             kind=ArchitectureKind.AFS2B,
             representation=RepresentationMap({"x0": "r0", "x1": "r1"}),
-            tables=(
-                RouteTable(
-                    {("r0", "rg"): ("go",), ("r1", "r0"): ("sit",), ("r1", "r1"): ("go",)},
-                    depth_max=1,
-                ),
-            ),
+            tables=({("r0", "rg"): ("go",), ("r1", "r0"): ("sit",), ("r1", "r1"): ("go",)},),
             goal="rg",
         )
         steps = assert_matches_reference(micro3(), agent, 4)
@@ -251,7 +248,7 @@ class TestReferenceStepper:
             return real(attempts, successes, 1, True)
 
         monkeypatch.setattr(exosim.architectures, "update_learning", credit_table_one)
-        agent = learner([SIT_ROUTES, GOOD_ROUTES])
+        agent = learner([SIT_ROUTES, GOOD_ROUTES], 2)
         steps = assert_matches_reference(micro3(), agent, 5, credit=[(1, True)])
         # x0 is met under table 0, which sits, and again under table 1.
         at_x0 = [r[3] for r in steps if r[1] == "x0"]
@@ -269,7 +266,7 @@ class TestReferenceStepper:
         monkeypatch.setattr(exosim.architectures, "update_learning", spy)
         # GOOD_ROUTES opens an episode at x0 and sees the goal two steps
         # later: at depth 2 that is the episode's last allowed step.
-        edge = learner([GOOD_ROUTES._replace(depth_max=2), SIT_ROUTES], name="edge")
+        edge = learner([GOOD_ROUTES, SIT_ROUTES], 2, name="edge")
         runs = [(micro3(), edge)]
         docs = [reference_doc, ejemplo5_doc, parse(SIX_KINDS).document]
         docs += [parse(docgen.random_document_text(seed)).document for seed in range(300)]
@@ -284,7 +281,7 @@ class TestReferenceStepper:
             calls.clear()
             run_trajectory(universe, agent, 3000)
             assert calls == expected, agent.name
-            depths.update(table.depth_max for table in agent.tables)
+            depths.add(agent.depth)
         assert {1, 2, 3, 4} <= depths
         edge_scores: list[tuple[int, bool]] = []
         oracles.reference_trajectory(micro3(), edge, 3, scores=edge_scores)
@@ -477,7 +474,7 @@ def hopper() -> AgentArchitecture:
         name="hopper",
         kind=ArchitectureKind.AFS1,
         representation=RepresentationMap({"x": "f", "y": "f", "z": "f"}),
-        reaction={"f": "hop"},
+        tables=({("f", None): ("hop",)},),
     )
 
 
@@ -762,7 +759,7 @@ def one_route_agent(route, projection=1):
         kind=ArchitectureKind.AFS2A,
         representation=RMAP3,
         projection_index=projection,
-        tables=(RouteTable({("r0", "rg"): ("go", "go"), ("r1", "rg"): route}, 2),),
+        tables=({("r0", "rg"): ("go", "go"), ("r1", "rg"): route},),
         goal="rg",
     )
 
@@ -834,15 +831,11 @@ class TestCostBound:
 
     @staticmethod
     def counted(agent):
-        """agent with its route tables and reaction counting their lookups,
-        and the Counter they tally in."""
+        """agent with its tables (afs1's reactions included) counting their
+        lookups, and the Counter they tally in."""
         calls = Counter()
-        tables = tuple(
-            table._replace(entries=CountingDict(table.entries, calls, "routes"))
-            for table in agent.tables
-        )
-        reaction = agent.reaction and CountingDict(agent.reaction, calls, "reaction")
-        return agent._replace(tables=tables, reaction=reaction), calls
+        tables = tuple(CountingDict(table, calls, "routes") for table in agent.tables)
+        return agent._replace(tables=tables), calls
 
     def test_pathfinder_generates_at_most_once_per_state(self, pathfinder_pair):
         agent, universe = pathfinder_pair
@@ -860,7 +853,7 @@ class TestCostBound:
             name="lapper",
             kind=ArchitectureKind.AFS2A,
             representation=RepresentationMap({"x": "fx", "y": "fy", "z": "fz"}),
-            tables=(RouteTable({(f, "fx"): ("hop",) for f in ("fx", "fy", "fz")}, 1),),
+            tables=({(f, "fx"): ("hop",) for f in ("fx", "fy", "fz")},),
             goal="fx",
         )
         classes = {"x": StateClass.POSITIVE, "y": StateClass.NEUTRAL, "z": StateClass.NEUTRAL}

@@ -13,7 +13,6 @@ from exosim import (
     EnergyRules,
     PersistenceCase,
     RepresentationMap,
-    RouteTable,
     StateClass,
     TriValue,
     Universe,
@@ -64,7 +63,7 @@ class TestDeriveObjectives:
 
     def test_negative_objective_detected(self):
         u = pnj_universe()
-        table = RouteTable({("fp", "fm"): ("idle",)}, 1)
+        table = {("fp", "fm"): ("idle",)}
         sets = derive_objectives(table, PNJ_RMAP, u)
         assert sets.negative == frozenset({"fm"})
         assert sets.positive == frozenset()
@@ -72,13 +71,13 @@ class TestDeriveObjectives:
     def test_mixed_standing_rejected(self):
         u = pnj_universe()
         blurry = RepresentationMap({"p": "f", "m": "f", "j": "fj"})
-        table = RouteTable({("fj", "f"): ("idle",)}, 1)
+        table = {("fj", "f"): ("idle",)}
         with pytest.raises(AmbiguousRepresentation):
             derive_objectives(table, blurry, u)
 
     def test_goal_without_preimage_stays_plain(self):
         u = pnj_universe()
-        table = RouteTable({("fp", "dream"): ("idle",)}, 1)
+        table = {("fp", "dream"): ("idle",)}
         sets = derive_objectives(table, PNJ_RMAP, u)
         assert "dream" in sets.objectives
         assert sets.positive == sets.negative == frozenset()
@@ -99,9 +98,7 @@ class TestStabilityReport:
 
     def test_negative_objective_feeds_instability(self):
         u = pnj_universe()
-        table = RouteTable(
-            {("fp", "fm"): ("idle",), ("fj", "fm"): ("idle",)}, 1
-        )
+        table = {("fp", "fm"): ("idle",), ("fj", "fm"): ("idle",)}
         sets = derive_objectives(table, PNJ_RMAP, u)
         report = stability_report(table, PNJ_RMAP, sets, u)
         # Two of three states route toward the negative objective and
@@ -112,9 +109,7 @@ class TestStabilityReport:
 
     def test_escape_route_raises_basic(self):
         u = pnj_universe()
-        table = RouteTable(
-            {("fp", "fm"): ("idle",), ("fm", "fj"): ("idle",)}, 1
-        )
+        table = {("fp", "fm"): ("idle",), ("fm", "fj"): ("idle",)}
         sets = derive_objectives(table, PNJ_RMAP, u)
         report = stability_report(table, PNJ_RMAP, sets, u)
         assert report.negative_escapes == {"j": 1}
@@ -122,7 +117,7 @@ class TestStabilityReport:
 
     def test_empty_table_is_all_zero(self):
         u = pnj_universe()
-        table = RouteTable({}, 1)
+        table = {}
         sets = derive_objectives(table, PNJ_RMAP, u)
         report = stability_report(table, PNJ_RMAP, sets, u)
         assert report.basic_stability == Fraction(0)
@@ -161,7 +156,7 @@ class TestOracleEquivalence:
             universe, rmap, table = build_case(case)
             shapes["shared"] += any(len(s) > 1 for s in rmap.by_formula.values())
             shapes["foreign"] += any(s not in universe.states for s in rmap.entries)
-            shapes["outside"] += any(src not in rmap.by_formula for src, _ in table.entries)
+            shapes["outside"] += any(src not in rmap.by_formula for src, _ in table)
             want = oracles.stability_oracle(
                 case["states"], case["classes"], case["rmap"], case["table"]
             )
@@ -193,14 +188,12 @@ class TestOracleEquivalence:
             uncovered = [
                 s
                 for s in sorted(case["rmap"])
-                if (case["rmap"][s], target) not in table.entries
+                if (case["rmap"][s], target) not in table
             ]
             if not uncovered:
                 continue
             before = stability_report(table, rmap, sets, universe)
-            entries = dict(table.entries)
-            entries[(case["rmap"][uncovered[0]], target)] = (case["acts"][0],)
-            grown = RouteTable(entries, case["depth"])
+            grown = {**table, (case["rmap"][uncovered[0]], target): (case["acts"][0],)}
             after = stability_report(
                 grown, rmap, derive_objectives(grown, rmap, universe), universe
             )
@@ -236,7 +229,7 @@ class TestCostBound:
             for goal in rng.sample(states, 30)
             for src in rng.sample(states, 100)
         }
-        table = RouteTable(CountingDict(routes, calls, "routes"), 1)
+        table = CountingDict(routes, calls, "routes")
         sets = derive_objectives(table, rmap, universe)
         object.__setattr__(
             rmap, "by_formula", CountingDict(rmap.by_formula, calls, "by_formula")
@@ -254,7 +247,7 @@ class TestCostBound:
 
         with mock.patch.object(StateClass, "__hash__", counting_hash):
             stability_report(table, rmap, sets, universe)
-        bound = 4 * (len(states) + len(table.entries))
+        bound = 4 * (len(states) + len(table))
         assert sum(calls.values()) <= bound, (dict(calls), bound)
         assert 0 < hashes <= len(states) + len(StateClass), hashes
 

@@ -53,7 +53,7 @@ RECORDS = [
     "AgentArchitecture", "AgentDecl", "AgentSummary", "ConstantDigits", "EnergyRules",
     "ExperimentResult", "ExplicitDigits", "GroupComparison", "ObjectiveSets",
     "OrientedViolation", "ParseDiagnostic", "ParseResult", "PersistenceCase",
-    "RouteTable", "RunRecord", "StabilityReport", "Trajectory", "TrajectoryStep",
+    "RunRecord", "StabilityReport", "Trajectory", "TrajectoryStep",
     "TruthTableRow", "Universe", "UniverseDecl",
 ]
 # Loaded by building a dataclass, and by nothing exosim runs.
